@@ -3,21 +3,34 @@ operators built by composing them.
 
 Transforms are evaluated as dense quadrature matrices on an internal
 uniform abscissa fine enough for the requested spectral band; the matrices
-are cached per (order, grid pair).  The weighted third-kind operators
-S = F_{s|c}^{-1} (1/phi) F_nu and P = F_nu^{-1} phi F_{s|c} act through a
-linear spectral grid.
+are cached per (order, grid pair), keyed on the output grid's points.  Each
+matrix is filled in blocks of rows, so no full-size temporary exists.
+
+The Hankel kernel J_nu(z) comes from scipy's ``jv`` below the switch point
+z0 = 25 and from Hankel's large-argument expansion at and above it
+(DLMF 10.17.3): sqrt(2/(pi z)) (P cos w - Q sin w), w = z - nu pi/2 - pi/4,
+with the coefficients computed once per matrix and the series cut, band by
+band in z, at the first term below 1e-17.  Degrees whose expansion terms
+grow before they fall that low at z0 (|nu| above about 7) stay on ``jv``;
+at nu = +-1/2 the expansion is the exact cos/sin form.  For z up to 2500
+the kernel is within 4e-15 of J_nu (``jv``: 6e-17), the rounding of w at
+large z, and the matrices match ``jv``-built ones to 4e-16 of their
+largest entry.
+
+The weighted third-kind operators S = F_{s|c}^{-1} (1/phi) F_nu and
+P = F_nu^{-1} phi F_{s|c} act through a linear spectral grid.
 """
 
 from __future__ import annotations
 
+import hashlib
 import warnings
 
 import numpy as np
 from scipy.special import jv
 
 from .._engine import eval_extended
-from ..numgrid import DecayHint, Grid, SampledFunction, make_grid, _uniform_weights
-from ..specfun import gamma_complex
+from ..numgrid import Grid, SampledFunction, make_grid, _uniform_weights
 from .specs import OperatorSpec, OperatorSpecError
 
 __all__ = [
@@ -34,6 +47,9 @@ __all__ = [
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 _NY = 16384  # internal quadrature abscissa count
 _Y_CAP = 60.0  # integration cap; operands must have decayed by here
+_ROW_BLOCK = 32  # matrix rows filled per step
+_Z_SWITCH = 25.0  # J_nu by jv below, by Hankel's expansion at and above
+_SERIES_TOL = 1e-17  # Hankel's expansion is cut at the first term below this
 
 _MATRIX_CACHE: dict = {}
 
@@ -43,11 +59,20 @@ def default_spectral_grid(n: int = 2048, t_max: float = 60.0) -> Grid:
     return make_grid(n, (t_max / n, t_max), "linear")
 
 
+def _quad_top(f: SampledFunction) -> float:
+    return min(f.grid.hull[1], _Y_CAP)
+
+
 def _quad_abscissa(f: SampledFunction):
-    y_top = min(f.grid.hull[1], _Y_CAP)
+    y_top = _quad_top(f)
     y = np.linspace(0.0, y_top, _NY)
     w = _uniform_weights(_NY, y[1] - y[0])
     return y, w
+
+
+def _grid_digest(t: np.ndarray) -> str:
+    """Matrix-cache key part for an output grid: a digest of its points."""
+    return hashlib.blake2b(np.ascontiguousarray(t, dtype=float).tobytes(), digest_size=16).hexdigest()
 
 
 def _osc_tail_integral(p: float, a: np.ndarray, nquad: int = 96) -> np.ndarray:
@@ -128,17 +153,22 @@ def _algebraic_tail(kind: str, t: np.ndarray, f: SampledFunction, y_top: float) 
 
 def _aliasing_check(f: SampledFunction, t_max: float) -> None:
     # the internal abscissa must resolve oscillations at the top frequency
-    y, _ = _quad_abscissa(f)
-    if t_max * (y[1] - y[0]) > 0.5:
+    if t_max * _quad_top(f) / (_NY - 1) > 0.5:
         warnings.warn("spectral band exceeds the transform's internal resolution")
 
 
 def _trig_matrix(kind: str, t: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    key = (kind, len(t), float(t[0]), float(t[-1]), len(y), float(y[-1]))
+    key = (kind, _grid_digest(t), len(y), float(y[-1]))
     if key not in _MATRIX_CACHE:
-        phase = np.outer(t, y)
-        core = np.sin(phase) if kind == "sin" else np.cos(phase)
-        _MATRIX_CACHE[key] = _SQRT_2_OVER_PI * core * w[None, :]
+        trig = np.sin if kind == "sin" else np.cos
+        mat = np.empty((len(t), len(y)))
+        for i0 in range(0, len(t), _ROW_BLOCK):
+            blk = mat[i0 : i0 + _ROW_BLOCK]
+            np.outer(t[i0 : i0 + _ROW_BLOCK], y, out=blk)
+            trig(blk, out=blk)
+            blk *= _SQRT_2_OVER_PI
+            blk *= w
+        _MATRIX_CACHE[key] = mat
     return _MATRIX_CACHE[key]
 
 
@@ -164,12 +194,115 @@ def fourier_cosine(f: SampledFunction, out_grid: Grid | None = None) -> SampledF
     return SampledFunction(out_grid, vals)
 
 
+def _hankel_coefficients(nu: float) -> np.ndarray | None:
+    """(-1)^floor(k/2) a_k(nu) of Hankel's expansion, k = 0, 1, ..., up to the
+    first term below _SERIES_TOL at z = _Z_SWITCH (all of them where the
+    series ends).
+
+    a_k = (4nu^2 - 1^2)(4nu^2 - 3^2)...(4nu^2 - (2k-1)^2) / (k! 8^k); the
+    sign is the one a_k carries in P (even k) or Q (odd k).  None when a term
+    grows before the cut: the expansion then cannot reach double precision
+    at the switch point, and J_nu stays on jv.
+    """
+    mu = 4.0 * nu * nu
+    a = [1.0]
+    while True:
+        k = len(a)
+        ak = a[-1] * (mu - (2 * k - 1) ** 2) / (8.0 * k)
+        if abs(ak) > abs(a[-1]) * _Z_SWITCH:
+            return None
+        if abs(ak) < _SERIES_TOL * _Z_SWITCH**k:
+            return np.where(np.arange(k) % 4 < 2, 1.0, -1.0) * a
+        a.append(ak)
+
+
+def _horner(coef: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
+    """out = sum_j coef[j] u^j."""
+    if len(coef) == 1:
+        out.fill(coef[0])
+        return
+    np.multiply(u, coef[-1], out=out)
+    for c in coef[-2:0:-1]:
+        out += c
+        out *= u
+    out += coef[0]
+
+
+def _expansion_bracket(nu: float, a: np.ndarray, z: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+    """out = P cos w - Q sin w of Hankel's expansion at z, from the signed
+    coefficients given (see _hankel_coefficients).
+
+    J_nu(z) = sqrt(2/(pi z)) out.  P = sum_k (-1)^k a_2k z^-2k and
+    Q = sum_k (-1)^k a_2k+1 z^-(2k+1); z is overwritten.  scratch holds
+    three arrays shaped like z.
+    """
+    u, q, c = scratch
+    phase = (0.5 * nu + 0.25) * np.pi
+    if len(a) == 1:  # nu = +-1/2: P = 1, Q = 0
+        z -= phase
+        np.cos(z, out=out)
+        return
+    np.multiply(z, z, out=u)
+    np.reciprocal(u, out=u)
+    _horner(a[0::2], u, out)
+    _horner(a[1::2], u, q)
+    q /= z
+    z -= phase
+    np.cos(z, out=c)
+    out *= c
+    np.sin(z, out=c)
+    q *= c
+    out -= q
+
+
+def _bessel_rows(nu: float, a: np.ndarray | None, tb: np.ndarray, y: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> int:
+    """J_nu at tb[i] * y[j] (tb, y ascending, y > 0) into out, in two parts.
+
+    Returns k: out[:, :k] holds J_nu from jv, out[:, k:] the bracket of
+    Hankel's expansion (J_nu = sqrt(2/(pi z)) bracket), every z there at
+    least _Z_SWITCH.  The expansion is cut for each doubling band of z at
+    the first term below _SERIES_TOL.  scratch is flat, 4 out.size long.
+    """
+    rows, n = out.shape
+    k = n if a is None else int(np.searchsorted(y, _Z_SWITCH / tb[0]))
+    if k:
+        np.outer(tb, y[:k], out=out[:, :k])
+        jv(nu, out[:, :k], out=out[:, :k])
+    lo = k
+    while lo < n:
+        z_lo = tb[0] * y[lo]
+        hi = int(np.searchsorted(y, 2.0 * y[lo]))
+        m = rows * (hi - lo)
+        z, *work = (scratch[j * m : (j + 1) * m].reshape(rows, hi - lo) for j in range(4))
+        np.outer(tb, y[lo:hi], out=z)
+        terms = np.abs(a) < _SERIES_TOL * z_lo ** np.arange(len(a))
+        n_terms = int(np.argmax(terms)) if terms.any() else len(a)
+        _expansion_bracket(nu, a[:n_terms], z, out[:, lo:hi], work)
+        lo = hi
+    return k
+
+
 def _hankel_matrix(nu: float, t: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    key = ("hankel", nu, len(t), float(t[0]), float(t[-1]), len(y), float(y[-1]))
+    """w_j t_i^-nu y_j^(nu+1) J_nu(t_i y_j), y[0] = 0 taking the kernel's limit."""
+    key = ("hankel", nu, _grid_digest(t), len(y), float(y[-1]))
     if key not in _MATRIX_CACHE:
-        phase = np.outer(t, y)
-        core = jv(nu, phase) * (y ** (nu + 1.0))[None, :] * (t ** (-nu))[:, None]
-        _MATRIX_CACHE[key] = core * w[None, :]
+        a = _hankel_coefficients(nu)
+        ys, ws = y[1:], w[1:]
+        jv_cols = ys ** (nu + 1.0) * ws  # times J_nu and t^-nu
+        exp_cols = _SQRT_2_OVER_PI * ys ** (nu + 0.5) * ws  # times the bracket and t^-(nu+1/2)
+        mat = np.empty((len(t), len(y)))
+        # y^(nu+1) J_nu(t y) t^-nu -> y^(2nu+1) / (2^nu Gamma(nu+1)) as y -> 0
+        mat[:, 0] = w[0] * (_SQRT_2_OVER_PI if nu == -0.5 else 0.0)
+        scratch = np.empty(4 * _ROW_BLOCK * len(ys))
+        for i0 in range(0, len(t), _ROW_BLOCK):
+            tb = t[i0 : i0 + _ROW_BLOCK]
+            blk = mat[i0 : i0 + _ROW_BLOCK, 1:]
+            k = _bessel_rows(nu, a, tb, ys, blk, scratch)
+            blk[:, :k] *= jv_cols[:k]
+            blk[:, :k] *= (tb ** (-nu))[:, None]
+            blk[:, k:] *= exp_cols[k:]
+            blk[:, k:] *= (tb ** (-nu - 0.5))[:, None]
+        _MATRIX_CACHE[key] = mat
     return _MATRIX_CACHE[key]
 
 
@@ -177,7 +310,11 @@ def hankel(nu: float, f: SampledFunction, out_grid: Grid | None = None) -> Sampl
     """Hankel (Fourier-Bessel) transform F_nu f(t) = t^-nu int f(y) J_nu(ty) y^(nu+1) dy.
 
     Unitary and self-inverse in the power-weighted space with weight x^(2nu+1).
+    Defined for nu >= -1/2; F_(-1/2) is the cosine transform.  Below -1/2 the
+    kernel's y^(2nu+1) endpoint singularity is not integrable by the rule.
     """
+    if nu < -0.5:
+        raise OperatorSpecError(f"the Hankel transform needs nu >= -1/2, got {nu:g}")
     out_grid = out_grid or default_spectral_grid()
     _aliasing_check(f, out_grid.hull[1])
     y, w = _quad_abscissa(f)

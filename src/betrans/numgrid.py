@@ -11,6 +11,7 @@ epsilon-ladder extrapolation).
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Literal, Optional
@@ -95,20 +96,28 @@ def _fd_weights(x0: float, nodes: np.ndarray, m: int) -> np.ndarray:
     return c[:, m]
 
 
+@functools.cache
+def _end_stencils() -> tuple:
+    """(derivative order, coefficient, left stencil, reversed right stencil)
+    of the end corrections; the stencils are on unit spacing, free of h."""
+    stencil = np.arange(8, dtype=float)
+    # integral = T - h^2/12 (f'_B - f'_A) + h^4/720 (f'''_B - f'''_A)
+    #              - h^6/30240 (f^(5)_B - f^(5)_A)
+    return tuple(
+        (deriv, coef, _fd_weights(0.0, stencil, deriv), _fd_weights(0.0, -stencil, deriv)[::-1])
+        for deriv, coef in ((1, 1.0 / 12.0), (3, -1.0 / 720.0), (5, 1.0 / 30240.0))
+    )
+
+
 def _uniform_weights(n: int, h: float) -> np.ndarray:
     """Trapezoid + Euler-Maclaurin end corrections through the h^6 term."""
     if n < 16:
         raise GridError("need at least 16 points for end-corrected weights")
     w = np.full(n, h)
     w[0] = w[-1] = 0.5 * h
-    stencil = np.arange(8, dtype=float)
-    # integral = T - h^2/12 (f'_B - f'_A) + h^4/720 (f'''_B - f'''_A)
-    #              - h^6/30240 (f^(5)_B - f^(5)_A)
-    for deriv, coef in ((1, 1.0 / 12.0), (3, -1.0 / 720.0), (5, 1.0 / 30240.0)):
-        cl = _fd_weights(0.0, stencil, deriv)
+    for deriv, coef, cl, cr in _end_stencils():
         w[:8] += coef * h ** (deriv + 1) * cl / h**deriv
-        cr = _fd_weights(0.0, -stencil, deriv)
-        w[-8:] -= coef * h ** (deriv + 1) * cr[::-1] / h**deriv
+        w[-8:] -= coef * h ** (deriv + 1) * cr / h**deriv
     return w
 
 

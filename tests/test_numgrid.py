@@ -188,3 +188,19 @@ def test_interpolation_quality(grid_main):
     assert np.max(np.abs(f(xs) - exact)) < 1e-9
     dexact = np.exp(-(xs**2)) * (np.cos(xs) - 2 * xs * np.sin(xs))
     assert np.max(np.abs(f.deriv(xs) - dexact)) < 1e-7
+
+
+@pytest.mark.parametrize("n,h", [(16, 0.5), (512, 0.0213), (16384, 40.0 / 16383), (1000, 1e-3)])
+def test_uniform_weights_match_per_call_stencils(n, h):
+    # the stencils are computed once; the weights must not change by a bit
+    from betrans.numgrid import _fd_weights, _uniform_weights
+
+    ref = np.full(n, h)
+    ref[0] = ref[-1] = 0.5 * h
+    stencil = np.arange(8, dtype=float)
+    for deriv, coef in ((1, 1.0 / 12.0), (3, -1.0 / 720.0), (5, 1.0 / 30240.0)):
+        cl = _fd_weights(0.0, stencil, deriv)
+        ref[:8] += coef * h ** (deriv + 1) * cl / h**deriv
+        cr = _fd_weights(0.0, -stencil, deriv)
+        ref[-8:] -= coef * h ** (deriv + 1) * cr[::-1] / h**deriv
+    assert np.array_equal(_uniform_weights(n, h), ref)

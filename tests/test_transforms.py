@@ -93,3 +93,116 @@ def test_weight_registry_validation():
     assert weight_function("one")(np.array([2.0]))[0] == 1.0
     with pytest.raises(OperatorSpecError):
         weight_function("nope")
+
+
+# ----------------------------------------------------------------------
+# the Bessel kernel and the blocked matrix builds
+# ----------------------------------------------------------------------
+
+KERNEL_ORDERS = (-0.5, -0.3, 0.0, 0.3, 0.5, 0.7, 1.0, 2.5, 5.0, 12.0)
+
+
+@pytest.mark.parametrize("nu", KERNEL_ORDERS)
+def test_bessel_kernel_against_mpmath(nu):
+    # one Hankel-matrix row at t = 1 with unit weights holds y^(nu+1) J_nu(y),
+    # built by the same row and column scaling as every transform's matrix
+    import mpmath as mp
+
+    from betrans.beops.transforms import _Z_SWITCH, _hankel_matrix
+
+    z0 = _Z_SWITCH
+    y = np.concatenate(
+        [
+            [0.0, 1e-6, 0.37, 3.0],
+            np.linspace(z0 - 1.0, z0 + 1.0, 21),  # straddles the switch point
+            np.geomspace(z0 + 0.01, 2500.0, 80),  # every doubling band of the expansion
+        ]
+    )
+    row = _hankel_matrix(nu, np.ones(1), y, np.ones_like(y))[0]
+    with mp.workdps(30):
+        ref = np.array([float(mp.besselj(nu, mp.mpf(float(x)))) for x in y[1:]])
+    assert np.max(np.abs(row[1:] / y[1:] ** (nu + 1.0) - ref)) <= 1e-13
+    # the y = 0 column: y^(2nu+1) / (2^nu Gamma(nu+1)) at y = 0
+    assert row[0] == (np.sqrt(2.0 / np.pi) if nu == -0.5 else 0.0)
+
+
+def test_bessel_kernel_switches_to_jv_where_expansion_falls_short():
+    from betrans.beops.transforms import _hankel_coefficients
+
+    # terms |a_k| z0^-k grow at first for nu = 12: J_12 stays on jv
+    assert _hankel_coefficients(12.0) is None
+    # the expansion ends at nu = 1/2 and 5/2: P = 1, Q = 0, then 3 terms
+    assert len(_hankel_coefficients(0.5)) == 1
+    assert len(_hankel_coefficients(2.5)) == 3
+    assert _hankel_coefficients(1.0) is not None
+
+
+@pytest.mark.parametrize("nu", (0.5, 0.7, 1.0))
+def test_hankel_matrix_matches_dense_jv(nu):
+    from scipy.special import jv
+
+    from betrans.beops.transforms import _hankel_matrix
+    from betrans.numgrid import _uniform_weights
+
+    t = np.linspace(60.0 / 70, 60.0, 70)  # rows in several blocks, t y up to 2400
+    y = np.linspace(0.0, 40.0, 2001)
+    w = _uniform_weights(len(y), y[1] - y[0])
+    mat = _hankel_matrix(nu, t, y, w)
+    ref = jv(nu, np.outer(t, y[1:])) * (y[1:] ** (nu + 1.0))[None, :] * (t ** (-nu))[:, None] * w[None, 1:]
+    assert np.max(np.abs(mat[:, 1:] - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.all(mat[:, 0] == 0.0)  # y^(2nu+1) -> 0 at y = 0 for nu > -1/2
+
+
+@pytest.mark.parametrize("kind", ("sin", "cos"))
+def test_trig_matrix_bit_identical_to_dense(kind):
+    from betrans.beops.transforms import _trig_matrix
+    from betrans.numgrid import _uniform_weights
+
+    t = np.linspace(0.5, 60.0, 77)
+    y = np.linspace(0.0, 40.0, 1501)
+    w = _uniform_weights(len(y), y[1] - y[0])
+    trig = np.sin if kind == "sin" else np.cos
+    ref = np.sqrt(2.0 / np.pi) * trig(np.outer(t, y)) * w[None, :]
+    assert np.array_equal(_trig_matrix(kind, t, y, w), ref)
+
+
+def test_matrix_cache_keys_on_grid_points():
+    # an irregular grid with the same size and end points as a cached
+    # linear one (read_csv builds such grids) must get its own matrix
+    from betrans.numgrid import Grid, _irregular_weights
+
+    src = make_grid(512, (1e-3, 40.0))
+    f = SampledFunction.from_callable(lambda y: np.exp(-y), src, DecayHint.exponential())
+    regular = make_grid(256, (60.0 / 256, 60.0), "linear")
+    x = regular.points.copy()
+    x[1:-1] += np.random.default_rng(3).uniform(-0.3, 0.3, len(x) - 2) * (x[1] - x[0])
+    irregular = Grid(points=x, weights=_irregular_weights(x), spacing="linear")
+    fourier_sine(f, regular)
+    fs = fourier_sine(f, irregular)
+    assert np.max(np.abs(fs.values - np.sqrt(2.0 / np.pi) * x / (1.0 + x * x))) < 1e-6
+
+
+def test_hankel_minus_half_is_cosine_transform(bump_mid):
+    sg = default_spectral_grid(256)
+    h = hankel(-0.5, bump_mid, sg)
+    fc = fourier_cosine(bump_mid, sg)
+    assert np.max(np.abs(h.values - fc.values)) < 1e-12
+
+
+def test_hankel_small_negative_order(grid_mid):
+    # F_nu exp(-y^2/2) = exp(-t^2/2) for nu > -1; at nu = -0.3 the
+    # integrand's y^(2nu+1) = y^0.4 endpoint limits the rule to about 2e-5
+    f = SampledFunction.from_callable(lambda y: np.exp(-y * y / 2), grid_mid, DecayHint.exponential())
+    sg = default_spectral_grid(256)
+    h = hankel(-0.3, f, sg)
+    assert np.max(np.abs(h.values - np.exp(-sg.points**2 / 2))) < 1e-4
+    spec = OperatorSpec("weighted_third", "S", nu=-0.3, phi="one", trig="cos")
+    assert np.all(np.isfinite(apply_weighted_third(spec, f, sg).values))
+
+
+def test_hankel_order_below_minus_half_raises(bump_mid):
+    with pytest.raises(OperatorSpecError):
+        hankel(-0.6, bump_mid)
+    spec = OperatorSpec("weighted_third", "P", nu=-0.7, phi="one", trig="sin")
+    with pytest.raises(OperatorSpecError):
+        apply_weighted_third(spec, bump_mid)
