@@ -9,8 +9,13 @@ Three plan geometries cover every operator in the package:
 
 * lower:  int_0^x K(x, t) f(t) dt   (optional (x-t)^alpha endpoint weight)
 * upper:  int_x^B K(x, t) f(t) dt   (optional (t-x)^alpha endpoint weight)
-* pv:     one-sided kernels with a simple pole at t = x; symmetric excision
-          with a geometric epsilon ladder and polynomial extrapolation.
+* pv:     one-sided kernels with a simple pole at t = x; the pole is
+          subtracted exactly and the bounded remainder is integrated on
+          panels graded geometrically toward the diagonal.
+
+Body panels are tied to every stride-th grid point and carry n_gl Gauss
+points each; both are keyword parameters of the plan builders (defaults
+4 and 8), so a finer, independent discretization needs no global state.
 
 Below the grid hull the operand is evaluated by a quadratic model fitted to
 its edge samples (functions of interest are smooth at 0 or vanish there), or
@@ -25,14 +30,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numgrid import Grid, SampledFunction, _gl_rule, _jacobi, geometric_breakpoints
+from .numgrid import Grid, SampledFunction, _fd_weights, _gl_rule, _jacobi
 
-N_GL_BODY = 16
 N_GL_HEAD = 12
 N_JACOBI = 24
-N_PV_BAND = 16
-PV_RUNGS = 7
-PV_BANDS = PV_RUNGS - 1
 
 
 _LOG_HEAD_SPAN = 30.0  # edge samples fitted by the logarithmic head model: [a, 30a]
@@ -192,17 +193,17 @@ def _jacobi_panel(lo: float, x: float, alpha: float, left_end: bool = False):
     return t, w
 
 
-_BODY_STRIDE = 4
-_N_GL_SMALL = 8
+_BODY_STRIDE = 4  # default body panel edges: every 4th grid point
+_N_GL_SMALL = 8  # default Gauss points per body panel
 
 
-def _body_edges(grid_pts: np.ndarray, lo: float, hi: float) -> np.ndarray:
+def _body_edges(grid_pts: np.ndarray, lo: float, hi: float, stride: int) -> np.ndarray:
     """Panel edges inside [lo, hi] aligned with (subsampled) grid points.
 
     Tying the panels to the grid guarantees the quadrature resolves any
     operand the grid itself resolves.
     """
-    inner = grid_pts[_BODY_STRIDE::_BODY_STRIDE]
+    inner = grid_pts[stride::stride]
     inner = inner[(inner > lo * (1.0 + 1e-12)) & (inner < hi * (1.0 - 1e-12))]
     return np.concatenate([[lo], inner, [hi]])
 
@@ -215,7 +216,9 @@ def _needs_jacobi(alpha: Optional[float]) -> bool:
     return alpha < 0.0 or abs(alpha - round(alpha)) > 1e-9
 
 
-def _lower_segment(x: float, grid_pts: np.ndarray, alpha: Optional[float], head: str = "taylor"):
+def _lower_segment(
+    x: float, grid_pts: np.ndarray, alpha: Optional[float], stride: int, n_gl: int, head: str = "taylor"
+):
     """Nodes/weights for int_0^x; optional (x-t)^alpha endpoint factor at t = x.
 
     head="taylor" extends the integral over (0, hull_a) using the operand's
@@ -238,22 +241,22 @@ def _lower_segment(x: float, grid_pts: np.ndarray, alpha: Optional[float], head:
         ws.append(head_w)
     if singular:
         # body up to the last aligned edge, then one Jacobi panel to x
-        edges = _body_edges(grid_pts, a, x)
+        edges = _body_edges(grid_pts, a, x, stride)
         split = edges[-2] if len(edges) > 2 else max(0.5 * x, a)
-        body_t, body_w = _panel_nodes(edges[:-1] if len(edges) > 2 else np.array([a, split]), _N_GL_SMALL)
+        body_t, body_w = _panel_nodes(edges[:-1] if len(edges) > 2 else np.array([a, split]), n_gl)
         ts.append(body_t)
         ws.append(body_w)
         t, w = _jacobi_panel(split, x, alpha)
         ts.append(t)
         ws.append(w)
     else:
-        body_t, body_w = _panel_nodes(_body_edges(grid_pts, a, x), _N_GL_SMALL)
+        body_t, body_w = _panel_nodes(_body_edges(grid_pts, a, x, stride), n_gl)
         ts.append(body_t)
         ws.append(body_w)
     return np.concatenate(ts), np.concatenate(ws)
 
 
-def _upper_segment(x: float, grid_pts: np.ndarray, alpha: Optional[float]):
+def _upper_segment(x: float, grid_pts: np.ndarray, alpha: Optional[float], stride: int, n_gl: int):
     """Nodes/weights for int_x^b; optional (t-x)^alpha singularity at t = x."""
     b = grid_pts[-1]
     if x >= b * (1.0 - 1e-14):
@@ -261,16 +264,16 @@ def _upper_segment(x: float, grid_pts: np.ndarray, alpha: Optional[float]):
     ts, ws = [], []
     singular = _needs_jacobi(alpha)
     if singular:
-        edges = _body_edges(grid_pts, x, b)
+        edges = _body_edges(grid_pts, x, b, stride)
         split = edges[1] if len(edges) > 2 else min(2.0 * x, b)
         t, w = _jacobi_panel(split, x, alpha, left_end=True)
         ts.append(t)
         ws.append(w)
-        body_t, body_w = _panel_nodes(edges[1:] if len(edges) > 2 else np.array([split, b]), _N_GL_SMALL)
+        body_t, body_w = _panel_nodes(edges[1:] if len(edges) > 2 else np.array([split, b]), n_gl)
         ts.append(body_t)
         ws.append(body_w)
     else:
-        body_t, body_w = _panel_nodes(_body_edges(grid_pts, x, b), _N_GL_SMALL)
+        body_t, body_w = _panel_nodes(_body_edges(grid_pts, x, b, stride), n_gl)
         ts.append(body_t)
         ws.append(body_w)
     return np.concatenate(ts), np.concatenate(ws)
@@ -307,10 +310,12 @@ def build_lower_plan(
     alpha: Optional[float] = None,
     use_deriv: bool = False,
     head: str = "taylor",
+    stride: int = _BODY_STRIDE,
+    n_gl: int = _N_GL_SMALL,
 ) -> KernelPlan:
     ts, ws, xs, offsets = [], [], [], [0]
     for x in grid.points:
-        t, w = _lower_segment(float(x), grid.points, alpha, head=head)
+        t, w = _lower_segment(float(x), grid.points, alpha, stride, n_gl, head=head)
         ts.append(t)
         ws.append(w)
         xs.append(np.full_like(t, x))
@@ -326,10 +331,12 @@ def build_upper_plan(
     kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
     alpha: Optional[float] = None,
     use_deriv: bool = False,
+    stride: int = _BODY_STRIDE,
+    n_gl: int = _N_GL_SMALL,
 ) -> KernelPlan:
     ts, ws, xs, offsets = [], [], [], [0]
     for x in grid.points:
-        t, w = _upper_segment(float(x), grid.points, alpha)
+        t, w = _upper_segment(float(x), grid.points, alpha, stride, n_gl)
         ts.append(t)
         ws.append(w)
         xs.append(np.full_like(t, x))
@@ -372,6 +379,8 @@ def build_pv_plan(
     kernel_lower: Callable[[np.ndarray, np.ndarray], np.ndarray],
     kernel_upper: Callable[[np.ndarray, np.ndarray], np.ndarray],
     rho: float = 1.0 / np.pi,
+    stride: int = _BODY_STRIDE,
+    n_gl: int = _N_GL_SMALL,
 ) -> PVPlan:
     """Plan for PV kernel pairs with residue rho at the diagonal.
 
@@ -388,7 +397,7 @@ def build_pv_plan(
         seg_t, seg_w = [], []
         lo_far = x - eps0
         if lo_far > 0:
-            ft, fw = _lower_segment(lo_far, grid.points, None)
+            ft, fw = _lower_segment(lo_far, grid.points, None, stride, n_gl)
             seg_t.append(ft)
             seg_w.append(fw)
         # graded panels from eps0 down to delta on each side
@@ -399,7 +408,7 @@ def build_pv_plan(
             scales.append(d)
         sc = np.asarray(scales)
         lo_edges = x - sc
-        lo_t, lo_w = _panel_nodes(lo_edges, _N_GL_SMALL)
+        lo_t, lo_w = _panel_nodes(lo_edges, n_gl)
         seg_t.append(lo_t)
         seg_w.append(lo_w)
         hi_cap = b - x
@@ -408,12 +417,12 @@ def build_pv_plan(
             if len(sc_hi) < 2:
                 sc_hi = np.asarray([min(eps0, hi_cap), delta])
             hi_edges = (x + sc_hi)[::-1]
-            hi_t, hi_w = _panel_nodes(hi_edges, _N_GL_SMALL)
+            hi_t, hi_w = _panel_nodes(hi_edges, n_gl)
             seg_t.append(hi_t)
             seg_w.append(hi_w)
             start_far = x + sc_hi[0]
             if start_far < b * (1.0 - 1e-12):
-                ut, uw = _upper_segment(start_far, grid.points, None)
+                ut, uw = _upper_segment(start_far, grid.points, None, stride, n_gl)
                 seg_t.append(ut)
                 seg_w.append(uw)
         t = np.concatenate(seg_t)
@@ -449,21 +458,12 @@ def build_pv_plan(
 _D_CENTRAL = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 
 
-def _one_sided_rows():
-    from .numgrid import _fd_weights
-
-    nodes = np.arange(5, dtype=float)
-    return [_fd_weights(float(i), nodes, 1) for i in range(2)]
-
-
-_ONE_SIDED = None
+# first-derivative rows at the first two of five equispaced nodes
+_ONE_SIDED = [_fd_weights(float(i), np.arange(5, dtype=float), 1) for i in range(2)]
 
 
 def deriv_on_grid(values: np.ndarray, grid: Grid) -> np.ndarray:
     """d(values)/dx on the grid: 4th-order differences in the grid coordinate."""
-    global _ONE_SIDED
-    if _ONE_SIDED is None:
-        _ONE_SIDED = _one_sided_rows()
     s = grid.coord(grid.points)
     h = s[1] - s[0]
     n = len(values)

@@ -10,10 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 from .._engine import build_lower_plan, build_upper_plan
-from ..numgrid import SampledFunction
+from ..numgrid import SampledFunction, grid_key
 from ..specfun import legendre_p_assoc
 from .specs import OperatorSpec, OperatorSpecError
-from .zero_order import _grid_key, _plan
+from .zero_order import _plan
 
 __all__ = ["apply_first_kind"]
 
@@ -53,7 +53,7 @@ def apply_first_kind(spec: OperatorSpec, f: SampledFunction) -> SampledFunction:
     if mu >= 1.0:
         raise OperatorSpecError("first_kind requires mu < 1")
     grid = f.grid
-    gk = _grid_key(grid)
+    gk = grid_key(grid)
     alpha = -mu if mu != 0 else None  # diagonal endpoint exponent (Jacobi when non-integer)
     if spec.variant == "B0+":
         plan = _plan(("B0+", nu, mu, gk), lambda: build_lower_plan(grid, _kern_b0p(nu, mu), alpha=alpha))

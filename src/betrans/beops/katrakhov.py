@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import _engine
-from .._engine import build_pv_plan, build_upper_plan, build_lower_plan, deriv_on_grid
-from ..numgrid import DecayHint, SampledFunction
+from .._engine import build_lower_plan, build_pv_plan, build_upper_plan
+from ..numgrid import SampledFunction, grid_key
 from ..specfun import legendre_p
 from ..specfun.legendre import legendre_p_deriv_oncut
 from .second_kind import _kernels_p, _kernels_s, apply_second_kind
 from .specs import OperatorSpec, OperatorSpecError
-from .zero_order import _grid_key, _plan, apply_zero_order
+from .zero_order import _plan, apply_zero_order
 
 __all__ = ["apply_katrakhov"]
 
@@ -29,23 +28,16 @@ def _coeffs(nu: float) -> tuple[float, float]:
 
 
 def _fused_plans(variant: str, nu: float, grid):
-    """Integral-form plans built at a finer, independent discretization."""
-    stride, ngl = _engine._BODY_STRIDE, _engine._N_GL_SMALL
-    _engine._BODY_STRIDE, _engine._N_GL_SMALL = 2, 10
-    try:
-        if variant == "S":
-            smooth = build_upper_plan(grid, lambda x, t: legendre_p_deriv_oncut(nu, x / t) / t)
-            kl, ku = _kernels_s(nu)
-            pv = build_pv_plan(grid, kl, ku)
-        else:
-            smooth = build_lower_plan(
-                grid, lambda x, t: legendre_p(nu, t / x, "on_cut"), use_deriv=True
-            )
-            kl, ku = _kernels_p(nu)
-            pv = build_pv_plan(grid, kl, ku)
-    finally:
-        _engine._BODY_STRIDE, _engine._N_GL_SMALL = stride, ngl
-    return smooth, pv
+    """Integral-form plans built at a finer, independent discretization:
+    body panels at every 2nd grid point with 10 Gauss points each."""
+    fine = {"stride": 2, "n_gl": 10}
+    if variant == "S":
+        smooth = build_upper_plan(grid, lambda x, t: legendre_p_deriv_oncut(nu, x / t) / t, **fine)
+        kl, ku = _kernels_s(nu)
+    else:
+        smooth = build_lower_plan(grid, lambda x, t: legendre_p(nu, t / x, "on_cut"), use_deriv=True, **fine)
+        kl, ku = _kernels_p(nu)
+    return smooth, build_pv_plan(grid, kl, ku, **fine)
 
 
 def apply_katrakhov(spec: OperatorSpec, f: SampledFunction, path: str = "combination") -> SampledFunction:
@@ -67,7 +59,7 @@ def apply_katrakhov(spec: OperatorSpec, f: SampledFunction, path: str = "combina
             sk = apply_second_kind(OperatorSpec("second_kind", "P", nu=nu), f)
         vals = kappa * zo.values - tau * sk.values
     elif path == "integral":
-        key = ("katrakhov", spec.variant, nu, _grid_key(f.grid))
+        key = ("katrakhov", spec.variant, nu, grid_key(f.grid))
         smooth, pv = _plan(key, lambda: _fused_plans(spec.variant, nu, f.grid))
         if spec.variant == "S":
             vals = kappa * (f.values - smooth.apply(f)) - tau * pv.apply(f)

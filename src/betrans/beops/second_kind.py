@@ -1,10 +1,12 @@
 """Second-kind operators: Legendre-Q kernels with principal-value integrals.
 
 The kernels carry a simple pole across the diagonal; near y = x both terms
-combine into r(x, y)/(x - y) plus integrable corrections, so application
-uses symmetric excision with epsilon-ladder extrapolation.  At nu = 0 and
-nu = -1 the family degenerates to the half-line Hilbert-transform pair,
-which is also available as a dedicated closed-kernel path.
+combine into r(x, y)/(x - y) plus integrable corrections.  Application
+subtracts that pole exactly (its principal value is a logarithm) and
+integrates the bounded remainder on panels graded toward the diagonal
+(_engine.build_pv_plan).  At nu = 0 and nu = -1 the family degenerates to
+the half-line Hilbert-transform pair, which is also available as a
+dedicated closed-kernel path.
 """
 
 from __future__ import annotations
@@ -12,10 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 from .._engine import build_pv_plan
-from ..numgrid import DecayHint, SampledFunction
+from ..numgrid import SampledFunction, grid_key
 from ..specfun import legendre_q1
 from .specs import OperatorSpec, OperatorSpecError
-from .zero_order import _grid_key, _plan
+from .zero_order import _plan
 
 __all__ = ["apply_second_kind", "apply_second_kind_2param", "hilbert_pair_kernels"]
 
@@ -63,11 +65,7 @@ def apply_second_kind(spec: OperatorSpec, f: SampledFunction) -> SampledFunction
         raise OperatorSpecError("apply_second_kind expects a second_kind spec")
     nu = float(np.real(spec.nu))
     grid = f.grid
-    gk = _grid_key(grid)
-    # outputs decay algebraically; leave hints unset so downstream Mellin
-    # quadrature fits the observed tail instead of trusting a nominal power
-    hint_s = None
-    hint_p = None
+    gk = grid_key(grid)
     if abs(nu + 1.0) < _INT_TOL:
         # Legendre-Q kernels degenerate at nu = -1; use the closed Hilbert forms:
         # S variant is the x/(x^2-y^2) pair, the mirrored P variant is minus the
@@ -78,7 +76,9 @@ def apply_second_kind(spec: OperatorSpec, f: SampledFunction) -> SampledFunction
         return f.with_values(sign * plan.apply(f), decay_hint=None)
     kl, ku = _kernels_s(nu) if spec.variant == "S" else _kernels_p(nu)
     plan = _plan(("2K", spec.variant, nu, gk), lambda: build_pv_plan(grid, kl, ku))
-    return f.with_values(plan.apply(f), decay_hint=hint_s if spec.variant == "S" else hint_p)
+    # outputs decay algebraically; no hint, so downstream Mellin quadrature
+    # fits the observed tail instead of trusting a nominal power
+    return f.with_values(plan.apply(f), decay_hint=None)
 
 
 def apply_second_kind_2param(spec: OperatorSpec, f: SampledFunction) -> SampledFunction:

@@ -23,14 +23,13 @@ P = F_nu^{-1} phi F_{s|c} act through a linear spectral grid.
 
 from __future__ import annotations
 
-import hashlib
 import warnings
 
 import numpy as np
 from scipy.special import jv
 
 from .._engine import eval_extended
-from ..numgrid import Grid, SampledFunction, make_grid, _uniform_weights
+from ..numgrid import Grid, SampledFunction, make_grid, points_digest, _uniform_weights
 from .specs import OperatorSpec, OperatorSpecError
 
 __all__ = [
@@ -68,11 +67,6 @@ def _quad_abscissa(f: SampledFunction):
     y = np.linspace(0.0, y_top, _NY)
     w = _uniform_weights(_NY, y[1] - y[0])
     return y, w
-
-
-def _grid_digest(t: np.ndarray) -> str:
-    """Matrix-cache key part for an output grid: a digest of its points."""
-    return hashlib.blake2b(np.ascontiguousarray(t, dtype=float).tobytes(), digest_size=16).hexdigest()
 
 
 def _osc_tail_integral(p: float, a: np.ndarray, nquad: int = 96) -> np.ndarray:
@@ -158,7 +152,7 @@ def _aliasing_check(f: SampledFunction, t_max: float) -> None:
 
 
 def _trig_matrix(kind: str, t: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    key = (kind, _grid_digest(t), len(y), float(y[-1]))
+    key = (kind, points_digest(t), len(y), float(y[-1]))
     if key not in _MATRIX_CACHE:
         trig = np.sin if kind == "sin" else np.cos
         mat = np.empty((len(t), len(y)))
@@ -284,7 +278,7 @@ def _bessel_rows(nu: float, a: np.ndarray | None, tb: np.ndarray, y: np.ndarray,
 
 def _hankel_matrix(nu: float, t: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """w_j t_i^-nu y_j^(nu+1) J_nu(t_i y_j), y[0] = 0 taking the kernel's limit."""
-    key = ("hankel", nu, _grid_digest(t), len(y), float(y[-1]))
+    key = ("hankel", nu, points_digest(t), len(y), float(y[-1]))
     if key not in _MATRIX_CACHE:
         a = _hankel_coefficients(nu)
         ys, ws = y[1:], w[1:]

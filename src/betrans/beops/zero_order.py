@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .._engine import build_lower_plan, build_upper_plan, deriv_on_grid
-from ..numgrid import Grid, SampledFunction
+from ..numgrid import SampledFunction, grid_key
 from ..specfun import legendre_p
 from ..specfun.legendre import legendre_p_deriv, legendre_p_deriv_oncut
 from .specs import OperatorSpec, OperatorSpecError
@@ -22,10 +22,6 @@ from .specs import OperatorSpec, OperatorSpecError
 __all__ = ["apply_zero_order"]
 
 _PLANS: dict = {}
-
-
-def _grid_key(grid: Grid):
-    return (grid.n, grid.hull, grid.spacing)
 
 
 def _plan(key, builder):
@@ -69,7 +65,7 @@ def apply_zero_order(spec: OperatorSpec, f: SampledFunction, outer_fd: bool = Fa
         raise OperatorSpecError("apply_zero_order expects a zero_order spec")
     nu = float(np.real(spec.nu))
     grid = f.grid
-    gk = _grid_key(grid)
+    gk = grid_key(grid)
 
     if spec.variant == "S0+":
         _check_lower_decay(nu, f)

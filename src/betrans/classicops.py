@@ -12,8 +12,8 @@ import numpy as np
 
 from ._engine import build_lower_plan, build_upper_plan, deriv_on_grid
 from .beops.specs import OperatorSpec, OperatorSpecError
-from .beops.zero_order import _grid_key, _plan, apply_zero_order
-from .numgrid import DecayHint, SampledFunction
+from .beops.zero_order import _plan, apply_zero_order
+from .numgrid import DecayHint, SampledFunction, grid_key
 from .specfun import gamma_complex
 
 __all__ = [
@@ -41,7 +41,7 @@ def spd_poisson(nu: float, f: SampledFunction) -> SampledFunction:
     grid = f.grid
     alpha = nu - 0.5 if abs((nu - 0.5) - round(nu - 0.5)) > 1e-9 or nu < 0.5 else None
     plan = _plan(
-        ("spdP", nu, _grid_key(grid)),
+        ("spdP", nu, grid_key(grid)),
         lambda: build_lower_plan(grid, lambda x, t: (x * x - t * t) ** (nu - 0.5), alpha=alpha),
     )
     pref = _rgamma(nu + 1.0) / 2.0**nu * grid.points ** (-2.0 * nu)
@@ -64,11 +64,11 @@ def spd_sonine(nu: float, f: SampledFunction) -> SampledFunction:
         return (x * x - t * t) ** (-nu - 0.5) * t ** (2.0 * nu + 1.0)
 
     plan = _plan(
-        ("spdS", nu, _grid_key(grid)),
+        ("spdS", nu, grid_key(grid)),
         lambda: build_lower_plan(grid, kern, alpha=-nu - 0.5),
     )
     plan_d = _plan(
-        ("spdSd", nu, _grid_key(grid)),
+        ("spdSd", nu, grid_key(grid)),
         lambda: build_lower_plan(
             grid,
             lambda x, t: kern(x, t) * t / x,
@@ -99,10 +99,10 @@ def hardy(which: str, f: SampledFunction) -> SampledFunction:
     """Hardy averages H1 f = (1/x) int_0^x f, H2 f = int_x^inf f(y)/y dy."""
     grid = f.grid
     if which == "H1":
-        plan = _plan(("H1", _grid_key(grid)), lambda: build_lower_plan(grid, lambda x, t: np.ones_like(t)))
+        plan = _plan(("H1", grid_key(grid)), lambda: build_lower_plan(grid, lambda x, t: np.ones_like(t)))
         vals = plan.apply(f) / grid.points
     elif which == "H2":
-        plan = _plan(("H2", _grid_key(grid)), lambda: build_upper_plan(grid, lambda x, t: 1.0 / t))
+        plan = _plan(("H2", grid_key(grid)), lambda: build_upper_plan(grid, lambda x, t: 1.0 / t))
         vals = plan.apply(f)
     else:
         raise ValueError(f"unknown Hardy variant {which!r}")
@@ -146,9 +146,9 @@ def unitary_u(index: int, f: SampledFunction) -> SampledFunction:
     side, kern, head = _U_KERNELS[index]
     grid = f.grid
     if side == "lower":
-        plan = _plan((f"U{index}", _grid_key(grid)), lambda: build_lower_plan(grid, kern, head=head))
+        plan = _plan((f"U{index}", grid_key(grid)), lambda: build_lower_plan(grid, kern, head=head))
     else:
-        plan = _plan((f"U{index}", _grid_key(grid)), lambda: build_upper_plan(grid, kern))
+        plan = _plan((f"U{index}", grid_key(grid)), lambda: build_upper_plan(grid, kern))
     return f.with_values(f.values + plan.apply(f), decay_hint=None)
 
 
@@ -156,8 +156,8 @@ def stieltjes(f: SampledFunction) -> SampledFunction:
     """Stieltjes transform int_0^inf f(t) / (x + t) dt."""
     grid = f.grid
     kern = lambda x, t: 1.0 / (x + t)
-    lo = _plan(("stj_lo", _grid_key(grid)), lambda: build_lower_plan(grid, kern))
-    hi = _plan(("stj_hi", _grid_key(grid)), lambda: build_upper_plan(grid, kern))
+    lo = _plan(("stj_lo", grid_key(grid)), lambda: build_lower_plan(grid, kern))
+    hi = _plan(("stj_hi", grid_key(grid)), lambda: build_upper_plan(grid, kern))
     return f.with_values(lo.apply(f) + hi.apply(f), decay_hint=DecayHint.power(1.0))
 
 

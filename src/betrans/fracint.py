@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._engine import build_lower_plan, build_upper_plan, deriv_on_grid
-from .numgrid import DecayHint, Grid, SampledFunction
+from .numgrid import SampledFunction, grid_key
 from .specfun import gamma_complex
 
 __all__ = [
@@ -74,10 +74,6 @@ def _rgamma(x: float) -> float:
 _PLAN_CACHE: dict = {}
 
 
-def _grid_key(grid: Grid):
-    return (grid.n, grid.hull, grid.spacing)
-
-
 def _cached_plan(key, builder):
     full = key
     if full not in _PLAN_CACHE:
@@ -91,12 +87,12 @@ def rl_integral(spec: FracSpec, f: SampledFunction) -> SampledFunction:
     c = _rgamma(a)
     if spec.family == "rl_left":
         plan = _cached_plan(
-            ("rl_left", a, _grid_key(f.grid)),
+            ("rl_left", a, grid_key(f.grid)),
             lambda: build_lower_plan(f.grid, lambda x, t: (x - t) ** (a - 1.0), alpha=a - 1.0),
         )
     elif spec.family == "rl_right":
         plan = _cached_plan(
-            ("rl_right", a, _grid_key(f.grid)),
+            ("rl_right", a, grid_key(f.grid)),
             lambda: build_upper_plan(f.grid, lambda x, t: (t - x) ** (a - 1.0), alpha=a - 1.0),
         )
     else:
@@ -110,7 +106,7 @@ def ek_integral(spec: FracSpec, f: SampledFunction) -> SampledFunction:
     c = _rgamma(a)
     if spec.family == "ek_left":
         plan = _cached_plan(
-            ("ek_left", a, eta, _grid_key(f.grid)),
+            ("ek_left", a, eta, grid_key(f.grid)),
             lambda: build_lower_plan(
                 f.grid,
                 lambda x, t: (x * x - t * t) ** (a - 1.0) * t ** (2.0 * eta + 1.0),
@@ -120,7 +116,7 @@ def ek_integral(spec: FracSpec, f: SampledFunction) -> SampledFunction:
         pref = 2.0 * c * f.grid.points ** (-2.0 * (a + eta))
     elif spec.family == "ek_right":
         plan = _cached_plan(
-            ("ek_right", a, eta, _grid_key(f.grid)),
+            ("ek_right", a, eta, grid_key(f.grid)),
             lambda: build_upper_plan(
                 f.grid,
                 lambda x, t: (t * t - x * x) ** (a - 1.0) * t ** (1.0 - 2.0 * (a + eta)),
@@ -148,7 +144,7 @@ def frac_by_function(spec: FracSpec, f: SampledFunction) -> SampledFunction:
 
     # the (g(x)-g(t))^(alpha-1) factor behaves like (x-t)^(alpha-1) near t=x
     plan = _cached_plan(
-        ("by_function", mono.name, a, _grid_key(f.grid)),
+        ("by_function", mono.name, a, grid_key(f.grid)),
         lambda: build_lower_plan(
             f.grid, kernel, alpha=a - 1.0, head="taylor" if mono.origin_ok else "zero"
         ),

@@ -12,6 +12,7 @@ epsilon-ladder extrapolation).
 from __future__ import annotations
 
 import functools
+import hashlib
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Literal, Optional
@@ -159,6 +160,17 @@ class Grid:
         lo = s[0] + (1.0 - fraction) / 2.0 * (s[-1] - s[0])
         hi = s[-1] - (1.0 - fraction) / 2.0 * (s[-1] - s[0])
         return (s >= lo) & (s <= hi)
+
+
+def points_digest(points: np.ndarray) -> str:
+    """Cache-key part for a set of grid points: a digest of their values."""
+    return hashlib.blake2b(np.ascontiguousarray(points, dtype=float).tobytes(), digest_size=16).hexdigest()
+
+
+def grid_key(grid: Grid) -> tuple[str, str]:
+    """Plan-cache key part for a grid: its spacing label and a digest of its
+    points, so two grids with the same size and hull never share a plan."""
+    return grid.spacing, points_digest(grid.points)
 
 
 def make_grid(

@@ -18,6 +18,8 @@ many abscissae).
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .gamma import digamma_real, gamma_complex
@@ -35,6 +37,7 @@ __all__ = [
 EULER_GAMMA = 0.5772156649015328606
 SERIES_CAP = 500
 SERIES_RTOL = 1e-16
+_SERIES_BLOCK = 8192  # arguments summed together by _power_series
 
 # z = 1 exclusion radius for the second-kind functions
 Q_EXCLUSION = 1e-8
@@ -65,19 +68,69 @@ def _real_gamma(x: float) -> float:
 # ----------------------------------------------------------------------
 
 
-def _hyp2f1_series(a: float, b: float, c: float, w: np.ndarray) -> np.ndarray:
-    """Direct Gauss series F(a, b; c; w), vectorized over w (|w| < 1)."""
+def _below(term: np.ndarray, total: np.ndarray, tol: float) -> np.ndarray:
+    return np.abs(term) <= tol * (np.abs(total) + 1e-300)
+
+
+def _power_series(ratio: Callable[[int], float], w: np.ndarray, deriv: bool = False):
+    """Sum F(w) = sum_k c_k w^k with c_0 = 1 and c_(k+1) = ratio(k) c_k.
+
+    With deriv=True also returns F'(w) = sum_k k c_k w^(k-1).  Each element
+    stops at its own first term below SERIES_RTOL of its partial sum (and,
+    with deriv, its own derivative term below SERIES_RTOL of that sum), so
+    its value does not depend on the other arguments.  The arguments are
+    walked in order of |w|, _SERIES_BLOCK at a time, and a block's active
+    set shrinks as its elements converge: small arguments stop after a few
+    terms instead of running as long as the slowest one.  Raises
+    SeriesConvergenceError when an element still has a term above 1e-12 of
+    its sum at SERIES_CAP terms.
+    """
     w = np.asarray(w, dtype=float)
-    total = np.ones_like(w)
-    term = np.ones_like(w)
-    for k in range(SERIES_CAP):
-        term = term * ((a + k) * (b + k) / ((c + k) * (k + 1.0))) * w
-        total += term
-        if np.all(np.abs(term) <= SERIES_RTOL * (np.abs(total) + 1e-300)):
-            return total
-    if np.max(np.abs(term)) > 1e-12 * np.max(np.abs(total)):
-        raise SeriesConvergenceError("hypergeometric series did not converge")
-    return total
+    flat = w.ravel()
+    total = np.empty_like(flat)
+    dtotal = np.empty_like(flat)
+    order = np.argsort(np.abs(flat), kind="stable")
+    for start in range(0, flat.size, _SERIES_BLOCK):
+        idx = order[start : start + _SERIES_BLOCK]
+        x = flat[idx]
+        s = np.ones_like(x)
+        ds = np.zeros_like(x)
+        xk = np.ones_like(x)  # x^(k-1)
+        c = 1.0
+        for k in range(1, SERIES_CAP + 1):
+            c *= ratio(k - 1)
+            dterm = (k * c) * xk
+            xk = xk * x
+            term = c * xk
+            s += term
+            ds += dterm
+            done = _below(term, s, SERIES_RTOL)
+            if deriv:
+                done &= _below(dterm, ds, SERIES_RTOL)
+            if k == SERIES_CAP:
+                bad = ~_below(term, s, 1e-12)
+                if deriv:
+                    bad |= ~_below(dterm, ds, 1e-12)
+                if np.any(bad):
+                    raise SeriesConvergenceError(f"kernel series did not converge in {SERIES_CAP} terms")
+                done[:] = True
+            if np.any(done):
+                total[idx[done]] = s[done]
+                dtotal[idx[done]] = ds[done]
+                keep = ~done
+                idx, x, s, ds, xk = idx[keep], x[keep], s[keep], ds[keep], xk[keep]
+                if idx.size == 0:
+                    break
+    total = total.reshape(w.shape)
+    return (total, dtotal.reshape(w.shape)) if deriv else total
+
+
+def _hyp2f1_series(a: float, b: float, c: float, w: np.ndarray, deriv: bool = False):
+    """Direct Gauss series F(a, b; c; w), vectorized over w (|w| < 1).
+
+    With deriv=True returns (F, dF/dw).
+    """
+    return _power_series(lambda k: (a + k) * (b + k) / ((c + k) * (k + 1.0)), w, deriv)
 
 
 def _p_hyp_about_one(nu: float, mu: float, z: np.ndarray, on_cut: bool) -> np.ndarray:
@@ -265,20 +318,7 @@ def _p_series_about_one_with_deriv(nu: float, t: np.ndarray):
     Off the cut t = (z-1)/2 > 0; on the cut call with t = -w where
     w = (1-x)/2 (the same coefficients serve both sides).
     """
-    p = np.ones_like(t)
-    dp = np.zeros_like(t)
-    coef = 1.0
-    tk = np.ones_like(t)  # t^k
-    for k in range(SERIES_CAP):
-        coef_next = coef * (nu - k) * (nu + k + 1.0) / ((k + 1.0) ** 2)
-        dp += (k + 1.0) * coef_next * tk
-        tk = tk * t
-        term = coef_next * tk
-        p += term
-        coef = coef_next
-        if np.all(np.abs(term) <= SERIES_RTOL * (np.abs(p) + 1e-300)):
-            break
-    return p, dp
+    return _power_series(lambda k: (nu - k) * (nu + k + 1.0) / ((k + 1.0) ** 2), t, deriv=True)
 
 
 def _q_log_form_offcut(nu: float, z: np.ndarray):
@@ -343,36 +383,11 @@ def _q_oncut_center(nu: float, x: np.ndarray):
     """
     x2 = x * x
     # even solution F(-nu/2, (nu+1)/2; 1/2; x^2) and odd x*F((1-nu)/2, nu/2+1; 3/2; x^2)
-    ye = np.ones_like(x)
-    dye = np.zeros_like(x)
-    term = np.ones_like(x)
-    a, b, c = -nu / 2.0, (nu + 1.0) / 2.0, 0.5
-    coef = 1.0
-    x2k = np.ones_like(x)
-    for k in range(SERIES_CAP):
-        coef = coef * (a + k) * (b + k) / ((c + k) * (k + 1.0))
-        dye += 2.0 * (k + 1.0) * coef * x2k * x
-        x2k = x2k * x2
-        term = coef * x2k
-        ye += term
-        if np.all(np.abs(term) <= SERIES_RTOL * (np.abs(ye) + 1e-300)):
-            break
-
-    yo_f = np.ones_like(x)
-    dyo_f = np.zeros_like(x)
-    a, b, c = (1.0 - nu) / 2.0, nu / 2.0 + 1.0, 1.5
-    coef = 1.0
-    x2k = np.ones_like(x)
-    for k in range(SERIES_CAP):
-        coef = coef * (a + k) * (b + k) / ((c + k) * (k + 1.0))
-        dyo_f += 2.0 * (k + 1.0) * coef * x2k * x
-        x2k = x2k * x2
-        term = coef * x2k
-        yo_f += term
-        if np.all(np.abs(term) <= SERIES_RTOL * (np.abs(yo_f) + 1e-300)):
-            break
-    yo = x * yo_f
-    dyo = yo_f + x * dyo_f
+    fe, dfe = _hyp2f1_series(-nu / 2.0, (nu + 1.0) / 2.0, 0.5, x2, deriv=True)
+    fo, dfo = _hyp2f1_series((1.0 - nu) / 2.0, nu / 2.0 + 1.0, 1.5, x2, deriv=True)
+    # d/dx F(x^2) = 2x F'(x^2)
+    ye, dye = fe, 2.0 * x * dfe
+    yo, dyo = x * fo, fo + 2.0 * x2 * dfo
 
     sp = np.sqrt(np.pi)
     q0 = -0.5 * sp * np.sin(nu * np.pi / 2.0) * _real_gamma(nu / 2.0 + 0.5) / _real_gamma(nu / 2.0 + 1.0)

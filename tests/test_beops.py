@@ -211,3 +211,81 @@ def test_katrakhov_isometry_and_inverse(bump, grid_main):
         assert abs(norm_l2(su) - norm_l2(bump)) / norm_l2(bump) < 1e-4
         pu = apply_katrakhov(OperatorSpec("katrakhov", "P", nu=nu), su)
         assert norm_l2(pu - bump) / norm_l2(bump) < 1e-4
+
+
+def test_katrakhov_integral_path_plans_keep_their_discretization(monkeypatch):
+    # the integral path builds its plans with body panels at every 2nd grid
+    # point and 10 Gauss points each, passed to the builders as parameters;
+    # with unit kernels the plans hold only nodes and weights, whose digests
+    # are those of the same plans built by the former module-global setting
+    import hashlib
+
+    from betrans.beops import katrakhov
+    from betrans.numgrid import make_grid
+
+    def unit(*args):
+        return np.ones_like(args[-1])
+
+    monkeypatch.setattr(katrakhov, "legendre_p", lambda nu, z, branch: np.ones_like(z))
+    monkeypatch.setattr(katrakhov, "legendre_p_deriv_oncut", lambda nu, x: np.ones_like(x))
+    monkeypatch.setattr(katrakhov, "_kernels_s", lambda nu: (unit, unit))
+    monkeypatch.setattr(katrakhov, "_kernels_p", lambda nu: (unit, unit))
+    grid = make_grid(48, (0.05, 12.0), "linear")
+    expected = {
+        "S": ("eb736594fe0f207d380f4c5e4500a865", 5990, 30606),
+        "P": ("0d60c97174f9c73be2d4ee03ab118601", 6336, 30606),
+    }
+    for variant, (digest, n_smooth, n_pv) in expected.items():
+        smooth, pv = katrakhov._fused_plans(variant, 0.5, grid)
+        h = hashlib.sha256()
+        for arr in (smooth.t_all, smooth.kw_all, smooth.offsets, pv.t_all, pv.kw_all, pv.offsets, pv.sub):
+            h.update(np.ascontiguousarray(arr).tobytes())
+        assert (len(smooth.t_all), len(pv.t_all)) == (n_smooth, n_pv)
+        assert h.hexdigest()[:32] == digest
+
+
+# ----------------------------------------------------------------------
+# plan caches
+# ----------------------------------------------------------------------
+
+
+def _same_hull_grids():
+    """A linear grid and an irregular one with the same size, hull and
+    label, as read_csv builds from a CSV file."""
+    from betrans.numgrid import Grid, _irregular_weights, make_grid
+
+    a, b = 0.05, 12.0
+    regular = make_grid(256, (a, b), "linear")
+    x = a + (b - a) * np.linspace(0.0, 1.0, 256) ** 1.6
+    return regular, Grid(points=x, weights=_irregular_weights(x), spacing="linear")
+
+
+def _x2gauss_on(grid):
+    return SampledFunction.from_callable(lambda t: t * t * np.exp(-t * t), grid, DecayHint.exponential())
+
+
+@pytest.mark.parametrize("op", ["hardy:H1", "stieltjes", "zero:S-:nu=1"])
+def test_plan_cache_keys_on_grid_points(op, monkeypatch):
+    # a plan cached for the linear grid must not be handed to the irregular
+    # one (it was, off by 3.2, 0.32 and 0.71 of the peak)
+    from betrans.beops import apply, zero_order
+
+    regular, irregular = _same_hull_grids()
+    spec = parse_operator(op)
+    monkeypatch.setattr(zero_order, "_PLANS", {})
+    fresh = apply(spec, _x2gauss_on(irregular))
+    monkeypatch.setattr(zero_order, "_PLANS", {})
+    apply(spec, _x2gauss_on(regular))
+    assert np.array_equal(apply(spec, _x2gauss_on(irregular)).values, fresh.values)
+
+
+def test_fracint_plan_cache_keys_on_grid_points(monkeypatch):
+    from betrans import fracint
+
+    regular, irregular = _same_hull_grids()
+    spec = FracSpec("rl_left", 0.5)
+    monkeypatch.setattr(fracint, "_PLAN_CACHE", {})
+    fresh = rl_integral(spec, _x2gauss_on(irregular))
+    monkeypatch.setattr(fracint, "_PLAN_CACHE", {})
+    rl_integral(spec, _x2gauss_on(regular))
+    assert np.array_equal(rl_integral(spec, _x2gauss_on(irregular)).values, fresh.values)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from betrans.specfun import (
     DomainError,
     GammaPoleError,
+    SeriesConvergenceError,
     SingularityError,
     bessel_j,
     bessel_j_normalized,
@@ -15,7 +16,7 @@ from betrans.specfun import (
     legendre_q,
     legendre_q1,
 )
-from betrans.specfun.legendre import legendre_p_deriv
+from betrans.specfun.legendre import legendre_p_deriv, legendre_p_deriv_oncut
 
 mpmath = pytest.importorskip("mpmath")
 mpmath.mp.dps = 30
@@ -199,6 +200,52 @@ def test_q_on_cut_vs_mpmath():
         assert legendre_q(nu, x, "on_cut") == pytest.approx(ref, rel=1e-11)
         ref1 = float(mpmath.legenq(nu, 1, x))
         assert legendre_q1(nu, x, "on_cut") == pytest.approx(ref1, rel=1e-10)
+
+
+@pytest.mark.parametrize("nu", [-0.5, 0.3, 0.5, 0.7, 2.0])
+def test_ferrers_q_and_derivative_vs_mpmath(nu):
+    # the series about x = 0 (|x| < 0.9): each element sums until both its
+    # value term and its derivative term are below round-off, so dQ/dx is
+    # as accurate as Q (stopping on the value term alone left dQ/dx off by
+    # up to 7.7e-14 of its largest value)
+    x = np.concatenate([np.geomspace(1e-5, 0.1, 20, endpoint=False), np.linspace(0.1, 0.8999, 40)])
+    q = legendre_q(nu, x, "on_cut")
+    dq = -legendre_q1(nu, x, "on_cut") / np.sqrt(1.0 - x * x)
+    rq = np.array([float(mpmath.legenq(nu, 0, xi)) for xi in x])
+    rdq = np.array([float(-mpmath.legenq(nu, 1, xi) / mpmath.sqrt(1 - mpmath.mpf(xi) ** 2)) for xi in x])
+    assert np.max(np.abs(q - rq)) <= 2e-15 * np.max(np.abs(rq))
+    assert np.max(np.abs(dq - rdq)) <= 2e-15 * np.max(np.abs(rdq))
+
+
+def test_kernel_series_values_do_not_depend_on_the_batch():
+    # every series argument stops on its own terms, so an element's value is
+    # bitwise the same alone or in any batch; the arguments stay in the
+    # zones of the per-element series (|x| < 0.9 on the cut, z >= 1.1 off it)
+    rng = np.random.default_rng(7)
+    on_cut = np.concatenate([rng.uniform(-0.89, 0.89, 300), [0.0, 1e-6, 0.5, -0.8999]])
+    off_cut = np.concatenate([1.1 + rng.exponential(3.0, 300), [1.1, 2.5, 1e3]])
+    cases = [
+        (lambda v: legendre_q1(0.3, v, "on_cut"), on_cut),
+        (lambda v: legendre_q1(0.3, v, "off_cut"), off_cut),
+        (lambda v: legendre_p(0.7, v, "on_cut"), on_cut),
+        (lambda v: legendre_p_deriv_oncut(0.7, v), on_cut),
+    ]
+    for fn, args in cases:
+        batch = fn(args)
+        single = np.array([float(np.atleast_1d(fn(v))[0]) for v in args])
+        assert np.array_equal(batch, single)
+
+
+def test_kernel_series_raises_when_it_cannot_converge():
+    # P_nu on the cut at x = -0.99998 sums the series about x = 1 at
+    # w = (1 - x)/2 = 0.99999, which is far from converged after SERIES_CAP
+    # terms; so does the derivative series there
+    with pytest.raises(SeriesConvergenceError):
+        legendre_p(0.3, -0.99998, "on_cut")
+    with pytest.raises(SeriesConvergenceError):
+        legendre_p_deriv_oncut(0.3, -0.99998)
+    with pytest.raises(SeriesConvergenceError):
+        legendre_p(0.3, np.array([0.5, 0.0, -0.99998]), "on_cut")
 
 
 # ----------------------------------------------------------------------
