@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._engine import build_lower_plan, build_upper_plan, deriv_on_grid
+from ._engine import build_lower_plan, build_upper_plan
 from .beops.specs import OperatorSpec, OperatorSpecError
 from .beops.zero_order import _plan, apply_zero_order
 from .numgrid import DecayHint, SampledFunction, grid_key

@@ -14,9 +14,9 @@ import sys
 
 import numpy as np
 
-from . import classicops, mellin
-from .beops import OperatorSpec, OperatorSpecError, apply, parse_operator
-from .numgrid import DecayHint, GridError, SampledFunction, make_grid, read_csv, write_csv
+from . import mellin
+from .beops import OperatorSpecError, apply, parse_operator
+from .numgrid import GridError, make_grid, read_csv, write_csv
 from .specfun import DomainError, GammaPoleError, SingularityError
 from .testfuncs import SUITE, suite_on_grid
 from .verify import checks as verify_checks

@@ -10,7 +10,6 @@ sup |m(1/2 + iu)|, with closed forms where available.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Literal, Optional
 
 import numpy as np
@@ -196,6 +196,16 @@ def make_grid(
     return Grid(points=pts, weights=w, spacing=spacing)
 
 
+def spline_knots(grid: Grid) -> tuple[np.ndarray, int]:
+    """(knots, degree) of the spline that interpolates samples on the grid:
+    quintic (cubic below 8 points) in the grid coordinate, with not-a-knot
+    ends, so its coefficients are the samples times a fixed matrix."""
+    s = grid.coord(grid.points)
+    k = 5 if grid.n >= 8 else 3
+    half = (k + 1) // 2
+    return np.concatenate([np.full(k + 1, s[0]), s[half:-half], np.full(k + 1, s[-1])]), k
+
+
 @dataclass(frozen=True)
 class DecayHint:
     kind: Literal["compact_support", "exponential", "power"]
@@ -237,30 +247,29 @@ class SampledFunction:
 
     def _ensure_spline(self):
         if self._spline is None:
-            s = self.grid.coord(self.grid.points)
-            k = 5 if self.grid.n >= 8 else 3
-            self._spline = make_interp_spline(s, self.values, k=k)
+            knots, k = spline_knots(self.grid)
+            self._spline = make_interp_spline(self.grid.coord(self.grid.points), self.values, k=k, t=knots)
             self._dspline = self._spline.derivative()
 
     def __call__(self, x):
         """Interpolated values; zero outside the grid hull."""
-        self._ensure_spline()
         x = np.asarray(x, dtype=float)
         a, b = self.grid.hull
         inside = (x >= a) & (x <= b)
         out = np.zeros_like(x, dtype=float)
         if np.any(inside):
+            self._ensure_spline()
             out[inside] = self._spline(self.grid.coord(x[inside]))
         return out
 
     def deriv(self, x):
         """Interpolated first derivative df/dx; zero outside the hull."""
-        self._ensure_spline()
         x = np.asarray(x, dtype=float)
         a, b = self.grid.hull
         inside = (x >= a) & (x <= b)
         out = np.zeros_like(x, dtype=float)
         if np.any(inside):
+            self._ensure_spline()
             xi = x[inside]
             ds = self._dspline(self.grid.coord(xi))
             out[inside] = ds / xi if self.grid.spacing == "log" else ds

@@ -490,7 +490,7 @@ def legendre_q1(nu: float, z, branch: str):
     _check_q_domain(nu, z_arr, branch)
     _, dq = _q_with_deriv(nu, z_arr, branch)
     if branch == "off_cut":
-        out = np.sqrt(z_arr * z_arr - 1.0) * dq
+        out = np.sqrt((z_arr - 1.0) * (z_arr + 1.0)) * dq
     else:
-        out = -np.sqrt(1.0 - z_arr * z_arr) * dq
+        out = -np.sqrt((1.0 - z_arr) * (1.0 + z_arr)) * dq
     return float(out[0]) if scalar else out

@@ -14,7 +14,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .numgrid import DecayHint, Grid, SampledFunction, make_grid
+from .numgrid import DecayHint, Grid, SampledFunction
 
 __all__ = [
     "SUITE",

@@ -20,8 +20,6 @@ from ..beops import (
     apply_first_kind,
     apply_katrakhov,
     apply_second_kind,
-    apply_second_kind_2param,
-    apply_weighted_third,
     apply_zero_order,
 )
 from ..numgrid import (

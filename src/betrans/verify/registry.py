@@ -14,12 +14,12 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .. import classicops, fracint, mellin
-from ..beops import OperatorSpec, apply_weighted_third, apply_zero_order, fourier_cosine, fourier_sine, hankel, hankel_inverse
+from ..beops import OperatorSpec, apply_weighted_third, apply_zero_order, fourier_cosine, fourier_sine, hankel
 from ..numgrid import DecayHint, SampledFunction, norm_l2
 from ..testfuncs import moment_free_combo, suite_on_grid, wide_bump
 from . import checks
 from .checks import TOL, default_grid
-from .report import FAIL, PASS, SKIPPED, VerificationReport
+from .report import FAIL, VerificationReport
 
 __all__ = ["REGISTRY", "run_all", "run_checks", "check_ids"]
 

@@ -216,12 +216,24 @@ def test_katrakhov_isometry_and_inverse(bump, grid_main):
 def test_katrakhov_integral_path_plans_keep_their_discretization(monkeypatch):
     # the integral path builds its plans with body panels at every 2nd grid
     # point and 10 Gauss points each, passed to the builders as parameters;
-    # with unit kernels the plans hold only nodes and weights, whose digests
-    # are those of the same plans built by the former module-global setting
+    # with unit kernels the node weights times kernel values that the
+    # builders hand to the matrix assembly are the bare weights, and the
+    # digests of nodes, weights, offsets and pole sums are those of the same
+    # plans built by the former module-global setting
     import hashlib
 
+    from betrans import _engine
     from betrans.beops import katrakhov
     from betrans.numgrid import make_grid
+
+    assembled = []
+
+    def assemble(grid, nodes, node_id, offsets, kw, use_deriv):
+        assembled.append(kw.copy())
+        return real_assemble(grid, nodes, node_id, offsets, kw, use_deriv)
+
+    real_assemble = _engine._assemble
+    monkeypatch.setattr(_engine, "_assemble", assemble)
 
     def unit(*args):
         return np.ones_like(args[-1])
@@ -236,9 +248,11 @@ def test_katrakhov_integral_path_plans_keep_their_discretization(monkeypatch):
         "P": ("0d60c97174f9c73be2d4ee03ab118601", 6336, 30606),
     }
     for variant, (digest, n_smooth, n_pv) in expected.items():
+        assembled.clear()
         smooth, pv = katrakhov._fused_plans(variant, 0.5, grid)
+        smooth_kw, pv_kw = assembled
         h = hashlib.sha256()
-        for arr in (smooth.t_all, smooth.kw_all, smooth.offsets, pv.t_all, pv.kw_all, pv.offsets, pv.sub):
+        for arr in (smooth.t_all, smooth_kw, smooth.offsets, pv.t_all, pv_kw, pv.offsets, pv.sub):
             h.update(np.ascontiguousarray(arr).tobytes())
         assert (len(smooth.t_all), len(pv.t_all)) == (n_smooth, n_pv)
         assert h.hexdigest()[:32] == digest

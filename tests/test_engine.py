@@ -1,0 +1,158 @@
+"""Quadrature plans as matrices on the grid, and grid differentiation."""
+
+import numpy as np
+import pytest
+
+from betrans import _engine
+from betrans._engine import (
+    PVPlan,
+    build_lower_plan,
+    build_pv_plan,
+    build_upper_plan,
+    deriv_extended,
+    deriv_on_grid,
+    eval_extended,
+)
+from betrans.numgrid import SampledFunction, make_grid
+from betrans.specfun import legendre_p
+from test_beops import _same_hull_grids
+
+# ----------------------------------------------------------------------
+# plans: the matrix against the node sum it replaces
+# ----------------------------------------------------------------------
+
+
+def _grids():
+    return {
+        "log": make_grid(256, (1e-3, 40.0)),
+        "linear": make_grid(128, (0.05, 12.0), "linear"),
+        "irregular": _same_hull_grids()[1],
+    }
+
+
+def _smooth(t):
+    return t * t * np.exp(-t * t)
+
+
+def _log_head(t):
+    return t * np.log(t) * np.exp(-t)
+
+
+def _pole_lower(x, t):
+    return 1.0 / (np.pi * (x - t)) + np.sin(t)
+
+
+def _pole_upper(x, t):
+    return 1.0 / (np.pi * (x - t)) + np.exp(-t)
+
+
+GEOMETRIES = {
+    "lower": lambda g: build_lower_plan(g, lambda x, t: np.exp(-((x - t) ** 2)) * (1.0 + t)),
+    "upper": lambda g: build_upper_plan(g, lambda x, t: np.exp(-((x - t) ** 2)) / t),
+    "pv": lambda g: build_pv_plan(g, _pole_lower, _pole_upper),
+    "lower_deriv": lambda g: build_lower_plan(g, lambda x, t: legendre_p(0.5, t / x, "on_cut"), use_deriv=True),
+    "upper_deriv": lambda g: build_upper_plan(g, lambda x, t: np.exp(-t) * x / t, use_deriv=True),
+    "lower_jacobi": lambda g: build_lower_plan(g, lambda x, t: (x - t) ** -0.5, alpha=-0.5),
+    "upper_jacobi": lambda g: build_upper_plan(g, lambda x, t: (t - x) ** -0.5 * np.exp(-t), alpha=-0.5),
+    "lower_head_zero": lambda g: build_lower_plan(g, lambda x, t: 1.0 / t, head="zero"),
+}
+
+
+@pytest.fixture(scope="module")
+def plans_with_weights():
+    """Every geometry on every grid, with the per-node weight x kernel
+    values that the builders hand to the matrix assembly."""
+    captured = []
+    real = _engine._assemble
+
+    def assemble(grid, nodes, node_id, offsets, kw, use_deriv):
+        captured.append((kw.copy(), use_deriv))
+        return real(grid, nodes, node_id, offsets, kw, use_deriv)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_engine, "_assemble", assemble)
+        out = {}
+        for gname, grid in _grids().items():
+            for geometry, build in GEOMETRIES.items():
+                captured.clear()
+                plan = build(grid)
+                (kw, use_deriv), = captured
+                out[gname, geometry] = grid, plan, kw, use_deriv
+    return out
+
+
+def _node_sum(plan, kw, use_deriv, f):
+    """The plan applied as a sum over its quadrature nodes: the operand (or
+    its derivative) at every node, spline inside the hull, head model below."""
+    vals = deriv_extended(f, plan.t_all) if use_deriv else eval_extended(f, plan.t_all)
+    out = _engine._segmented_sum(kw * vals, plan.offsets)
+    if isinstance(plan, PVPlan):
+        out = out - plan.rho * f.values * (plan.sub - plan.log_term)
+    return out
+
+
+@pytest.mark.parametrize("operand", [_smooth, _log_head], ids=["smooth", "log_head"])
+@pytest.mark.parametrize("gname", ["log", "linear", "irregular"])
+@pytest.mark.parametrize("geometry", list(GEOMETRIES))
+def test_plan_matrix_matches_node_sum(plans_with_weights, geometry, gname, operand):
+    grid, plan, kw, use_deriv = plans_with_weights[gname, geometry]
+    f = SampledFunction.from_callable(operand, grid)
+    ref = _node_sum(plan, kw, use_deriv, SampledFunction.from_callable(operand, grid))
+    assert np.max(np.abs(plan.apply(f) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_operands_cover_both_head_models():
+    # on the log grid (hull from 1e-3) the second operand's edge samples
+    # follow the logarithmic head model; on the grids from 0.05 both
+    # operands take the quadratic one
+    for gname, grid in _grids().items():
+        assert (_engine._log_head(SampledFunction.from_callable(_log_head, grid)) is not None) == (gname == "log")
+        assert _engine._log_head(SampledFunction.from_callable(_smooth, grid)) is None
+
+
+def test_plan_is_one_matrix_on_the_grid(plans_with_weights):
+    for (gname, geometry), (grid, plan, _, _) in plans_with_weights.items():
+        assert plan.matrix.shape == (grid.n, grid.n)
+        below = plan.t_all < grid.points[0]
+        assert np.array_equal(np.unique(plan.t_all[below]), np.sort(plan.head_t))
+        assert plan.head_matrix.shape == (grid.n, len(plan.head_t))
+
+
+# ----------------------------------------------------------------------
+# grid differentiation
+# ----------------------------------------------------------------------
+
+
+def _x2gauss_deriv(x):
+    return (2.0 * x - 2.0 * x**3) * np.exp(-x * x)
+
+
+def _uniform_reference(values, grid):
+    """Fourth-order differences on one spacing: [1, -8, 0, 8, -1] / 12h
+    inside, one-sided five-point rows at the ends."""
+    s = grid.coord(grid.points)
+    h = s[1] - s[0]
+    d = np.empty_like(values)
+    d[2:-2] = (values[:-4] - 8.0 * values[1:-3] + 8.0 * values[3:-1] - values[4:]) / 12.0
+    ends = [np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0, np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0]
+    for i, row in enumerate(ends):
+        d[i] = row @ values[:5]
+        d[-1 - i] = -(row @ values[::-1][:5])
+    d /= h
+    return d / grid.points if grid.spacing == "log" else d
+
+
+def test_deriv_on_grid_uses_the_actual_coordinates_of_irregular_grids():
+    # one spacing s[1] - s[0] for the whole grid was off by 13x max|f'|
+    grid = _same_hull_grids()[1]
+    x = grid.points
+    exact = _x2gauss_deriv(x)
+    assert np.max(np.abs(deriv_on_grid(x * x * np.exp(-x * x), grid) - exact)) <= 1e-4 * np.max(np.abs(exact))
+
+
+@pytest.mark.parametrize("grid", [make_grid(512), make_grid(256, (0.05, 12.0), "linear")], ids=["log", "linear"])
+def test_deriv_on_grid_unchanged_on_uniform_grids(grid):
+    x = grid.points
+    for values in (x * x * np.exp(-x * x), np.exp(-x) * np.sin(3.0 * x)):
+        ref = _uniform_reference(values, grid)
+        assert np.max(np.abs(deriv_on_grid(values, grid) - ref)) <= 1e-12 * np.max(np.abs(ref))

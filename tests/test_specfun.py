@@ -10,6 +10,7 @@ from betrans.specfun import (
     SingularityError,
     bessel_j,
     bessel_j_normalized,
+    digamma_real,
     gamma_complex,
     legendre_p,
     legendre_p_assoc,
@@ -215,6 +216,24 @@ def test_ferrers_q_and_derivative_vs_mpmath(nu):
     rdq = np.array([float(-mpmath.legenq(nu, 1, xi) / mpmath.sqrt(1 - mpmath.mpf(xi) ** 2)) for xi in x])
     assert np.max(np.abs(q - rq)) <= 2e-15 * np.max(np.abs(rq))
     assert np.max(np.abs(dq - rdq)) <= 2e-15 * np.max(np.abs(rdq))
+
+
+@pytest.mark.parametrize("nu", [0.3, 2.0])
+def test_ferrers_q1_near_one_vs_mpmath(nu):
+    # (1 - x^2)^(1/2) as sqrt((1 - x)(1 + x)): sqrt(1 - x*x) lost digits as
+    # x -> 1 (1.26e-13 relative at x = 0.9999); at nu = 2 dQ/dx also needs
+    # psi(nu + 1) to round-off
+    x = np.linspace(0.9001, 0.9999, 40)
+    ref = np.array([float(mpmath.legenq(nu, 1, xi)) for xi in x])
+    assert np.max(np.abs(legendre_q1(nu, x, "on_cut") - ref) / np.abs(ref)) <= 2e-15
+
+
+def test_digamma_vs_mpmath():
+    # the asymptotic series at x >= 10 stopped at the B_10 term, leaving
+    # 2e-14 (the size of the B_12 term at x = 10) in every value
+    for x in [0.3, 0.5, 1.3, 2.0, 3.0, 3.7, 7.2, 9.99, 10.0, 10.5, 25.0]:
+        ref = float(mpmath.digamma(x))
+        assert abs(digamma_real(x) - ref) <= 1e-15 * max(1.0, abs(ref))
 
 
 def test_kernel_series_values_do_not_depend_on_the_batch():
