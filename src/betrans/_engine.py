@@ -24,11 +24,8 @@ points each; both are keyword parameters of the plan builders (defaults
 Every output row that reaches a body panel shares its nodes, so the
 spline's basis is evaluated once per distinct node.
 
-Below the grid hull the operand is evaluated by a quadratic model fitted to
-its edge samples (functions of interest are smooth at 0 or vanish there), or
-by a model with x^k ln x terms when the edge samples carry a logarithm
-(images of integer-degree operators); above the hull it is taken as zero
-(decaying operands).
+Below the grid hull the operand is continued by its head model
+(numgrid.head_model); above the hull it is taken as zero.
 """
 
 from __future__ import annotations
@@ -38,130 +35,10 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .numgrid import Grid, SampledFunction, _gl_rule, _jacobi, spline_knots
+from .numgrid import Grid, SampledFunction, _gl_rule, _jacobi, deriv_extended, eval_extended, spline_knots
 
 N_GL_HEAD = 12
 N_JACOBI = 24
-
-
-_LOG_HEAD_SPAN = 30.0  # edge samples fitted by the logarithmic head model: [a, 30a]
-_LOG_HEAD_GAIN = 1e-3  # the log basis must fit them this much better than a cubic
-
-
-def _log_head(f: SampledFunction):
-    """Coefficients (c0, d0, c1, d1, c2, d2) of the head model
-
-        f(t) = sum_k (c_k + d_k ln u) u^k,   u = t / a,   k = 0, 1, 2,
-
-    fitted on the samples in [a, 30a], or None.  Images of integer-degree
-    operators carry such x^k ln x terms at the origin, which no Taylor
-    model at the hull edge can follow.  The model is used only when it fits
-    the edge samples at least 1000 times better than a cubic of the same
-    span; on operands that are smooth at the origin it is never used, so
-    their values are the quadratic model's.  Cached on the function.
-    """
-    cached = getattr(f, "_log_head_fit", False)
-    if cached is not False:
-        return cached
-    fit = None
-    x = f.grid.points
-    k = int(np.searchsorted(x, _LOG_HEAD_SPAN * x[0]))
-    y = f.values[:k]
-    scale = float(np.max(np.abs(y))) if k else 0.0
-    if k >= 12 and scale > 0.0:
-        u = x[:k] / x[0]
-        lu = np.log(u)
-        poly = np.stack([np.ones_like(u), u, u * u, u**3], axis=1)
-        logb = np.stack([np.ones_like(u), lu, u, u * lu, u * u, u * u * lu], axis=1)
-        res = []
-        coefs = []
-        for basis in (poly, logb):
-            c, *_ = np.linalg.lstsq(basis, y, rcond=None)
-            coefs.append(c)
-            res.append(float(np.max(np.abs(basis @ c - y))) / scale)
-        if res[0] > 1e-10 and res[1] < _LOG_HEAD_GAIN * res[0]:
-            fit = coefs[1]
-    f._log_head_fit = fit
-    return fit
-
-
-_TAYLOR_FIT_SPAN = 1.5  # edge samples fitted by the quadratic head model: [a, 1.5a]
-_TAYLOR_FIT_MIN = 8  # fewer samples there (coarse or linear grids): spline derivatives at a
-
-
-def _taylor_head(f: SampledFunction) -> tuple[float, float, float]:
-    """(f, f', f'') at the hull edge a for the quadratic head model.
-
-    Taken from a least-squares quadratic in t over the samples in
-    [a, 1.5a], a span no longer than the extrapolation distance a: a fit,
-    rather than the spline's derivatives at a, keeps an inaccurate edge
-    sample (grid differences are one-sided there) from being extrapolated
-    across (0, a) with a 1/h^2 gain.  Grids with fewer than
-    _TAYLOR_FIT_MIN samples in that span use the spline's derivatives.
-    Cached on the function.
-    """
-    cached = getattr(f, "_taylor_head_fit", None)
-    if cached is not None:
-        return cached
-    x = f.grid.points
-    a = x[0]
-    k = int(np.searchsorted(x, _TAYLOR_FIT_SPAN * a, side="right"))
-    if k >= _TAYLOR_FIT_MIN:
-        dt = x[:k] - a
-        c, *_ = np.linalg.lstsq(np.stack([np.ones_like(dt), dt, dt * dt], axis=1), f.values[:k], rcond=None)
-        fit = (float(c[0]), float(c[1]), 2.0 * float(c[2]))
-    else:
-        f._ensure_spline()
-        sa = f.grid.coord(np.array([a]))
-        v0 = float(f._spline(sa)[0])
-        d1 = float(f._dspline(sa)[0])
-        d2 = float(f._spline.derivative(2)(sa)[0])
-        if f.grid.spacing == "log":
-            fit = (v0, d1 / a, (d2 - d1) / (a * a))
-        else:
-            fit = (v0, d1, d2)
-    f._taylor_head_fit = fit
-    return fit
-
-
-def eval_extended(f: SampledFunction, t: np.ndarray) -> np.ndarray:
-    """f at arbitrary nodes: spline inside the hull, head model below, 0 above.
-
-    The head model is the logarithmic one of _log_head where it applies,
-    else the quadratic one of _taylor_head.
-    """
-    a, b = f.grid.hull
-    out = f(t)
-    below = t < a
-    if np.any(below):
-        fit = _log_head(f)
-        if fit is not None:
-            c0, d0, c1, d1, c2, d2 = fit
-            u = t[below] / a
-            lu = np.log(u)
-            out[below] = c0 + d0 * lu + (c1 + d1 * lu) * u + (c2 + d2 * lu) * u * u
-            return out
-        v0, fp, fpp = _taylor_head(f)
-        dt = t[below] - a
-        out[below] = v0 + fp * dt + 0.5 * fpp * dt * dt
-    return out
-
-
-def deriv_extended(f: SampledFunction, t: np.ndarray) -> np.ndarray:
-    a, b = f.grid.hull
-    out = f.deriv(t)
-    below = t < a
-    if np.any(below):
-        fit = _log_head(f)
-        if fit is not None:
-            c0, d0, c1, d1, c2, d2 = fit
-            u = t[below] / a
-            lu = np.log(u)
-            out[below] = (d0 / u + c1 + d1 * (lu + 1.0) + 2.0 * c2 * u + d2 * u * (2.0 * lu + 1.0)) / a
-            return out
-        _, fp, fpp = _taylor_head(f)
-        out[below] = fp + fpp * (t[below] - a)
-    return out
 
 
 def _gl_panels(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

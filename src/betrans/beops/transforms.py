@@ -28,8 +28,7 @@ import warnings
 import numpy as np
 from scipy.special import jv
 
-from .._engine import eval_extended
-from ..numgrid import Grid, SampledFunction, make_grid, points_digest, _uniform_weights
+from ..numgrid import Grid, SampledFunction, eval_extended, make_grid, points_digest, _uniform_weights
 from .specs import OperatorSpec, OperatorSpecError
 
 __all__ = [

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .beops.specs import OperatorSpec
-from .numgrid import SampledFunction
+from .numgrid import SampledFunction, head_model
 from .specfun import gamma_complex
 from .verify.report import VerificationReport
 
@@ -82,8 +82,9 @@ class Multiplicator:
 def mellin_numeric(f: SampledFunction, sigma: float, u_points) -> MellinSamples:
     """M f(sigma + iu) by quadrature in the log coordinate.
 
-    A power-series head model completes the (0, hull_a) part; tails follow
-    the decay hint.  Accuracy degrades once |u| exceeds the sampling limit
+    The head model (numgrid.head_model), or a power law c x^p that the
+    first samples follow, completes the (0, hull_a) part; tails follow the
+    decay hint.  Accuracy degrades once |u| exceeds the sampling limit
     of the grid; the result is flagged in that case.
     """
     u = np.atleast_1d(np.asarray(u_points, dtype=float))
@@ -102,30 +103,22 @@ def mellin_numeric(f: SampledFunction, sigma: float, u_points) -> MellinSamples:
 
     s = sigma + 1j * u
 
-    # head completion on (0, a): local power model c x^p when the first
-    # samples follow one cleanly, else a quadratic Taylor model at the edge
-    head_p = _fit_power(grid.points[:10], f.values[:10])
+    # head completion on (0, a): the head model in closed form when it
+    # follows a logarithm, else a local power model c x^p when the first
+    # samples follow one cleanly, else the quadratic head model
+    coef = head_model(f)
+    head_p = None if np.any(coef[1::2]) else _fit_power(grid.points[:10], f.values[:10])
     if head_p is not None and abs(head_p[1]) >= 0.02:
         c, p = head_p
         if sigma + p <= 0:
             raise StripViolationError("x^(sigma-1) f is not integrable at 0 for this sigma")
         vals = vals + c * a ** (s + p) / (s + p)
     else:
-        f._ensure_spline()
-        sa = grid.coord(np.array([a]))
-        c0 = float(f._spline(sa)[0])
-        d1 = float(f._dspline(sa)[0])
-        d2 = float(f._spline.derivative(2)(sa)[0])
-        if grid.spacing == "log":
-            fp, fpp = d1 / a, (d2 - d1) / (a * a)
-        else:
-            fp, fpp = d1, d2
-        c1 = fp - fpp * a
-        c2 = 0.5 * fpp
-        c0 = c0 - fp * a + 0.5 * fpp * a * a
-        if abs(c0) > 1e-140 and sigma <= 0:
+        c, d = coef.reshape(3, 2).T
+        if max(abs(c[0]), abs(d[0])) > 1e-140 and sigma <= 0:
             raise StripViolationError("x^(sigma-1) f is not integrable at 0 for this sigma")
-        vals = vals + c0 * a**s / s + c1 * a ** (s + 1) / (s + 1) + c2 * a ** (s + 2) / (s + 2)
+        sk = s[:, None] + np.arange(3.0)
+        vals = vals + a**s * np.sum(c / sk - d / sk**2, axis=1)
 
     # tail completion beyond b: declared power hint, else a fitted power law
     hint = f.decay_hint

@@ -3,10 +3,11 @@
 Grids are log- or linearly-spaced with end-corrected trapezoidal weights
 (Euler-Maclaurin corrections through h^6, giving ~8th order on smooth
 integrands).  Sampled functions carry a quintic spline in the grid's
-natural coordinate for off-grid evaluation, plus a decay hint used for
-norm tail estimates.  quad_singular handles endpoint power singularities
-(Gauss-Jacobi) and interior principal values (symmetric excision with
-epsilon-ladder extrapolation).
+natural coordinate for off-grid evaluation, a head model that continues
+them below the grid hull, and a decay hint used for norm tail estimates.
+quad_singular handles endpoint power singularities (Gauss-Jacobi) and
+interior principal values (symmetric excision with epsilon-ladder
+extrapolation).
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ __all__ = [
     "norm_l2",
     "norm_half_line",
     "integral_completed",
+    "head_model",
+    "eval_extended",
+    "deriv_extended",
     "read_csv",
     "write_csv",
 ]
@@ -240,6 +244,7 @@ class SampledFunction:
         self.decay_hint = decay_hint
         self._spline = None
         self._dspline = None
+        self._head = None  # head-model coefficients, see head_model
 
     @classmethod
     def from_callable(cls, fn: Callable, grid: Grid, decay_hint: Optional[DecayHint] = None):
@@ -299,6 +304,122 @@ class SampledFunction:
     def _check_same_grid(self, other):
         if other.grid is not self.grid and not np.array_equal(other.grid.points, self.grid.points):
             raise GridError("operands live on different grids")
+
+
+# ----------------------------------------------------------------------
+# head model: the operand below the grid hull
+# ----------------------------------------------------------------------
+#
+# Below the grid hull (0, a) a sampled function is continued by one model,
+#
+#     f(t) = sum_k (c_k + d_k ln u) u^k,   u = t / a,   k = 0, 1, 2,
+#
+# stored as the six coefficients (c0, d0, c1, d1, c2, d2).  When the edge
+# samples carry x^k ln x terms (images of integer-degree operators do) the
+# d_k come from a fit of the log basis; otherwise d = 0 and the model is a
+# quadratic fitted to the edge samples (functions of interest are smooth
+# at 0 or vanish there).  Above the hull a function is taken as zero
+# (decaying operands).  The quadrature plans, the spectral transforms,
+# integral_completed and the Mellin transform all continue an operand by
+# this model; the last two integrate it in closed form.
+
+_LOG_HEAD_SPAN = 30.0  # edge samples fitted by the logarithmic model: [a, 30a]
+_LOG_HEAD_GAIN = 1e-3  # the log basis must fit them this much better than a cubic
+_TAYLOR_FIT_SPAN = 1.5  # edge samples fitted by the quadratic model: [a, 1.5a]
+_TAYLOR_FIT_MIN = 8  # fewer samples there (coarse or linear grids): spline derivatives at a
+
+
+def _log_head(f: SampledFunction) -> Optional[np.ndarray]:
+    """The head model's coefficients fitted on the samples in [a, 30a], or
+    None.  Used only when the log basis fits the edge samples at least 1000
+    times better than a cubic of the same span: no Taylor model at the hull
+    edge can follow a logarithm, and on operands that are smooth at the
+    origin the quadratic model stays in charge."""
+    x = f.grid.points
+    k = int(np.searchsorted(x, _LOG_HEAD_SPAN * x[0]))
+    y = f.values[:k]
+    scale = float(np.max(np.abs(y))) if k else 0.0
+    if k < 12 or scale == 0.0:
+        return None
+    u = x[:k] / x[0]
+    lu = np.log(u)
+    poly = np.stack([np.ones_like(u), u, u * u, u**3], axis=1)
+    logb = np.stack([np.ones_like(u), lu, u, u * lu, u * u, u * u * lu], axis=1)
+    res, coefs = [], []
+    for basis in (poly, logb):
+        c, *_ = np.linalg.lstsq(basis, y, rcond=None)
+        coefs.append(c)
+        res.append(float(np.max(np.abs(basis @ c - y))) / scale)
+    return coefs[1] if res[0] > 1e-10 and res[1] < _LOG_HEAD_GAIN * res[0] else None
+
+
+def _taylor_head(f: SampledFunction) -> np.ndarray:
+    """The head model's coefficients (d = 0) for f, f', f'' at the hull edge a.
+
+    These come from a least-squares quadratic in t over the samples in
+    [a, 1.5a], a span no longer than the extrapolation distance a: a fit,
+    rather than the spline's derivatives at a, keeps an inaccurate edge
+    sample (grid differences are one-sided there) from being extrapolated
+    across (0, a) with a 1/h^2 gain.  Grids with fewer than _TAYLOR_FIT_MIN
+    samples in that span use the spline's derivatives.
+    """
+    x = f.grid.points
+    a = x[0]
+    k = int(np.searchsorted(x, _TAYLOR_FIT_SPAN * a, side="right"))
+    if k >= _TAYLOR_FIT_MIN:
+        dt = x[:k] - a
+        c, *_ = np.linalg.lstsq(np.stack([np.ones_like(dt), dt, dt * dt], axis=1), f.values[:k], rcond=None)
+        v0, fp, fpp = c[0], c[1], 2.0 * c[2]
+    else:
+        f._ensure_spline()
+        sa = f.grid.coord(np.array([a]))
+        v0 = f._spline(sa)[0]
+        d1 = f._dspline(sa)[0]
+        d2 = f._spline.derivative(2)(sa)[0]
+        fp, fpp = (d1 / a, (d2 - d1) / (a * a)) if f.grid.spacing == "log" else (d1, d2)
+    # v0 + fp (t - a) + fpp (t - a)^2 / 2 in powers of u = t / a
+    return np.array([v0 - fp * a + 0.5 * fpp * a * a, 0.0, (fp - fpp * a) * a, 0.0, 0.5 * fpp * a * a, 0.0])
+
+
+def head_model(f: SampledFunction) -> np.ndarray:
+    """(c0, d0, c1, d1, c2, d2) of f's head model: the logarithmic fit where
+    it applies, else the quadratic one (d = 0).  Cached on the function."""
+    if f._head is None:
+        fit = _log_head(f)
+        f._head = _taylor_head(f) if fit is None else fit
+    return f._head
+
+
+def _head_log(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """ln u for a model with log terms; zeros for the quadratic, which stays
+    finite at u = 0."""
+    return np.log(u) if np.any(coef[1::2]) else np.zeros_like(u)
+
+
+def eval_extended(f: SampledFunction, t: np.ndarray) -> np.ndarray:
+    """f at arbitrary nodes: spline inside the hull, head model below, 0 above."""
+    out = f(t)
+    below = t < f.grid.hull[0]
+    if np.any(below):
+        c0, d0, c1, d1, c2, d2 = coef = head_model(f)
+        u = t[below] / f.grid.hull[0]
+        lu = _head_log(coef, u)
+        out[below] = c0 + d0 * lu + (c1 + d1 * lu) * u + (c2 + d2 * lu) * u * u
+    return out
+
+
+def deriv_extended(f: SampledFunction, t: np.ndarray) -> np.ndarray:
+    """f' at arbitrary nodes t > 0: spline inside the hull, head model below,
+    0 above."""
+    a = f.grid.hull[0]
+    out = f.deriv(t)
+    below = t < a
+    if np.any(below):
+        c0, d0, c1, d1, c2, d2 = coef = head_model(f)
+        u = t[below] / a
+        lu = _head_log(coef, u)
+        out[below] = (d0 / u + c1 + d1 * (lu + 1.0) + 2.0 * c2 * u + d2 * u * (2.0 * lu + 1.0)) / a
+    return out
 
 
 @dataclass(frozen=True)
@@ -499,23 +620,14 @@ def norm_weighted(f: SampledFunction, w: WeightedNorm = WeightedNorm()) -> float
 def integral_completed(f: SampledFunction) -> float:
     """Hull integral of f plus head/tail completion toward (0, inf).
 
-    The head (0, a) uses a quadratic Taylor model of f at the left hull edge
-    (only sensible for functions bounded at the origin); the tail comes from
-    the decay hint.
+    The head (0, a) integrates f's head model in closed form; the tail
+    comes from the decay hint.
     """
     core = float(np.sum(f.grid.weights * f.values))
     a, b = f.grid.hull
-    f._ensure_spline()
-    sa = f.grid.coord(np.array([a]))
-    v0 = float(f._spline(sa)[0])
-    d1 = float(f._dspline(sa)[0])
-    d2 = float(f._spline.derivative(2)(sa)[0])
-    if f.grid.spacing == "log":
-        fp = d1 / a
-        fpp = (d2 - d1) / (a * a)
-    else:
-        fp, fpp = d1, d2
-    head = v0 * a - fp * a**2 / 2.0 + fpp * a**3 / 6.0
+    k1 = np.arange(1.0, 4.0)
+    c, d = head_model(f).reshape(3, 2).T
+    head = a * float(np.sum(c / k1 - d / k1**2))
     tail = 0.0
     hint = f.decay_hint
     fb = float(f.values[-1])

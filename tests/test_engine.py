@@ -3,17 +3,9 @@
 import numpy as np
 import pytest
 
-from betrans import _engine
-from betrans._engine import (
-    PVPlan,
-    build_lower_plan,
-    build_pv_plan,
-    build_upper_plan,
-    deriv_extended,
-    deriv_on_grid,
-    eval_extended,
-)
-from betrans.numgrid import SampledFunction, make_grid
+from betrans import _engine, numgrid
+from betrans._engine import PVPlan, build_lower_plan, build_pv_plan, build_upper_plan, deriv_on_grid
+from betrans.numgrid import SampledFunction, deriv_extended, eval_extended, make_grid
 from betrans.specfun import legendre_p
 from test_beops import _same_hull_grids
 
@@ -106,8 +98,8 @@ def test_operands_cover_both_head_models():
     # follow the logarithmic head model; on the grids from 0.05 both
     # operands take the quadratic one
     for gname, grid in _grids().items():
-        assert (_engine._log_head(SampledFunction.from_callable(_log_head, grid)) is not None) == (gname == "log")
-        assert _engine._log_head(SampledFunction.from_callable(_smooth, grid)) is None
+        assert (numgrid._log_head(SampledFunction.from_callable(_log_head, grid)) is not None) == (gname == "log")
+        assert numgrid._log_head(SampledFunction.from_callable(_smooth, grid)) is None
 
 
 def test_plan_is_one_matrix_on_the_grid(plans_with_weights):
