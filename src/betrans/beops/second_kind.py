@@ -26,36 +26,40 @@ _INT_TOL = 1e-9
 
 
 def hilbert_pair_kernels(which: int):
-    """Closed kernels of the nu = 0 / nu = -1 degenerations (y or x over x^2-y^2)."""
+    """Closed kernels of the nu = 0 / nu = -1 degenerations (y or x over x^2-y^2).
+
+    Here and in the Legendre-Q kernels x^2 - y^2 is formed as (x - y)(x + y):
+    x*x - y*y cancels near the diagonal (2.2e-10 relative at y = x - 1e-7 x).
+    """
     if which == 0:
 
         def k(x, y):
-            return _TWO_OVER_PI * y / (x * x - y * y)
+            return _TWO_OVER_PI * y / ((x - y) * (x + y))
 
     else:
 
         def k(x, y):
-            return _TWO_OVER_PI * x / (x * x - y * y)
+            return _TWO_OVER_PI * x / ((x - y) * (x + y))
 
     return k, k
 
 
 def _kernels_s(nu: float):
     def k_lower(x, y):  # y < x, argument x/y > 1
-        return -_TWO_OVER_PI * (x * x - y * y) ** (-0.5) * legendre_q1(nu, x / y, "off_cut")
+        return -_TWO_OVER_PI * ((x - y) * (x + y)) ** (-0.5) * legendre_q1(nu, x / y, "off_cut")
 
     def k_upper(x, y):  # y > x, argument x/y < 1
-        return _TWO_OVER_PI * (y * y - x * x) ** (-0.5) * legendre_q1(nu, x / y, "on_cut")
+        return _TWO_OVER_PI * ((y - x) * (y + x)) ** (-0.5) * legendre_q1(nu, x / y, "on_cut")
 
     return k_lower, k_upper
 
 
 def _kernels_p(nu: float):
     def k_lower(x, y):  # y < x, argument y/x < 1
-        return _TWO_OVER_PI * (x * x - y * y) ** (-0.5) * legendre_q1(nu, y / x, "on_cut")
+        return _TWO_OVER_PI * ((x - y) * (x + y)) ** (-0.5) * legendre_q1(nu, y / x, "on_cut")
 
     def k_upper(x, y):  # y > x, argument y/x > 1
-        return -_TWO_OVER_PI * (y * y - x * x) ** (-0.5) * legendre_q1(nu, y / x, "off_cut")
+        return -_TWO_OVER_PI * ((y - x) * (y + x)) ** (-0.5) * legendre_q1(nu, y / x, "off_cut")
 
     return k_lower, k_upper
 

@@ -17,8 +17,11 @@ the kernel is within 4e-15 of J_nu (``jv``: 6e-17), the rounding of w at
 large z, and the matrices match ``jv``-built ones to 4e-16 of their
 largest entry.
 
-The weighted third-kind operators S = F_{s|c}^{-1} (1/phi) F_nu and
-P = F_nu^{-1} phi F_{s|c} act through a linear spectral grid.
+The quadrature runs from y = 0, where the operand is its head model
+(numgrid.head_model); an operand whose head model carries ln y is rejected
+with GridError.  The weighted third-kind operators
+S = F_{s|c}^{-1} (1/phi) F_nu and P = F_nu^{-1} phi F_{s|c} act through a
+linear spectral grid.
 """
 
 from __future__ import annotations
@@ -28,7 +31,16 @@ import warnings
 import numpy as np
 from scipy.special import jv
 
-from ..numgrid import Grid, SampledFunction, eval_extended, make_grid, points_digest, _uniform_weights
+from ..numgrid import (
+    Grid,
+    GridError,
+    SampledFunction,
+    _uniform_weights,
+    eval_extended,
+    head_model,
+    make_grid,
+    points_digest,
+)
 from .specs import OperatorSpec, OperatorSpecError
 
 __all__ = [
@@ -62,6 +74,11 @@ def _quad_top(f: SampledFunction) -> float:
 
 
 def _quad_abscissa(f: SampledFunction):
+    if np.any(head_model(f)[1::2]):
+        raise GridError(
+            "the operand has a logarithmic head (x^k ln x terms at the origin), "
+            "which the transform's quadrature would evaluate at y = 0, where it diverges"
+        )
     y_top = _quad_top(f)
     y = np.linspace(0.0, y_top, _NY)
     w = _uniform_weights(_NY, y[1] - y[0])

@@ -147,7 +147,7 @@ def _cmd_norm(args) -> int:
 def _cmd_funceq(args) -> int:
     spec = parse_operator(args.op)
     s = args.re_s + 1j * np.linspace(-3.0, 3.0, args.n)
-    rep = mellin.check_functional_equation(spec, s)
+    rep = verify_checks.check_functional_equation(spec, s)
     _emit(args.output, rep.to_json())
     return 0 if rep.passed else 3
 

@@ -18,7 +18,6 @@ import numpy as np
 from .beops.specs import OperatorSpec
 from .numgrid import SampledFunction, head_model
 from .specfun import gamma_complex
-from .verify.report import VerificationReport
 
 __all__ = [
     "MellinSamples",
@@ -31,7 +30,6 @@ __all__ = [
     "admissible_strip",
     "operator_norm",
     "numeric_line_sup",
-    "check_functional_equation",
     "measured_multiplicator",
 ]
 
@@ -479,21 +477,3 @@ def funceq_residuals(m_func: Callable, nu: float, s_samples) -> np.ndarray:
     q = (s - 1.0) * (s - 2.0)
     rhs = m_func(s - 2.0) * q / (q - complex(nu) * (complex(nu) + 1.0))
     return np.abs(lhs - rhs)
-
-
-def check_functional_equation(spec: OperatorSpec, s_samples, tolerance: float = 1e-10) -> VerificationReport:
-    """Check the degree-shift functional equation of a transmutation symbol.
-
-    Holds for symbols of operators intertwining the angular-momentum
-    operator with the second derivative, and is stable under multiplication
-    by any period-2 factor.
-    """
-    nu = float(np.real(spec.nu)) if spec.nu is not None else 0.0
-    res = funceq_residuals(lambda s: multiplicator(spec, s), nu, s_samples)
-    return VerificationReport(
-        check_id=f"funceq[{spec.label}]",
-        provenance="multiplicator functional equation under the degree-2 Mellin shift",
-        params={"operator": spec.label, "n_samples": int(len(np.atleast_1d(s_samples)))},
-        residuals=list(res),
-        tolerance=tolerance,
-    )

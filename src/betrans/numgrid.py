@@ -398,11 +398,12 @@ def _head_log(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def eval_extended(f: SampledFunction, t: np.ndarray) -> np.ndarray:
     """f at arbitrary nodes: spline inside the hull, head model below, 0 above."""
+    a = f.grid.hull[0]
     out = f(t)
-    below = t < f.grid.hull[0]
+    below = t < a
     if np.any(below):
         c0, d0, c1, d1, c2, d2 = coef = head_model(f)
-        u = t[below] / f.grid.hull[0]
+        u = t[below] / a
         lu = _head_log(coef, u)
         out[below] = c0 + d0 * lu + (c1 + d1 * lu) * u + (c2 + d2 * lu) * u * u
     return out

@@ -49,6 +49,7 @@ __all__ = [
     "copson_check",
     "check_multiplicator_ratio",
     "check_norm_vs_sup",
+    "check_functional_equation",
     "check_hardy_identities",
     "check_second_kind_degeneration",
     "check_katrakhov",
@@ -626,6 +627,24 @@ def check_norm_vs_sup(spec: OperatorSpec, tolerance: float = TOL["mellin_ratio"]
         provenance="operator norm formula vs numerical critical-line supremum",
         params={"operator": spec.label, "closed_form": closed, "numeric_sup": sup},
         residuals=[abs(closed - sup)],
+        tolerance=tolerance,
+    )
+
+
+def check_functional_equation(spec: OperatorSpec, s_samples, tolerance: float = TOL["funceq"]) -> VerificationReport:
+    """Check the degree-shift functional equation of a transmutation symbol.
+
+    Holds for symbols of operators intertwining the angular-momentum
+    operator with the second derivative, and is stable under multiplication
+    by any period-2 factor.
+    """
+    nu = float(np.real(spec.nu)) if spec.nu is not None else 0.0
+    res = mellin.funceq_residuals(lambda s: mellin.multiplicator(spec, s), nu, s_samples)
+    return VerificationReport(
+        check_id=f"funceq[{spec.label}]",
+        provenance="multiplicator functional equation under the degree-2 Mellin shift",
+        params={"operator": spec.label, "n_samples": int(len(np.atleast_1d(s_samples)))},
+        residuals=list(res),
         tolerance=tolerance,
     )
 

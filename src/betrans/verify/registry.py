@@ -42,7 +42,7 @@ def _report_funceq(nu: float, composed: bool = False) -> VerificationReport:
     spec = OperatorSpec("zero_order", "S0+", nu=nu)
     s = (-0.2 if nu >= 0.5 else 0.4) + 1j * np.linspace(-3.0, 3.0, 20)
     if not composed:
-        return mellin.check_functional_equation(spec, s, tolerance=TOL["funceq"])
+        return checks.check_functional_equation(spec, s)
     m = lambda z: mellin.m_stieltjes(z) * mellin.multiplicator(spec, z)
     res = mellin.funceq_residuals(m, nu, s)
     return VerificationReport(

@@ -175,6 +175,23 @@ def test_second_kind_hilbert_degenerations(grid_main):
                 assert abs(out.values[i] - ref) < 1e-5 * max(1.0, norm_l2(f))
 
 
+def test_hilbert_pair_kernel_near_the_diagonal():
+    # x^2 - y^2 formed as x*x - y*y cancelled toward the PV plans' innermost
+    # nodes: 3.9e-10 relative within 1e-7 x of the diagonal
+    import mpmath as mp
+
+    from betrans.beops.second_kind import hilbert_pair_kernels
+
+    x = 1.64
+    dist = x * np.geomspace(1e-7, 1e-2, 30)
+    y = np.concatenate([x - dist, x + dist])
+    kernel, _ = hilbert_pair_kernels(0)
+    got = kernel(np.full_like(y, x), y)
+    with mp.workdps(40):
+        ref = np.array([float(2 / mp.pi * mp.mpf(t) / ((x - mp.mpf(t)) * (x + mp.mpf(t)))) for t in y])
+    assert np.max(np.abs(got / ref - 1.0)) <= 1e-15
+
+
 def test_second_kind_2param_unit_order_reduction(bump):
     a = apply_second_kind_2param(OperatorSpec("second_kind_2param", "S", nu=0.3, mu=1.0), bump)
     b = apply_second_kind(OperatorSpec("second_kind", "S", nu=0.3), bump)

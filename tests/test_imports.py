@@ -41,3 +41,74 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(PACKAGE)) for p in MODULES])
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# ----------------------------------------------------------------------
+# layer boundaries
+# ----------------------------------------------------------------------
+
+ALL_MODULES = sorted(PACKAGE.rglob("*.py"))
+HARNESS = ("betrans", "verify")
+
+
+def imported_modules(source: str, package: tuple[str, ...]) -> set[str]:
+    """Dotted names of the modules (or module members) that the source
+    imports, relative imports resolved against its package."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = package[: len(package) - node.level + 1] if node.level else ()
+            mod = base + (tuple(node.module.split(".")) if node.module else ())
+            out |= {".".join(mod + (alias.name,)) for alias in node.names}
+    return out
+
+
+def _package_of(path: Path) -> tuple[str, ...]:
+    return ("betrans",) + path.parent.relative_to(PACKAGE).parts
+
+
+def imports_harness(source: str, package: tuple[str, ...]) -> bool:
+    return any(tuple(name.split("."))[:2] == HARNESS for name in imported_modules(source, package))
+
+
+def test_harness_scan_finds_relative_and_absolute_imports():
+    assert imports_harness("from .verify.report import VerificationReport\n", ("betrans",))
+    assert imports_harness("from .. import verify\n", ("betrans", "beops"))
+    assert imports_harness("import betrans.verify.checks\n", ("betrans",))
+    assert not imports_harness("from .numgrid import make_grid\nfrom . import mellin\n", ("betrans",))
+
+
+CORE_MODULES = [p for p in ALL_MODULES if p.relative_to(PACKAGE).parts[0] not in ("verify", "cli.py")]
+
+
+@pytest.mark.parametrize("path", CORE_MODULES, ids=[str(p.relative_to(PACKAGE)) for p in CORE_MODULES])
+def test_core_module_does_not_import_the_harness(path):
+    # the theorem harness builds on the library, never the other way round
+    assert not imports_harness(path.read_text(encoding="utf-8"), _package_of(path))
+
+
+# SampledFunction's interpolating spline and cached head model: numgrid owns
+# them, and every other layer goes through its functions
+SAMPLED_PRIVATE = {"_spline", "_dspline", "_ensure_spline", "_head"}
+
+
+def private_reads(source: str) -> list[str]:
+    return sorted(
+        f"line {node.lineno}: .{node.attr}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in SAMPLED_PRIVATE
+    )
+
+
+def test_private_scan_finds_a_spline_read():
+    assert private_reads("f._ensure_spline()\nv = f._spline(s)\nw = f.spline\n") == ["line 1: ._ensure_spline", "line 2: ._spline"]
+
+
+OUTSIDE_NUMGRID = [p for p in ALL_MODULES if p.name != "numgrid.py"]
+
+
+@pytest.mark.parametrize("path", OUTSIDE_NUMGRID, ids=[str(p.relative_to(PACKAGE)) for p in OUTSIDE_NUMGRID])
+def test_only_numgrid_reads_the_sampled_function_internals(path):
+    assert private_reads(path.read_text(encoding="utf-8")) == []

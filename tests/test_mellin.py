@@ -8,7 +8,6 @@ from betrans.mellin import (
     Multiplicator,
     StripViolationError,
     admissible_strip,
-    check_functional_equation,
     funceq_residuals,
     m_second_kind,
     m_second_kind_2param,
@@ -25,6 +24,7 @@ from betrans.mellin import (
 )
 from betrans.numgrid import DecayHint, SampledFunction, make_grid
 from betrans.specfun import gamma_complex
+from betrans.verify.checks import check_functional_equation
 
 
 def test_mellin_numeric_exponential_gives_gamma():
@@ -124,6 +124,25 @@ def test_norm_periodicity():
 
 def test_unbounded_detection_threshold():
     assert operator_norm(OperatorSpec("zero_order", "S0+", nu=0.5 + 1e-14)) == np.inf
+
+
+@pytest.mark.parametrize("s", [0.5, 0.5 + 1j])
+def test_mellin_numeric_follows_a_logarithmic_head(s):
+    # M[-ln x e^-x](s) = -Gamma'(s); a power-law head read the logarithm as
+    # x^-0.11 and was off by 3.4e-3 at s = 1/2
+    import mpmath as mp
+
+    f = SampledFunction.from_callable(lambda x: -np.log(x) * np.exp(-x), make_grid(512, (1e-4, 40.0)), DecayHint.exponential())
+    ref = -complex(mp.gamma(s) * mp.digamma(s))
+    got = mellin_numeric(f, s.real, [s.imag]).values[0]
+    assert abs(got - ref) <= 1e-9 * abs(ref)
+
+
+def test_mellin_numeric_keeps_the_power_law_head():
+    # x^0.3 e^-x has no logarithm at the origin: its head stays the power law
+    f = SampledFunction.from_callable(lambda x: x**0.3 * np.exp(-x), make_grid(512, (1e-4, 40.0)), DecayHint.exponential())
+    ref = gamma_complex(np.array([0.8 + 0j]))[0]
+    assert abs(mellin_numeric(f, 0.5, [0.0]).values[0] - ref) <= 5.8e-8 * abs(ref)
 
 
 def test_functional_equation_reports():

@@ -204,3 +204,97 @@ def test_uniform_weights_match_per_call_stencils(n, h):
         cr = _fd_weights(0.0, -stencil, deriv)
         ref[-8:] -= coef * h ** (deriv + 1) * cr[::-1] / h**deriv
     assert np.array_equal(_uniform_weights(n, h), ref)
+
+
+# ----------------------------------------------------------------------
+# head model below the hull
+# ----------------------------------------------------------------------
+
+
+def test_integral_completed_follows_a_logarithmic_head():
+    # int_0^inf -ln x e^-x dx = Euler's gamma; a Taylor head at the hull
+    # edge cannot follow the logarithm (3.3e-5 off)
+    g = make_grid(512, (1e-4, 40.0))
+    f = SampledFunction.from_callable(lambda x: -np.log(x) * np.exp(-x), g, DecayHint.exponential())
+    assert abs(integral_completed(f) - np.euler_gamma) < 1e-10
+
+
+def _head_grids():
+    from test_beops import _same_hull_grids
+
+    return {
+        "log": make_grid(256, (1e-3, 40.0)),
+        "linear": make_grid(512, (0.5, 12.0), "linear"),
+        "irregular": _same_hull_grids()[1],
+        "coarse": make_grid(128, (0.05, 12.0), "linear"),
+    }
+
+
+HEAD_OPERANDS = {
+    "x2gauss": lambda t: t * t * np.exp(-t * t),
+    "shifted_gauss": lambda t: (1.0 + t) * np.exp(-t * t),
+    "xlogx": lambda t: t * np.log(t) * np.exp(-t),
+}
+
+
+def _edge_taylor(f):
+    """(f, f', f'') at the hull edge a: a least-squares quadratic over the
+    samples in [a, 1.5a], or the interpolating spline's derivatives when
+    fewer than 8 samples lie there."""
+    from scipy.interpolate import make_interp_spline
+
+    from betrans.numgrid import spline_knots
+
+    x, grid = f.grid.points, f.grid
+    a = x[0]
+    k = int(np.searchsorted(x, 1.5 * a, side="right"))
+    if k >= 8:
+        dt = x[:k] - a
+        c, *_ = np.linalg.lstsq(np.stack([np.ones_like(dt), dt, dt * dt], axis=1), f.values[:k], rcond=None)
+        return c[0], c[1], 2.0 * c[2]
+    knots, deg = spline_knots(grid)
+    spline = make_interp_spline(grid.coord(x), f.values, k=deg, t=knots)
+    sa = grid.coord(np.array([a]))
+    v0, d1, d2 = (spline.derivative(m)(sa)[0] for m in range(3))
+    return (v0, d1 / a, (d2 - d1) / (a * a)) if grid.spacing == "log" else (v0, d1, d2)
+
+
+def _two_branch_head(f, t, deriv):
+    """The head model in its two-branch form: the logarithmic fit in u = t/a
+    where it applies, else the Taylor quadratic about a."""
+    from betrans.numgrid import _log_head
+
+    a = f.grid.points[0]
+    fit = _log_head(f)
+    if fit is not None:
+        c0, d0, c1, d1, c2, d2 = fit
+        u = t / a
+        lu = np.log(u)
+        if deriv:
+            return (d0 / u + c1 + d1 * (lu + 1.0) + 2.0 * c2 * u + d2 * u * (2.0 * lu + 1.0)) / a
+        return c0 + d0 * lu + (c1 + d1 * lu) * u + (c2 + d2 * lu) * u * u
+    v0, fp, fpp = _edge_taylor(f)
+    dt = t - a
+    return fp + fpp * dt if deriv else v0 + fp * dt + 0.5 * fpp * dt * dt
+
+
+@pytest.mark.parametrize("operand", list(HEAD_OPERANDS))
+@pytest.mark.parametrize("gname", ["log", "linear", "irregular", "coarse"])
+def test_head_model_matches_its_two_branch_form(gname, operand):
+    from betrans.numgrid import _log_head, deriv_extended, eval_extended
+
+    grid = _head_grids()[gname]
+    a = grid.points[0]
+    fitted = np.count_nonzero(grid.points <= 1.5 * a)
+    assert (fitted >= 8) == (gname in ("log", "linear"))  # the quadratic is a fit there, spline-based elsewhere
+    f = SampledFunction.from_callable(HEAD_OPERANDS[operand], grid)
+    logarithmic = _log_head(f) is not None
+    assert logarithmic == (gname == "log" and operand == "xlogx")
+    t = a * np.geomspace(1e-8, 1.0, 60, endpoint=False)
+    if not logarithmic:
+        t = np.concatenate([[0.0], t])  # the quadratic model stays finite at 0
+    for deriv, fn in ((False, eval_extended), (True, deriv_extended)):
+        nodes = t[t > 0] if deriv else t
+        got, ref = fn(f, nodes), _two_branch_head(f, nodes, deriv)
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))

@@ -1,18 +1,22 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from betrans.beops import (
     OperatorSpec,
     OperatorSpecError,
+    apply,
     apply_weighted_third,
     default_spectral_grid,
     fourier_cosine,
     fourier_sine,
     hankel,
     hankel_inverse,
+    parse_operator,
     weight_function,
 )
-from betrans.numgrid import DecayHint, SampledFunction, make_grid, norm_l2
+from betrans.numgrid import DecayHint, GridError, SampledFunction, make_grid, norm_l2
 from betrans.testfuncs import suite_on_grid
 
 
@@ -206,3 +210,26 @@ def test_hankel_order_below_minus_half_raises(bump_mid):
     spec = OperatorSpec("weighted_third", "P", nu=-0.7, phi="one", trig="sin")
     with pytest.raises(OperatorSpecError):
         apply_weighted_third(spec, bump_mid)
+
+
+# ----------------------------------------------------------------------
+# operands the transforms cannot take
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("transform", ["fourier_cosine", "hankel", "third:P"])
+def test_transforms_reject_an_operand_with_a_logarithmic_head(transform):
+    # S- at nu = 1 maps gauss to an image with a ln x term at the origin; the
+    # transforms' quadrature starts at y = 0, so they refuse it before any
+    # ln 0 is formed (which used to warn and then fail on non-finite values)
+    grid = make_grid(512, (1e-3, 40.0))
+    image = apply(parse_operator("zero:S-:nu=1"), suite_on_grid("gauss", grid))
+    run = {
+        "fourier_cosine": lambda: fourier_cosine(image),
+        "hankel": lambda: hankel(0.0, image),
+        "third:P": lambda: apply(parse_operator("third:P:nu=0.5:phi=one:trig=cos"), image),
+    }[transform]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GridError, match="logarithmic head"):
+            run()
