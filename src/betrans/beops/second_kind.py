@@ -27,10 +27,7 @@ _INT_TOL = 1e-9
 
 def hilbert_pair_kernels(which: int):
     """Closed kernels of the nu = 0 / nu = -1 degenerations (y or x over x^2-y^2).
-
-    Here and in the Legendre-Q kernels x^2 - y^2 is formed as (x - y)(x + y):
-    x*x - y*y cancels near the diagonal (2.2e-10 relative at y = x - 1e-7 x).
-    """
+    Here and below (x - y)(x + y), as x*x - y*y cancels near the diagonal."""
     if which == 0:
 
         def k(x, y):

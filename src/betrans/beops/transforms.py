@@ -17,11 +17,9 @@ the kernel is within 4e-15 of J_nu (``jv``: 6e-17), the rounding of w at
 large z, and the matrices match ``jv``-built ones to 4e-16 of their
 largest entry.
 
-The quadrature runs from y = 0, where the operand is its head model
-(numgrid.head_model); an operand whose head model carries ln y is rejected
-with GridError.  The weighted third-kind operators
-S = F_{s|c}^{-1} (1/phi) F_nu and P = F_nu^{-1} phi F_{s|c} act through a
-linear spectral grid.
+The quadrature starts at y = 0, so an operand whose head model carries ln y
+is rejected.  The weighted third-kind operators S = F_{s|c}^{-1} (1/phi) F_nu
+and P = F_nu^{-1} phi F_{s|c} act through a linear spectral grid.
 """
 
 from __future__ import annotations
@@ -31,16 +29,7 @@ import warnings
 import numpy as np
 from scipy.special import jv
 
-from ..numgrid import (
-    Grid,
-    GridError,
-    SampledFunction,
-    _uniform_weights,
-    eval_extended,
-    head_model,
-    make_grid,
-    points_digest,
-)
+from ..numgrid import Grid, GridError, SampledFunction, eval_extended, head_model, make_grid, points_digest, _uniform_weights
 from .specs import OperatorSpec, OperatorSpecError
 
 __all__ = [

@@ -311,17 +311,14 @@ class SampledFunction:
 # ----------------------------------------------------------------------
 #
 # Below the grid hull (0, a) a sampled function is continued by one model,
-#
 #     f(t) = sum_k (c_k + d_k ln u) u^k,   u = t / a,   k = 0, 1, 2,
-#
-# stored as the six coefficients (c0, d0, c1, d1, c2, d2).  When the edge
-# samples carry x^k ln x terms (images of integer-degree operators do) the
-# d_k come from a fit of the log basis; otherwise d = 0 and the model is a
-# quadratic fitted to the edge samples (functions of interest are smooth
-# at 0 or vanish there).  Above the hull a function is taken as zero
-# (decaying operands).  The quadrature plans, the spectral transforms,
-# integral_completed and the Mellin transform all continue an operand by
-# this model; the last two integrate it in closed form.
+# stored as (c0, d0, c1, d1, c2, d2).  When the edge samples carry x^k ln x
+# terms (images of integer-degree operators do) the d_k come from a fit of
+# the log basis; otherwise d = 0 and the model is a quadratic fitted to the
+# edge samples (functions of interest are smooth at 0 or vanish there).
+# Above the hull a function is taken as zero (decaying operands).  The
+# plans, the spectral transforms, integral_completed and mellin_numeric all
+# use this model; the last two integrate it in closed form.
 
 _LOG_HEAD_SPAN = 30.0  # edge samples fitted by the logarithmic model: [a, 30a]
 _LOG_HEAD_GAIN = 1e-3  # the log basis must fit them this much better than a cubic
@@ -390,12 +387,6 @@ def head_model(f: SampledFunction) -> np.ndarray:
     return f._head
 
 
-def _head_log(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """ln u for a model with log terms; zeros for the quadratic, which stays
-    finite at u = 0."""
-    return np.log(u) if np.any(coef[1::2]) else np.zeros_like(u)
-
-
 def eval_extended(f: SampledFunction, t: np.ndarray) -> np.ndarray:
     """f at arbitrary nodes: spline inside the hull, head model below, 0 above."""
     a = f.grid.hull[0]
@@ -404,7 +395,7 @@ def eval_extended(f: SampledFunction, t: np.ndarray) -> np.ndarray:
     if np.any(below):
         c0, d0, c1, d1, c2, d2 = coef = head_model(f)
         u = t[below] / a
-        lu = _head_log(coef, u)
+        lu = np.log(u) if np.any(coef[1::2]) else 0.0  # the quadratic stays finite at 0
         out[below] = c0 + d0 * lu + (c1 + d1 * lu) * u + (c2 + d2 * lu) * u * u
     return out
 
@@ -418,7 +409,7 @@ def deriv_extended(f: SampledFunction, t: np.ndarray) -> np.ndarray:
     if np.any(below):
         c0, d0, c1, d1, c2, d2 = coef = head_model(f)
         u = t[below] / a
-        lu = _head_log(coef, u)
+        lu = np.log(u) if np.any(coef[1::2]) else 0.0
         out[below] = (d0 / u + c1 + d1 * (lu + 1.0) + 2.0 * c2 * u + d2 * u * (2.0 * lu + 1.0)) / a
     return out
 
