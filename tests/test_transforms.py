@@ -157,6 +157,59 @@ def test_hankel_matrix_matches_dense_jv(nu):
     assert np.all(mat[:, 0] == 0.0)  # y^(2nu+1) -> 0 at y = 0 for nu > -1/2
 
 
+@pytest.mark.parametrize("nu", KERNEL_ORDERS)
+def test_bessel_kernel_below_switch_against_mpmath(nu):
+    # below z0 the kernel comes from the Taylor table of z^-nu J_nu: one row
+    # at t = 1 over 400 points in (0, z0), and one 32-row block (t from 0.86
+    # to 27) whose rows switch at different columns, so the sub-z0 rectangle
+    # of its first row reaches z = 790 in its last
+    import mpmath as mp
+
+    from betrans.beops.transforms import _ROW_BLOCK, _Z_SWITCH, _hankel_matrix
+
+    z0 = _Z_SWITCH
+    y = np.concatenate([[0.0], z0 * (np.arange(400) + 0.5) / 400])
+    row = _hankel_matrix(nu, np.ones(1), y, np.ones_like(y))[0]
+    t = np.linspace(60.0 / 70, 60.0, 70)[:_ROW_BLOCK]
+    yb = np.linspace(0.0, 30.0, 31)  # past z0 / t[0] = 29.2
+    blk = _hankel_matrix(nu, t, yb, np.ones_like(yb))
+    with mp.workdps(30):
+        ref = np.array([float(mp.besselj(nu, mp.mpf(float(x)))) for x in y[1:]])
+        ref_blk = np.array([[float(mp.besselj(nu, mp.mpf(float(ti * yj)))) for yj in yb[1:]] for ti in t])
+    assert np.max(np.abs(row[1:] / y[1:] ** (nu + 1.0) - ref)) <= 1e-13
+    got = blk[:, 1:] / (yb[1:] ** (nu + 1.0))[None, :] / (t**-nu)[:, None]
+    assert np.max(np.abs(got - ref_blk)) <= 1e-13
+
+
+@pytest.mark.parametrize("nu", (-0.3, 0.5))
+def test_hankel_matrix_calls_jv_only_at_table_nodes(nu, monkeypatch):
+    # jv builds the kernel table, K + 1 orders at each node, and nothing
+    # else: its count is the same for 70 rows as for 512
+    from scipy.special import jv
+
+    from betrans.beops import transforms
+    from betrans.numgrid import _uniform_weights
+
+    bound = (transforms._TABLE_TERMS + 1) * transforms._kernel_table(nu).shape[1]
+    evals = []
+
+    def counting_jv(order, z, **kwargs):
+        evals.append(np.size(z))
+        return jv(order, z, **kwargs)
+
+    monkeypatch.setattr(transforms, "jv", counting_jv)
+    monkeypatch.setattr(transforms, "_MATRIX_CACHE", {})
+    counts = []
+    for t, y in (
+        (np.linspace(60.0 / 70, 60.0, 70), np.linspace(0.0, 40.0, 2001)),
+        (make_grid(512, (1e-3, 40.0)).points, np.linspace(0.0, 60.0, 16384)),
+    ):
+        evals.clear()
+        transforms._hankel_matrix(nu, t, y, _uniform_weights(len(y), y[1] - y[0]))
+        counts.append(sum(evals))
+    assert 0 < counts[0] == counts[1] <= bound
+
+
 @pytest.mark.parametrize("kind", ("sin", "cos"))
 def test_trig_matrix_bit_identical_to_dense(kind):
     from betrans.beops.transforms import _trig_matrix
