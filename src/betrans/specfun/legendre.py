@@ -13,7 +13,9 @@ Evaluation strategy (real degree nu, real order mu < 1):
 
 All evaluators are vectorized over the argument; degree and order are
 scalars, which matches how operator kernels are built (fixed parameters,
-many abscissae).
+many abscissae, most of them repeated: a plan asks for the same ratio x/t
+at many of its (row, node) pairs).  The public functions evaluate once per
+distinct argument (_per_distinct) and index the values back.
 """
 
 from __future__ import annotations
@@ -61,6 +63,25 @@ class SeriesConvergenceError(RuntimeError):
 
 def _real_gamma(x: float) -> float:
     return float(np.real(gamma_complex(complex(x))))
+
+
+def _per_distinct(evaluate: Callable[[np.ndarray], np.ndarray], z: np.ndarray) -> np.ndarray:
+    """evaluate(u) on the distinct values u of z, indexed back to z's shape.
+
+    A plan asks for the same kernel argument at many (row, node) pairs, so
+    each distinct value is evaluated once.  The values are those that
+    evaluate(z.ravel()) gives: each power series stops per element
+    (_power_series), so an element's value does not depend on the others;
+    the logarithmic forms near z = 1 stop when the whole call has converged,
+    which its slowest element decides, and u keeps that element; every other
+    step works element by element.  The exception is the Chebyshev
+    interpolation in nu near half-integer degree (_p_offcut_descending),
+    whose BLAS product rounds the last few outputs of a call differently,
+    by about an ulp.  u is ascending, so the |w| order the power series walk
+    in is monotone, or two monotone runs, and their stable argsort is cheap.
+    """
+    u, inv = np.unique(z.ravel(), return_inverse=True)
+    return evaluate(u)[inv].reshape(z.shape)
 
 
 # ----------------------------------------------------------------------
@@ -233,6 +254,28 @@ def _p_offcut(nu: float, mu: float, z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _p_assoc(nu: float, mu: float, z: np.ndarray, branch: str) -> np.ndarray:
+    if branch == "off_cut":
+        if np.any(z < 1.0):
+            raise DomainError("off_cut branch requires z >= 1")
+    elif branch == "on_cut":
+        if np.any((z < -1.0) | (z > 1.0)):
+            raise DomainError("on_cut branch requires -1 <= z <= 1")
+    else:
+        raise DomainError(f"unknown branch {branch!r}")
+    out = np.empty_like(z)
+    at_one = z == 1.0
+    if np.any(at_one):
+        if mu > 0.0:
+            raise SingularityError("P_nu^mu singular at z = 1 for mu > 0")
+        out[at_one] = 1.0 if mu == 0.0 else 0.0
+    rest = ~at_one
+    if np.any(rest):
+        zr = z[rest]
+        out[rest] = _p_offcut(nu, mu, zr) if branch == "off_cut" else _p_hyp_about_one(nu, mu, zr, on_cut=True)
+    return out
+
+
 def legendre_p_assoc(nu: float, mu: float, z, branch: str):
     """Associated Legendre function of the first kind, order mu < 1.
 
@@ -242,35 +285,8 @@ def legendre_p_assoc(nu: float, mu: float, z, branch: str):
     if mu >= 1.0:
         raise DomainError("order mu must satisfy mu < 1")
     z_arr = np.asarray(z, dtype=float)
-    scalar = z_arr.ndim == 0
-    z_arr = np.atleast_1d(z_arr).copy()
-    out = np.empty_like(z_arr)
-
-    if branch == "off_cut":
-        if np.any(z_arr < 1.0):
-            raise DomainError("off_cut branch requires z >= 1")
-        at_one = z_arr == 1.0
-        if np.any(at_one):
-            if mu > 0.0:
-                raise SingularityError("P_nu^mu singular at z = 1 for mu > 0")
-            out[at_one] = 1.0 if mu == 0.0 else 0.0
-        rest = ~at_one
-        if np.any(rest):
-            out[rest] = _p_offcut(nu, mu, z_arr[rest])
-    elif branch == "on_cut":
-        if np.any((z_arr < -1.0) | (z_arr > 1.0)):
-            raise DomainError("on_cut branch requires -1 <= z <= 1")
-        at_one = z_arr == 1.0
-        if np.any(at_one):
-            if mu > 0.0:
-                raise SingularityError("P_nu^mu singular at z = 1 for mu > 0")
-            out[at_one] = 1.0 if mu == 0.0 else 0.0
-        rest = ~at_one
-        if np.any(rest):
-            out[rest] = _p_hyp_about_one(nu, mu, z_arr[rest], on_cut=True)
-    else:
-        raise DomainError(f"unknown branch {branch!r}")
-    return float(out[0]) if scalar else out
+    out = _per_distinct(lambda u: _p_assoc(nu, mu, u, branch), z_arr)
+    return float(out) if z_arr.ndim == 0 else out
 
 
 def legendre_p(nu: float, z, branch: str):
@@ -278,9 +294,7 @@ def legendre_p(nu: float, z, branch: str):
     return legendre_p_assoc(nu, 0.0, z, branch)
 
 
-def legendre_p_deriv_oncut(nu: float, x) -> np.ndarray:
-    """dP_nu/dx for the Ferrers function on (-1, 1]; finite at x = 1."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+def _p_deriv_oncut(nu: float, x: np.ndarray) -> np.ndarray:
     if np.any((x <= -1.0) | (x > 1.0)):
         raise DomainError("legendre_p_deriv_oncut requires -1 < x <= 1")
     w = 0.5 * (1.0 - x)
@@ -288,9 +302,12 @@ def legendre_p_deriv_oncut(nu: float, x) -> np.ndarray:
     return 0.5 * dp
 
 
-def legendre_p_deriv(nu: float, z) -> np.ndarray:
-    """dP_nu/dz off the cut (z >= 1), finite at z = 1 with value nu(nu+1)/2."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
+def legendre_p_deriv_oncut(nu: float, x) -> np.ndarray:
+    """dP_nu/dx for the Ferrers function on (-1, 1]; finite at x = 1."""
+    return _per_distinct(lambda u: _p_deriv_oncut(nu, u), np.atleast_1d(np.asarray(x, dtype=float)))
+
+
+def _p_deriv(nu: float, z: np.ndarray) -> np.ndarray:
     if np.any(z < 1.0):
         raise DomainError("legendre_p_deriv requires z >= 1")
     out = np.empty_like(z)
@@ -305,6 +322,11 @@ def legendre_p_deriv(nu: float, z) -> np.ndarray:
         p1 = _p_offcut_descending(nu - 1.0, 0.0, zf)
         out[~near] = nu * (zf * p0 - p1) / (zf * zf - 1.0)
     return out
+
+
+def legendre_p_deriv(nu: float, z) -> np.ndarray:
+    """dP_nu/dz off the cut (z >= 1), finite at z = 1 with value nu(nu+1)/2."""
+    return _per_distinct(lambda u: _p_deriv(nu, u), np.atleast_1d(np.asarray(z, dtype=float)))
 
 
 # ----------------------------------------------------------------------
@@ -432,7 +454,8 @@ def _q_log_form_oncut(nu: float, x: np.ndarray):
 
 
 def _q_with_deriv(nu: float, z: np.ndarray, branch: str):
-    """(Q, dQ/dz) on either branch; z strictly inside the branch domain."""
+    """(Q, dQ/dz) on either branch; raises outside the branch domain."""
+    _check_q_domain(nu, z, branch)
     q = np.empty_like(z)
     dq = np.empty_like(z)
     if branch == "off_cut":
@@ -468,14 +491,18 @@ def _check_q_domain(nu: float, z_arr: np.ndarray, branch: str) -> None:
         raise DomainError(f"unknown branch {branch!r}")
 
 
+def _q1(nu: float, z: np.ndarray, branch: str) -> np.ndarray:
+    _, dq = _q_with_deriv(nu, z, branch)
+    if branch == "off_cut":
+        return np.sqrt((z - 1.0) * (z + 1.0)) * dq
+    return -np.sqrt((1.0 - z) * (1.0 + z)) * dq
+
+
 def legendre_q(nu: float, z, branch: str):
     """Legendre function of the second kind Q_nu (Ferrers function on the cut)."""
     z_arr = np.asarray(z, dtype=float)
-    scalar = z_arr.ndim == 0
-    z_arr = np.atleast_1d(z_arr)
-    _check_q_domain(nu, z_arr, branch)
-    q, _ = _q_with_deriv(nu, z_arr, branch)
-    return float(q[0]) if scalar else q
+    out = _per_distinct(lambda u: _q_with_deriv(nu, u, branch)[0], z_arr)
+    return float(out) if z_arr.ndim == 0 else out
 
 
 def legendre_q1(nu: float, z, branch: str):
@@ -485,12 +512,5 @@ def legendre_q1(nu: float, z, branch: str):
     function Q_nu^1(x) = -(1-x^2)^(1/2) Q_nu'(x).
     """
     z_arr = np.asarray(z, dtype=float)
-    scalar = z_arr.ndim == 0
-    z_arr = np.atleast_1d(z_arr)
-    _check_q_domain(nu, z_arr, branch)
-    _, dq = _q_with_deriv(nu, z_arr, branch)
-    if branch == "off_cut":
-        out = np.sqrt((z_arr - 1.0) * (z_arr + 1.0)) * dq
-    else:
-        out = -np.sqrt((1.0 - z_arr) * (1.0 + z_arr)) * dq
-    return float(out[0]) if scalar else out
+    out = _per_distinct(lambda u: _q1(nu, u, branch), z_arr)
+    return float(out) if z_arr.ndim == 0 else out

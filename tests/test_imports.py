@@ -112,3 +112,30 @@ OUTSIDE_NUMGRID = [p for p in ALL_MODULES if p.name != "numgrid.py"]
 @pytest.mark.parametrize("path", OUTSIDE_NUMGRID, ids=[str(p.relative_to(PACKAGE)) for p in OUTSIDE_NUMGRID])
 def test_only_numgrid_reads_the_sampled_function_internals(path):
     assert private_reads(path.read_text(encoding="utf-8")) == []
+
+
+# the special functions are the bottom layer: they build on numpy, scipy and
+# each other (and the language's own __future__ and typing), never on the
+# layers above them
+SPECFUN_MAY_IMPORT = [("numpy",), ("scipy",), ("betrans", "specfun"), ("__future__",), ("typing",)]
+
+
+def imports_outside_specfun(source: str, package: tuple[str, ...]) -> list[str]:
+    return sorted(
+        name
+        for name in imported_modules(source, package)
+        if not any(tuple(name.split("."))[: len(allowed)] == allowed for allowed in SPECFUN_MAY_IMPORT)
+    )
+
+
+def test_specfun_scan_finds_an_import_from_above():
+    source = "import os\nimport numpy as np\nfrom scipy.special import jv\nfrom .gamma import gamma_complex\nfrom ..numgrid import make_grid\n"
+    assert imports_outside_specfun(source, ("betrans", "specfun")) == ["betrans.numgrid.make_grid", "os"]
+
+
+SPECFUN_MODULES = sorted((PACKAGE / "specfun").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SPECFUN_MODULES, ids=[str(p.relative_to(PACKAGE)) for p in SPECFUN_MODULES])
+def test_specfun_imports_only_numpy_scipy_and_specfun(path):
+    assert imports_outside_specfun(path.read_text(encoding="utf-8"), _package_of(path)) == []

@@ -17,6 +17,10 @@ from betrans.specfun import (
     legendre_q,
     legendre_q1,
 )
+from betrans._engine import build_pv_plan
+from betrans.beops.second_kind import _kernels_s
+from betrans.numgrid import make_grid
+from betrans.specfun import legendre as legendre_module
 from betrans.specfun.legendre import legendre_p_deriv, legendre_p_deriv_oncut
 
 mpmath = pytest.importorskip("mpmath")
@@ -265,6 +269,119 @@ def test_kernel_series_raises_when_it_cannot_converge():
         legendre_p_deriv_oncut(0.3, -0.99998)
     with pytest.raises(SeriesConvergenceError):
         legendre_p(0.3, np.array([0.5, 0.0, -0.99998]), "on_cut")
+
+
+# each kernel with its per-element body (the evaluation without the step
+# that removes repeated arguments) and the zones its arguments cover: on
+# the cut the series about 0 or 1 (|x| < 0.9) and the logarithmic form
+# (0.9 < x < 1); off the cut the logarithmic form (1 < z < 1.1), the series
+# about 1 or in 1/z^2 (z >= 1.1) and above z = 2.5 the descending expansion
+DEDUP_CASES = {
+    "p_on_cut": (
+        lambda z: legendre_p(0.7, z, "on_cut"),
+        lambda z: legendre_module._p_assoc(0.7, 0.0, z, "on_cut"),
+        [(-0.9, 0.9), (0.9, 1.0)],
+    ),
+    "p_assoc_on_cut": (
+        lambda z: legendre_p_assoc(0.7, 0.3, z, "on_cut"),
+        lambda z: legendre_module._p_assoc(0.7, 0.3, z, "on_cut"),
+        [(-0.9, 0.9), (0.9, 1.0)],
+    ),
+    "p_assoc_off_cut": (
+        lambda z: legendre_p_assoc(0.7, 0.3, z, "off_cut"),
+        lambda z: legendre_module._p_assoc(0.7, 0.3, z, "off_cut"),
+        [(1.0, 1.1), (1.1, 2.5), (2.5, 60.0)],
+    ),
+    "p_deriv_oncut": (
+        lambda z: legendre_p_deriv_oncut(0.7, z),
+        lambda z: legendre_module._p_deriv_oncut(0.7, z),
+        [(-0.9, 0.9), (0.9, 1.0)],
+    ),
+    "p_deriv": (
+        lambda z: legendre_p_deriv(0.7, z),
+        lambda z: legendre_module._p_deriv(0.7, z),
+        [(1.0, 2.5), (2.5, 60.0)],
+    ),
+    "q_on_cut": (
+        lambda z: legendre_q(0.7, z, "on_cut"),
+        lambda z: legendre_module._q_with_deriv(0.7, z, "on_cut")[0],
+        [(-0.9, 0.9), (0.9, 1.0 - 1e-6)],
+    ),
+    "q_off_cut": (
+        lambda z: legendre_q(0.7, z, "off_cut"),
+        lambda z: legendre_module._q_with_deriv(0.7, z, "off_cut")[0],
+        [(1.0 + 1e-6, 1.1), (1.1, 60.0)],
+    ),
+    "q1_on_cut": (
+        lambda z: legendre_q1(0.7, z, "on_cut"),
+        lambda z: legendre_module._q1(0.7, z, "on_cut"),
+        [(-0.9, 0.9), (0.9, 1.0 - 1e-6)],
+    ),
+    "q1_off_cut": (
+        lambda z: legendre_q1(0.7, z, "off_cut"),
+        lambda z: legendre_module._q1(0.7, z, "off_cut"),
+        [(1.0 + 1e-6, 1.1), (1.1, 60.0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEDUP_CASES))
+def test_kernels_equal_their_values_at_the_distinct_arguments(case):
+    # about 300 distinct arguments across the zones, each repeated 1-5 times
+    # and shuffled: the result is bitwise the value at the distinct
+    # arguments indexed back, and the per-element body's on the whole array
+    # (the logarithmic forms stop on their slowest element, which stays)
+    fn, body, zones = DEDUP_CASES[case]
+    rng = np.random.default_rng(5)
+    distinct = np.concatenate([rng.uniform(lo, hi, 300 // len(zones)) for lo, hi in zones])
+    z = rng.permutation(np.repeat(distinct, rng.integers(1, 6, distinct.size)))
+    u, inv = np.unique(z, return_inverse=True)
+    out = fn(z)
+    assert np.array_equal(out, fn(u)[inv])
+    assert np.array_equal(out, body(z))
+
+
+def test_kernels_keep_shape_and_scalar_return_types():
+    x = np.array([[0.2, -0.5, 0.2], [0.95, -0.5, 0.3]])
+    z = 1.0 + 3.0 * np.abs(x)
+    for fn, arg in [
+        (lambda v: legendre_p(0.7, v, "on_cut"), x),
+        (lambda v: legendre_p_assoc(0.7, 0.3, v, "off_cut"), z),
+        (lambda v: legendre_p_deriv_oncut(0.7, v), x),
+        (lambda v: legendre_p_deriv(0.7, v), z),
+        (lambda v: legendre_q(0.7, v, "on_cut"), x),
+        (lambda v: legendre_q1(0.7, v, "off_cut"), z),
+    ]:
+        out = fn(arg)
+        assert out.shape == arg.shape
+        assert np.array_equal(out.ravel(), fn(arg.ravel()))
+    for value in [
+        legendre_p(0.7, 0.5, "on_cut"),
+        legendre_p_assoc(0.7, 0.3, 3.0, "off_cut"),
+        legendre_q(0.7, 0.5, "on_cut"),
+        legendre_q1(0.7, 3.0, "off_cut"),
+    ]:
+        assert type(value) is float
+    for value in [legendre_p_deriv_oncut(0.7, 0.5), legendre_p_deriv(0.7, 3.0)]:
+        assert isinstance(value, np.ndarray) and value.shape == (1,)
+
+
+def test_pv_plan_evaluates_each_kernel_argument_once(monkeypatch):
+    # a second-kind PV plan on the 512-point log grid asks for Q_nu^1 at
+    # 695,760 (row, node) ratios, about 103k of them distinct
+    seen = []
+    inner = legendre_module._q_with_deriv
+
+    def counting(nu, z, branch):
+        seen.append(np.array(z, copy=True))
+        return inner(nu, z, branch)
+
+    monkeypatch.setattr(legendre_module, "_q_with_deriv", counting)
+    plan = build_pv_plan(make_grid(512, (1e-4, 1e2)), *_kernels_s(0.3))
+    assert seen
+    for z in seen:
+        assert np.unique(z).size == z.size
+    assert sum(z.size for z in seen) <= 0.2 * len(plan.t_all)
 
 
 # ----------------------------------------------------------------------
