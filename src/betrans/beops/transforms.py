@@ -1,10 +1,29 @@
 """Fourier sine/cosine and Hankel transforms, and the weighted third-kind
 operators built by composing them.
 
-Transforms are evaluated as dense quadrature matrices on an internal
-uniform abscissa fine enough for the requested spectral band; the matrices
-are cached per (order, grid pair), keyed on the output grid's points.  Each
-matrix is filled in blocks of rows, so no full-size temporary exists.
+A transform's quadrature is an end-corrected rule T on a uniform abscissa
+y of 16384 points from 0 to min(hull top, 60), fine enough for the spectral
+band.  Inside the operand's hull f(y) is its quintic spline, which is linear
+in the samples, so T folds (as the engine's plans do) into one n_out x n_in
+matrix on the samples: R = (T B) inv(A), B the spline's basis rows at the
+abscissae inside the hull and inv(A) its collocation solve.  The abscissae
+below the hull (y = 0 on a log grid, 8 of them on the linear spectral grid)
+stay head columns H of T, applied to the operand's head model there.  One
+array [R | H] is cached per kernel ("sin", "cos" or the Hankel order),
+output points (their digest) and input grid (numgrid.grid_key): 8.4 MB for
+2048 outputs over 512 samples, where the 16384-column rule took 268 MB.
+Applying a transform is one matrix-vector product with it.
+
+The fold takes 256 consecutive abscissae at a time, one small dense product
+with their weighted basis block.  Sine and cosine entries need no trig call
+each: y is uniform, so in a chunk starting at y0,
+sin(t (y0 + d)) = sin(t y0) cos(t d) + cos(t y0) sin(t d) (and the cosine
+likewise), with the cos(t d) and sin(t d) tables built once per matrix; a
+chunk costs two products and two trig calls per row.  Hankel rows are
+filled 32 at a time and each block is folded before the next, so no array
+spans all rows and all 16384 abscissae.  The folded values match the
+rule applied to the spline at every abscissa to about 2e-15 of the largest
+output.
 
 Below the switch point z0 = 25 a Hankel entry is w y^(2nu+1) G_nu(t y),
 where G_nu(z) = z^-nu J_nu(z) is an entire function of x = z^2/2.  Each
@@ -34,7 +53,19 @@ import warnings
 import numpy as np
 from scipy.special import jv, rgamma
 
-from ..numgrid import Grid, GridError, SampledFunction, eval_extended, head_model, make_grid, points_digest, _uniform_weights
+from .._engine import _basis_rows, _collocation_solve
+from ..numgrid import (
+    Grid,
+    GridError,
+    SampledFunction,
+    _uniform_weights,
+    eval_extended,
+    grid_key,
+    head_model,
+    make_grid,
+    points_digest,
+    spline_knots,
+)
 from .specs import OperatorSpec, OperatorSpecError
 
 __all__ = [
@@ -51,7 +82,8 @@ __all__ = [
 _SQRT_2_OVER_PI = np.sqrt(2.0 / np.pi)
 _NY = 16384  # internal quadrature abscissa count
 _Y_CAP = 60.0  # integration cap; operands must have decayed by here
-_ROW_BLOCK = 32  # matrix rows filled per step
+_ROW_BLOCK = 32  # Hankel kernel rows filled and folded per step
+_CHUNK = 256  # abscissae per folded basis block
 _COL_BLOCK = 2048  # matrix columns per step of the kernel table
 _Z_SWITCH = 25.0  # J_nu by the kernel table below, by Hankel's expansion at and above
 _SERIES_TOL = 1e-17  # Hankel's expansion is cut at the first term below this
@@ -164,29 +196,81 @@ def _aliasing_check(f: SampledFunction, t_max: float) -> None:
         warnings.warn("spectral band exceeds the transform's internal resolution")
 
 
-def _trig_matrix(kind: str, t: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    key = (kind, points_digest(t), len(y), float(y[-1]))
+def _basis_blocks(grid: Grid, y: np.ndarray, w: np.ndarray, n_head: int):
+    """The weighted quintic basis of grid's spline at the abscissae y[n_head:],
+    which lie inside its hull, in chunks of _CHUNK consecutive abscissae.
+
+    Returns (knots, degree, blocks); block (j0, c0, b) has
+    b[j, c] = w[j0 + j] B_(c0 + c)(y[j0 + j]), so that a kernel's columns
+    j0:j0 + len(b) times b add to columns c0:c0 + b.shape[1] of T B.
+    """
+    knots, k = spline_knots(grid)
+    first, vals = _basis_rows(knots, k, grid.coord(y[n_head:]))
+    vals *= w[n_head:]
+    blocks = []
+    for j in range(0, len(first), _CHUNK):
+        fc = first[j : j + _CHUNK]
+        b = np.zeros((len(fc), fc[-1] - fc[0] + k + 1))
+        b[np.arange(len(fc))[:, None], (fc - fc[0])[:, None] + np.arange(k + 1)] = vals[:, j : j + _CHUNK].T
+        blocks.append((n_head + j, int(fc[0]), b))
+    return knots, k, blocks
+
+
+def _trig_fold(kind: str, t: np.ndarray, y: np.ndarray, n_head: int, blocks, coef: np.ndarray) -> np.ndarray:
+    """Adds T B of the kernel sqrt(2/pi) trig(t y), trig sin or cos, into
+    coef (see _basis_blocks) and returns the kernel at y[:n_head].
+
+    y is uniform, so a chunk's abscissae are y0 + delta with the same delta
+    in every chunk: trig(t (y0 + delta)) splits into sin and cos of t y0,
+    one per row, times the tables cos(t delta) and sin(t delta), built once.
+    """
+    phase = np.outer(t, np.arange(_CHUNK) * y[1])
+    cos_tab, sin_tab = np.cos(phase), np.sin(phase)
+    for j0, c0, b in blocks:
+        m, span = b.shape
+        p = cos_tab[:, :m] @ b
+        q = sin_tab[:, :m] @ b
+        sin0, cos0 = np.sin(t * y[j0])[:, None], np.cos(t * y[j0])[:, None]
+        if kind == "sin":  # sin(a + d) = sin a cos d + cos a sin d
+            coef[:, c0 : c0 + span] += sin0 * p + cos0 * q
+        else:  # cos(a + d) = cos a cos d - sin a sin d
+            coef[:, c0 : c0 + span] += cos0 * p - sin0 * q
+    coef *= _SQRT_2_OVER_PI
+    trig = np.sin if kind == "sin" else np.cos
+    return _SQRT_2_OVER_PI * trig(np.outer(t, y[:n_head]))
+
+
+def _transform_values(op, f: SampledFunction, t: np.ndarray) -> np.ndarray:
+    """The quadrature of transform op ("sin", "cos" or a Hankel order nu) of
+    f at the points t, through its cached matrix on f's samples.
+
+    The matrix is [R | H], cached per (op, t, f's grid): R = (T B) inv(A)
+    acts on the samples, with T the rule (kernel times weights) at the
+    abscissae inside the hull, B the spline's basis there and inv(A) its
+    collocation solve; H, the rule at the n_head abscissae below the hull,
+    acts on the operand's head model there.
+    """
+    y, w = _quad_abscissa(f)
+    grid = f.grid
+    key = (op, points_digest(t), grid_key(grid))
     if key not in _MATRIX_CACHE:
-        trig = np.sin if kind == "sin" else np.cos
-        mat = np.empty((len(t), len(y)))
-        for i0 in range(0, len(t), _ROW_BLOCK):
-            blk = mat[i0 : i0 + _ROW_BLOCK]
-            np.outer(t[i0 : i0 + _ROW_BLOCK], y, out=blk)
-            trig(blk, out=blk)
-            blk *= _SQRT_2_OVER_PI
-            blk *= w
-        _MATRIX_CACHE[key] = mat
-    return _MATRIX_CACHE[key]
+        n_head = int(np.searchsorted(y, grid.hull[0]))  # the abscissae below the hull
+        knots, k, blocks = _basis_blocks(grid, y, w, n_head)
+        coef = np.zeros((len(t), len(knots) - k - 1))
+        fold = _trig_fold if isinstance(op, str) else _hankel_fold
+        head = fold(op, t, y, n_head, blocks, coef) * w[:n_head]
+        _MATRIX_CACHE[key] = np.hstack([_collocation_solve(grid, knots, k, coef), head])
+    mat = _MATRIX_CACHE[key]
+    n = grid.n
+    return mat[:, :n] @ f.values + mat[:, n:] @ eval_extended(f, y[: mat.shape[1] - n])
 
 
 def fourier_sine(f: SampledFunction, out_grid: Grid | None = None) -> SampledFunction:
     """F_s f(t) = sqrt(2/pi) int_0^inf f(y) sin(t y) dy; self-inverse."""
     out_grid = out_grid or default_spectral_grid()
     _aliasing_check(f, out_grid.hull[1])
-    y, w = _quad_abscissa(f)
-    mat = _trig_matrix("sin", out_grid.points, y, w)
-    vals = mat @ eval_extended(f, y)
-    vals = vals + _algebraic_tail("sin", out_grid.points, f, float(y[-1]))
+    vals = _transform_values("sin", f, out_grid.points)
+    vals = vals + _algebraic_tail("sin", out_grid.points, f, _quad_top(f))
     return SampledFunction(out_grid, vals)
 
 
@@ -194,10 +278,8 @@ def fourier_cosine(f: SampledFunction, out_grid: Grid | None = None) -> SampledF
     """F_c f(t) = sqrt(2/pi) int_0^inf f(y) cos(t y) dy; self-inverse."""
     out_grid = out_grid or default_spectral_grid()
     _aliasing_check(f, out_grid.hull[1])
-    y, w = _quad_abscissa(f)
-    mat = _trig_matrix("cos", out_grid.points, y, w)
-    vals = mat @ eval_extended(f, y)
-    vals = vals + _algebraic_tail("cos", out_grid.points, f, float(y[-1]))
+    vals = _transform_values("cos", f, out_grid.points)
+    vals = vals + _algebraic_tail("cos", out_grid.points, f, _quad_top(f))
     return SampledFunction(out_grid, vals)
 
 
@@ -337,44 +419,72 @@ def _far_rows(nu: float, a: np.ndarray | None, tb: np.ndarray, y: np.ndarray, n_
         lo = hi
 
 
-def _hankel_matrix(nu: float, t: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """w_j t_i^-nu y_j^(nu+1) J_nu(t_i y_j), y[0] = 0 taking the kernel's limit.
+def _hankel_rows(nu: float, y: np.ndarray, w: np.ndarray):
+    """The filler of Hankel kernel rows w_j t^-nu y_j^(nu+1) J_nu(t y_j) on
+    the abscissae y (y[0] = 0 takes the kernel's limit): fill(tb, out) writes
+    the rows at up to _ROW_BLOCK points tb into out.
 
-    Below z0 = _Z_SWITCH an entry is w_j y_j^(2nu+1) G_nu(t_i y_j) from the
-    kernel table; at and above z0 it is the expansion's bracket (or jv)
-    with its own row and column factors.  Each row switches at its own z0.
+    Below z0 = _Z_SWITCH an entry is w_j y_j^(2nu+1) G_nu(t y_j) from the
+    kernel table, built here once; at and above z0 it is the expansion's
+    bracket (or jv) with its own row and column factors.  Each row switches
+    at its own z0.
     """
-    key = ("hankel", nu, points_digest(t), len(y), float(y[-1]))
-    if key not in _MATRIX_CACHE:
-        a = _hankel_coefficients(nu)
-        table = _kernel_table(nu)
-        ys, ws = y[1:], w[1:]
-        near_cols = ys ** (2.0 * nu + 1.0) * ws  # times G_nu(t y)
-        steps = ys * ys / (2.0 * _TABLE_STEP)  # times t^2: x = (t y)^2/2 in table steps
-        if a is None:  # times J_nu and t^-nu
-            far_cols, far_pow = ys ** (nu + 1.0) * ws, -nu
-        else:  # times the bracket and t^-(nu+1/2)
-            far_cols, far_pow = _SQRT_2_OVER_PI * ys ** (nu + 0.5) * ws, -nu - 0.5
-        mat = np.empty((len(t), len(y)))
-        # y^(nu+1) J_nu(t y) t^-nu -> y^(2nu+1) / (2^nu Gamma(nu+1)) as y -> 0
-        mat[:, 0] = w[0] * (_SQRT_2_OVER_PI if nu == -0.5 else 0.0)
-        scratch = np.empty(4 * _ROW_BLOCK * len(ys))
-        for i0 in range(0, len(t), _ROW_BLOCK):
-            tb = t[i0 : i0 + _ROW_BLOCK]
-            blk = mat[i0 : i0 + _ROW_BLOCK, 1:]
-            ks = np.searchsorted(ys, _Z_SWITCH / tb)  # row i: z < z0 before ks[i]
-            k_lo, k_hi = ks[-1], ks[0]
-            far = blk[:, k_lo:]
-            _far_rows(nu, a, tb, ys[k_lo:], k_hi - k_lo, far, scratch)
-            far *= far_cols[k_lo:]
-            far *= (tb**far_pow)[:, None]
-            for c0 in range(0, k_hi, _COL_BLOCK):
-                c1 = min(c0 + _COL_BLOCK, k_hi)
-                g = _table_rows(table, tb, steps[c0:c1], scratch)
-                for row, g_row, k in zip(blk, g, np.clip(ks, c0, c1)):
-                    np.multiply(g_row[: k - c0], near_cols[c0:k], out=row[c0:k])
-        _MATRIX_CACHE[key] = mat
-    return _MATRIX_CACHE[key]
+    a = _hankel_coefficients(nu)
+    table = _kernel_table(nu)
+    ys, ws = y[1:], w[1:]
+    near_cols = ys ** (2.0 * nu + 1.0) * ws  # times G_nu(t y)
+    steps = ys * ys / (2.0 * _TABLE_STEP)  # times t^2: x = (t y)^2/2 in table steps
+    if a is None:  # times J_nu and t^-nu
+        far_cols, far_pow = ys ** (nu + 1.0) * ws, -nu
+    else:  # times the bracket and t^-(nu+1/2)
+        far_cols, far_pow = _SQRT_2_OVER_PI * ys ** (nu + 0.5) * ws, -nu - 0.5
+    # y^(nu+1) J_nu(t y) t^-nu -> y^(2nu+1) / (2^nu Gamma(nu+1)) as y -> 0
+    limit = w[0] * (_SQRT_2_OVER_PI if nu == -0.5 else 0.0)
+    scratch = np.empty(4 * _ROW_BLOCK * len(ys))
+
+    def fill(tb: np.ndarray, out: np.ndarray) -> None:
+        out[:, 0] = limit
+        blk = out[:, 1:]
+        ks = np.searchsorted(ys, _Z_SWITCH / tb)  # row i: z < z0 before ks[i]
+        k_lo, k_hi = ks[-1], ks[0]
+        far = blk[:, k_lo:]
+        _far_rows(nu, a, tb, ys[k_lo:], k_hi - k_lo, far, scratch)
+        far *= far_cols[k_lo:]
+        far *= (tb**far_pow)[:, None]
+        for c0 in range(0, k_hi, _COL_BLOCK):
+            c1 = min(c0 + _COL_BLOCK, k_hi)
+            g = _table_rows(table, tb, steps[c0:c1], scratch)
+            for row, g_row, k in zip(blk, g, np.clip(ks, c0, c1)):
+                np.multiply(g_row[: k - c0], near_cols[c0:k], out=row[c0:k])
+
+    return fill
+
+
+def _hankel_matrix(nu: float, t: np.ndarray, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The dense Hankel kernel matrix w_j t_i^-nu y_j^(nu+1) J_nu(t_i y_j),
+    uncached, one _hankel_rows block at a time."""
+    fill = _hankel_rows(nu, y, w)
+    mat = np.empty((len(t), len(y)))
+    for i0 in range(0, len(t), _ROW_BLOCK):
+        fill(t[i0 : i0 + _ROW_BLOCK], mat[i0 : i0 + _ROW_BLOCK])
+    return mat
+
+
+def _hankel_fold(nu: float, t: np.ndarray, y: np.ndarray, n_head: int, blocks, coef: np.ndarray) -> np.ndarray:
+    """Adds T B of the Hankel kernel t^-nu y^(nu+1) J_nu(t y) into coef (see
+    _basis_blocks), one block of rows at a time, and returns the kernel at
+    y[:n_head]."""
+    fill = _hankel_rows(nu, y, np.ones_like(y))  # the weights are in the blocks
+    buf = np.empty((min(_ROW_BLOCK, len(t)), len(y)))
+    head = np.empty((len(t), n_head))
+    for i0 in range(0, len(t), _ROW_BLOCK):
+        tb = t[i0 : i0 + _ROW_BLOCK]
+        rows = buf[: len(tb)]
+        fill(tb, rows)
+        head[i0 : i0 + len(tb)] = rows[:, :n_head]
+        for j0, c0, b in blocks:
+            coef[i0 : i0 + len(tb), c0 : c0 + b.shape[1]] += rows[:, j0 : j0 + len(b)] @ b
+    return head
 
 
 def hankel(nu: float, f: SampledFunction, out_grid: Grid | None = None) -> SampledFunction:
@@ -388,10 +498,7 @@ def hankel(nu: float, f: SampledFunction, out_grid: Grid | None = None) -> Sampl
         raise OperatorSpecError(f"the Hankel transform needs nu >= -1/2, got {nu:g}")
     out_grid = out_grid or default_spectral_grid()
     _aliasing_check(f, out_grid.hull[1])
-    y, w = _quad_abscissa(f)
-    mat = _hankel_matrix(nu, out_grid.points, y, w)
-    vals = mat @ eval_extended(f, y)
-    return SampledFunction(out_grid, vals)
+    return SampledFunction(out_grid, _transform_values(float(nu), f, out_grid.points))
 
 
 def hankel_inverse(nu: float, g: SampledFunction, out_grid: Grid) -> SampledFunction:

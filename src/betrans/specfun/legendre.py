@@ -74,11 +74,9 @@ def _per_distinct(evaluate: Callable[[np.ndarray], np.ndarray], z: np.ndarray) -
     (_power_series), so an element's value does not depend on the others;
     the logarithmic forms near z = 1 stop when the whole call has converged,
     which its slowest element decides, and u keeps that element; every other
-    step works element by element.  The exception is the Chebyshev
-    interpolation in nu near half-integer degree (_p_offcut_descending),
-    whose BLAS product rounds the last few outputs of a call differently,
-    by about an ulp.  u is ascending, so the |w| order the power series walk
-    in is monotone, or two monotone runs, and their stable argsort is cheap.
+    step works element by element.  u is ascending, so the |w| order the
+    power series walk in is monotone, or two monotone runs, and their stable
+    argsort is cheap.
     """
     u, inv = np.unique(z.ravel(), return_inverse=True)
     return evaluate(u)[inv].reshape(z.shape)
@@ -241,7 +239,12 @@ def _p_offcut_descending(nu: float, mu: float, z: np.ndarray) -> np.ndarray:
     if np.any(np.abs(dif) < 1e-14):
         return vals[int(np.argmin(np.abs(dif)))]
     wts = bw / dif
-    return np.tensordot(wts, vals, axes=(0, 0)) / np.sum(wts)
+    # a fixed-order sum over the nodes, element by element, so that a value
+    # does not depend on its argument's place in the call
+    acc = wts[0] * vals[0]
+    for wj, vj in zip(wts[1:], vals[1:]):
+        acc += wj * vj
+    return acc / np.sum(wts)
 
 
 def _p_offcut(nu: float, mu: float, z: np.ndarray) -> np.ndarray:

@@ -259,6 +259,17 @@ def test_kernel_series_values_do_not_depend_on_the_batch():
         assert np.array_equal(batch, single)
 
 
+def test_half_integer_descending_values_do_not_depend_on_the_batch():
+    # near half-integer degree above z = 2.5 the value is interpolated in nu
+    # over eight Chebyshev nodes by a fixed-order sum per element, so it is
+    # bitwise the same alone or in a batch (a BLAS product rounded the last
+    # outputs of a call differently)
+    z = np.linspace(3.0, 40.0, 11)
+    batch = legendre_p(0.5, z, "off_cut")
+    single = np.array([float(np.atleast_1d(legendre_p(0.5, v, "off_cut"))[0]) for v in z])
+    assert np.array_equal(batch, single)
+
+
 def test_kernel_series_raises_when_it_cannot_converge():
     # P_nu on the cut at x = -0.99998 sums the series about x = 1 at
     # w = (1 - x)/2 = 0.99999, which is far from converged after SERIES_CAP

@@ -210,24 +210,64 @@ def test_hankel_matrix_calls_jv_only_at_table_nodes(nu, monkeypatch):
     assert 0 < counts[0] == counts[1] <= bound
 
 
-@pytest.mark.parametrize("kind", ("sin", "cos"))
-def test_trig_matrix_bit_identical_to_dense(kind):
-    from betrans.beops.transforms import _trig_matrix
-    from betrans.numgrid import _uniform_weights
-
-    t = np.linspace(0.5, 60.0, 77)
-    y = np.linspace(0.0, 40.0, 1501)
-    w = _uniform_weights(len(y), y[1] - y[0])
-    trig = np.sin if kind == "sin" else np.cos
-    ref = np.sqrt(2.0 / np.pi) * trig(np.outer(t, y)) * w[None, :]
-    assert np.array_equal(_trig_matrix(kind, t, y, w), ref)
-
-
-def test_matrix_cache_keys_on_grid_points():
-    # an irregular grid with the same size and end points as a cached
-    # linear one (read_csv builds such grids) must get its own matrix
+def _irregular_log_grid(n, hull, seed):
+    # log-labelled points with jittered log spacing and the given ends, as
+    # read_csv builds from a file's abscissae
     from betrans.numgrid import Grid, _irregular_weights
 
+    s = np.linspace(np.log(hull[0]), np.log(hull[1]), n)
+    s[1:-1] += np.random.default_rng(seed).uniform(-0.3, 0.3, n - 2) * (s[1] - s[0])
+    x = np.exp(s)
+    x[0], x[-1] = hull
+    return Grid(points=x, weights=_irregular_weights(x), spacing="log")
+
+
+FOLD_DIRECTIONS = ("log->spectral", "spectral->log", "irregular->spectral")
+
+
+@pytest.mark.parametrize("direction", FOLD_DIRECTIONS)
+@pytest.mark.parametrize("op", ("sin", "cos", -0.5, -0.3, 0.5, 1.0))
+def test_folded_transform_matches_dense_reference(op, direction, monkeypatch):
+    # the cached matrix on the operand's samples (kernel rule times the
+    # spline's basis, solved against its collocation matrix, plus head
+    # columns) against the dense kernel rule applied to the operand at
+    # every abscissa; the rounding of the two orders of summation stays
+    # within 1e-14 of the largest output
+    from betrans.beops import transforms
+    from betrans.numgrid import eval_extended
+
+    monkeypatch.setattr(transforms, "_MATRIX_CACHE", {})
+    log_grid = make_grid(512, (1e-3, 40.0))
+    spectral = default_spectral_grid(256)
+    src, out = {
+        "log->spectral": (log_grid, spectral),
+        "spectral->log": (spectral, log_grid),
+        "irregular->spectral": (_irregular_log_grid(400, (1e-3, 40.0), 5), spectral),
+    }[direction]
+    f = SampledFunction.from_callable(lambda y: np.exp(-y * y / 8.0) * (1.0 + np.sin(3.0 * y)), src)
+    t = out.points
+    got = transforms._transform_values(op, f, t)
+    y, w = transforms._quad_abscissa(f)
+    fy = eval_extended(f, y)
+    ref = np.empty_like(t)
+    for i0 in range(0, len(t), 128):
+        tb = t[i0 : i0 + 128]
+        if op in ("sin", "cos"):
+            trig = np.sin if op == "sin" else np.cos
+            dense = np.sqrt(2.0 / np.pi) * trig(np.outer(tb, y)) * w[None, :]
+        else:
+            dense = transforms._hankel_matrix(op, tb, y, w)
+        ref[i0 : i0 + 128] = dense @ fy
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_matrix_cache_keys_on_grid_points(monkeypatch):
+    # an irregular grid with the same size and end points as a cached
+    # linear one (read_csv builds such grids) must get its own matrix
+    from betrans.beops import transforms
+    from betrans.numgrid import Grid, _irregular_weights
+
+    monkeypatch.setattr(transforms, "_MATRIX_CACHE", {})
     src = make_grid(512, (1e-3, 40.0))
     f = SampledFunction.from_callable(lambda y: np.exp(-y), src, DecayHint.exponential())
     regular = make_grid(256, (60.0 / 256, 60.0), "linear")
@@ -237,6 +277,20 @@ def test_matrix_cache_keys_on_grid_points():
     fourier_sine(f, regular)
     fs = fourier_sine(f, irregular)
     assert np.max(np.abs(fs.values - np.sqrt(2.0 / np.pi) * x / (1.0 + x * x))) < 1e-6
+    # so must an operand on an irregular input grid with the same size and
+    # hull as the cached log grid: the matrix acts on its samples
+    src_irr = _irregular_log_grid(512, src.hull, 7)
+    f_irr = SampledFunction.from_callable(lambda y: np.exp(-y), src_irr, DecayHint.exponential())
+    fourier_cosine(f, regular)
+    fc = fourier_cosine(f_irr, regular)
+    t = regular.points
+    assert np.max(np.abs(fc.values - np.sqrt(2.0 / np.pi) / (1.0 + t * t))) < 1e-6
+    assert len(transforms._MATRIX_CACHE) == 4
+    # each cached array is n_out x (n_in + n_head), never n_out x 16384
+    n_head = np.count_nonzero(transforms._quad_abscissa(f)[0] < src.hull[0])
+    for mat in transforms._MATRIX_CACHE.values():
+        assert mat.size <= len(t) * (src.n + n_head)
+        assert mat.shape[1] < transforms._NY
 
 
 def test_hankel_minus_half_is_cosine_transform(bump_mid):
