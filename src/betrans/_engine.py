@@ -24,6 +24,22 @@ points each; both are keyword parameters of the plan builders (defaults
 Every output row that reaches a body panel shares its nodes, so the
 spline's basis is evaluated once per distinct node.
 
+PV kernels that commute with dilations, K(x, t) = k(t/x)/x (RatioKernel),
+repeat on a grid uniform in log x: seen from x_i, the node j of the body
+panel from grid point g sits at a ratio t/x fixed by g - i and j, and
+while x_i <= b/2 a row's own panels (those ending at x_i -/+ eps0 and the
+graded ones, all scaled by eps0 = x_i/8) are those of the row one stride
+before it, dilated by x_(i+stride)/x_i.  So one template per stride class
+holds every ratio those rows see, k is evaluated once per template ratio,
+and where the spline's knots are uniform (clear of its not-a-knot end
+intervals) the weighted basis rows of a template row, or of a body panel
+at one g - i, are summed once and added to every row as a shifted stamp.
+The rule itself does not change: each row keeps its nodes and weights,
+and only the arithmetic that evaluates the same kernel at them does, to
+rounding.  Rows with x > b/2, where eps0 = (b - x)/8, head nodes below a
+and the panel cut short at b keep the per-pair path, as do any other
+kernel and any other grid (build_pv_plan).
+
 Below the grid hull the operand is continued by its head model
 (numgrid.head_model); above the hull it is taken as zero.
 """
@@ -100,30 +116,42 @@ class _Rules:
     their nodes are stored once; panels ending at a row's own abscissa
     belong to that row.  Each call adds one (possibly empty) segment to
     every row, and a row's rule is its segments in call order.
+
+    Each node also gets a lattice label: g k + j for node j of a shared
+    k-point panel that spans `stride` grid steps from grid point g, -1 for
+    any other node.
     """
 
     def __init__(self, n_rows: int):
         self.n_rows = n_rows
         self.size = 0
-        self._t, self._w, self._starts, self._lengths = [], [], [], []
+        self._t, self._w, self._starts, self._lengths, self._lattice, self._owned = [], [], [], [], [], []
 
-    def _add(self, t, w, starts, lengths):
+    def _add(self, t, w, starts, lengths, lattice, owned):
         self._starts.append(self.size + np.broadcast_to(starts, self.n_rows))
         self._lengths.append(np.broadcast_to(lengths, self.n_rows))
         self._t.append(t.ravel())
         self._w.append(w.ravel())
+        self._lattice.append(np.broadcast_to(lattice, t.shape).ravel())
+        self._owned.append(owned)
         self.size += t.size
 
-    def shared(self, t, w, first, count):
-        """Panels (rows of t, w) of which row i uses count[i] from first[i] on."""
+    def shared(self, t, w, first, count, grid_start=None):
+        """Panels (rows of t, w) of which row i uses count[i] from first[i] on;
+        grid_start[p] is the grid point panel p starts at when it spans one
+        stride of grid points (else -1, or None for panels not tied to the grid)."""
         k = t.shape[1]
-        self._add(t, w, np.asarray(first) * k, np.asarray(count) * k)
+        lattice = -1
+        if grid_start is not None:
+            g = np.asarray(grid_start)[:, None]
+            lattice = np.where(g >= 0, g * k + np.arange(k), -1)
+        self._add(t, w, np.asarray(first) * k, np.asarray(count) * k, lattice, False)
 
     def owned(self, t, w, count):
         """count[i] panels for row i, the rows of t, w in row order."""
         k = t.shape[1]
         count = np.asarray(count, dtype=int)
-        self._add(t, w, (np.cumsum(count) - count) * k, count * k)
+        self._add(t, w, (np.cumsum(count) - count) * k, count * k, -1, True)
 
     def pairs(self):
         """(nodes, weights, node_id, offsets): row i's rule is nodes and
@@ -134,6 +162,21 @@ class _Rules:
         node_id = np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
         offsets = np.concatenate([[0], ends[len(self._starts) - 1 :: len(self._starts)]])
         return np.concatenate(self._t), np.concatenate(self._w), node_id, offsets
+
+    def lattice(self) -> np.ndarray:
+        """Every node's lattice label, in node-table order."""
+        return np.concatenate(self._lattice)
+
+    def segments(self):
+        """(starts, counts, owned) per segment: row i's nodes there are
+        starts[i]:starts[i] + counts[i] of the node table; owned segments
+        hold rows' own panels, one block of the table row after row."""
+        return list(zip(self._starts, self._lengths, self._owned))
+
+
+def _stride_starts(idx: np.ndarray, stride: int) -> np.ndarray:
+    """grid_start of the panels between consecutive grid indices idx."""
+    return np.where(np.diff(idx) == stride, idx[:-1], -1)
 
 
 def _lower_rules(rules: _Rules, x, pts, alpha, stride: int, n_gl: int, head: str = "taylor"):
@@ -158,11 +201,13 @@ def _lower_rules(rules: _Rules, x, pts, alpha, stride: int, n_gl: int, head: str
         rules.shared(*_head_nodes(a), 0, far)
     # tying the panels to the grid makes the quadrature resolve any operand
     # the grid itself resolves
-    inner = pts[stride::stride]
-    inner = inner[inner > a * (1.0 + 1e-12)]
+    inner_idx = np.arange(stride, len(pts), stride)
+    inner_idx = inner_idx[pts[inner_idx] > a * (1.0 + 1e-12)]
+    inner = pts[inner_idx]
     m = np.where(far, np.searchsorted(inner, x * (1.0 - 1e-12)), 0)  # inner edges below x_i
     edges = np.concatenate([[a], inner[: m.max(initial=0)]])
-    rules.shared(*_gl_panels(edges[:-1], edges[1:], n_gl), 0, m)
+    edge_idx = np.concatenate([[0], inner_idx[: m.max(initial=0)]])
+    rules.shared(*_gl_panels(edges[:-1], edges[1:], n_gl), 0, m, _stride_starts(edge_idx, stride))
     x_far, m_far = x[far], m[far]
     if singular:
         split = np.where(m_far > 0, edges[m_far], np.maximum(0.5 * x_far, a))
@@ -183,24 +228,26 @@ def _upper_rules(rules: _Rules, x, pts, alpha, stride: int, n_gl: int):
     b = pts[-1]
     singular = _needs_jacobi(alpha)
     live = x < b * (1.0 - 1e-14)
-    inner = pts[stride::stride]
-    inner = inner[inner < b * (1.0 - 1e-12)]
+    inner_idx = np.arange(stride, len(pts), stride)
+    inner_idx = inner_idx[pts[inner_idx] < b * (1.0 - 1e-12)]
+    inner = pts[inner_idx]
     first = np.searchsorted(inner, x * (1.0 + 1e-12), side="right")  # first inner edge above x_i
     m = np.where(live, len(inner) - first, 0)
     skip = first[live].min(initial=len(inner))
     edges = np.concatenate([inner[skip:], [b]])
     x_live, m_live = x[live], m[live]
     nxt = edges[first[live] - skip]
-    body = _gl_panels(edges[:-1], edges[1:], n_gl)
+    body = (*_gl_panels(edges[:-1], edges[1:], n_gl), first - skip, m)
+    grid_start = _stride_starts(np.concatenate([inner_idx[skip:], [len(pts) - 1]]), stride)
     if singular:
         split = np.where(m_live > 0, nxt, np.minimum(2.0 * x_live, b))
         rules.owned(*_jacobi_panels(split, x_live, alpha, left_end=True), live)
-        rules.shared(*body, first - skip, m)
+        rules.shared(*body, grid_start)
         alone = live & (m == 0)
         rules.owned(*_gl_panels(split[m_live == 0], np.full(np.count_nonzero(alone), b), n_gl), alone)
     else:
         rules.owned(*_gl_panels(x_live, nxt, n_gl), live)
-        rules.shared(*body, first - skip, m)
+        rules.shared(*body, grid_start)
 
 
 def _pv_rules(rules: _Rules, pts, stride: int, n_gl: int):
@@ -290,10 +337,10 @@ def _collocation_solve(grid: Grid, knots: np.ndarray, k: int, coef: np.ndarray) 
 _ASSEMBLY_PAIRS = 1 << 14  # (row, node) pairs accumulated per block
 
 
-def _assemble(grid: Grid, nodes, node_id, offsets, kw, use_deriv: bool):
+def _assemble(grid: Grid, nodes, node_id, offsets, kw, use_deriv: bool, coef0=None):
     """(matrix, head_t, head_matrix) of the plan whose row i is
     sum kw[p] f(nodes[node_id[p]]) over p in offsets[i]:offsets[i + 1]
-    (f' for use_deriv).
+    (f' for use_deriv), plus the spline-coefficient rows coef0 when given.
 
     Inside the hull f is the operand's interpolating spline: each node's
     basis row (of f' for use_deriv: the degree k-1 rows on the inner knots
@@ -330,9 +377,10 @@ def _assemble(grid: Grid, nodes, node_id, offsets, kw, use_deriv: bool):
         keep = inside[q]
         qi = in_index[q[keep]]
         cols = (row[keep] * ncol + first[qi]) + np.arange(len(vals))[:, None]
-        coef[r0:r1] = np.bincount(
+        summed = np.bincount(
             cols.ravel(), (np.take(vals, qi, axis=1) * w[keep]).ravel(), minlength=(r1 - r0) * ncol
         ).reshape(r1 - r0, ncol)
+        coef[r0:r1] = summed if coef0 is None else coef0[r0:r1] + summed
         low = below[q]
         head_rows.append(row[low] + r0)
         head_cols.append(head_index[q[low]])
@@ -440,6 +488,304 @@ class PVPlan(KernelPlan):
     apply = KernelPlan.apply
 
 
+class RatioKernel:
+    """A kernel that commutes with dilations: K(x, t) = k(r)/x, with r a
+    function of t/x alone.
+
+    variable "t/x":   r = t/x;
+    variable "1-t/x": r = (x - t)/x, which keeps its digits next to the
+                      diagonal (for k rational in t/x);
+    variable "x/t":   r = x/t, and K(x, t) = k(r)/t.
+
+    Take as r the argument that k hands its special function, so that k is
+    a smooth function of the rounded r.  build_pv_plan evaluates k once per
+    template ratio on grids uniform in log x; everywhere else K(x, t) is
+    called like any kernel.
+    """
+
+    _FORMS = {
+        # r(x, t), the divisor of k(r), and 1/(x - t) as pole(r)/divisor
+        "t/x": (lambda x, t: t / x, lambda x, t: x, lambda r: 1.0 / (1.0 - r)),
+        "1-t/x": (lambda x, t: (x - t) / x, lambda x, t: x, lambda r: 1.0 / r),
+        "x/t": (lambda x, t: x / t, lambda x, t: t, lambda r: 1.0 / (r - 1.0)),
+    }
+
+    def __init__(self, k: Callable[[np.ndarray], np.ndarray], variable: str = "t/x"):
+        self.k = k
+        self.variable = variable
+        self.ratio, self.divisor, self.pole = self._FORMS[variable]
+
+    def __call__(self, x, t):
+        return self.k(self.ratio(x, t)) / self.divisor(x, t)
+
+
+def _log_uniform(grid: Grid) -> bool:
+    """Whether the grid's points are uniform in log x, to rounding."""
+    if grid.spacing != "log":
+        return False
+    s = grid.coord(grid.points)
+    h = (s[-1] - s[0]) / (grid.n - 1)
+    return bool(np.max(np.abs(s - (s[0] + h * np.arange(grid.n)))) <= 1e-12 * h)
+
+
+class _Template:
+    """The dilation template of a PV plan's node table (see _template).
+
+    key[q] is node q's slot plus n_gl times its row, negative for nodes off
+    the template.  Slots [0, n_own) hold rows' own nodes; the body slots
+    follow, n_own + (g - i + n - 1) n_gl + j for node j of the panel from
+    grid point g seen from row i, once for the panels clear of the spline's
+    not-a-knot end intervals and once more, n_body further on, for the
+    others.  rep_node and rep_row place each slot's ratio t/x where has_rep.
+    in_stamp marks the nodes whose pairs enter as stamps: those of the clear
+    body panels, which row i sums where used[i, g / stride], and the own
+    nodes own_node (of rows own_row) of the rows listed in own_stamps as
+    (rows, first slot, number of slots) per segment and stride class.
+    """
+
+    def __init__(self, key, rep_node, rep_row, has_rep, in_stamp, own, used, n_own):
+        self.key, self.rep_node, self.rep_row, self.has_rep = key, rep_node, rep_row, has_rep
+        self.own_stamps, self.own_node, self.own_row = own
+        self.in_stamp, self.used, self.n_own = in_stamp, used, n_own
+        self.per_pair = len(rep_node)
+
+
+def _template(grid: Grid, rules: _Rules, nodes, stride: int, n_gl: int) -> _Template:
+    """The dilation template of a PV plan on a grid uniform in log x.
+
+    Node j of the body panel from grid point g sits at a ratio t/x_i fixed
+    by g - i and j, so (g - i, j) is its slot, shared by every row.  A
+    row's own panels scale with x_i while eps0 = x_i/8, so the rows of one
+    stride class repeat them node for node: in each segment of own panels,
+    the class's rows that hold its most common number of nodes share slots
+    by place, with the first of them (preferably one clear of the end
+    intervals) as the class's template row.  A node whose t/x is not its
+    template node's to 1e-12 leaves the template (those of the rows with
+    x > b/2 do, where eps0 = (b - x)/8).  Head nodes and the panel cut short
+    at b stay on the per-pair path.  Clear of the end intervals the spline's
+    basis rows are translates of one another, so a row whose own nodes in a
+    segment all match a clear template row, and a body panel there, enter
+    as stamps (_stamps).
+    """
+    n, x = grid.n, grid.points
+    cls = np.arange(n) % stride
+    knots, k = spline_knots(grid)
+    lo = np.exp(knots[2 * k]) * (1.0 + 1e-12)
+    hi = np.exp(knots[len(knots) - 2 * k - 1]) * (1.0 - 1e-12)
+    clear = (nodes > lo) & (nodes < hi)
+    key = np.full(len(nodes), -(1 << 30), dtype=np.int32)
+    in_stamp = np.zeros(len(nodes), dtype=bool)
+    rep_node, rep_row, has_rep, own_stamps, own_node, own_row = [], [], [], [], [], []
+    n_own = 0
+    for starts, counts, owned in rules.segments():
+        if not owned:
+            continue
+        held = counts > 0
+        n_clear = np.zeros(n, dtype=int)
+        if np.any(held):
+            block = clear[starts[0] : starts[0] + counts.sum()]
+            n_clear[held] = np.add.reduceat(block, (starts - starts[0])[held], dtype=int)
+        rows_clear = n_clear == counts
+        common = np.zeros(stride, dtype=int)
+        first = np.zeros(stride, dtype=int)
+        for c in range(stride):
+            in_class = held & (cls == c)
+            if np.any(in_class):
+                common[c] = np.bincount(counts[in_class]).argmax()
+                pick = in_class & (counts == common[c])
+                first[c] = np.argmax(pick & rows_clear if np.any(pick & rows_clear) else pick)
+        width = int(common.max())
+        rep = np.minimum(starts[first][:, None] + np.arange(width), len(nodes) - 1)
+        rep_node.append(rep.ravel())
+        rep_row.append(np.repeat(first, width))
+        has_rep.append((np.arange(width) < common[:, None]).ravel())
+        rows = np.flatnonzero(held & (counts == common[cls]))
+        row = np.repeat(rows, counts[rows])
+        place = np.arange(len(row)) - np.repeat(np.cumsum(counts[rows]) - counts[rows], counts[rows])
+        q = starts[row] + place
+        at = cls[row] * width + place  # the slot, from n_own on
+        u_rep = (nodes[rep] / x[first][:, None]).ravel()[at]
+        match = np.abs(nodes[q] / x[row] - u_rep) <= 1e-12 * u_rep
+        key[q[match]] = (n_own + at + n_gl * row)[match]
+        stamped = (np.bincount(row[match & clear[q]], minlength=n) == counts) & (counts > 0) & rows_clear[first[cls]]
+        in_stamp[q[stamped[row]]] = True
+        own_node.append(q[stamped[row]])
+        own_row.append(row[stamped[row]])
+        for c in range(stride):
+            own_stamps.append((np.flatnonzero(stamped & (cls == c)), n_own + c * width, common[c]))
+        n_own += stride * width
+
+    label = rules.lattice()
+    body = np.flatnonzero(label >= 0)
+    g = label[body] // n_gl
+    clear_panel = (x[g] >= lo) & (x[g + stride] <= hi)
+    n_body = (2 * n - 1) * n_gl
+    key[body] = label[body] + n_own + (n - 1) * n_gl + np.where(clear_panel, 0, n_body)
+    in_stamp[body[clear_panel]] = True
+    # per d = g - i a panel to place the ratio at, a clear one if there is one
+    node_of = np.full(n * n_gl, -1)
+    node_of[label[body]] = body
+    d = np.arange(1 - n, n)
+    g_rep, found = _panel_for(np.unique(g), d, n)
+    g_clear, found_clear = _panel_for(np.unique(g[clear_panel]), d, n)
+    g_rep = np.where(found_clear, g_clear, g_rep)
+    body_node = np.where(found[:, None], node_of[g_rep[:, None] * n_gl + np.arange(n_gl)], 0).ravel()
+    body_row = np.repeat(np.where(found, g_rep - d, 0), n_gl)
+    body_rep = np.repeat(found, n_gl)
+    # the clear panels each row sums as stamps: per body segment a row's
+    # panels are one run of consecutive ones, cut to the clear ones
+    n_panel = (n - 1) // stride + 1
+    used = np.zeros((n, n_panel), dtype=bool)
+    g_lo, g_hi = int(g[clear_panel].min(initial=n)), int(g[clear_panel].max(initial=-1))
+    m = np.arange(n_panel)
+    for starts, counts, owned in rules.segments():
+        if owned:
+            continue
+        first_label = label[np.minimum(starts, len(label) - 1)]
+        held = (counts > 0) & (first_label >= 0)
+        g_first = np.where(held, first_label // n_gl, 0)
+        g_last = g_first + (counts // n_gl - 1) * stride
+        m_lo = -(-np.maximum(g_first, g_lo) // stride)
+        m_hi = np.minimum(g_last, g_hi) // stride
+        used |= held[:, None] & (m >= m_lo[:, None]) & (m <= m_hi[:, None])
+    own_node = np.concatenate(own_node) if own_node else np.zeros(0, dtype=int)
+    own_row = np.concatenate(own_row) if own_row else np.zeros(0, dtype=int)
+    return _Template(
+        key,
+        np.concatenate(rep_node + [body_node, body_node]),
+        np.concatenate(rep_row + [body_row, body_row]),
+        np.concatenate(has_rep + [body_rep, body_rep]),
+        in_stamp,
+        (own_stamps, own_node, own_row),
+        used,
+        n_own,
+    )
+
+
+def _panel_for(starts: np.ndarray, d: np.ndarray, n: int):
+    """(g, found): per offset d, the first panel start g of the sorted
+    `starts` with 0 <= g - d < n."""
+    if not len(starts):
+        return np.zeros_like(d), np.zeros(len(d), dtype=bool)
+    at = np.searchsorted(starts, np.maximum(d, 0))
+    g = starts[np.minimum(at, len(starts) - 1)]
+    return g, (at < len(starts)) & (g - d < n)
+
+
+def _dilation_template(grid, rules, nodes, weights, node_id, offsets, kernels, stride, n_gl):
+    """(nodes, node_id, offsets, kw, coef0, diag): what _assemble sums pair
+    by pair for a PV plan on a grid uniform in log x (a node table cut to
+    the pairs off the stamps, and their weights times the ratio kernels),
+    the spline-coefficient rows of the stamps, and a correction to the
+    matrix's diagonal (_template).
+
+    k is evaluated once per slot, at its template ratio r_T.  A pair's own
+    rounded ratio r differs from r_T in the last bits, which moves the pole
+    1/(x - t) by up to 1e-9 of itself at the innermost nodes, so a pair
+    takes k(r_T)/pole(r_T) from the template and multiplies it by its own
+    pole(r): next to the diagonal, where the pole sets k, that is the value
+    the per-pair kernel has.  A stamp carries the template's weighted
+    kernel; a stamped own pair's own value differs from it only next to
+    the diagonal, where f(t) is f(x_i) to within |x_i - t| f', so the
+    difference joins the diagonal.  Body panels lie at least x/8 off the
+    diagonal, where r and r_T give the same k to rounding.
+    """
+    kl, ku = kernels
+    n, x = grid.n, grid.points
+    tm = _template(grid, rules, nodes, stride, n_gl)
+    keep = np.flatnonzero(~tm.in_stamp[node_id])
+    row = np.searchsorted(offsets, keep, side="right") - 1
+    node_id = node_id[keep]
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n))])
+    slot = tm.key[node_id] - n_gl * row
+    slot[slot < 0] = tm.per_pair
+    own_slot = tm.key[tm.own_node] - n_gl * tm.own_row
+    i, m = np.nonzero(tm.used)
+    body_d = np.unique(m * stride - i + n - 1)  # d + n - 1 of the body stamps
+    body_slots = tm.n_own + (body_d[:, None] * n_gl + np.arange(n_gl)).ravel()
+    needed = np.zeros(tm.per_pair + 1, dtype=bool)
+    needed[slot] = True
+    needed[own_slot] = True
+    needed[body_slots] = True
+    needed = needed[:-1] & tm.has_rep
+    slot[~np.append(needed, False)[slot]] = tm.per_pair
+    slots = np.flatnonzero(needed)
+    x_k, t_k = x[row], nodes[node_id]
+    per_pair = np.flatnonzero(slot == tm.per_pair)
+    # one call of k per side, at the template ratios and the per-pair ones
+    x_r = np.concatenate([x[tm.rep_row[slots]], x_k[per_pair]])
+    t_r = np.concatenate([nodes[tm.rep_node[slots]], t_k[per_pair]])
+    r = kl.ratio(x_r, t_r)
+    k_r = np.empty_like(r)
+    low = t_r < x_r
+    k_r[low] = kl.k(r[low])
+    k_r[~low] = ku.k(r[~low])
+    ns = len(slots)
+    scale = np.zeros(tm.per_pair + 1)  # k(r_T)/pole(r_T); the last is the per-pair path's
+    scale[slots] = k_r[:ns] / kl.pole(r[:ns])
+    values = scale[slot] * kl.pole(kl.ratio(x_k, t_k)) / kl.divisor(x_k, t_k)
+    values[per_pair] = k_r[ns:] / kl.divisor(x_r[ns:], t_r[ns:])
+    kw = weights[node_id] * values
+    # the template's weights times kernel values, for the stamps
+    kw_t = np.zeros(tm.per_pair)
+    kw_t[slots] = weights[tm.rep_node[slots]] * k_r[:ns] / kl.divisor(x_r[:ns], t_r[:ns])
+    x_o, t_o = x[tm.own_row], nodes[tm.own_node]
+    kw_own = weights[tm.own_node] * scale[own_slot] * kl.pole(kl.ratio(x_o, t_o)) / kl.divisor(x_o, t_o)
+    diag = np.bincount(tm.own_row, kw_own - kw_t[own_slot], minlength=n)
+    coef0 = _stamps(grid, tm, kw_t, body_slots, nodes, stride, n_gl)
+    in_use = np.zeros(len(nodes), dtype=bool)
+    in_use[node_id] = True
+    return nodes[in_use], (np.cumsum(in_use) - 1)[node_id], offsets, kw, coef0, diag
+
+
+def _stamps(grid, tm, kw_t, body_slots, nodes, stride, n_gl):
+    """The spline-coefficient rows of a PV plan's stamps: each slot's
+    weighted kernel times its template node's basis row, at the columns
+    counted from the panel's grid point (body stamps) or from the template
+    row (own stamps), summed once per stamp and added to every row that
+    uses it."""
+    n = grid.n
+    knots, k = spline_knots(grid)
+    own = [(rows, np.arange(s0, s0 + count)) for rows, s0, count in tm.own_stamps if len(rows) and count]
+    slots = np.concatenate([body_slots] + [s for _, s in own]).astype(int)
+    first, vals = _basis_rows(knots, k, grid.coord(nodes[tm.rep_node[slots]]))
+    rep_row = tm.rep_row[slots]
+    nb = len(body_slots)
+    # body stamps, one per d = g - i, overlap-added one column at a time
+    # into strided column slices: panel g's column w lands at g + e0 + w
+    d = (body_slots - tm.n_own) // n_gl  # d + n - 1
+    e = first[:nb] - (rep_row[:nb] + d - (n - 1))  # columns from the panel's grid point
+    e0 = min(int(e.min(initial=0)), 0)  # <= 0 keeps the slice of `padded` below in range
+    width = int(e.max(initial=-1)) - e0 + k + 1
+    stamp = np.zeros((width, 2 * n))  # the last column, a zero stamp
+    for o in range(k + 1):
+        np.add.at(stamp, (e - e0 + o, d), kw_t[body_slots] * vals[o, :nb])
+    n_panel = tm.used.shape[1]
+    padded = np.zeros((n, n_panel * stride + width))
+    d_use = np.arange(n_panel) * stride - np.arange(n)[:, None] + n - 1
+    d_use[~tm.used] = 2 * n - 1
+    for w in range(width):
+        padded[:, w : w + n_panel * stride : stride] += stamp[w][d_use]
+    coef = padded[:, -e0 : n - e0]
+    at = nb
+    for rows, s in own:
+        e = first[at : at + len(s)] - rep_row[at : at + len(s)]  # columns from the row's own
+        row_stamp, e_first = _stamp_row(e, kw_t[s], vals[:, at : at + len(s)])
+        coef[rows[:, None], rows[:, None] + e_first + np.arange(len(row_stamp))] += row_stamp
+        at += len(s)
+    return coef
+
+
+def _stamp_row(e, kw, vals):
+    """(stamp, e0): sum of kw[s] vals[:, s] placed at columns e[s] + o, as
+    a dense row from column e0."""
+    e0 = int(e.min())
+    stamp = np.zeros(int(e.max()) - e0 + len(vals))
+    for o in range(len(vals)):
+        np.add.at(stamp, e - e0 + o, kw * vals[o])
+    return stamp, e0
+
+
 def build_pv_plan(
     grid: Grid,
     kernel_lower: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -451,7 +797,11 @@ def build_pv_plan(
     """Plan for PV kernel pairs with residue rho at the diagonal.
 
     K_lower acts on t < x, K_upper on t > x; both behave like
-    rho/(x - t) as t -> x (same one-sided residue).
+    rho/(x - t) as t -> x (same one-sided residue).  Two RatioKernels of
+    one variable on a grid uniform in log x are evaluated and assembled
+    from the dilation template (_dilation_template); any other kernels or
+    grid, pair by pair.  The rule, and so t_all, offsets, sub and log_term,
+    is the same either way.
     """
     a, b = grid.hull
     rules = _Rules(grid.n)
@@ -460,21 +810,30 @@ def build_pv_plan(
     t_all = nodes[node_id]
     w_all = weights[node_id]
     x_all = np.repeat(grid.points, np.diff(offsets))
-    kw = np.empty_like(w_all)
-    lower_mask = t_all < x_all
-    kw[lower_mask] = w_all[lower_mask] * kernel_lower(x_all[lower_mask], t_all[lower_mask])
-    kw[~lower_mask] = w_all[~lower_mask] * kernel_upper(x_all[~lower_mask], t_all[~lower_mask])
+    ratio = isinstance(kernel_lower, RatioKernel) and isinstance(kernel_upper, RatioKernel)
     sub = _segmented_sum(w_all / (x_all - t_all), offsets)
-    del w_all, x_all, lower_mask
+    correction = 0.0
+    if ratio and kernel_lower.variable == kernel_upper.variable and _log_uniform(grid):
+        del w_all, x_all
+        *pairs, coef0, correction = _dilation_template(
+            grid, rules, nodes, weights, node_id, offsets, (kernel_lower, kernel_upper), stride, n_gl
+        )
+        matrix, head_t, head_matrix = _assemble(grid, *pairs, False, coef0)
+    else:
+        kw = np.empty_like(w_all)
+        lower = t_all < x_all
+        kw[lower] = w_all[lower] * kernel_lower(x_all[lower], t_all[lower])
+        kw[~lower] = w_all[~lower] * kernel_upper(x_all[~lower], t_all[~lower])
+        del w_all, x_all, lower
+        matrix, head_t, head_matrix = _assemble(grid, nodes, node_id, offsets, kw, False)
     log_term = np.log(grid.points / np.maximum(b - grid.points, 1e-300))
     # at the top hull point B - x = 0: the upper side is empty and the
     # subtraction degenerates; the lower-side-only value keeps ln(x/delta)
     top = grid.points >= b * (1.0 - 1e-12)
     if np.any(top):
         log_term[top] = np.log(grid.points[top] / (1e-7 * grid.points[top]))
-    matrix, head_t, head_matrix = _assemble(grid, nodes, node_id, offsets, kw, False)
     diag = np.arange(grid.n)
-    matrix[diag, diag] -= rho * (sub - log_term)
+    matrix[diag, diag] -= rho * (sub - log_term) - correction
     return PVPlan(grid, t_all, offsets, matrix, head_t, head_matrix, sub, log_term, rho)
 
 

@@ -6,14 +6,15 @@ subtracts that pole exactly (its principal value is a logarithm) and
 integrates the bounded remainder on panels graded toward the diagonal
 (_engine.build_pv_plan).  At nu = 0 and nu = -1 the family degenerates to
 the half-line Hilbert-transform pair, which is also available as a
-dedicated closed-kernel path.
+dedicated closed-kernel path.  Every kernel here is a Mellin multiplier,
+k(y/x)/x, handed to the plans as an _engine.RatioKernel.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .._engine import build_pv_plan
+from .._engine import RatioKernel, build_pv_plan
 from ..numgrid import SampledFunction, grid_key
 from ..specfun import legendre_q1
 from .specs import OperatorSpec, OperatorSpecError
@@ -26,39 +27,45 @@ _INT_TOL = 1e-9
 
 
 def hilbert_pair_kernels(which: int):
-    """Closed kernels of the nu = 0 / nu = -1 degenerations (y or x over x^2-y^2).
-    Here and below (x - y)(x + y), as x*x - y*y cancels near the diagonal."""
+    """Closed kernels of the nu = 0 / nu = -1 degenerations (y or x over
+    x^2 - y^2), as ratio kernels in r = (x - y)/x: x^2 - y^2 = x^2 r (2 - r)
+    keeps its digits next to the diagonal, where x*x - y*y cancels."""
     if which == 0:
 
-        def k(x, y):
-            return _TWO_OVER_PI * y / ((x - y) * (x + y))
+        def k(r):
+            return _TWO_OVER_PI * (1.0 - r) / (r * (2.0 - r))
 
     else:
 
-        def k(x, y):
-            return _TWO_OVER_PI * x / ((x - y) * (x + y))
+        def k(r):
+            return _TWO_OVER_PI / (r * (2.0 - r))
 
-    return k, k
+    kernel = RatioKernel(k, "1-t/x")
+    return kernel, kernel
+
+
+# Ratio kernels in the argument of Q_nu^1, z = x/y for S and u = y/x for P;
+# z^2 - 1 is formed as (z - 1)(z + 1), as z*z - 1 cancels near the diagonal.
 
 
 def _kernels_s(nu: float):
-    def k_lower(x, y):  # y < x, argument x/y > 1
-        return -_TWO_OVER_PI * ((x - y) * (x + y)) ** (-0.5) * legendre_q1(nu, x / y, "off_cut")
+    def k_lower(z):  # y < x, z = x/y > 1
+        return -_TWO_OVER_PI * ((z - 1.0) * (z + 1.0)) ** (-0.5) * legendre_q1(nu, z, "off_cut")
 
-    def k_upper(x, y):  # y > x, argument x/y < 1
-        return _TWO_OVER_PI * ((y - x) * (y + x)) ** (-0.5) * legendre_q1(nu, x / y, "on_cut")
+    def k_upper(z):  # y > x, z = x/y < 1
+        return _TWO_OVER_PI * ((1.0 - z) * (1.0 + z)) ** (-0.5) * legendre_q1(nu, z, "on_cut")
 
-    return k_lower, k_upper
+    return RatioKernel(k_lower, "x/t"), RatioKernel(k_upper, "x/t")
 
 
 def _kernels_p(nu: float):
-    def k_lower(x, y):  # y < x, argument y/x < 1
-        return _TWO_OVER_PI * ((x - y) * (x + y)) ** (-0.5) * legendre_q1(nu, y / x, "on_cut")
+    def k_lower(u):  # y < x, u = y/x < 1
+        return _TWO_OVER_PI * ((1.0 - u) * (1.0 + u)) ** (-0.5) * legendre_q1(nu, u, "on_cut")
 
-    def k_upper(x, y):  # y > x, argument y/x > 1
-        return -_TWO_OVER_PI * ((y - x) * (y + x)) ** (-0.5) * legendre_q1(nu, y / x, "off_cut")
+    def k_upper(u):  # y > x, u = y/x > 1
+        return -_TWO_OVER_PI * ((u - 1.0) * (u + 1.0)) ** (-0.5) * legendre_q1(nu, u, "off_cut")
 
-    return k_lower, k_upper
+    return RatioKernel(k_lower), RatioKernel(k_upper)
 
 
 def apply_second_kind(spec: OperatorSpec, f: SampledFunction) -> SampledFunction:

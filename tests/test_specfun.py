@@ -378,8 +378,8 @@ def test_kernels_keep_shape_and_scalar_return_types():
 
 
 def test_pv_plan_evaluates_each_kernel_argument_once(monkeypatch):
-    # a second-kind PV plan on the 512-point log grid asks for Q_nu^1 at
-    # 695,760 (row, node) ratios, about 103k of them distinct
+    # a second-kind PV plan on the 512-point log grid has 695,760 (row,
+    # node) ratios, about 103k of them distinct
     seen = []
     inner = legendre_module._q_with_deriv
 
@@ -393,6 +393,9 @@ def test_pv_plan_evaluates_each_kernel_argument_once(monkeypatch):
     for z in seen:
         assert np.unique(z).size == z.size
     assert sum(z.size for z in seen) <= 0.2 * len(plan.t_all)
+    # the dilation template evaluates Q once per template ratio: at most
+    # 0.6 of the 103,342 distinct ratios of the per-pair path (26,858)
+    assert sum(z.size for z in seen) <= 0.6 * 103_342
 
 
 # ----------------------------------------------------------------------
