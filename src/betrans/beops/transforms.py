@@ -19,11 +19,12 @@ with their weighted basis block.  Sine and cosine entries need no trig call
 each: y is uniform, so in a chunk starting at y0,
 sin(t (y0 + d)) = sin(t y0) cos(t d) + cos(t y0) sin(t d) (and the cosine
 likewise), with the cos(t d) and sin(t d) tables built once per matrix; a
-chunk costs two products and two trig calls per row.  Hankel rows are
-filled 32 at a time and each block is folded before the next, so no array
-spans all rows and all 16384 abscissae.  The folded values match the
-rule applied to the spline at every abscissa to about 2e-15 of the largest
-output.
+chunk costs two products and two trig calls per row.  F_(-1/2) is the
+cosine transform (t^1/2 y^1/2 J_(-1/2)(t y) = sqrt(2/pi) cos(t y), DLMF
+10.16.1) and shares its cached matrix.  Other Hankel rows are filled 32 at
+a time and each block is folded before the next, so no array spans all
+rows and all 16384 abscissae.  The folded values match the rule applied to
+the spline at every abscissa to about 2e-15 of the largest output.
 
 Below the switch point z0 = 25 a Hankel entry is w y^(2nu+1) G_nu(t y),
 where G_nu(z) = z^-nu J_nu(z) is an entire function of x = z^2/2.  Each
@@ -35,11 +36,19 @@ the kernel is Hankel's large-argument expansion (DLMF 10.17.3):
 sqrt(2/(pi z)) (P cos w - Q sin w), w = z - nu pi/2 - pi/4, with the
 coefficients computed once per matrix and the series cut, band by band in
 z, at the first term below 1e-17.  Degrees whose expansion terms grow
-before they fall that low at z0 (|nu| above about 7) take ``jv`` there; at
-nu = +-1/2 the expansion is the exact cos/sin form.  Below z0 the table is
-as close to J_nu as ``jv`` (both within 1.3e-14 against mpmath); up to
-z = 2500 the expansion is within 4e-15 of J_nu, the rounding of w at
-large z.
+before they fall that low at z0 (|nu| above about 7) take ``jv`` there.
+Below z0 the table is as close to J_nu as ``jv`` (both within 1.3e-14
+against mpmath); up to z = 2500 the expansion is within 4e-15 of J_nu, the
+rounding of w at large z.
+
+Where nu + 1/2 is an integer the expansion ends after nu + 1/2 terms and
+is exact, and its k-th term a_k (t y)^-k cos or sin w splits into a factor
+of t and one of y.  So each 256-abscissa chunk where every row of a 32-row
+block has z >= z0 is folded as the sine and cosine are, one pair of
+products per term (_far_fold): no trig call or power per entry.  The
+blocks' rows are filled, per entry, only up to their first such chunk.
+Other orders take the per-entry fill everywhere; ``_hankel_matrix`` is that
+fill over all columns, the reference the kernel tests probe.
 
 The quadrature starts at y = 0, so an operand whose head model carries ln y
 is rejected.  The weighted third-kind operators S = F_{s|c}^{-1} (1/phi) F_nu
@@ -216,6 +225,13 @@ def _basis_blocks(grid: Grid, y: np.ndarray, w: np.ndarray, n_head: int):
     return knots, k, blocks
 
 
+def _shift_tables(t: np.ndarray, step: float):
+    """cos(t d) and sin(t d) at d = k step, k < _CHUNK, for each t: with them
+    the trig functions of t (y0 + d) split into those of t y0."""
+    phase = np.outer(t, np.arange(_CHUNK) * step)
+    return np.cos(phase), np.sin(phase, out=phase)
+
+
 def _trig_fold(kind: str, t: np.ndarray, y: np.ndarray, n_head: int, blocks, coef: np.ndarray) -> np.ndarray:
     """Adds T B of the kernel sqrt(2/pi) trig(t y), trig sin or cos, into
     coef (see _basis_blocks) and returns the kernel at y[:n_head].
@@ -224,8 +240,7 @@ def _trig_fold(kind: str, t: np.ndarray, y: np.ndarray, n_head: int, blocks, coe
     in every chunk: trig(t (y0 + delta)) splits into sin and cos of t y0,
     one per row, times the tables cos(t delta) and sin(t delta), built once.
     """
-    phase = np.outer(t, np.arange(_CHUNK) * y[1])
-    cos_tab, sin_tab = np.cos(phase), np.sin(phase)
+    cos_tab, sin_tab = _shift_tables(t, y[1])
     for j0, c0, b in blocks:
         m, span = b.shape
         p = cos_tab[:, :m] @ b
@@ -250,6 +265,8 @@ def _transform_values(op, f: SampledFunction, t: np.ndarray) -> np.ndarray:
     collocation solve; H, the rule at the n_head abscissae below the hull,
     acts on the operand's head model there.
     """
+    if op == -0.5:  # t^1/2 y^1/2 J_-1/2(t y) = sqrt(2/pi) cos(t y) (DLMF 10.16.1)
+        op = "cos"
     y, w = _quad_abscissa(f)
     grid = f.grid
     key = (op, points_digest(t), grid_key(grid))
@@ -422,7 +439,8 @@ def _far_rows(nu: float, a: np.ndarray | None, tb: np.ndarray, y: np.ndarray, n_
 def _hankel_rows(nu: float, y: np.ndarray, w: np.ndarray):
     """The filler of Hankel kernel rows w_j t^-nu y_j^(nu+1) J_nu(t y_j) on
     the abscissae y (y[0] = 0 takes the kernel's limit): fill(tb, out) writes
-    the rows at up to _ROW_BLOCK points tb into out.
+    the rows at up to _ROW_BLOCK points tb into out, over its first
+    out.shape[1] abscissae.
 
     Below z0 = _Z_SWITCH an entry is w_j y_j^(2nu+1) G_nu(t y_j) from the
     kernel table, built here once; at and above z0 it is the expansion's
@@ -445,11 +463,12 @@ def _hankel_rows(nu: float, y: np.ndarray, w: np.ndarray):
     def fill(tb: np.ndarray, out: np.ndarray) -> None:
         out[:, 0] = limit
         blk = out[:, 1:]
-        ks = np.searchsorted(ys, _Z_SWITCH / tb)  # row i: z < z0 before ks[i]
+        n = blk.shape[1]
+        ks = np.minimum(np.searchsorted(ys, _Z_SWITCH / tb), n)  # row i: z < z0 before ks[i]
         k_lo, k_hi = ks[-1], ks[0]
         far = blk[:, k_lo:]
-        _far_rows(nu, a, tb, ys[k_lo:], k_hi - k_lo, far, scratch)
-        far *= far_cols[k_lo:]
+        _far_rows(nu, a, tb, ys[k_lo:n], k_hi - k_lo, far, scratch)
+        far *= far_cols[k_lo:n]
         far *= (tb**far_pow)[:, None]
         for c0 in range(0, k_hi, _COL_BLOCK):
             c1 = min(c0 + _COL_BLOCK, k_hi)
@@ -470,19 +489,69 @@ def _hankel_matrix(nu: float, t: np.ndarray, y: np.ndarray, w: np.ndarray) -> np
     return mat
 
 
+def _far_fold(nu: float, a: np.ndarray, t: np.ndarray, y: np.ndarray, blocks, starts: np.ndarray, coef: np.ndarray) -> None:
+    """Adds T B of the Hankel kernel into coef (see _basis_blocks) over the
+    chunks that lie where every row of theirs has z >= z0, for an order
+    whose expansion ends: nu + 1/2 an integer, a its every coefficient.
+
+    Row i takes chunk j0 when starts[i // _ROW_BLOCK] <= j0.  There the
+    kernel is exactly sqrt(2/pi) y^(nu+1/2) t^-(nu+1/2) sum_k a_k (t y)^-k
+    times cos w (even k) or -sin w (odd k), w = t y - nu pi/2 - pi/4, and
+    each term folds as the trig fold folds its kernel: y^-k goes into the
+    block, t^-k onto the rows, and cos w and sin w split into those of
+    t y0 - nu pi/2 - pi/4, one per row, times the tables cos(t d) and
+    sin(t d), built once.  No entry costs a trig call or a power of its own.
+    """
+    cos_tab, sin_tab = _shift_tables(t, y[1])
+    phase = (0.5 * nu + 0.25) * np.pi
+    powers = np.arange(len(a))
+    for j0, c0, b in blocks:
+        i0 = _ROW_BLOCK * int(np.searchsorted(-starts, -j0))  # starts do not rise
+        if i0 >= len(t):
+            continue
+        m, span = b.shape
+        yc = y[j0 : j0 + m]
+        cols = (_SQRT_2_OVER_PI * yc ** (nu + 0.5))[:, None] / yc[:, None] ** powers  # column k: times y^-k
+        bk = (cols[:, :, None] * b[:, None, :]).reshape(m, -1)
+        tr = t[i0:]
+        ak = (a / tr[:, None] ** powers)[:, :, None]  # a_k t^-k
+        p = ak * (cos_tab[i0:, :m] @ bk).reshape(-1, len(a), span)
+        q = ak * (sin_tab[i0:, :m] @ bk).reshape(-1, len(a), span)
+        w0 = tr * y[j0] - phase
+        cos0, sin0 = np.cos(w0)[:, None], np.sin(w0)[:, None]
+        # even k: cos w = cos w0 p - sin w0 q; odd k: -sin w = -sin w0 p - cos w0 q
+        acc = cos0 * (p[:, 0::2].sum(axis=1) - q[:, 1::2].sum(axis=1))
+        acc -= sin0 * (q[:, 0::2].sum(axis=1) + p[:, 1::2].sum(axis=1))
+        coef[i0:, c0 : c0 + span] += acc * (tr ** (-nu - 0.5))[:, None]
+
+
 def _hankel_fold(nu: float, t: np.ndarray, y: np.ndarray, n_head: int, blocks, coef: np.ndarray) -> np.ndarray:
     """Adds T B of the Hankel kernel t^-nu y^(nu+1) J_nu(t y) into coef (see
-    _basis_blocks), one block of rows at a time, and returns the kernel at
-    y[:n_head]."""
+    _basis_blocks) and returns the kernel at y[:n_head].
+
+    Rows are filled a block at a time (_hankel_rows) and each block is
+    folded at once.  At orders whose expansion ends (nu + 1/2 an integer)
+    a block is filled only up to the first chunk where all its rows have
+    z >= z0; the chunks from there on are folded by _far_fold.
+    """
     fill = _hankel_rows(nu, y, np.ones_like(y))  # the weights are in the blocks
+    a = _hankel_coefficients(nu)
+    starts = np.full(-(-len(t) // _ROW_BLOCK), len(y))
+    if a is not None and float(nu + 0.5).is_integer():
+        chunks = np.array([j0 for j0, _, _ in blocks] + [len(y)])
+        switch = np.searchsorted(y, _Z_SWITCH / t[::_ROW_BLOCK])  # each block's first row is the latest to switch
+        starts = chunks[np.searchsorted(chunks, switch)]
+        _far_fold(nu, a, t, y, blocks, starts, coef)  # first: its tables are freed before the fill's scratch fills
     buf = np.empty((min(_ROW_BLOCK, len(t)), len(y)))
     head = np.empty((len(t), n_head))
-    for i0 in range(0, len(t), _ROW_BLOCK):
+    for i0, end in zip(range(0, len(t), _ROW_BLOCK), starts):
         tb = t[i0 : i0 + _ROW_BLOCK]
-        rows = buf[: len(tb)]
+        rows = buf[: len(tb), :end]
         fill(tb, rows)
         head[i0 : i0 + len(tb)] = rows[:, :n_head]
         for j0, c0, b in blocks:
+            if j0 >= end:
+                break
             coef[i0 : i0 + len(tb), c0 : c0 + b.shape[1]] += rows[:, j0 : j0 + len(b)] @ b
     return head
 

@@ -226,7 +226,7 @@ FOLD_DIRECTIONS = ("log->spectral", "spectral->log", "irregular->spectral")
 
 
 @pytest.mark.parametrize("direction", FOLD_DIRECTIONS)
-@pytest.mark.parametrize("op", ("sin", "cos", -0.5, -0.3, 0.5, 1.0))
+@pytest.mark.parametrize("op", ("sin", "cos", -0.5, -0.3, 0.0, 0.5, 1.0, 1.5, 2.5))
 def test_folded_transform_matches_dense_reference(op, direction, monkeypatch):
     # the cached matrix on the operand's samples (kernel rule times the
     # spline's basis, solved against its collocation matrix, plus head
@@ -297,7 +297,51 @@ def test_hankel_minus_half_is_cosine_transform(bump_mid):
     sg = default_spectral_grid(256)
     h = hankel(-0.5, bump_mid, sg)
     fc = fourier_cosine(bump_mid, sg)
-    assert np.max(np.abs(h.values - fc.values)) < 1e-12
+    assert np.array_equal(h.values, fc.values)
+
+
+def test_hankel_minus_half_builds_without_bessel_kernel(monkeypatch):
+    # t^1/2 y^1/2 J_-1/2(t y) = sqrt(2/pi) cos(t y): F_(-1/2) is the cosine
+    # fold, so a build that fell back to the kernel table or to jv fails here
+    from betrans.beops import transforms
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a nu = -1/2 Hankel build evaluated the Bessel kernel")
+
+    monkeypatch.setattr(transforms, "jv", refuse)
+    monkeypatch.setattr(transforms, "_kernel_table", refuse)
+    monkeypatch.setattr(transforms, "_MATRIX_CACHE", {})
+    f = SampledFunction.from_callable(lambda y: np.exp(-y * y / 2), make_grid(512, (1e-3, 40.0)), DecayHint.exponential())
+    sg = default_spectral_grid(256)
+    h = hankel(-0.5, f, sg)
+    assert np.max(np.abs(h.values - np.exp(-sg.points**2 / 2))) < 1e-10
+    assert np.all(np.isfinite(hankel_inverse(-0.5, h, f.grid).values))
+
+
+@pytest.mark.parametrize("nu", (0.5, 1.5))
+def test_half_integer_hankel_folds_its_far_region(nu, monkeypatch):
+    # at nu + 1/2 an integer Hankel's expansion ends, and the chunks where
+    # it holds for every row are folded as the trig folds are: the dense
+    # fill evaluates the expansion only up to each row block's first such
+    # chunk, so a fallback to the per-entry fill fails here
+    from betrans.beops import transforms
+
+    far_rows = transforms._far_rows
+    entries = []
+
+    def counting_far_rows(*args):
+        entries.append(args[5].size)  # out
+        return far_rows(*args)
+
+    monkeypatch.setattr(transforms, "_far_rows", counting_far_rows)
+    monkeypatch.setattr(transforms, "_MATRIX_CACHE", {})
+    f = SampledFunction.from_callable(lambda y: np.exp(-y * y / 8.0), make_grid(512, (1e-3, 40.0)))
+    counts = []
+    for order in (0.0, nu):
+        entries.clear()
+        hankel(order, f, default_spectral_grid(256))
+        counts.append(sum(entries))
+    assert 0 < counts[1] < 0.25 * counts[0]  # 0.13 measured
 
 
 def test_hankel_small_negative_order(grid_mid):
