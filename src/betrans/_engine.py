@@ -3,11 +3,13 @@
 A plan discretises one operator on one grid as an n x n matrix on the
 operand's samples.  Its quadrature fixes, per output abscissa, nodes,
 weights and kernel values.  Inside the grid hull the operand at a node is
-its interpolating spline, linear in the samples (the knots are fixed), so
-the weighted node sums fold into one matrix, assembled once when the plan
-is built.  Applying the plan is a matrix-vector product plus the operand's
-head model at the few nodes below the hull; plans are cached per
-(operator, grid), and compositions stay cheap.
+numgrid's interpolating spline, linear in the samples (the knots are
+fixed), so the weighted node sums fold into one matrix, assembled once when
+the plan is built: the nodes' basis rows (numgrid.basis_rows), weighted and
+summed per output row, then solved against the spline's collocation matrix
+(numgrid.collocation_solve).  Applying the plan is a matrix-vector product
+plus the operand's head model at the few nodes below the hull; plans are
+cached per (operator, grid), and compositions stay cheap.
 
 Three plan geometries cover every operator in the package:
 
@@ -49,9 +51,18 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from .numgrid import Grid, SampledFunction, _gl_rule, _jacobi, deriv_extended, eval_extended, spline_knots
+from .numgrid import (
+    Grid,
+    SampledFunction,
+    _gl_rule,
+    _jacobi,
+    basis_rows,
+    collocation_solve,
+    deriv_extended,
+    eval_extended,
+    spline_knots,
+)
 
 N_GL_HEAD = 12
 N_JACOBI = 24
@@ -302,38 +313,6 @@ def _segmented_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return out
 
 
-def _basis_rows(knots: np.ndarray, k: int, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """B-splines of degree k on the knots at each s: the index of the first
-    of the k + 1 that can be nonzero there, and their values, shape
-    (k + 1, len(s)) (de Boor's triangular recurrence)."""
-    span = np.clip(np.searchsorted(knots, s, side="right") - 1, k, len(knots) - k - 2)
-    left = [s - knots[span + 1 - j] for j in range(1, k + 1)]
-    right = [knots[span + j] - s for j in range(1, k + 1)]
-    vals = np.empty((k + 1, len(s)))
-    vals[0] = 1.0
-    for j in range(1, k + 1):
-        saved = 0.0
-        for r in range(j):
-            temp = vals[r] / (right[r] + left[j - r - 1])
-            vals[r] = saved + right[r] * temp
-            saved = left[j - r - 1] * temp
-        vals[j] = saved
-    return span - k, vals
-
-
-def _collocation_solve(grid: Grid, knots: np.ndarray, k: int, coef: np.ndarray) -> np.ndarray:
-    """coef @ inv(A), A the (banded) collocation matrix of the grid's spline,
-    whose coefficients are inv(A) times the samples."""
-    n = grid.n
-    first, vals = _basis_rows(knots, k, grid.coord(grid.points))
-    rows = np.arange(n)[None, :]
-    cols = first[None, :] + np.arange(k + 1)[:, None]
-    lower, upper = int(np.max(cols - rows)), int(np.max(rows - cols))
-    band = np.zeros((lower + upper + 1, n))  # A^T in LAPACK band storage
-    band[upper + cols - rows, rows] = vals
-    return solve_banded((lower, upper), band, coef.T, overwrite_b=True, check_finite=False).T
-
-
 _ASSEMBLY_PAIRS = 1 << 14  # (row, node) pairs accumulated per block
 
 
@@ -358,11 +337,11 @@ def _assemble(grid: Grid, nodes, node_id, offsets, kw, use_deriv: bool, coef0=No
     inside = (nodes >= a) & (nodes <= b)
     t_in = nodes[inside]
     if use_deriv:
-        first, vals = _basis_rows(knots[1:-1], k - 1, grid.coord(t_in))
+        first, vals = basis_rows(knots[1:-1], k - 1, grid.coord(t_in))
         if grid.spacing == "log":
             vals /= t_in
     else:
-        first, vals = _basis_rows(knots, k, grid.coord(t_in))
+        first, vals = basis_rows(knots, k, grid.coord(t_in))
     ncol = len(knots) - k - 1 - int(use_deriv)
     in_index = np.cumsum(inside) - 1
     head_index = np.cumsum(below) - 1
@@ -398,7 +377,7 @@ def _assemble(grid: Grid, nodes, node_id, offsets, kw, use_deriv: bool, coef0=No
         coef = np.zeros((n, ncol + 1))
         coef[:, 1:] += scaled
         coef[:, :-1] -= scaled
-    return _collocation_solve(grid, knots, k, coef), head_t, head_matrix
+    return collocation_solve(grid, coef, "right"), head_t, head_matrix
 
 
 class KernelPlan:
@@ -748,7 +727,7 @@ def _stamps(grid, tm, kw_t, body_slots, nodes, stride, n_gl):
     knots, k = spline_knots(grid)
     own = [(rows, np.arange(s0, s0 + count)) for rows, s0, count in tm.own_stamps if len(rows) and count]
     slots = np.concatenate([body_slots] + [s for _, s in own]).astype(int)
-    first, vals = _basis_rows(knots, k, grid.coord(nodes[tm.rep_node[slots]]))
+    first, vals = basis_rows(knots, k, grid.coord(nodes[tm.rep_node[slots]]))
     rep_row = tm.rep_row[slots]
     nb = len(body_slots)
     # body stamps, one per d = g - i, overlap-added one column at a time

@@ -57,17 +57,19 @@ and P = F_nu^{-1} phi F_{s|c} act through a linear spectral grid.
 
 from __future__ import annotations
 
+import functools
 import warnings
 
 import numpy as np
 from scipy.special import jv, rgamma
 
-from .._engine import _basis_rows, _collocation_solve
 from ..numgrid import (
     Grid,
     GridError,
     SampledFunction,
     _uniform_weights,
+    basis_rows,
+    collocation_solve,
     eval_extended,
     grid_key,
     head_model,
@@ -102,8 +104,11 @@ _TABLE_TERMS = 8  # Taylor terms past the constant at each node
 _MATRIX_CACHE: dict = {}
 
 
+@functools.cache
 def default_spectral_grid(n: int = 2048, t_max: float = 60.0) -> Grid:
-    """Linear grid on (t_max/n, t_max) used as the transform-side abscissa."""
+    """Linear grid on (t_max/n, t_max) used as the transform-side abscissa;
+    one object per (n, t_max), so the LU factors of its spline's collocation
+    matrix are computed once."""
     return make_grid(n, (t_max / n, t_max), "linear")
 
 
@@ -214,7 +219,7 @@ def _basis_blocks(grid: Grid, y: np.ndarray, w: np.ndarray, n_head: int):
     j0:j0 + len(b) times b add to columns c0:c0 + b.shape[1] of T B.
     """
     knots, k = spline_knots(grid)
-    first, vals = _basis_rows(knots, k, grid.coord(y[n_head:]))
+    first, vals = basis_rows(knots, k, grid.coord(y[n_head:]))
     vals *= w[n_head:]
     blocks = []
     for j in range(0, len(first), _CHUNK):
@@ -276,7 +281,7 @@ def _transform_values(op, f: SampledFunction, t: np.ndarray) -> np.ndarray:
         coef = np.zeros((len(t), len(knots) - k - 1))
         fold = _trig_fold if isinstance(op, str) else _hankel_fold
         head = fold(op, t, y, n_head, blocks, coef) * w[:n_head]
-        _MATRIX_CACHE[key] = np.hstack([_collocation_solve(grid, knots, k, coef), head])
+        _MATRIX_CACHE[key] = np.hstack([collocation_solve(grid, coef, "right"), head])
     mat = _MATRIX_CACHE[key]
     n = grid.n
     return mat[:, :n] @ f.values + mat[:, n:] @ eval_extended(f, y[: mat.shape[1] - n])

@@ -2,24 +2,32 @@
 
 Grids are log- or linearly-spaced with end-corrected trapezoidal weights
 (Euler-Maclaurin corrections through h^6, giving ~8th order on smooth
-integrands).  Sampled functions carry a quintic spline in the grid's
-natural coordinate for off-grid evaluation, a head model that continues
-them below the grid hull, and a decay hint used for norm tail estimates.
+integrands).  Sampled functions carry a head model that continues them
+below the grid hull and a decay hint used for norm tail estimates.
 quad_singular handles endpoint power singularities (Gauss-Jacobi) and
 interior principal values (symmetric excision with epsilon-ladder
 extrapolation).
+
+The package's one interpolating spline lives here: its knots
+(spline_knots), its B-spline basis rows at any points (basis_rows) and the
+banded solve against its collocation matrix (collocation_solve; each grid
+keeps the LU factors of that matrix).  The plans and the spectral
+transforms fold basis rows through the solve into matrices on the samples;
+a sampled function evaluates the spline off the grid by Horner's rule from
+its Taylor terms at each knot interval's left end (taylor_terms).
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Literal, Optional
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.special import roots_jacobi, roots_legendre
 
 __all__ = [
@@ -158,6 +166,13 @@ class Grid:
         """The grid's natural coordinate (log x on log grids)."""
         return np.log(x) if self.spacing == "log" else np.asarray(x, dtype=float)
 
+    @functools.cached_property
+    def _collocation_lu(self) -> tuple[int, int, np.ndarray, np.ndarray]:
+        """(lower, upper, lu, piv): LAPACK's banded LU factors of the
+        collocation matrix of the grid's spline (see collocation_solve),
+        computed once per grid."""
+        return _collocation_factors(self, False)
+
     def interior_mask(self, fraction: float = 0.6) -> np.ndarray:
         """Mask selecting the central `fraction` of the hull in grid coordinate."""
         s = self.coord(self.points)
@@ -210,6 +225,101 @@ def spline_knots(grid: Grid) -> tuple[np.ndarray, int]:
     return np.concatenate([np.full(k + 1, s[0]), s[half:-half], np.full(k + 1, s[-1])]), k
 
 
+def _basis_levels(knots: np.ndarray, k: int, s: np.ndarray):
+    """Yields (first, vals) after each level j = 0, ..., k of de Boor's
+    triangular recurrence at each s: vals, shape (j + 1, len(s)), are the
+    B-splines of degree j on the knots that can be nonzero there, from
+    index first on (the same index at every level, and the same rows as the
+    degree j splines on knots[k - j : len(knots) - k + j]).  The levels
+    share one buffer.  The recurrence is the one scipy's BSpline evaluates,
+    so the rows are its design matrix's to the bit."""
+    span = np.clip(np.searchsorted(knots, s, side="right") - 1, k, len(knots) - k - 2)
+    first = span - k
+    step = np.arange(1, k + 1)[:, None]
+    left = s - knots[span + 1 - step]  # left[j - 1] = s - knots[span + 1 - j]
+    right = knots[span + step] - s  # right[j - 1] = knots[span + j] - s
+    vals = np.empty((k + 1, len(s)))
+    vals[0] = 1.0
+    yield first, vals[:1]
+    temp = np.empty(len(s))
+    for j in range(1, k + 1):
+        width = knots[j:] - knots[:-j]  # width[i] = knots[i + j] - knots[i]
+        saved = 0.0
+        for r in range(j):  # row by row: each pass stays in cache on long s
+            np.divide(vals[r], width.take(span + (r + 1 - j)), out=temp)
+            np.multiply(right[r], temp, out=vals[r])
+            vals[r] += saved
+            saved = left[j - r - 1] * temp
+        vals[j] = saved
+        yield first, vals[: j + 1]
+
+
+def basis_rows(knots: np.ndarray, k: int, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """B-splines of degree k on the knots at each s: the index of the first
+    of the k + 1 that can be nonzero there, and their values, shape
+    (k + 1, len(s))."""
+    *_, last = _basis_levels(knots, k, s)
+    return last
+
+
+def _collocation_factors(grid: Grid, transpose: bool) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """(lower, upper, lu, piv): LAPACK's banded LU factors of A, the
+    collocation matrix of grid's spline (row i: the basis at grid point
+    i), or of its transpose."""
+    knots, k = spline_knots(grid)
+    first, vals = basis_rows(knots, k, grid.coord(grid.points))
+    rows = np.broadcast_to(np.arange(grid.n), vals.shape)
+    cols = first + np.arange(k + 1)[:, None]
+    if transpose:
+        rows, cols = cols, rows
+    lower, upper = int(np.max(rows - cols)), int(np.max(cols - rows))
+    band = np.zeros((2 * lower + upper + 1, grid.n), order="F")  # the top rows hold the LU's fill-in
+    band[lower + upper + rows - cols, cols] = vals
+    lu, piv, info = dgbtrf(band, lower, upper, overwrite_ab=True)
+    if info:
+        raise GridError("the grid's spline collocation matrix is singular")
+    return lower, upper, lu, piv
+
+
+def collocation_solve(grid: Grid, rhs: np.ndarray, side: Literal["left", "right"]) -> np.ndarray:
+    """inv(A) @ rhs for side "left" (a function's spline coefficients from
+    its samples, with the grid's LU factors of A), rhs @ inv(A) for side
+    "right" (a plan's or transform's matrix on the samples from its rows on
+    the coefficients; rhs is overwritten), A the collocation matrix of
+    grid's spline."""
+    if side == "left":
+        lower, upper, lu, piv = grid._collocation_lu
+        return dgbtrs(lu, lower, upper, rhs, piv)[0]
+    lower, upper, lu, piv = _collocation_factors(grid, True)  # rhs @ inv(A) = (inv(A^T) rhs^T)^T
+    return dgbtrs(lu, lower, upper, rhs.T, piv, overwrite_b=True)[0].T
+
+
+def taylor_terms(grid: Grid, values: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """P[m, i] = (d/ds)^m f(ends[i]) / m!, m = 0, ..., k, for the spline f
+    through the samples values on grid, at knots ends (in the grid
+    coordinate s; at a knot the terms are those of the interval to its
+    right).
+
+    The m-th derivative is the B-spline of degree k - m whose coefficients
+    come from the (m-1)-th's by differences (scipy's splder: diff(c) k / dt),
+    evaluated as scipy's BSpline evaluates it: f, f' and f'' are its
+    derivatives' to the bit.
+    """
+    knots, k = spline_knots(grid)
+    coef = [collocation_solve(grid, values, "left")]
+    for m in range(1, k + 1):
+        deg, t = k - m, knots[m : len(knots) - m]
+        coef.append(np.diff(coef[-1]) * (deg + 1) / (t[deg + 1 :] - t[: -deg - 1]))
+    table = np.empty((k + 1, len(ends)))
+    for first, vals in _basis_levels(knots, k, ends):
+        m = k + 1 - len(vals)
+        acc = coef[m][first] * vals[0]
+        for o in range(1, len(vals)):
+            acc += coef[m][first + o] * vals[o]
+        table[m] = acc / math.factorial(m)
+    return table
+
+
 @dataclass(frozen=True)
 class DecayHint:
     kind: Literal["compact_support", "exponential", "power"]
@@ -242,43 +352,51 @@ class SampledFunction:
         self.grid = grid
         self.values = values
         self.decay_hint = decay_hint
-        self._spline = None
-        self._dspline = None
+        self._table = None  # the spline's Taylor table, see _taylor_table
         self._head = None  # head-model coefficients, see head_model
 
     @classmethod
     def from_callable(cls, fn: Callable, grid: Grid, decay_hint: Optional[DecayHint] = None):
         return cls(grid, np.asarray(fn(grid.points), dtype=float), decay_hint)
 
-    def _ensure_spline(self):
-        if self._spline is None:
-            knots, k = spline_knots(self.grid)
-            self._spline = make_interp_spline(self.grid.coord(self.grid.points), self.values, k=k, t=knots)
-            self._dspline = self._spline.derivative()
+    def _taylor_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ends, P): the left ends of the spline's knot intervals and its
+        Taylor terms there (taylor_terms), so that on interval i the spline
+        is sum_m P[m, i] (s - ends[i])^m in the grid coordinate s."""
+        if self._table is None:
+            ends = np.unique(spline_knots(self.grid)[0])[:-1]
+            self._table = ends, taylor_terms(self.grid, self.values, ends)
+        return self._table
+
+    def _in_hull(self, x, deriv: bool) -> np.ndarray:
+        """The spline (deriv: its derivative df/dx) at x, by Horner on the
+        Taylor table; zero outside the grid hull."""
+        x = np.asarray(x, dtype=float)
+        a, b = self.grid.hull
+        inside = (x >= a) & (x <= b)
+        out = np.zeros_like(x, dtype=float)
+        if np.any(inside):
+            ends, table = self._taylor_table()
+            xi = x[inside]
+            s = self.grid.coord(xi)
+            i = np.searchsorted(ends[1:], s, side="right")  # the interval, 0 to len(ends) - 1
+            h = s - ends[i]
+            p = table[:, i]
+            if deriv:
+                p = p[1:] * np.arange(1.0, len(p))[:, None]
+            acc = p[-1]
+            for c in p[-2::-1]:
+                acc = acc * h + c
+            out[inside] = acc / xi if deriv and self.grid.spacing == "log" else acc
+        return out
 
     def __call__(self, x):
         """Interpolated values; zero outside the grid hull."""
-        x = np.asarray(x, dtype=float)
-        a, b = self.grid.hull
-        inside = (x >= a) & (x <= b)
-        out = np.zeros_like(x, dtype=float)
-        if np.any(inside):
-            self._ensure_spline()
-            out[inside] = self._spline(self.grid.coord(x[inside]))
-        return out
+        return self._in_hull(x, False)
 
     def deriv(self, x):
         """Interpolated first derivative df/dx; zero outside the hull."""
-        x = np.asarray(x, dtype=float)
-        a, b = self.grid.hull
-        inside = (x >= a) & (x <= b)
-        out = np.zeros_like(x, dtype=float)
-        if np.any(inside):
-            self._ensure_spline()
-            xi = x[inside]
-            ds = self._dspline(self.grid.coord(xi))
-            out[inside] = ds / xi if self.grid.spacing == "log" else ds
-        return out
+        return self._in_hull(x, True)
 
     _KEEP_HINT = object()
 
@@ -368,11 +486,8 @@ def _taylor_head(f: SampledFunction) -> np.ndarray:
         c, *_ = np.linalg.lstsq(np.stack([np.ones_like(dt), dt, dt * dt], axis=1), f.values[:k], rcond=None)
         v0, fp, fpp = c[0], c[1], 2.0 * c[2]
     else:
-        f._ensure_spline()
-        sa = f.grid.coord(np.array([a]))
-        v0 = f._spline(sa)[0]
-        d1 = f._dspline(sa)[0]
-        d2 = f._spline.derivative(2)(sa)[0]
+        v0, d1, half_d2 = taylor_terms(f.grid, f.values, f.grid.coord(x[:1]))[:3, 0]  # the table's first column
+        d2 = 2.0 * half_d2
         fp, fpp = (d1 / a, (d2 - d1) / (a * a)) if f.grid.spacing == "log" else (d1, d2)
     # v0 + fp (t - a) + fpp (t - a)^2 / 2 in powers of u = t / a
     return np.array([v0 - fp * a + 0.5 * fpp * a * a, 0.0, (fp - fpp * a) * a, 0.0, 0.5 * fpp * a * a, 0.0])

@@ -8,6 +8,9 @@ are skipped, since their imports are the package's re-exports.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -89,9 +92,11 @@ def test_core_module_does_not_import_the_harness(path):
     assert not imports_harness(path.read_text(encoding="utf-8"), _package_of(path))
 
 
-# SampledFunction's interpolating spline and cached head model: numgrid owns
-# them, and every other layer goes through its functions
-SAMPLED_PRIVATE = {"_spline", "_dspline", "_ensure_spline", "_head"}
+# SampledFunction's spline table and cached head model, and the grid's
+# collocation factors: numgrid owns them, and every other layer goes through
+# its functions (the first three names are those of an earlier scipy-backed
+# spline, kept so that it does not come back)
+SAMPLED_PRIVATE = {"_spline", "_dspline", "_ensure_spline", "_head", "_table", "_taylor_table", "_in_hull", "_collocation_lu"}
 
 
 def private_reads(source: str) -> list[str]:
@@ -139,3 +144,43 @@ SPECFUN_MODULES = sorted((PACKAGE / "specfun").glob("*.py"))
 @pytest.mark.parametrize("path", SPECFUN_MODULES, ids=[str(p.relative_to(PACKAGE)) for p in SPECFUN_MODULES])
 def test_specfun_imports_only_numpy_scipy_and_specfun(path):
     assert imports_outside_specfun(path.read_text(encoding="utf-8"), _package_of(path)) == []
+
+
+# numgrid owns the one interpolating spline: no module builds one with
+# scipy.interpolate, and only numgrid solves against its banded collocation
+# matrix
+BANDED_SOLVERS = {"solve_banded", "solveh_banded", "gbsv", "dgbsv", "gbtrf", "dgbtrf", "gbtrs", "dgbtrs"}
+
+
+def imports_spline_builder(source: str, package: tuple[str, ...]) -> bool:
+    return any(name.split(".")[:2] == ["scipy", "interpolate"] for name in imported_modules(source, package))
+
+
+def imports_banded_solver(source: str, package: tuple[str, ...]) -> bool:
+    return any(name.split(".")[-1] in BANDED_SOLVERS for name in imported_modules(source, package))
+
+
+def test_spline_scans_find_their_imports():
+    assert imports_spline_builder("from scipy.interpolate import make_interp_spline\n", ("betrans",))
+    assert imports_spline_builder("import scipy.interpolate as si\n", ("betrans",))
+    assert not imports_spline_builder("from scipy.special import jv\n", ("betrans",))
+    assert imports_banded_solver("from scipy.linalg import solve_banded\n", ("betrans",))
+    assert imports_banded_solver("from scipy.linalg.lapack import dgbtrf, dgbtrs\n", ("betrans",))
+    assert not imports_banded_solver("from ..numgrid import collocation_solve\n", ("betrans", "beops"))
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[str(p.relative_to(PACKAGE)) for p in ALL_MODULES])
+def test_no_module_imports_scipy_interpolate(path):
+    assert not imports_spline_builder(path.read_text(encoding="utf-8"), _package_of(path))
+
+
+@pytest.mark.parametrize("path", OUTSIDE_NUMGRID, ids=[str(p.relative_to(PACKAGE)) for p in OUTSIDE_NUMGRID])
+def test_only_numgrid_imports_a_banded_solver(path):
+    assert not imports_banded_solver(path.read_text(encoding="utf-8"), _package_of(path))
+
+
+def test_cli_import_does_not_load_scipy_interpolate():
+    code = "import sys, betrans.cli; print('scipy.interpolate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"

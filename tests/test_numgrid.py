@@ -298,3 +298,115 @@ def test_head_model_matches_its_two_branch_form(gname, operand):
         got, ref = fn(f, nodes), _two_branch_head(f, nodes, deriv)
         assert np.all(np.isfinite(got))
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+# ----------------------------------------------------------------------
+# the one spline: numgrid's basis rows, collocation solve and Taylor table
+# against scipy's B-splines as the reference
+# ----------------------------------------------------------------------
+
+
+def _spline_grids():
+    return {**_head_grids(), "log512": make_grid(512, (1e-4, 1e2))}
+
+
+SPLINE_GRIDS = list(_spline_grids())
+
+
+def _scipy_spline(f):
+    from scipy.interpolate import make_interp_spline
+
+    from betrans.numgrid import spline_knots
+
+    knots, k = spline_knots(f.grid)
+    return make_interp_spline(f.grid.coord(f.grid.points), f.values, k=k, t=knots)
+
+
+def _random_coords(grid, n, seed):
+    """n random points of the hull in the grid coordinate, its ends included."""
+    s = grid.coord(grid.points)
+    rng = np.random.default_rng(seed)
+    return np.concatenate([[s[0], s[-1]], np.sort(rng.uniform(s[0], s[-1], n))])
+
+
+@pytest.mark.parametrize("gname", SPLINE_GRIDS)
+def test_basis_rows_equal_scipy_design_matrix(gname):
+    from scipy.interpolate import BSpline
+
+    from betrans.numgrid import basis_rows, spline_knots
+
+    grid = _spline_grids()[gname]
+    knots, k = spline_knots(grid)
+    for s in (grid.coord(grid.points), _random_coords(grid, 2000, 3)):
+        # degree k, and degree k - 1 on the inner knots (the rows of f')
+        for deg, t in ((k, knots), (k - 1, knots[1:-1])):
+            first, vals = basis_rows(t, deg, s)
+            rows = np.zeros((len(s), len(t) - deg - 1))
+            rows[np.arange(len(s)), first + np.arange(deg + 1)[:, None]] = vals
+            assert np.array_equal(rows, BSpline.design_matrix(s, t, deg).toarray())
+
+
+@pytest.mark.parametrize("operand", list(HEAD_OPERANDS))
+@pytest.mark.parametrize("gname", SPLINE_GRIDS)
+def test_spline_coefficients_equal_make_interp_spline(gname, operand):
+    from betrans.numgrid import collocation_solve
+
+    f = SampledFunction.from_callable(HEAD_OPERANDS[operand], _spline_grids()[gname])
+    values = f.values.copy()
+    assert np.array_equal(collocation_solve(f.grid, f.values, "left"), _scipy_spline(f).c)
+    assert np.array_equal(f.values, values)  # the left solve leaves the samples alone
+
+
+def _de_boor_extended(knots, k, c, s):
+    """The B-spline sum c . B(s) by de Boor's algorithm in extended precision."""
+    t, x, c = (np.asarray(v, dtype=np.longdouble) for v in (knots, s, c))
+    span = np.clip(np.searchsorted(knots, s, side="right") - 1, k, len(knots) - k - 2)
+    d = [c[span - k + j] for j in range(k + 1)]
+    for r in range(1, k + 1):
+        for j in range(k, r - 1, -1):
+            a = (x - t[span - k + j]) / (t[span + 1 + j - r] - t[span - k + j])
+            d[j] = (1 - a) * d[j - 1] + a * d[j]
+    return d[k]
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended-precision long double")
+@pytest.mark.parametrize("operand", list(HEAD_OPERANDS))
+@pytest.mark.parametrize("gname", SPLINE_GRIDS)
+def test_sampled_function_evaluates_its_spline(gname, operand):
+    """f and f' between samples, against scipy's spline (its coefficients)
+    evaluated in extended precision: scipy's own double evaluation is off
+    by up to 9e-16 of max|f| at such points, so a comparison with it would
+    measure the two roundings together."""
+    from betrans.numgrid import spline_knots, taylor_terms
+
+    grid = _spline_grids()[gname]
+    f = SampledFunction.from_callable(HEAD_OPERANDS[operand], grid)
+    spline = _scipy_spline(f)
+    knots, k = spline_knots(grid)
+    s = _random_coords(grid, 20000, 5)
+    x = np.exp(s) if grid.spacing == "log" else s
+    sx = grid.coord(x)
+    ref = _de_boor_extended(knots, k, spline.c, sx)
+    c = np.asarray(spline.c, dtype=np.longdouble)
+    dc = np.diff(c) * k / (knots[k + 1 : -1] - knots[1 : -k - 1]).astype(np.longdouble)
+    dref = _de_boor_extended(knots[1:-1], k - 1, dc, sx)
+    if grid.spacing == "log":
+        dref = dref / x
+    assert np.max(np.abs(f(x) - ref)) <= 1e-15 * np.max(np.abs(ref))
+    assert np.max(np.abs(f.deriv(x) - dref)) <= 1e-15 * np.max(np.abs(dref))
+    # at the hull edge the head model's coarse-grid fallback reads f, f' and
+    # f'' from the spline's Taylor terms: scipy's derivatives to the bit
+    sa = grid.coord(grid.points[:1])
+    edge = [spline.derivative(m)(sa)[0] for m in range(3)]
+    for terms in (taylor_terms(grid, f.values, sa)[:3, 0], f._taylor_table()[1][:3, 0]):
+        assert [terms[0], terms[1], 2.0 * terms[2]] == edge
+
+
+def test_grid_factors_its_collocation_matrix_once():
+    from betrans.numgrid import collocation_solve
+
+    grid = make_grid(64, (0.1, 10.0), "linear")
+    factors = grid._collocation_lu
+    SampledFunction.from_callable(np.sin, grid)(np.array([1.234]))
+    assert grid._collocation_lu is factors
+    assert np.allclose(collocation_solve(grid, np.ones(64), "left"), 1.0)  # the B-splines sum to one
