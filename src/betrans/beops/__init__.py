@@ -38,21 +38,9 @@ __all__ = [
     "weight_function",
 ]
 
-_DISPATCH = {
-    "first_kind": apply_first_kind,
-    "zero_order": apply_zero_order,
-    "second_kind": apply_second_kind,
-    "second_kind_2param": apply_second_kind_2param,
-    "katrakhov": apply_katrakhov,
-    "weighted_third": apply_weighted_third,
-}
-
 
 def apply(spec: OperatorSpec, f: SampledFunction, **kwargs) -> SampledFunction:
-    """Apply any Buschman-Erdelyi-family operator described by spec."""
-    if spec.family in _DISPATCH:
-        return _DISPATCH[spec.family](spec, f, **kwargs)
-    # classical operators live in betrans.classicops; route through its dispatch
-    from .. import classicops
+    """Apply the operator described by spec, through its catalog row."""
+    from ..catalog import BY_NAME
 
-    return classicops.apply_classic(spec, f, **kwargs)
+    return BY_NAME[spec.family].apply(spec, f, **kwargs)

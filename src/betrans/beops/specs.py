@@ -3,6 +3,10 @@
 Grammar: ``family:variant[:nu=<r>][:mu=<r>][:phi=<name>][:trig=sin|cos]``,
 e.g. ``zero:S0+:nu=1`` or ``third:S:nu=0.5:phi=one:trig=sin``.  Families
 without parameters (``stieltjes``) may omit everything after the name.
+
+This module owns the grammar and the rule each parameter must meet; which
+families exist, their tokens, variants and required parameters are read
+from the operator catalog (betrans.catalog).
 """
 
 from __future__ import annotations
@@ -17,43 +21,12 @@ class OperatorSpecError(ValueError):
     pass
 
 
-_FAMILY_TOKENS = {
-    "first": "first_kind",
-    "zero": "zero_order",
-    "second": "second_kind",
-    "second2": "second_kind_2param",
-    "kat": "katrakhov",
-    "third": "weighted_third",
-    "spd": "spd",
-    "hardy": "hardy",
-    "hardy1": "hardy_shifted",
-    "uhardy": "unitary_hardy",
-    "stieltjes": "stieltjes",
-}
-_TOKEN_OF_FAMILY = {v: k for k, v in _FAMILY_TOKENS.items()}
-
-_VARIANTS = {
-    "first_kind": {"B0+", "E0+", "B-", "E-"},
-    "zero_order": {"S0+", "P0+", "S-", "P-"},
-    "second_kind": {"S", "P"},
-    "second_kind_2param": {"S"},
-    "katrakhov": {"S", "P"},
-    "weighted_third": {"S", "P"},
-    "spd": {"S", "P"},
-    "hardy": {"H1", "H2"},
-    "hardy_shifted": {"H1", "H2"},
-    "unitary_hardy": {f"U{k}" for k in range(3, 11)},
-    "stieltjes": {""},
-}
-
-_NEEDS_NU = {
-    "first_kind",
-    "zero_order",
-    "second_kind",
-    "second_kind_2param",
-    "katrakhov",
-    "weighted_third",
-    "spd",
+# required parameter -> (test its value passes, message naming the family)
+_PARAM_RULES = {
+    "nu": (lambda v: v is not None, "family {!r} requires nu"),
+    "mu": (lambda v: v is not None, "family {!r} requires mu"),
+    "trig": (lambda v: v in ("sin", "cos"), "{} requires trig=sin|cos"),
+    "phi": (bool, "{} requires a phi name"),
 }
 
 
@@ -69,24 +42,21 @@ class OperatorSpec:
     trig: Optional[str] = None
 
     def __post_init__(self):
-        if self.family not in _VARIANTS:
+        from ..catalog import BY_NAME
+
+        row = BY_NAME.get(self.family)
+        if row is None:
             raise OperatorSpecError(f"unknown family {self.family!r}")
-        if self.variant not in _VARIANTS[self.family]:
+        if self.variant not in row.variants:
             raise OperatorSpecError(
                 f"variant {self.variant!r} not valid for family {self.family!r}"
             )
-        if self.family in _NEEDS_NU and self.nu is None:
-            raise OperatorSpecError(f"family {self.family!r} requires nu")
-        if self.family in ("first_kind", "second_kind_2param"):
-            if self.mu is None:
-                raise OperatorSpecError(f"family {self.family!r} requires mu")
-            if self.family == "first_kind" and self.mu >= 1.0:
-                raise OperatorSpecError("first_kind requires mu < 1")
-        if self.family == "weighted_third":
-            if self.trig not in ("sin", "cos"):
-                raise OperatorSpecError("weighted_third requires trig=sin|cos")
-            if not self.phi:
-                raise OperatorSpecError("weighted_third requires a phi name")
+        for name in row.params:
+            valid, message = _PARAM_RULES[name]
+            if not valid(getattr(self, name)):
+                raise OperatorSpecError(message.format(self.family))
+        if row.validate is not None:
+            row.validate(self)
 
     @property
     def label(self) -> str:
@@ -94,13 +64,15 @@ class OperatorSpec:
 
 
 def parse_operator(text: str) -> OperatorSpec:
+    from ..catalog import BY_TOKEN
+
     parts = [p for p in text.strip().split(":") if p != ""]
     if not parts:
         raise OperatorSpecError("empty operator string")
     token = parts[0].lower()
-    if token not in _FAMILY_TOKENS:
+    if token not in BY_TOKEN:
         raise OperatorSpecError(f"unknown operator family token {parts[0]!r}")
-    family = _FAMILY_TOKENS[token]
+    family = BY_TOKEN[token].name
     variant = ""
     kwargs: dict = {}
     for part in parts[1:]:
@@ -124,7 +96,9 @@ def parse_operator(text: str) -> OperatorSpec:
 
 
 def format_operator(spec: OperatorSpec) -> str:
-    parts = [_TOKEN_OF_FAMILY[spec.family]]
+    from ..catalog import BY_NAME
+
+    parts = [BY_NAME[spec.family].token]
     if spec.variant:
         parts.append(spec.variant)
     if spec.nu is not None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._engine import build_lower_plan, build_upper_plan
-from .beops.specs import OperatorSpec, OperatorSpecError
+from .beops.specs import OperatorSpec
 from .beops.zero_order import _plan, apply_zero_order
 from .numgrid import DecayHint, SampledFunction, grid_key
 from .specfun import gamma_complex
@@ -19,14 +19,13 @@ from .specfun import gamma_complex
 __all__ = [
     "spd_poisson",
     "spd_sonine",
-    "SPD_INVERSE_CONSTANT",
+    "spd_inverse_constant",
     "hardy",
     "hardy_shifted",
     "unitary_u",
     "stieltjes",
     "lift_sonine",
     "lift_poisson",
-    "apply_classic",
 ]
 
 
@@ -90,9 +89,6 @@ def spd_inverse_constant(nu: float) -> float:
     return float(
         np.real(gamma_complex(complex(nu + 0.5)) / (np.sqrt(2.0) * gamma_complex(complex(nu + 1.0))))
     )
-
-
-SPD_INVERSE_CONSTANT = spd_inverse_constant
 
 
 def hardy(which: str, f: SampledFunction) -> SampledFunction:
@@ -176,18 +172,3 @@ def lift_poisson(nu: float, f: SampledFunction, base_variant: str = "P-") -> Sam
     """Degree-shift lift: P_nu = (multiply by x^-(nu+1/2)) o Y_(nu-1/2)."""
     out = apply_zero_order(OperatorSpec("zero_order", base_variant, nu=nu - 0.5), f)
     return out.with_values(out.values * f.grid.points ** (-(nu + 0.5)))
-
-
-def apply_classic(spec: OperatorSpec, f: SampledFunction, **kwargs) -> SampledFunction:
-    if spec.family == "spd":
-        nu = float(np.real(spec.nu))
-        return spd_poisson(nu, f) if spec.variant == "P" else spd_sonine(nu, f)
-    if spec.family == "hardy":
-        return hardy(spec.variant, f)
-    if spec.family == "hardy_shifted":
-        return hardy_shifted(spec.variant, f)
-    if spec.family == "unitary_hardy":
-        return unitary_u(int(spec.variant[1:]), f)
-    if spec.family == "stieltjes":
-        return stieltjes(f)
-    raise OperatorSpecError(f"no classical dispatch for family {spec.family!r}")

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import mellin
 from .beops import OperatorSpecError, apply, parse_operator
+from .catalog import FAMILIES
 from .numgrid import GridError, make_grid, read_csv, write_csv
 from .specfun import DomainError, GammaPoleError, SingularityError
 from .testfuncs import SUITE, suite_on_grid
@@ -33,32 +34,6 @@ _MATH_ERRORS = (
     ValueError,
     ZeroDivisionError,
 )
-
-# operator families surfaced by `list`: template, description, witness checks
-_LISTING = [
-    ("first:B0+:nu=<r>:mu=<r>", "first-kind lower operator, Legendre-P kernel", ["fact[thm1_a;nu=1,mu=0]", "first_kind_reductions"]),
-    ("first:E0+:nu=<r>:mu=<r>", "first-kind lower operator, on-cut kernel", ["fact[thm1_c;nu=1,mu=0]", "fact[thm4_b;nu=0,mu=-1]"]),
-    ("first:B-:nu=<r>:mu=<r>", "first-kind upper operator", ["fact[thm1_b;nu=1,mu=0]"]),
-    ("first:E-:nu=<r>:mu=<r>", "first-kind upper operator, on-cut kernel", ["fact[thm1_d;nu=1,mu=0]", "fact[thm4_d;nu=0,mu=-1]"]),
-    ("zero:S0+:nu=<r>", "zero-order-smoothness Sonine form (lower)", ["unitarity[zero_order;nu=1]", "mult_primary[nu=1]", "funceq[zero:S0+;nu=1]"]),
-    ("zero:P0+:nu=<r>", "zero-order-smoothness Poisson form (lower)", ["hardy_identities", "mult_consistency[zero_order;nu=0.3]"]),
-    ("zero:S-:nu=<r>", "zero-order-smoothness Sonine form (upper)", ["hardy_identities", "intertwine[zero:S-;nu=0.5]"]),
-    ("zero:P-:nu=<r>", "zero-order-smoothness Poisson form (upper)", ["unitarity[zero_order;nu=1]", "seminorm[alpha=2]"]),
-    ("second:S:nu=<r>", "second-kind operator, Legendre-Q kernel, principal value", ["second_kind_degeneration", "mult_consistency[second_kind;nu=0.3]"]),
-    ("second:P:nu=<r>", "second-kind mirrored operator", ["mult_consistency[second_kind;nu=0.3]", "katrakhov_unitarity"]),
-    ("second2:S:nu=<r>:mu=1", "two-parameter second-kind operator (unit order)", ["second_kind_2param"]),
-    ("kat:S:nu=<r>", "unitary third-kind Sonine combination", ["katrakhov_unitarity", "intertwine[kat:S;nu=0.5]"]),
-    ("kat:P:nu=<r>", "unitary third-kind Poisson combination", ["katrakhov_unitarity"]),
-    ("third:S:nu=<r>:phi=<name>:trig=sin|cos", "weighted third kind via transform composition", ["weighted_third_inverse", "intertwine[weighted_third;nu=0.5]"]),
-    ("third:P:nu=<r>:phi=<name>:trig=sin|cos", "weighted third kind, inverse direction", ["weighted_third_inverse"]),
-    ("spd:S:nu=<r>", "classical Sonine transmutation", ["intertwine[spd:S;nu=0.25]", "spd_identities"]),
-    ("spd:P:nu=<r>", "classical Poisson transmutation", ["intertwine[spd:P;nu=0.25]", "spd_poisson_bessel"]),
-    ("hardy:H1 / hardy:H2", "Hardy averages", ["hardy_identities"]),
-    ("hardy1:H1 / hardy1:H2", "shifted (unitary) Hardy operators", ["hardy_shifted_unitarity", "hardy_shifted_intertwining"]),
-    ("uhardy:U3 .. uhardy:U10", "elementary unitary Hardy-type operators", ["unitary_hardy_suite"]),
-    ("stieltjes", "Stieltjes transform", ["stieltjes_value", "mult_consistency[stieltjes]", "funceq[stieltjes-composed]"]),
-]
-
 
 def _default_grid_n() -> int:
     return int(os.environ.get("BETRANS_GRID_N", "512"))
@@ -174,10 +149,11 @@ def _cmd_copson(args) -> int:
 
 
 def _cmd_list(args) -> int:
-    for template, desc, witnesses in _LISTING:
-        missing = [w for w in witnesses if w not in REGISTRY]
-        mark = "" if not missing else f"  [missing checks: {missing}]"
-        print(f"{template:<42s} {desc}; verified by: {', '.join(witnesses)}{mark}")
+    for row in FAMILIES:
+        for template, desc, witnesses in row.listing:
+            missing = [w for w in witnesses if w not in REGISTRY]
+            mark = "" if not missing else f"  [missing checks: {missing}]"
+            print(f"{template:<42s} {desc}; verified by: {', '.join(witnesses)}{mark}")
     return 0
 
 

@@ -1,27 +1,29 @@
-"""Numerical Mellin transform, the closed-form multiplicator catalog, and
-operator norms as critical-line suprema.
+"""Numerical Mellin transform, the closed-form Mellin symbols, and operator
+norms as critical-line suprema.
 
 Every zero-order-smoothness operator, the second- and third-kind families,
 the Stieltjes transform, and the elementary Hardy-type operators act as
-Mellin convolutions: M[Af](s) = m(s) M[f](s).  The catalog stores m in
-closed form (gamma and trigonometric factors); operator norms follow from
-sup |m(1/2 + iu)|, with closed forms where available.
+Mellin convolutions: M[Af](s) = m(s) M[f](s).  This module owns the
+quadrature (mellin_numeric, measured_multiplicator), the closed forms m
+(m_zero_order ... m_spd: gamma and trigonometric factors), the numeric
+critical-line sup, and the functional equation.  Which family has which
+symbol, strip and closed-form norm is the operator catalog's
+(betrans.catalog); multiplicator, admissible_strip and operator_norm look
+the spec's family up there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .beops.specs import OperatorSpec
 from .numgrid import SampledFunction, head_model
 from .specfun import gamma_complex
 
 __all__ = [
     "MellinSamples",
-    "Multiplicator",
     "CatalogError",
     "FormulaPoleError",
     "StripViolationError",
@@ -59,22 +61,6 @@ class MellinSamples:
     u_points: np.ndarray
     values: np.ndarray
     degraded: bool = False
-
-
-@dataclass(frozen=True)
-class Multiplicator:
-    """Closed-form symbol of one catalogued operator with its natural strip."""
-
-    operator: OperatorSpec
-
-    def __call__(self, s, enforce_strip: bool = False):
-        return multiplicator(self.operator, s, enforce_strip=enforce_strip)
-
-    evaluate = __call__
-
-    @property
-    def admissible_strip(self) -> tuple[float, float]:
-        return admissible_strip(self.operator)
 
 
 def mellin_numeric(f: SampledFunction, sigma: float, u_points) -> MellinSamples:
@@ -325,63 +311,31 @@ def m_spd(variant: str, nu, s):
     raise CatalogError(f"unknown spd variant {variant!r}")
 
 
-def multiplicator(spec: OperatorSpec, s, enforce_strip: bool = False):
+def multiplicator(spec, s, enforce_strip: bool = False):
     """Closed-form symbol m(s) of a catalogued Mellin-convolution operator.
 
     The closed forms analytically continue beyond the raw integral's strip;
     set enforce_strip=True to reject evaluation outside it.
     """
+    from .catalog import mellin_row
+
+    row = mellin_row(spec)
     s_arr = np.asarray(s, dtype=complex)
     if enforce_strip:
         lo, hi = admissible_strip(spec)
         re = np.real(s_arr)
         if np.any(re <= lo) or np.any(re >= hi):
             raise StripViolationError(f"Re s outside admissible strip ({lo}, {hi})")
-    fam, var = spec.family, spec.variant
-    if fam == "zero_order":
-        out = m_zero_order(var, spec.nu, s_arr)
-    elif fam == "second_kind":
-        out = m_second_kind(var, spec.nu, s_arr)
-    elif fam == "second_kind_2param":
-        out = m_second_kind_2param(spec.nu, spec.mu, s_arr)
-    elif fam == "katrakhov":
-        out = m_katrakhov(var, spec.nu, s_arr)
-    elif fam == "stieltjes":
-        out = m_stieltjes(s_arr)
-    elif fam == "hardy":
-        out = m_hardy(var, s_arr, shifted=False)
-    elif fam == "hardy_shifted":
-        out = m_hardy(var, s_arr, shifted=True)
-    elif fam == "unitary_hardy":
-        out = m_unitary_hardy(var, s_arr)
-    elif fam == "spd":
-        out = m_spd(var, spec.nu, s_arr)
-    else:
-        raise CatalogError(f"family {fam!r} is not a Mellin-multiplier family")
+    out = row.symbol(spec, s_arr)
     return complex(np.asarray(out).reshape(-1)[0]) if np.ndim(s) == 0 else out
 
 
-def admissible_strip(spec: OperatorSpec) -> tuple[float, float]:
+def admissible_strip(spec) -> tuple[float, float]:
     """(sigma_min, sigma_max) where the defining integral converges."""
-    fam, var = spec.family, spec.variant
+    from .catalog import mellin_row
+
     nu_re = float(np.real(spec.nu)) if spec.nu is not None else 0.0
-    inf = np.inf
-    if fam == "zero_order":
-        return {
-            "S0+": (-inf, min(2.0 + nu_re, 1.0 - nu_re)),
-            "P0+": (-inf, 1.0),
-            "S-": (0.0, inf),
-            "P-": (max(nu_re, -1.0 - nu_re), inf),
-        }[var]
-    if fam in ("second_kind", "second_kind_2param", "katrakhov", "stieltjes"):
-        return (0.0, 1.0)
-    if fam == "hardy" or fam == "hardy_shifted":
-        return (-inf, 1.0) if var == "H1" else (0.0, inf)
-    if fam == "unitary_hardy":
-        return (0.0, 1.0)
-    if fam == "spd":
-        return (-inf, 1.0) if var == "P" else (-inf, 2.0 + 2.0 * nu_re)
-    raise CatalogError(f"family {fam!r} is not a Mellin-multiplier family")
+    return mellin_row(spec).strip(spec.variant, nu_re)
 
 
 # ----------------------------------------------------------------------
@@ -389,47 +343,7 @@ def admissible_strip(spec: OperatorSpec) -> tuple[float, float]:
 # ----------------------------------------------------------------------
 
 
-def _closed_form_norm(spec: OperatorSpec) -> Optional[float]:
-    fam, var = spec.family, spec.variant
-    if fam == "zero_order":
-        a = complex(np.sin(np.pi * complex(spec.nu)))
-        a = float(np.real(a)) if abs(np.imag(a)) < 1e-14 else a
-        if var in ("S0+", "P-"):
-            if isinstance(a, complex):
-                raise CatalogError("complex nu norm not defined for this variant")
-            den = min(1.0, np.sqrt(max(1.0 - a, 0.0))) if a < 1.0 else 0.0
-            return np.inf if den < UNBOUNDED_TOL else 1.0 / den
-        if var in ("P0+", "S-"):
-            if isinstance(a, complex):
-                raise CatalogError("complex nu norm not defined for this variant")
-            return max(1.0, np.sqrt(1.0 - a))
-    if fam == "second_kind":
-        a = complex(np.sin(np.pi * complex(spec.nu)))
-        a = float(np.real(a)) if abs(np.imag(a)) < 1e-12 else None
-        if a is None:
-            raise CatalogError("norm formula needs sin(pi nu) real; see the i*beta+1/2 line")
-        # both realizations: the S symbol and its conjugate have the same sup
-        return max(1.0, np.sqrt(1.0 + a)) if 1.0 + a > 0 else 1.0
-    if fam == "katrakhov":
-        return 1.0
-    if fam == "unitary_hardy" or fam == "hardy_shifted":
-        return 1.0
-    if fam == "hardy":
-        return 2.0
-    if fam == "stieltjes":
-        return np.pi
-    return None
-
-
-def _second_kind_complex_nu_norm(nu: complex) -> float:
-    """||.|| for nu = i beta + 1/2: sup of |m| over the line in closed form."""
-    a = np.sin(np.pi * nu)  # = cosh(pi beta) for nu = i beta + 1/2
-    if abs(np.imag(a)) > 1e-10:
-        raise CatalogError("closed-form complex-nu norm implemented for nu = i*beta + 1/2 only")
-    return float(np.sqrt(1.0 + np.real(a)))
-
-
-def numeric_line_sup(spec: OperatorSpec, u_max: float = 40.0, n: int = 4001) -> float:
+def numeric_line_sup(spec, u_max: float = 40.0, n: int = 4001) -> float:
     """sup_u |m(1/2 + iu)| over a u-ladder with local refinement and tail check."""
     u = np.linspace(0.0, u_max, n)
     s = 0.5 + 1j * u
@@ -452,17 +366,16 @@ def numeric_line_sup(spec: OperatorSpec, u_max: float = 40.0, n: int = 4001) -> 
     return max(best, tail)
 
 
-def operator_norm(spec: OperatorSpec) -> float:
-    """L2 operator norm: closed form where available, else numeric line sup.
+def operator_norm(spec) -> float:
+    """L2 operator norm: the catalog's closed form where it has one, else
+    the numeric line sup.
 
     Returns +inf for unbounded parameter choices.
     """
-    if spec.family == "second_kind" and isinstance(spec.nu, complex) and abs(np.imag(spec.nu)) > 0:
-        return _second_kind_complex_nu_norm(spec.nu)
-    cf = _closed_form_norm(spec)
-    if cf is not None:
-        return cf
-    return numeric_line_sup(spec)
+    from .catalog import mellin_row
+
+    row = mellin_row(spec)
+    return row.norm(spec) if row.norm is not None else numeric_line_sup(spec)
 
 
 # ----------------------------------------------------------------------

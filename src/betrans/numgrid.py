@@ -139,8 +139,10 @@ def _uniform_weights(n: int, h: float) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
+    """Quadrature nodes and weights; grids compare and hash by identity."""
+
     points: np.ndarray
     weights: np.ndarray
     spacing: Literal["log", "linear"]

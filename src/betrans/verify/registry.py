@@ -192,13 +192,13 @@ def _report_spd() -> VerificationReport:
     # composition up to the normalization constant of the printed pair
     for nu in (0.0, 0.25):
         for name, f in _suite_main(["bump12"]):
-            c = classicops.SPD_INVERSE_CONSTANT(nu)
+            c = classicops.spd_inverse_constant(nu)
             comp = classicops.spd_sonine(nu, classicops.spd_poisson(nu, f))
             res.append(norm_l2(comp - c * f, interior=0.8) / norm_l2(f))
     return VerificationReport(
         check_id="spd_identities",
         provenance="Sonine/Poisson pair: Abel closed form and mutual inversion up to the printed normalization constant",
-        params={"inverse_constant_nu0": classicops.SPD_INVERSE_CONSTANT(0.0)},
+        params={"inverse_constant_nu0": classicops.spd_inverse_constant(0.0)},
         residuals=res,
         tolerance=1e-4,
     )

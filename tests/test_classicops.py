@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from betrans.classicops import (
-    SPD_INVERSE_CONSTANT,
     hardy,
     hardy_shifted,
     lift_poisson,
     lift_sonine,
+    spd_inverse_constant,
     spd_poisson,
     spd_sonine,
     stieltjes,
@@ -75,7 +75,7 @@ def test_spd_poisson_maps_cosine_to_bessel(grid_main):
 def test_spd_mutual_inverse_up_to_constant(grid_main, bump):
     nu = 0.25
     comp = spd_sonine(nu, spd_poisson(nu, bump))
-    c = SPD_INVERSE_CONSTANT(nu)
+    c = spd_inverse_constant(nu)
     assert norm_l2(comp - c * bump, interior=0.8) / norm_l2(bump) < 1e-4
 
 

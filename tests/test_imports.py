@@ -184,3 +184,120 @@ def test_cli_import_does_not_load_scipy_interpolate():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+# the operator catalog (betrans/catalog.py) is the one list of operator
+# families: no other module keys a dict by family names or branches on a
+# spec's family among several of them (the harness under verify/ names
+# families in its check definitions, and is not scanned)
+FAMILY_NAMES = {
+    "first_kind",
+    "zero_order",
+    "second_kind",
+    "second_kind_2param",
+    "katrakhov",
+    "weighted_third",
+    "spd",
+    "hardy",
+    "hardy_shifted",
+    "unitary_hardy",
+    "stieltjes",
+}
+
+
+def _family_constants(node) -> set[str]:
+    """The family names a comparison operand spells out: a string, or the
+    strings of a tuple, list or set literal."""
+    elts = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+    return {e.value for e in elts if isinstance(e, ast.Constant) and e.value in FAMILY_NAMES}
+
+
+def _family_names_bound(func) -> set[str]:
+    """Names a function binds from a `.family` attribute, also by tuple
+    unpacking (`fam, var = spec.family, spec.variant`)."""
+    names = set()
+    for node in ast.walk(func):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            pairs = [(target, node.value)]
+            if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                pairs = list(zip(target.elts, node.value.elts))
+            for t, v in pairs:
+                if isinstance(t, ast.Name) and isinstance(v, ast.Attribute) and v.attr == "family":
+                    names.add(t.id)
+    return names
+
+
+def family_dispatch(source: str) -> list[str]:
+    """Dict literals keyed by two or more family names, and functions that
+    compare a spec's family against two or more of them."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Dict):
+            keys = {k.value for k in node.keys if isinstance(k, ast.Constant) and k.value in FAMILY_NAMES}
+            if len(keys) >= 2:
+                found.append(f"line {node.lineno}: dict keyed by {sorted(keys)}")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            bound = _family_names_bound(node)
+
+            def is_family(operand):
+                return (isinstance(operand, ast.Attribute) and operand.attr == "family") or (
+                    isinstance(operand, ast.Name) and operand.id in bound
+                )
+
+            compared = set()
+            for cmp in ast.walk(node):
+                if isinstance(cmp, ast.Compare):
+                    operands = [cmp.left, *cmp.comparators]
+                    if any(is_family(o) for o in operands):
+                        compared |= set().union(*(_family_constants(o) for o in operands))
+            if len(compared) >= 2:
+                found.append(f"line {node.lineno}: {node.name} compares family to {sorted(compared)}")
+    return found
+
+
+def test_dispatch_scan_finds_family_tables_and_chains():
+    table = "DISPATCH = {'hardy': f, 'spd': g, 'other': h}\nONE = {'hardy': f}\n"
+    assert family_dispatch(table) == ["line 1: dict keyed by ['hardy', 'spd']"]
+    chain = (
+        "def m(spec):\n"
+        "    fam, var = spec.family, spec.variant\n"
+        "    if fam == 'zero_order':\n"
+        "        return 1\n"
+        "    if fam in ('hardy', 'hardy_shifted'):\n"
+        "        return 2\n"
+    )
+    assert family_dispatch(chain) == ["line 1: m compares family to ['hardy', 'hardy_shifted', 'zero_order']"]
+    attr = "def a(spec):\n    if spec.family == 'spd':\n        pass\n    elif spec.family != 'stieltjes':\n        pass\n"
+    assert family_dispatch(attr) == ["line 1: a compares family to ['spd', 'stieltjes']"]
+    # one family per function, as each operator module checks its own
+    own = (
+        "def s(spec):\n    if spec.family != 'second_kind':\n        raise ValueError\n"
+        "def s2(spec):\n    if spec.family != 'second_kind_2param':\n        raise ValueError\n"
+        "def r(spec):\n    return spec.family == 'rl_left' or spec.variant == 'hardy'\n"
+    )
+    assert family_dispatch(own) == []
+
+
+def test_family_names_are_the_catalog_rows():
+    from betrans.catalog import FAMILIES
+
+    assert {row.name for row in FAMILIES} == FAMILY_NAMES
+
+
+OUTSIDE_CATALOG = [p for p in ALL_MODULES if p.name != "catalog.py" and p.relative_to(PACKAGE).parts[0] != "verify"]
+
+
+@pytest.mark.parametrize("path", OUTSIDE_CATALOG, ids=[str(p.relative_to(PACKAGE)) for p in OUTSIDE_CATALOG])
+def test_only_the_catalog_dispatches_on_family(path):
+    assert family_dispatch(path.read_text(encoding="utf-8")) == []
+
+
+def test_mellin_does_not_import_the_operator_layer():
+    # the symbols reach the catalog, and through it the operators, only
+    # inside the functions that need them
+    tree = ast.parse((PACKAGE / "mellin.py").read_text(encoding="utf-8"))
+    top_level = "\n".join(ast.unparse(node) for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom)))
+    names = imported_modules(top_level, ("betrans",))
+    assert not [name for name in names if name.startswith(("betrans.beops", "betrans.catalog"))]

@@ -5,7 +5,6 @@ from betrans.beops import OperatorSpec
 from betrans.mellin import (
     CatalogError,
     FormulaPoleError,
-    Multiplicator,
     StripViolationError,
     admissible_strip,
     funceq_residuals,
@@ -187,12 +186,6 @@ def test_strip_enforcement_and_poles():
         m_stieltjes(np.array([1.0 + 0j]))
     with pytest.raises(CatalogError):
         operator_norm(OperatorSpec("first_kind", "B0+", nu=1.0, mu=0.0))
-
-
-def test_multiplicator_wrapper():
-    m = Multiplicator(OperatorSpec("stieltjes"))
-    assert m(0.5 + 0j) == pytest.approx(np.pi)
-    assert m.admissible_strip == (0.0, 1.0)
 
 
 def test_measured_multiplicator_consistency(bump):

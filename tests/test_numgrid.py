@@ -410,3 +410,14 @@ def test_grid_factors_its_collocation_matrix_once():
     SampledFunction.from_callable(np.sin, grid)(np.array([1.234]))
     assert grid._collocation_lu is factors
     assert np.allclose(collocation_solve(grid, np.ones(64), "left"), 1.0)  # the B-splines sum to one
+
+
+def test_grids_compare_and_hash_by_identity():
+    g, g2 = make_grid(32), make_grid(32)
+    assert g == g
+    assert g != g2
+    assert len({g, g2}) == 2 and len({g, g}) == 1
+    factors = g._collocation_lu
+    SampledFunction.from_callable(np.exp, g)(np.array([0.5]))
+    hash(g)
+    assert g._collocation_lu is factors

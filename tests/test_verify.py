@@ -45,13 +45,14 @@ def test_registry_canonical_order_and_coverage():
     ids = V.check_ids()
     assert ids == sorted(ids)
     assert len(ids) > 60
-    # every CLI-listed operator family is witnessed by at least one check
-    from betrans.cli import _LISTING
+    # every listed operator of every catalog row is witnessed by at least one check
+    from betrans.catalog import FAMILIES
 
-    for _, _, witnesses in _LISTING:
-        assert witnesses
-        for w in witnesses:
-            assert w in V.REGISTRY, w
+    for row in FAMILIES:
+        for _, _, witnesses in row.listing:
+            assert witnesses
+            for w in witnesses:
+                assert w in V.REGISTRY, w
 
 
 def test_seminorm_identity_alpha_one_exact():
