@@ -1,15 +1,18 @@
 """Shared quadrature engine for kernel operators on (0, inf).
 
-A plan discretises one operator on one grid as an n x n matrix on the
-operand's samples.  Its quadrature fixes, per output abscissa, nodes,
-weights and kernel values.  Inside the grid hull the operand at a node is
-numgrid's interpolating spline, linear in the samples (the knots are
-fixed), so the weighted node sums fold into one matrix, assembled once when
-the plan is built: the nodes' basis rows (numgrid.basis_rows), weighted and
-summed per output row, then solved against the spline's collocation matrix
-(numgrid.collocation_solve).  Applying the plan is a matrix-vector product
-plus the operand's head model at the few nodes below the hull; plans are
-cached per (operator, grid), and compositions stay cheap.
+A plan discretises one operator on one grid as an n x (n + 6) matrix on
+the operand's samples followed by the six coefficients of its head model
+(numgrid.head_model), the operand below the grid hull.  Its quadrature
+fixes, per output abscissa, nodes, weights and kernel values.  Inside the
+hull the operand at a node is numgrid's interpolating spline, linear in the
+samples (the knots are fixed), and below it the head model is linear in its
+coefficients (numgrid.head_basis), so the weighted node sums fold into one
+matrix, assembled once when the plan is built: the nodes' basis rows
+(numgrid.basis_rows), weighted and summed per output row, then solved
+against the spline's collocation matrix (numgrid.collocation_solve), next
+to the head nodes' weights times their head-basis rows.  Applying the plan
+is one matrix-vector product.  Plans are cached on their grid
+(cached_plan), and compositions stay cheap.
 
 Three plan geometries cover every operator in the package:
 
@@ -42,8 +45,7 @@ rounding.  Rows with x > b/2, where eps0 = (b - x)/8, head nodes below a
 and the panel cut short at b keep the per-pair path, as do any other
 kernel and any other grid (build_pv_plan).
 
-Below the grid hull the operand is continued by its head model
-(numgrid.head_model); above the hull it is taken as zero.
+Above the grid hull the operand is taken as zero.
 """
 
 from __future__ import annotations
@@ -59,8 +61,8 @@ from .numgrid import (
     _jacobi,
     basis_rows,
     collocation_solve,
-    deriv_extended,
-    eval_extended,
+    head_basis,
+    head_model,
     spline_knots,
 )
 
@@ -317,18 +319,18 @@ _ASSEMBLY_PAIRS = 1 << 14  # (row, node) pairs accumulated per block
 
 
 def _assemble(grid: Grid, nodes, node_id, offsets, kw, use_deriv: bool, coef0=None):
-    """(matrix, head_t, head_matrix) of the plan whose row i is
-    sum kw[p] f(nodes[node_id[p]]) over p in offsets[i]:offsets[i + 1]
+    """The n x (n + 6) matrix, on [samples | head model], of the plan whose
+    row i is sum kw[p] f(nodes[node_id[p]]) over p in offsets[i]:offsets[i + 1]
     (f' for use_deriv), plus the spline-coefficient rows coef0 when given.
 
     Inside the hull f is the operand's interpolating spline: each node's
     basis row (of f' for use_deriv: the degree k-1 rows on the inner knots
     times the coefficients' difference matrix, divided by t on log grids),
     weighted and summed per output row, then solved against the collocation
-    matrix, gives `matrix` on the samples.  Nodes below the hull keep the
-    operand's head model, whose form depends on the operand: they enter as
-    head_matrix times f (or f') at the distinct nodes head_t.  Above the
-    hull f is zero.
+    matrix, gives the first n columns.  Below the hull f is its head model,
+    linear in the model's six coefficients (numgrid.head_basis): the
+    weights summed per row and node, times the basis rows at the nodes,
+    give the last six.  Above the hull f is zero.
     """
     n = grid.n
     a, b = grid.hull
@@ -377,33 +379,39 @@ def _assemble(grid: Grid, nodes, node_id, offsets, kw, use_deriv: bool, coef0=No
         coef = np.zeros((n, ncol + 1))
         coef[:, 1:] += scaled
         coef[:, :-1] -= scaled
-    return collocation_solve(grid, coef, "right"), head_t, head_matrix
+    return np.hstack([collocation_solve(grid, coef, "right"), head_matrix @ head_basis(head_t, a, use_deriv)])
 
 
 class KernelPlan:
     """Cached quadrature for g(x_i) = int K(x_i, t) f(t) dt on one grid, as
-    an n x n matrix on the operand's samples.
+    an n x (n + 6) matrix on the operand's samples followed by its head
+    model's six coefficients (numgrid.head_model).
 
     t_all holds every quadrature node, row after row (row i's are
-    t_all[offsets[i]:offsets[i + 1]]).  The nodes below the hull, head_t,
-    go through the operand's head model (`head`: eval_extended, or
-    deriv_extended for plans that integrate f').
+    t_all[offsets[i]:offsets[i + 1]]).
     """
 
-    def __init__(self, grid: Grid, t_all, offsets, matrix, head_t, head_matrix, head=eval_extended):
+    def __init__(self, grid: Grid, t_all, offsets, matrix):
         self.grid = grid
         self.t_all = t_all
         self.offsets = offsets
         self.matrix = matrix
-        self.head_t = head_t
-        self.head_matrix = head_matrix
-        self.head = head
 
     def apply(self, f: SampledFunction) -> np.ndarray:
-        out = self.matrix @ f.values
-        if len(self.head_t):
-            out += self.head_matrix @ self.head(f, self.head_t)
-        return out
+        return self.matrix @ np.concatenate([f.values, head_model(f)])
+
+
+def cached_plan(key, build):
+    """The plan cached under key, built by build() the first time.
+
+    key[0] is the plan's grid, and the plan is kept in that grid's `plans`,
+    so it lives exactly as long as the grid, and no other grid, however
+    alike, is handed it.
+    """
+    plans = key[0].plans
+    if key not in plans:
+        plans[key] = build()
+    return plans[key]
 
 
 def _kernel_plan(grid: Grid, rules: _Rules, kernel, use_deriv: bool) -> KernelPlan:
@@ -412,8 +420,7 @@ def _kernel_plan(grid: Grid, rules: _Rules, kernel, use_deriv: bool) -> KernelPl
     x_all = np.repeat(grid.points, np.diff(offsets))
     kw = weights[node_id] * kernel(x_all, t_all)
     del x_all
-    head = deriv_extended if use_deriv else eval_extended
-    return KernelPlan(grid, t_all, offsets, *_assemble(grid, nodes, node_id, offsets, kw, use_deriv), head)
+    return KernelPlan(grid, t_all, offsets, _assemble(grid, nodes, node_id, offsets, kw, use_deriv))
 
 
 def build_lower_plan(
@@ -456,8 +463,8 @@ class PVPlan(KernelPlan):
     pole terms -rho f(x_i) (sub_i - log_term_i) are the matrix's diagonal.
     """
 
-    def __init__(self, grid, t_all, offsets, matrix, head_t, head_matrix, sub, log_term, rho):
-        super().__init__(grid, t_all, offsets, matrix, head_t, head_matrix)
+    def __init__(self, grid, t_all, offsets, matrix, sub, log_term, rho):
+        super().__init__(grid, t_all, offsets, matrix)
         self.sub = sub  # per-point sum of w/(x - t): the discretized pole integral
         self.log_term = log_term
         self.rho = rho
@@ -797,14 +804,14 @@ def build_pv_plan(
         *pairs, coef0, correction = _dilation_template(
             grid, rules, nodes, weights, node_id, offsets, (kernel_lower, kernel_upper), stride, n_gl
         )
-        matrix, head_t, head_matrix = _assemble(grid, *pairs, False, coef0)
+        matrix = _assemble(grid, *pairs, False, coef0)
     else:
         kw = np.empty_like(w_all)
         lower = t_all < x_all
         kw[lower] = w_all[lower] * kernel_lower(x_all[lower], t_all[lower])
         kw[~lower] = w_all[~lower] * kernel_upper(x_all[~lower], t_all[~lower])
         del w_all, x_all, lower
-        matrix, head_t, head_matrix = _assemble(grid, nodes, node_id, offsets, kw, False)
+        matrix = _assemble(grid, nodes, node_id, offsets, kw, False)
     log_term = np.log(grid.points / np.maximum(b - grid.points, 1e-300))
     # at the top hull point B - x = 0: the upper side is empty and the
     # subtraction degenerates; the lower-side-only value keeps ln(x/delta)
@@ -813,7 +820,7 @@ def build_pv_plan(
         log_term[top] = np.log(grid.points[top] / (1e-7 * grid.points[top]))
     diag = np.arange(grid.n)
     matrix[diag, diag] -= rho * (sub - log_term) - correction
-    return PVPlan(grid, t_all, offsets, matrix, head_t, head_matrix, sub, log_term, rho)
+    return PVPlan(grid, t_all, offsets, matrix, sub, log_term, rho)
 
 
 # ----------------------------------------------------------------------

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._engine import build_lower_plan, build_upper_plan
-from ..numgrid import SampledFunction, grid_key
+from .._engine import build_lower_plan, build_upper_plan, cached_plan
+from ..numgrid import SampledFunction
 from ..specfun import legendre_p_assoc
 from .specs import OperatorSpec, OperatorSpecError
-from .zero_order import _plan
 
 __all__ = ["apply_first_kind"]
 
@@ -53,16 +52,15 @@ def apply_first_kind(spec: OperatorSpec, f: SampledFunction) -> SampledFunction:
     if mu >= 1.0:
         raise OperatorSpecError("first_kind requires mu < 1")
     grid = f.grid
-    gk = grid_key(grid)
     alpha = -mu if mu != 0 else None  # diagonal endpoint exponent (Jacobi when non-integer)
     if spec.variant == "B0+":
-        plan = _plan(("B0+", nu, mu, gk), lambda: build_lower_plan(grid, _kern_b0p(nu, mu), alpha=alpha))
+        plan = cached_plan((grid, "B0+", nu, mu), lambda: build_lower_plan(grid, _kern_b0p(nu, mu), alpha=alpha))
     elif spec.variant == "E0+":
-        plan = _plan(("E0+", nu, mu, gk), lambda: build_lower_plan(grid, _kern_e0p(nu, mu), alpha=alpha))
+        plan = cached_plan((grid, "E0+", nu, mu), lambda: build_lower_plan(grid, _kern_e0p(nu, mu), alpha=alpha))
     elif spec.variant == "B-":
-        plan = _plan(("B-", nu, mu, gk), lambda: build_upper_plan(grid, _kern_bm(nu, mu), alpha=alpha))
+        plan = cached_plan((grid, "B-", nu, mu), lambda: build_upper_plan(grid, _kern_bm(nu, mu), alpha=alpha))
     elif spec.variant == "E-":
-        plan = _plan(("E-", nu, mu, gk), lambda: build_upper_plan(grid, _kern_em(nu, mu), alpha=alpha))
+        plan = cached_plan((grid, "E-", nu, mu), lambda: build_upper_plan(grid, _kern_em(nu, mu), alpha=alpha))
     else:
         raise OperatorSpecError(f"unknown first-kind variant {spec.variant!r}")
     return f.with_values(plan.apply(f), decay_hint=None)

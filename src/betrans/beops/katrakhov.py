@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._engine import build_lower_plan, build_pv_plan, build_upper_plan
-from ..numgrid import SampledFunction, grid_key
+from .._engine import build_lower_plan, build_pv_plan, build_upper_plan, cached_plan
+from ..numgrid import SampledFunction
 from ..specfun import legendre_p
 from ..specfun.legendre import legendre_p_deriv_oncut
 from .second_kind import _kernels_p, _kernels_s, apply_second_kind
 from .specs import OperatorSpec, OperatorSpecError
-from .zero_order import _plan, apply_zero_order
+from .zero_order import apply_zero_order
 
 __all__ = ["apply_katrakhov"]
 
@@ -59,8 +59,8 @@ def apply_katrakhov(spec: OperatorSpec, f: SampledFunction, path: str = "combina
             sk = apply_second_kind(OperatorSpec("second_kind", "P", nu=nu), f)
         vals = kappa * zo.values - tau * sk.values
     elif path == "integral":
-        key = ("katrakhov", spec.variant, nu, grid_key(f.grid))
-        smooth, pv = _plan(key, lambda: _fused_plans(spec.variant, nu, f.grid))
+        key = (f.grid, "katrakhov", spec.variant, nu)
+        smooth, pv = cached_plan(key, lambda: _fused_plans(spec.variant, nu, f.grid))
         if spec.variant == "S":
             vals = kappa * (f.values - smooth.apply(f)) - tau * pv.apply(f)
         else:

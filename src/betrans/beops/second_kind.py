@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._engine import RatioKernel, build_pv_plan
-from ..numgrid import SampledFunction, grid_key
+from .._engine import RatioKernel, build_pv_plan, cached_plan
+from ..numgrid import SampledFunction
 from ..specfun import legendre_q1
 from .specs import OperatorSpec, OperatorSpecError
-from .zero_order import _plan
 
 __all__ = ["apply_second_kind", "apply_second_kind_2param", "hilbert_pair_kernels"]
 
@@ -73,17 +72,16 @@ def apply_second_kind(spec: OperatorSpec, f: SampledFunction) -> SampledFunction
         raise OperatorSpecError("apply_second_kind expects a second_kind spec")
     nu = float(np.real(spec.nu))
     grid = f.grid
-    gk = grid_key(grid)
     if abs(nu + 1.0) < _INT_TOL:
         # Legendre-Q kernels degenerate at nu = -1; use the closed Hilbert forms:
         # S variant is the x/(x^2-y^2) pair, the mirrored P variant is minus the
         # y/(x^2-y^2) pair.
         kl, ku = hilbert_pair_kernels(-1 if spec.variant == "S" else 0)
-        plan = _plan(("2K", spec.variant, -1.0, gk), lambda: build_pv_plan(grid, kl, ku))
+        plan = cached_plan((grid, "2K", spec.variant, -1.0), lambda: build_pv_plan(grid, kl, ku))
         sign = 1.0 if spec.variant == "S" else -1.0
         return f.with_values(sign * plan.apply(f), decay_hint=None)
     kl, ku = _kernels_s(nu) if spec.variant == "S" else _kernels_p(nu)
-    plan = _plan(("2K", spec.variant, nu, gk), lambda: build_pv_plan(grid, kl, ku))
+    plan = cached_plan((grid, "2K", spec.variant, nu), lambda: build_pv_plan(grid, kl, ku))
     # outputs decay algebraically; no hint, so downstream Mellin quadrature
     # fits the observed tail instead of trusting a nominal power
     return f.with_values(plan.apply(f), decay_hint=None)

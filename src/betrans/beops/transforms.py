@@ -6,13 +6,16 @@ y of 16384 points from 0 to min(hull top, 60), fine enough for the spectral
 band.  Inside the operand's hull f(y) is its quintic spline, which is linear
 in the samples, so T folds (as the engine's plans do) into one n_out x n_in
 matrix on the samples: R = (T B) inv(A), B the spline's basis rows at the
-abscissae inside the hull and inv(A) its collocation solve.  The abscissae
-below the hull (y = 0 on a log grid, 8 of them on the linear spectral grid)
-stay head columns H of T, applied to the operand's head model there.  One
-array [R | H] is cached per kernel ("sin", "cos" or the Hankel order),
-output points (their digest) and input grid (numgrid.grid_key): 8.4 MB for
-2048 outputs over 512 samples, where the 16384-column rule took 268 MB.
-Applying a transform is one matrix-vector product with it.
+abscissae inside the hull and inv(A) its collocation solve.  Below the hull
+(y = 0 on a log grid, 8 abscissae on the linear spectral grid) f is its head
+model, linear in the model's six coefficients, so those columns H of T fold
+into six: H E, E the head model's basis rows there (numgrid.head_basis).
+One array [R | H E] is cached per kernel ("sin", "cos" or the Hankel
+order), output points (their digest) and input grid (numgrid.grid_key):
+8.4 MB for 2048 outputs over 512 samples, where the 16384-column rule took
+268 MB.  Applying a transform is one matrix-vector product with it, on the
+operand's samples followed by its head model's coefficients, the layout of
+the engine's plans.
 
 The fold takes 256 consecutive abscissae at a time, one small dense product
 with their weighted basis block.  Sine and cosine entries need no trig call
@@ -70,8 +73,8 @@ from ..numgrid import (
     _uniform_weights,
     basis_rows,
     collocation_solve,
-    eval_extended,
     grid_key,
+    head_basis,
     head_model,
     make_grid,
     points_digest,
@@ -264,11 +267,12 @@ def _transform_values(op, f: SampledFunction, t: np.ndarray) -> np.ndarray:
     """The quadrature of transform op ("sin", "cos" or a Hankel order nu) of
     f at the points t, through its cached matrix on f's samples.
 
-    The matrix is [R | H], cached per (op, t, f's grid): R = (T B) inv(A)
-    acts on the samples, with T the rule (kernel times weights) at the
-    abscissae inside the hull, B the spline's basis there and inv(A) its
-    collocation solve; H, the rule at the n_head abscissae below the hull,
-    acts on the operand's head model there.
+    The matrix is [R | H E], cached per (op, t, f's grid), and acts on
+    f's samples followed by its head model's six coefficients: R = (T B)
+    inv(A), with T the rule (kernel times weights) at the abscissae inside
+    the hull, B the spline's basis there and inv(A) its collocation solve;
+    H, the rule at the n_head abscissae below the hull, times E, the head
+    model's basis there (numgrid.head_basis).
     """
     if op == -0.5:  # t^1/2 y^1/2 J_-1/2(t y) = sqrt(2/pi) cos(t y) (DLMF 10.16.1)
         op = "cos"
@@ -281,10 +285,9 @@ def _transform_values(op, f: SampledFunction, t: np.ndarray) -> np.ndarray:
         coef = np.zeros((len(t), len(knots) - k - 1))
         fold = _trig_fold if isinstance(op, str) else _hankel_fold
         head = fold(op, t, y, n_head, blocks, coef) * w[:n_head]
-        _MATRIX_CACHE[key] = np.hstack([collocation_solve(grid, coef, "right"), head])
-    mat = _MATRIX_CACHE[key]
-    n = grid.n
-    return mat[:, :n] @ f.values + mat[:, n:] @ eval_extended(f, y[: mat.shape[1] - n])
+        head_cols = head @ head_basis(y[:n_head], grid.hull[0])
+        _MATRIX_CACHE[key] = np.hstack([collocation_solve(grid, coef, "right"), head_cols])
+    return _MATRIX_CACHE[key] @ np.concatenate([f.values, head_model(f)])
 
 
 def fourier_sine(f: SampledFunction, out_grid: Grid | None = None) -> SampledFunction:

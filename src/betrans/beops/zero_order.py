@@ -14,21 +14,13 @@ import warnings
 import numpy as np
 
 from .._engine import build_lower_plan, build_upper_plan, deriv_on_grid
-from ..numgrid import SampledFunction, grid_key
+from .._engine import cached_plan as _plan  # perfbench/tracer.py wraps the cache under this name
+from ..numgrid import SampledFunction
 from ..specfun import legendre_p
 from ..specfun.legendre import legendre_p_deriv, legendre_p_deriv_oncut
 from .specs import OperatorSpec, OperatorSpecError
 
 __all__ = ["apply_zero_order"]
-
-_PLANS: dict = {}
-
-
-def _plan(key, builder):
-    if key not in _PLANS:
-        _PLANS[key] = builder()
-    return _PLANS[key]
-
 
 def _check_lower_decay(nu: float, f: SampledFunction) -> None:
     """The 0+ Sonine form needs f/t^nu integrable at the origin.
@@ -65,25 +57,24 @@ def apply_zero_order(spec: OperatorSpec, f: SampledFunction, outer_fd: bool = Fa
         raise OperatorSpecError("apply_zero_order expects a zero_order spec")
     nu = float(np.real(spec.nu))
     grid = f.grid
-    gk = grid_key(grid)
 
     if spec.variant == "S0+":
         _check_lower_decay(nu, f)
         if outer_fd:
             plan = _plan(
-                ("S0+fd", nu, gk),
+                (grid, "S0+fd", nu),
                 lambda: build_lower_plan(grid, lambda x, t: legendre_p(nu, x / t, "off_cut")),
             )
             vals = deriv_on_grid(plan.apply(f), grid)
         else:
             plan = _plan(
-                ("S0+", nu, gk),
+                (grid, "S0+", nu),
                 lambda: build_lower_plan(grid, lambda x, t: legendre_p_deriv(nu, x / t) / t),
             )
             vals = f.values + plan.apply(f)
     elif spec.variant == "P0+":
         plan = _plan(
-            ("P0+", nu, gk),
+            (grid, "P0+", nu),
             lambda: build_lower_plan(
                 grid, lambda x, t: legendre_p(nu, t / x, "on_cut"), use_deriv=True
             ),
@@ -92,19 +83,19 @@ def apply_zero_order(spec: OperatorSpec, f: SampledFunction, outer_fd: bool = Fa
     elif spec.variant == "S-":
         if outer_fd:
             plan = _plan(
-                ("S-fd", nu, gk),
+                (grid, "S-fd", nu),
                 lambda: build_upper_plan(grid, lambda x, t: legendre_p(nu, x / t, "on_cut")),
             )
             vals = -deriv_on_grid(plan.apply(f), grid)
         else:
             plan = _plan(
-                ("S-", nu, gk),
+                (grid, "S-", nu),
                 lambda: build_upper_plan(grid, lambda x, t: legendre_p_deriv_oncut(nu, x / t) / t),
             )
             vals = f.values - plan.apply(f)
     elif spec.variant == "P-":
         plan = _plan(
-            ("P-", nu, gk),
+            (grid, "P-", nu),
             lambda: build_upper_plan(
                 grid, lambda x, t: legendre_p(nu, t / x, "off_cut"), use_deriv=True
             ),

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._engine import build_lower_plan, build_upper_plan
+from ._engine import build_lower_plan, build_upper_plan, cached_plan
 from .beops.specs import OperatorSpec
-from .beops.zero_order import _plan, apply_zero_order
-from .numgrid import DecayHint, SampledFunction, grid_key
+from .beops.zero_order import apply_zero_order
+from .numgrid import DecayHint, SampledFunction
 from .specfun import gamma_complex
 
 __all__ = [
@@ -39,8 +39,8 @@ def spd_poisson(nu: float, f: SampledFunction) -> SampledFunction:
         raise ValueError("spd_poisson requires nu > -1/2")
     grid = f.grid
     alpha = nu - 0.5 if abs((nu - 0.5) - round(nu - 0.5)) > 1e-9 or nu < 0.5 else None
-    plan = _plan(
-        ("spdP", nu, grid_key(grid)),
+    plan = cached_plan(
+        (grid, "spdP", nu),
         lambda: build_lower_plan(grid, lambda x, t: (x * x - t * t) ** (nu - 0.5), alpha=alpha),
     )
     pref = _rgamma(nu + 1.0) / 2.0**nu * grid.points ** (-2.0 * nu)
@@ -62,12 +62,12 @@ def spd_sonine(nu: float, f: SampledFunction) -> SampledFunction:
     def kern(x, t):
         return (x * x - t * t) ** (-nu - 0.5) * t ** (2.0 * nu + 1.0)
 
-    plan = _plan(
-        ("spdS", nu, grid_key(grid)),
+    plan = cached_plan(
+        (grid, "spdS", nu),
         lambda: build_lower_plan(grid, kern, alpha=-nu - 0.5),
     )
-    plan_d = _plan(
-        ("spdSd", nu, grid_key(grid)),
+    plan_d = cached_plan(
+        (grid, "spdSd", nu),
         lambda: build_lower_plan(
             grid,
             lambda x, t: kern(x, t) * t / x,
@@ -95,10 +95,10 @@ def hardy(which: str, f: SampledFunction) -> SampledFunction:
     """Hardy averages H1 f = (1/x) int_0^x f, H2 f = int_x^inf f(y)/y dy."""
     grid = f.grid
     if which == "H1":
-        plan = _plan(("H1", grid_key(grid)), lambda: build_lower_plan(grid, lambda x, t: np.ones_like(t)))
+        plan = cached_plan((grid, "H1"), lambda: build_lower_plan(grid, lambda x, t: np.ones_like(t)))
         vals = plan.apply(f) / grid.points
     elif which == "H2":
-        plan = _plan(("H2", grid_key(grid)), lambda: build_upper_plan(grid, lambda x, t: 1.0 / t))
+        plan = cached_plan((grid, "H2"), lambda: build_upper_plan(grid, lambda x, t: 1.0 / t))
         vals = plan.apply(f)
     else:
         raise ValueError(f"unknown Hardy variant {which!r}")
@@ -142,9 +142,9 @@ def unitary_u(index: int, f: SampledFunction) -> SampledFunction:
     side, kern, head = _U_KERNELS[index]
     grid = f.grid
     if side == "lower":
-        plan = _plan((f"U{index}", grid_key(grid)), lambda: build_lower_plan(grid, kern, head=head))
+        plan = cached_plan((grid, f"U{index}"), lambda: build_lower_plan(grid, kern, head=head))
     else:
-        plan = _plan((f"U{index}", grid_key(grid)), lambda: build_upper_plan(grid, kern))
+        plan = cached_plan((grid, f"U{index}"), lambda: build_upper_plan(grid, kern))
     return f.with_values(f.values + plan.apply(f), decay_hint=None)
 
 
@@ -152,8 +152,8 @@ def stieltjes(f: SampledFunction) -> SampledFunction:
     """Stieltjes transform int_0^inf f(t) / (x + t) dt."""
     grid = f.grid
     kern = lambda x, t: 1.0 / (x + t)
-    lo = _plan(("stj_lo", grid_key(grid)), lambda: build_lower_plan(grid, kern))
-    hi = _plan(("stj_hi", grid_key(grid)), lambda: build_upper_plan(grid, kern))
+    lo = cached_plan((grid, "stj_lo"), lambda: build_lower_plan(grid, kern))
+    hi = cached_plan((grid, "stj_hi"), lambda: build_upper_plan(grid, kern))
     return f.with_values(lo.apply(f) + hi.apply(f), decay_hint=DecayHint.power(1.0))
 
 

@@ -13,7 +13,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from ._engine import build_lower_plan, build_upper_plan, deriv_on_grid
-from .numgrid import SampledFunction, grid_key
+from ._engine import cached_plan as _cached_plan  # perfbench/tracer.py wraps the cache under this name
+from .numgrid import SampledFunction
 from .specfun import gamma_complex
 
 __all__ = [
@@ -71,28 +72,18 @@ def _rgamma(x: float) -> float:
     return float(np.real(1.0 / gamma_complex(complex(x))))
 
 
-_PLAN_CACHE: dict = {}
-
-
-def _cached_plan(key, builder):
-    full = key
-    if full not in _PLAN_CACHE:
-        _PLAN_CACHE[full] = builder()
-    return _PLAN_CACHE[full]
-
-
 def rl_integral(spec: FracSpec, f: SampledFunction) -> SampledFunction:
     """Riemann-Liouville fractional integral of order alpha on f's grid."""
     a = spec.alpha
     c = _rgamma(a)
     if spec.family == "rl_left":
         plan = _cached_plan(
-            ("rl_left", a, grid_key(f.grid)),
+            (f.grid, "rl_left", a),
             lambda: build_lower_plan(f.grid, lambda x, t: (x - t) ** (a - 1.0), alpha=a - 1.0),
         )
     elif spec.family == "rl_right":
         plan = _cached_plan(
-            ("rl_right", a, grid_key(f.grid)),
+            (f.grid, "rl_right", a),
             lambda: build_upper_plan(f.grid, lambda x, t: (t - x) ** (a - 1.0), alpha=a - 1.0),
         )
     else:
@@ -106,7 +97,7 @@ def ek_integral(spec: FracSpec, f: SampledFunction) -> SampledFunction:
     c = _rgamma(a)
     if spec.family == "ek_left":
         plan = _cached_plan(
-            ("ek_left", a, eta, grid_key(f.grid)),
+            (f.grid, "ek_left", a, eta),
             lambda: build_lower_plan(
                 f.grid,
                 lambda x, t: (x * x - t * t) ** (a - 1.0) * t ** (2.0 * eta + 1.0),
@@ -116,7 +107,7 @@ def ek_integral(spec: FracSpec, f: SampledFunction) -> SampledFunction:
         pref = 2.0 * c * f.grid.points ** (-2.0 * (a + eta))
     elif spec.family == "ek_right":
         plan = _cached_plan(
-            ("ek_right", a, eta, grid_key(f.grid)),
+            (f.grid, "ek_right", a, eta),
             lambda: build_upper_plan(
                 f.grid,
                 lambda x, t: (t * t - x * x) ** (a - 1.0) * t ** (1.0 - 2.0 * (a + eta)),
@@ -144,7 +135,7 @@ def frac_by_function(spec: FracSpec, f: SampledFunction) -> SampledFunction:
 
     # the (g(x)-g(t))^(alpha-1) factor behaves like (x-t)^(alpha-1) near t=x
     plan = _cached_plan(
-        ("by_function", mono.name, a, grid_key(f.grid)),
+        (f.grid, "by_function", mono.name, a),
         lambda: build_lower_plan(
             f.grid, kernel, alpha=a - 1.0, head="taylor" if mono.origin_ok else "zero"
         ),

@@ -11,8 +11,9 @@ extrapolation).
 The package's one interpolating spline lives here: its knots
 (spline_knots), its B-spline basis rows at any points (basis_rows) and the
 banded solve against its collocation matrix (collocation_solve; each grid
-keeps the LU factors of that matrix).  The plans and the spectral
-transforms fold basis rows through the solve into matrices on the samples;
+keeps the LU factors of that matrix, and the operator plans built on it).
+The plans and the spectral transforms fold basis rows through the solve
+into matrices on the samples, next to six columns on the head model;
 a sampled function evaluates the spline off the grid by Horner's rule from
 its Taylor terms at each knot interval's left end (taylor_terms).
 """
@@ -50,6 +51,7 @@ __all__ = [
     "norm_half_line",
     "integral_completed",
     "head_model",
+    "head_basis",
     "eval_extended",
     "deriv_extended",
     "read_csv",
@@ -175,6 +177,12 @@ class Grid:
         computed once per grid."""
         return _collocation_factors(self, False)
 
+    @functools.cached_property
+    def plans(self) -> dict:
+        """The operator plans built on this grid, by key (see
+        _engine.cached_plan): they live exactly as long as the grid."""
+        return {}
+
     def interior_mask(self, fraction: float = 0.6) -> np.ndarray:
         """Mask selecting the central `fraction` of the hull in grid coordinate."""
         s = self.coord(self.points)
@@ -189,8 +197,9 @@ def points_digest(points: np.ndarray) -> str:
 
 
 def grid_key(grid: Grid) -> tuple[str, str]:
-    """Plan-cache key part for a grid: its spacing label and a digest of its
-    points, so two grids with the same size and hull never share a plan."""
+    """Transform-cache key part for a grid: its spacing label and a digest
+    of its points, so two grids with the same size and hull never share a
+    matrix."""
     return grid.spacing, points_digest(grid.points)
 
 
@@ -437,8 +446,10 @@ class SampledFunction:
 # the log basis; otherwise d = 0 and the model is a quadratic fitted to the
 # edge samples (functions of interest are smooth at 0 or vanish there).
 # Above the hull a function is taken as zero (decaying operands).  The
-# plans, the spectral transforms, integral_completed and mellin_numeric all
-# use this model; the last two integrate it in closed form.
+# model is linear in its six coefficients (head_basis), so the plans and the
+# spectral transforms act on them: their matrices take a function's samples
+# followed by head_model(f).  integral_completed and mellin_numeric
+# integrate the model in closed form.
 
 _LOG_HEAD_SPAN = 30.0  # edge samples fitted by the logarithmic model: [a, 30a]
 _LOG_HEAD_GAIN = 1e-3  # the log basis must fit them this much better than a cubic
@@ -504,31 +515,37 @@ def head_model(f: SampledFunction) -> np.ndarray:
     return f._head
 
 
-def eval_extended(f: SampledFunction, t: np.ndarray) -> np.ndarray:
-    """f at arbitrary nodes: spline inside the hull, head model below, 0 above."""
+def head_basis(t, a: float, deriv: bool = False) -> np.ndarray:
+    """Rows B, one per point t below the hull edge a, with f(t) = B @
+    head_model(f) (f'(t) with deriv, for t > 0): the columns are 1, ln u,
+    u, u ln u, u^2, u^2 ln u at u = t / a (their derivatives in t), and
+    u^k ln u is taken as 0 at u = 0."""
+    u = np.asarray(t, dtype=float) / a
+    lu = np.log(u, out=np.zeros_like(u), where=u > 0.0)
+    if deriv:
+        cols = (np.zeros_like(u), 1.0 / u, np.ones_like(u), lu + 1.0, 2.0 * u, u * (2.0 * lu + 1.0))
+        return np.stack(cols, axis=-1) / a
+    return np.stack((np.ones_like(u), lu, u, u * lu, u * u, u * u * lu), axis=-1)
+
+
+def _extended(f: SampledFunction, t: np.ndarray, deriv: bool) -> np.ndarray:
     a = f.grid.hull[0]
-    out = f(t)
+    out = f.deriv(t) if deriv else f(t)
     below = t < a
     if np.any(below):
-        c0, d0, c1, d1, c2, d2 = coef = head_model(f)
-        u = t[below] / a
-        lu = np.log(u) if np.any(coef[1::2]) else 0.0  # the quadratic stays finite at 0
-        out[below] = c0 + d0 * lu + (c1 + d1 * lu) * u + (c2 + d2 * lu) * u * u
+        out[below] = head_basis(t[below], a, deriv) @ head_model(f)
     return out
+
+
+def eval_extended(f: SampledFunction, t: np.ndarray) -> np.ndarray:
+    """f at arbitrary nodes: spline inside the hull, head model below, 0 above."""
+    return _extended(f, t, False)
 
 
 def deriv_extended(f: SampledFunction, t: np.ndarray) -> np.ndarray:
     """f' at arbitrary nodes t > 0: spline inside the hull, head model below,
     0 above."""
-    a = f.grid.hull[0]
-    out = f.deriv(t)
-    below = t < a
-    if np.any(below):
-        c0, d0, c1, d1, c2, d2 = coef = head_model(f)
-        u = t[below] / a
-        lu = np.log(u) if np.any(coef[1::2]) else 0.0
-        out[below] = (d0 / u + c1 + d1 * (lu + 1.0) + 2.0 * c2 * u + d2 * u * (2.0 * lu + 1.0)) / a
-    return out
+    return _extended(f, t, True)
 
 
 @dataclass(frozen=True)
@@ -542,14 +559,12 @@ class WeightedNorm:
 # quadrature
 # ----------------------------------------------------------------------
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _JACOBI_CACHE: dict[tuple[int, float, float], tuple[np.ndarray, np.ndarray]] = {}
 
 
+@functools.cache
 def _gl_rule(n: int):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = roots_legendre(n)
-    return _GL_CACHE[n]
+    return roots_legendre(n)
 
 
 def _jacobi(n: int, alpha: float, beta: float):
@@ -687,6 +702,17 @@ def quad_singular(f: Callable, interval: tuple[float, float], singularity=None, 
 # ----------------------------------------------------------------------
 
 
+def _decay_rate(f: SampledFunction) -> Optional[float]:
+    """The exponential decay rate of f's samples on the top half of the
+    hull, from a line fitted to ln|f|; None where fewer than three of those
+    samples are nonzero."""
+    pts, vals = f.grid.points, np.abs(f.values)
+    mask = (pts > 0.5 * f.grid.hull[1]) & (vals > 1e-140)
+    if np.count_nonzero(mask) < 3:
+        return None
+    return -np.polyfit(pts[mask], np.log(vals[mask]), 1)[0]
+
+
 def _tail_estimate(f: SampledFunction, k: float) -> float:
     """Integral of |f|^2 x^(2k+1) beyond the hull, from the decay hint."""
     hint = f.decay_hint
@@ -700,12 +726,9 @@ def _tail_estimate(f: SampledFunction, k: float) -> float:
     if fb < 1e-140:
         return 0.0
     if hint.kind == "exponential":
-        # estimate the decay rate from the trailing samples
-        pts, vals = f.grid.points, np.abs(f.values)
-        mask = (pts > 0.5 * b) & (vals > 1e-140)
-        if np.count_nonzero(mask) < 3:
+        lam = _decay_rate(f)
+        if lam is None:
             return 0.0
-        lam = -np.polyfit(pts[mask], np.log(vals[mask]), 1)[0]
         if lam <= 0:
             raise DivergentTailError("exponential hint but samples do not decay")
         return fb**2 * b ** (2 * k + 1) / (2.0 * lam)
@@ -742,12 +765,9 @@ def integral_completed(f: SampledFunction) -> float:
     fb = float(f.values[-1])
     if hint is not None and abs(fb) > 1e-140:
         if hint.kind == "exponential":
-            pts, vals = f.grid.points, np.abs(f.values)
-            mask = (pts > 0.5 * b) & (vals > 1e-140)
-            if np.count_nonzero(mask) >= 3:
-                lam = -np.polyfit(pts[mask], np.log(vals[mask]), 1)[0]
-                if lam > 0:
-                    tail = fb / lam
+            lam = _decay_rate(f)
+            if lam is not None and lam > 0:  # samples that do not decay leave a zero tail
+                tail = fb / lam
         elif hint.kind == "power":
             if hint.p > 1:
                 tail = fb * b / (hint.p - 1.0)

@@ -10,6 +10,8 @@ threshold.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .. import classicops, fracint, mellin
@@ -71,19 +73,17 @@ _ORIGIN_ORDER = {"gauss": 0.0, "xexp": 1.0, "bump12": np.inf, "x2gauss": 2.0, "s
 # members even near the origin: the Kipriyanov spaces' own functions
 _EVEN_AT_ORIGIN = frozenset({"gauss", "x2gauss"})
 
-_GRIDS: dict = {}
-
-
-def default_grid(kind: str = "main") -> Grid:
-    """Shared grids for the harness (cached so operator plans are reused)."""
-    if kind not in _GRIDS:
-        _GRIDS[kind] = {
-            "main": lambda: make_grid(512),
-            "fine": lambda: make_grid(1024),
-            "mid": lambda: make_grid(512, (1e-3, 40)),
-            "unitary_hardy": lambda: make_grid(1024, (0.7, 12.0)),
-        }[kind]()
-    return _GRIDS[kind]
+@functools.cache
+def default_grid(kind: str) -> Grid:
+    """The harness's shared grid of one kind ("main", "fine", "mid" or
+    "unitary_hardy"): one object per kind, so the operator plans cached on
+    it are reused from check to check."""
+    return {
+        "main": lambda: make_grid(512),
+        "fine": lambda: make_grid(1024),
+        "mid": lambda: make_grid(512, (1e-3, 40)),
+        "unitary_hardy": lambda: make_grid(1024, (0.7, 12.0)),
+    }[kind]()
 
 
 def _rel_l2(diff_vals: np.ndarray, grid: Grid, ref: float, interior: float = 1.0) -> float:

@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 
-from betrans.numgrid import make_grid
 from betrans.testfuncs import suite_on_grid
+from betrans.verify.checks import default_grid
 
 
+# the registry's grid objects: plans live on their grid, so tests and
+# registry checks share them
 @pytest.fixture(scope="session")
 def grid_main():
-    return make_grid(512)
+    return default_grid("main")
 
 
 @pytest.fixture(scope="session")
 def grid_fine():
-    return make_grid(1024)
+    return default_grid("fine")
 
 
 @pytest.fixture(scope="session")

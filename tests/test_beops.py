@@ -295,28 +295,23 @@ def _x2gauss_on(grid):
     return SampledFunction.from_callable(lambda t: t * t * np.exp(-t * t), grid, DecayHint.exponential())
 
 
-@pytest.mark.parametrize("op", ["hardy:H1", "stieltjes", "zero:S-:nu=1"])
-def test_plan_cache_keys_on_grid_points(op, monkeypatch):
-    # a plan cached for the linear grid must not be handed to the irregular
-    # one (it was, off by 3.2, 0.32 and 0.71 of the peak)
-    from betrans.beops import apply, zero_order
+@pytest.mark.parametrize("op", ["hardy:H1", "stieltjes", "zero:S-:nu=1", "fracint:rl_left"])
+def test_plan_cache_keys_on_grid_points(op):
+    # plans live on their grid: one built for the linear grid is never
+    # handed to the irregular one with the same size, hull and label (a
+    # cache keyed by size and hull did, off by 3.2, 0.32 and 0.71 of the
+    # peak), and a second apply on a grid reuses its plans
+    from betrans.beops import apply
 
+    if op == "fracint:rl_left":
+        run = lambda f: rl_integral(FracSpec("rl_left", 0.5), f)  # noqa: E731
+    else:
+        run = lambda f: apply(parse_operator(op), f)  # noqa: E731
+    fresh = run(_x2gauss_on(_same_hull_grids()[1]))
     regular, irregular = _same_hull_grids()
-    spec = parse_operator(op)
-    monkeypatch.setattr(zero_order, "_PLANS", {})
-    fresh = apply(spec, _x2gauss_on(irregular))
-    monkeypatch.setattr(zero_order, "_PLANS", {})
-    apply(spec, _x2gauss_on(regular))
-    assert np.array_equal(apply(spec, _x2gauss_on(irregular)).values, fresh.values)
-
-
-def test_fracint_plan_cache_keys_on_grid_points(monkeypatch):
-    from betrans import fracint
-
-    regular, irregular = _same_hull_grids()
-    spec = FracSpec("rl_left", 0.5)
-    monkeypatch.setattr(fracint, "_PLAN_CACHE", {})
-    fresh = rl_integral(spec, _x2gauss_on(irregular))
-    monkeypatch.setattr(fracint, "_PLAN_CACHE", {})
-    rl_integral(spec, _x2gauss_on(regular))
-    assert np.array_equal(rl_integral(spec, _x2gauss_on(irregular)).values, fresh.values)
+    run(_x2gauss_on(regular))
+    assert regular.plans and not irregular.plans
+    assert np.array_equal(run(_x2gauss_on(irregular)).values, fresh.values)
+    plans = dict(irregular.plans)
+    run(_x2gauss_on(irregular))
+    assert irregular.plans == plans and {k[1:] for k in plans} == {k[1:] for k in regular.plans}

@@ -107,11 +107,11 @@ def test_operands_cover_both_head_models():
 
 
 def test_plan_is_one_matrix_on_the_grid(plans_with_weights):
+    # columns: the samples, then the head model's six coefficients, which
+    # only plans with nodes below the hull read
     for (gname, geometry), (grid, plan, _, _) in plans_with_weights.items():
-        assert plan.matrix.shape == (grid.n, grid.n)
-        below = plan.t_all < grid.points[0]
-        assert np.array_equal(np.unique(plan.t_all[below]), np.sort(plan.head_t))
-        assert plan.head_matrix.shape == (grid.n, len(plan.head_t))
+        assert plan.matrix.shape == (grid.n, grid.n + 6)
+        assert np.any(plan.matrix[:, grid.n :]) == np.any(plan.t_all < grid.points[0])
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +183,7 @@ def test_ratio_kernels_off_uniform_log_grids_take_the_per_pair_path(grid):
     for kernels in (_kernels_s(0.3), _kernels_p(0.3), hilbert_pair_kernels(0)):
         plan = build_pv_plan(grid, *kernels)
         ref = build_pv_plan(grid, *(_plain(k) for k in kernels))
-        for attr in ("matrix", "head_t", "head_matrix", "t_all", "sub"):
+        for attr in ("matrix", "t_all", "sub"):
             assert np.array_equal(getattr(plan, attr), getattr(ref, attr)), attr
 
 

@@ -301,3 +301,47 @@ def test_mellin_does_not_import_the_operator_layer():
     top_level = "\n".join(ast.unparse(node) for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom)))
     names = imported_modules(top_level, ("betrans",))
     assert not [name for name in names if name.startswith(("betrans.beops", "betrans.catalog"))]
+
+
+# plans live on their grid (_engine.cached_plan): no module keeps a cache in
+# a module-level dict of its own.  Two stay: the transforms' matrices (the
+# benchmark reads that dict) and the Gauss-Jacobi rules (keyed by rounded
+# exponents).  Nothing imports zero_order's private `_plan`.
+MODULE_DICTS_KEPT = {("beops/transforms.py", "_MATRIX_CACHE"), ("numgrid.py", "_JACOBI_CACHE")}
+
+
+def module_state(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each module-level name bound to an empty dict
+    literal, and (line, "import _plan") of each import of `_plan` from a
+    zero_order module."""
+    tree = ast.parse(source)
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign):
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if isinstance(value, ast.Dict) and not value.keys:
+            found += [(node.lineno, t.id) for t in targets if isinstance(t, ast.Name)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "zero_order":
+            found += [(node.lineno, "import _plan") for alias in node.names if alias.name == "_plan"]
+    return sorted(found)
+
+
+def test_state_scan_finds_module_dicts_and_plan_imports():
+    source = (
+        "_A: dict = {}\n_B = _C = {}\n_D = {1: 2}\n"
+        "def f():\n    cache = {}\n    from .zero_order import _plan\n"
+        "from ..beops.zero_order import _plan as p, apply_zero_order\n"
+    )
+    assert module_state(source) == [(1, "_A"), (2, "_B"), (2, "_C"), (6, "import _plan"), (7, "import _plan")]
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[str(p.relative_to(PACKAGE)) for p in ALL_MODULES])
+def test_module_keeps_no_cache_dict_of_its_own(path):
+    rel = path.relative_to(PACKAGE).as_posix()
+    found = [(line, name) for line, name in module_state(path.read_text(encoding="utf-8")) if (rel, name) not in MODULE_DICTS_KEPT]
+    assert found == []

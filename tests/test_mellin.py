@@ -64,6 +64,24 @@ def test_primary_multiplicator_value():
     assert multiplicator(OperatorSpec("zero_order", "S0+", nu=1.0), s) == pytest.approx(-1.0)
 
 
+@pytest.mark.parametrize("nu", [1, 2, 3, 4, -2, -3])
+def test_integer_order_zero_order_symbols_coincide(nu):
+    # at integer nu the Gamma quotients of the origin-side and infinity-side
+    # forms agree on Re s = 1/2: m_S0+ = m_S- and m_P- = m_P0+ there, so
+    # in L2 each pair is one operator (the Hardy-sum form of the integer case)
+    s = 0.5 + 1j * np.linspace(-40.0, 40.0, 161)
+    assert np.max(np.abs(m_zero_order("S0+", nu, s) - m_zero_order("S-", nu, s))) <= 1e-14
+    assert np.max(np.abs(m_zero_order("P-", nu, s) - m_zero_order("P0+", nu, s))) <= 1e-14
+
+
+def test_non_integer_order_zero_order_symbols_differ():
+    # the control: at nu = 0.3 the forms differ by up to 1.85 on the line
+    s = 0.5 + 1j * np.linspace(-40.0, 40.0, 161)
+    for a, b in (("S0+", "S-"), ("P-", "P0+")):
+        gap = np.max(np.abs(m_zero_order(a, 0.3, s) - m_zero_order(b, 0.3, s)))
+        assert gap == pytest.approx(1.85, abs=0.01)
+
+
 def test_inverse_pair_identity_random_strip_points():
     rng = np.random.default_rng(11)
     s = rng.uniform(-1.5, 0.4, 50) + 1j * rng.uniform(-5, 5, 50)

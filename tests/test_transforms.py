@@ -286,11 +286,10 @@ def test_matrix_cache_keys_on_grid_points(monkeypatch):
     t = regular.points
     assert np.max(np.abs(fc.values - np.sqrt(2.0 / np.pi) / (1.0 + t * t))) < 1e-6
     assert len(transforms._MATRIX_CACHE) == 4
-    # each cached array is n_out x (n_in + n_head), never n_out x 16384
-    n_head = np.count_nonzero(transforms._quad_abscissa(f)[0] < src.hull[0])
+    # each cached array is n_out x (n_in + 6): the samples and the head
+    # model's six coefficients, never n_out x 16384
     for mat in transforms._MATRIX_CACHE.values():
-        assert mat.size <= len(t) * (src.n + n_head)
-        assert mat.shape[1] < transforms._NY
+        assert mat.shape == (len(t), src.n + 6)
 
 
 def test_hankel_minus_half_is_cosine_transform(bump_mid):
