@@ -5,9 +5,11 @@ Exports HEAD with ``git archive`` into a temporary directory, then runs
 ``perfbench/run.py --trace 0`` on it and on the working tree, alternating
 which goes first, k times for every workload in BENCHMARK.json (run i uses
 seed i + 1 on both sides).  Writes ``BENCH_<tag>.json`` with every
-run's end-to-end metrics; per metric and side the median and quartiles;
-the change/base ratio of the medians and how many pairs the change won
-(ties count for neither side); nproc and the numpy/scipy versions.
+run's end-to-end metrics and per-op times (``op_ms``, from the report
+line); per metric and side the median and quartiles; per op and side the
+median time (``op_ms_median``), so a gain can be read op by op; the
+change/base ratio of the medians and how many pairs the change won (ties
+count for neither side); nproc and the numpy/scipy versions.
 
     python3 scripts/bench.py --tag pr3
 
@@ -49,10 +51,12 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     t0 = time.perf_counter()
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=1800, check=False)
     elapsed = time.perf_counter() - t0
-    result = None
+    result, report = None, {}
     for line in proc.stdout.splitlines():
         if line.startswith('{"correct"'):
             result = json.loads(line)
+        elif line.startswith('{"report"'):
+            report = json.loads(line)["report"]
     if proc.returncode != 0 or result is None:
         return {"seed": seed, "error": proc.stderr[-2000:], "process_s": round(elapsed, 2)}
     return {
@@ -61,8 +65,17 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+        "op_ms": op_medians(report.get("ops", []), report.get("op_ms", [])),
         "process_s": round(elapsed, 2),
     }
+
+
+def op_medians(ops: list[str], op_ms: list[float]) -> dict:
+    """Per op id, the median of its times (an op can run more than once)."""
+    times = {}
+    for op, ms in zip(ops, op_ms):
+        times.setdefault(op, []).append(ms)
+    return {op: statistics.median(v) for op, v in times.items()}
 
 
 def quartiles(vals: list[float]) -> dict:
@@ -84,6 +97,15 @@ def compare(runs: dict, name: str, better: str) -> dict:
             won += bool(diff < 0 if better == "lower" else diff > 0)
     out["pairs_change_better"] = won
     return out
+
+
+def per_op_median(runs: list[dict]) -> dict:
+    """Per op id, the median over one side's runs of its time in ms."""
+    times = {}
+    for r in runs:
+        for op, ms in r.get("op_ms", {}).items():
+            times.setdefault(op, []).append(ms)
+    return {op: round(statistics.median(v), 3) for op, v in times.items()}
 
 
 def main(argv=None) -> int:
@@ -132,6 +154,7 @@ def main(argv=None) -> int:
                     print(f"{w} run {i + 1} {side}: {shown or r.get('error', '')[-300:]}", flush=True)
             out["workloads"][w] = {
                 "metrics": {m["name"]: compare(runs, m["name"], m["better"]) for m in spec["end_to_end"]},
+                "op_ms_median": {side: per_op_median(rs) for side, rs in runs.items()},
                 "all_correct": {side: all(r.get("correct", False) for r in rs) for side, rs in runs.items()},
                 "runs": runs,
             }

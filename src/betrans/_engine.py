@@ -29,21 +29,24 @@ points each; both are keyword parameters of the plan builders (defaults
 Every output row that reaches a body panel shares its nodes, so the
 spline's basis is evaluated once per distinct node.
 
-PV kernels that commute with dilations, K(x, t) = k(t/x)/x (RatioKernel),
-repeat on a grid uniform in log x: seen from x_i, the node j of the body
-panel from grid point g sits at a ratio t/x fixed by g - i and j, and
-while x_i <= b/2 a row's own panels (those ending at x_i -/+ eps0 and the
-graded ones, all scaled by eps0 = x_i/8) are those of the row one stride
-before it, dilated by x_(i+stride)/x_i.  So one template per stride class
-holds every ratio those rows see, k is evaluated once per template ratio,
-and where the spline's knots are uniform (clear of its not-a-knot end
-intervals) the weighted basis rows of a template row, or of a body panel
-at one g - i, are summed once and added to every row as a shifted stamp.
-The rule itself does not change: each row keeps its nodes and weights,
-and only the arithmetic that evaluates the same kernel at them does, to
-rounding.  Rows with x > b/2, where eps0 = (b - x)/8, head nodes below a
-and the panel cut short at b keep the per-pair path, as do any other
-kernel and any other grid (build_pv_plan).
+Kernels homogeneous of degree d, K(x, t) = k(r) x^d with r a function of
+t/x (RatioKernel), repeat on a grid uniform in log x, in all three
+geometries: seen from x_i, the node j of the body panel from grid point g
+sits at a ratio t/x fixed by g - i and j, and a row's own panels (the last
+panel ending at x_i, the panel from x_i, and in PV plans, while x_i <= b/2,
+those ending at x_i -/+ eps0 and the graded ones, all scaled by
+eps0 = x_i/8) are those of the row one stride before it, dilated by
+x_(i+stride)/x_i.  So one template per stride class holds every ratio those
+rows see, k is evaluated once per template ratio, and a slot's weight times
+kernel scales with x^(d+1) from row to row.  Where the spline's knots are
+uniform (clear of its not-a-knot end intervals) the weighted basis rows of
+a template row, or of a body panel at one g - i, are summed once and added
+to every row as a shifted stamp, times that power of x.  The rule itself
+does not change: each row keeps its nodes and weights, and only the
+arithmetic that evaluates the same kernel at them does, to rounding.  Head
+nodes below a, the panel cut short at b and, in PV plans, rows with
+x > b/2, where eps0 = (b - x)/8, keep the per-pair path, as do any other
+kernel and any other grid (_dilation_template).
 
 Above the grid hull the operand is taken as zero.
 """
@@ -166,15 +169,21 @@ class _Rules:
         count = np.asarray(count, dtype=int)
         self._add(t, w, (np.cumsum(count) - count) * k, count * k, -1, True)
 
+    def layout(self):
+        """(nodes, starts, lengths): the node table, and per row i and
+        segment s the run starts[i, s]:starts[i, s] + lengths[i, s] of it
+        that row i's rule holds there."""
+        return np.concatenate(self._t), np.stack(self._starts, axis=1), np.stack(self._lengths, axis=1)
+
+    def weights(self) -> np.ndarray:
+        """The weight of every node, in node-table order."""
+        return np.concatenate(self._w)
+
     def pairs(self):
         """(nodes, weights, node_id, offsets): row i's rule is nodes and
         weights at node_id[offsets[i]:offsets[i + 1]]."""
-        starts = np.stack(self._starts, axis=1).ravel()
-        lengths = np.stack(self._lengths, axis=1).ravel()
-        ends = np.cumsum(lengths)
-        node_id = np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
-        offsets = np.concatenate([[0], ends[len(self._starts) - 1 :: len(self._starts)]])
-        return np.concatenate(self._t), np.concatenate(self._w), node_id, offsets
+        nodes, starts, lengths = self.layout()
+        return (nodes, self.weights(), *_unroll(starts, lengths))
 
     def lattice(self) -> np.ndarray:
         """Every node's lattice label, in node-table order."""
@@ -185,6 +194,16 @@ class _Rules:
         starts[i]:starts[i] + counts[i] of the node table; owned segments
         hold rows' own panels, one block of the table row after row."""
         return list(zip(self._starts, self._lengths, self._owned))
+
+
+def _unroll(starts, lengths):
+    """(node_id, offsets) of a rule layout (_Rules.layout): row i's nodes
+    are node_id[offsets[i]:offsets[i + 1]], its segments' runs in order."""
+    nseg = starts.shape[1]
+    starts, lengths = starts.ravel(), lengths.ravel()
+    ends = np.cumsum(lengths)
+    node_id = np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
+    return node_id, np.concatenate([[0], ends[nseg - 1 :: nseg]])
 
 
 def _stride_starts(idx: np.ndarray, stride: int) -> np.ndarray:
@@ -309,8 +328,9 @@ def _segmented_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     nseg = len(offsets) - 1
     if len(values) == 0:
         return np.zeros(nseg)
-    padded = np.append(values, 0.0)  # sentinel keeps trailing empty segments in range
-    out = np.add.reduceat(padded, offsets[:-1])
+    out = np.zeros(nseg)
+    live = np.searchsorted(offsets[:-1], len(values))  # trailing empty segments start at len(values)
+    out[:live] = np.add.reduceat(values, offsets[:live])
     out[np.diff(offsets) == 0] = 0.0
     return out
 
@@ -321,7 +341,8 @@ _ASSEMBLY_PAIRS = 1 << 14  # (row, node) pairs accumulated per block
 def _assemble(grid: Grid, nodes, node_id, offsets, kw, use_deriv: bool, coef0=None):
     """The n x (n + 6) matrix, on [samples | head model], of the plan whose
     row i is sum kw[p] f(nodes[node_id[p]]) over p in offsets[i]:offsets[i + 1]
-    (f' for use_deriv), plus the spline-coefficient rows coef0 when given.
+    (f' for use_deriv), plus the spline-coefficient rows coef0 when given
+    (summed into in place).
 
     Inside the hull f is the operand's interpolating spline: each node's
     basis row (of f' for use_deriv: the degree k-1 rows on the inner knots
@@ -347,7 +368,7 @@ def _assemble(grid: Grid, nodes, node_id, offsets, kw, use_deriv: bool, coef0=No
     ncol = len(knots) - k - 1 - int(use_deriv)
     in_index = np.cumsum(inside) - 1
     head_index = np.cumsum(below) - 1
-    coef = np.empty((n, ncol))
+    coef = np.empty((n, ncol)) if coef0 is None else coef0
     head_rows, head_cols, head_kw = [], [], []
     r0 = 0
     while r0 < n:
@@ -357,21 +378,21 @@ def _assemble(grid: Grid, nodes, node_id, offsets, kw, use_deriv: bool, coef0=No
         row = np.repeat(np.arange(r1 - r0), np.diff(offsets[r0 : r1 + 1]))
         keep = inside[q]
         qi = in_index[q[keep]]
-        cols = (row[keep] * ncol + first[qi]) + np.arange(len(vals))[:, None]
-        summed = np.bincount(
-            cols.ravel(), (np.take(vals, qi, axis=1) * w[keep]).ravel(), minlength=(r1 - r0) * ncol
-        ).reshape(r1 - r0, ncol)
-        coef[r0:r1] = summed if coef0 is None else coef0[r0:r1] + summed
+        cols = ((row[keep] * ncol + first[qi]) + np.arange(len(vals))[:, None]).ravel()
+        terms = (np.take(vals, qi, axis=1) * w[keep]).ravel()
+        if coef0 is None:
+            coef[r0:r1] = np.bincount(cols, terms, minlength=(r1 - r0) * ncol).reshape(r1 - r0, ncol)
+        else:
+            np.add.at(coef[r0:r1].reshape(-1), cols, terms)
         low = below[q]
         head_rows.append(row[low] + r0)
         head_cols.append(head_index[q[low]])
         head_kw.append(w[low])
         r0 = r1
-    head_t = nodes[below]
-    nh = len(head_t)
-    head_matrix = np.bincount(
-        np.concatenate(head_rows) * nh + np.concatenate(head_cols), np.concatenate(head_kw), minlength=n * nh
-    ).reshape(n, nh)
+    # per row, the head nodes' weights times their head-basis rows
+    head_rows, head_kw = np.concatenate(head_rows), np.concatenate(head_kw)
+    basis = head_basis(nodes[below], a, use_deriv)[np.concatenate(head_cols)]
+    head = np.stack([np.bincount(head_rows, head_kw * col, minlength=n) for col in basis.T], axis=1)
     if use_deriv:
         # spline derivative coefficients: dk_i (c_(i+1) - c_i)
         dk = k / (knots[k + 1 : k + 1 + ncol] - knots[1 : 1 + ncol])
@@ -379,7 +400,7 @@ def _assemble(grid: Grid, nodes, node_id, offsets, kw, use_deriv: bool, coef0=No
         coef = np.zeros((n, ncol + 1))
         coef[:, 1:] += scaled
         coef[:, :-1] -= scaled
-    return np.hstack([collocation_solve(grid, coef, "right"), head_matrix @ head_basis(head_t, a, use_deriv)])
+    return np.hstack([collocation_solve(grid, coef, "right"), head])
 
 
 class KernelPlan:
@@ -387,15 +408,23 @@ class KernelPlan:
     an n x (n + 6) matrix on the operand's samples followed by its head
     model's six coefficients (numgrid.head_model).
 
-    t_all holds every quadrature node, row after row (row i's are
-    t_all[offsets[i]:offsets[i + 1]]).
+    The rule is kept as its node table and layout (_Rules.layout); t_all,
+    every quadrature node row after row, and offsets (row i's are
+    t_all[offsets[i]:offsets[i + 1]]) are unrolled from them on access.
     """
 
-    def __init__(self, grid: Grid, t_all, offsets, matrix):
+    def __init__(self, grid: Grid, layout, matrix):
         self.grid = grid
-        self.t_all = t_all
-        self.offsets = offsets
+        self.nodes, self.starts, self.lengths = layout
         self.matrix = matrix
+
+    @property
+    def t_all(self) -> np.ndarray:
+        return self.nodes[_unroll(self.starts, self.lengths)[0]]
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return np.concatenate([[0], np.cumsum(self.lengths.sum(axis=1))])
 
     def apply(self, f: SampledFunction) -> np.ndarray:
         return self.matrix @ np.concatenate([f.values, head_model(f)])
@@ -414,13 +443,19 @@ def cached_plan(key, build):
     return plans[key]
 
 
-def _kernel_plan(grid: Grid, rules: _Rules, kernel, use_deriv: bool) -> KernelPlan:
-    nodes, weights, node_id, offsets = rules.pairs()
-    t_all = nodes[node_id]
-    x_all = np.repeat(grid.points, np.diff(offsets))
-    kw = weights[node_id] * kernel(x_all, t_all)
-    del x_all
-    return KernelPlan(grid, t_all, offsets, _assemble(grid, nodes, node_id, offsets, kw, use_deriv))
+def _kernel_plan(grid: Grid, rules: _Rules, kernel, use_deriv: bool, stride: int, n_gl: int) -> KernelPlan:
+    """A lower or upper plan: a RatioKernel on a grid uniform in log x from
+    the dilation template, any other kernel or grid pair by pair."""
+    if isinstance(kernel, RatioKernel) and _log_uniform(grid):
+        *pairs, coef0, _ = _dilation_template(grid, rules, (kernel, kernel), stride, n_gl, use_deriv)
+        matrix = _assemble(grid, *pairs, use_deriv, coef0)
+    else:
+        nodes, weights, node_id, offsets = rules.pairs()
+        x_all = np.repeat(grid.points, np.diff(offsets))
+        kw = weights[node_id] * kernel(x_all, nodes[node_id])
+        del x_all
+        matrix = _assemble(grid, nodes, node_id, offsets, kw, use_deriv)
+    return KernelPlan(grid, rules.layout(), matrix)
 
 
 def build_lower_plan(
@@ -434,7 +469,7 @@ def build_lower_plan(
 ) -> KernelPlan:
     rules = _Rules(grid.n)
     _lower_rules(rules, grid.points, grid.points, alpha, stride, n_gl, head=head)
-    return _kernel_plan(grid, rules, kernel, use_deriv)
+    return _kernel_plan(grid, rules, kernel, use_deriv, stride, n_gl)
 
 
 def build_upper_plan(
@@ -447,7 +482,7 @@ def build_upper_plan(
 ) -> KernelPlan:
     rules = _Rules(grid.n)
     _upper_rules(rules, grid.points, grid.points, alpha, stride, n_gl)
-    return _kernel_plan(grid, rules, kernel, use_deriv)
+    return _kernel_plan(grid, rules, kernel, use_deriv, stride, n_gl)
 
 
 class PVPlan(KernelPlan):
@@ -463,8 +498,8 @@ class PVPlan(KernelPlan):
     pole terms -rho f(x_i) (sub_i - log_term_i) are the matrix's diagonal.
     """
 
-    def __init__(self, grid, t_all, offsets, matrix, sub, log_term, rho):
-        super().__init__(grid, t_all, offsets, matrix)
+    def __init__(self, grid, layout, matrix, sub, log_term, rho):
+        super().__init__(grid, layout, matrix)
         self.sub = sub  # per-point sum of w/(x - t): the discretized pole integral
         self.log_term = log_term
         self.rho = rho
@@ -475,34 +510,44 @@ class PVPlan(KernelPlan):
 
 
 class RatioKernel:
-    """A kernel that commutes with dilations: K(x, t) = k(r)/x, with r a
-    function of t/x alone.
+    """A kernel homogeneous of degree d (K(lambda x, lambda t) =
+    lambda^d K(x, t)): K(x, t) = k(r) x^d, with r a function of t/x alone.
 
     variable "t/x":   r = t/x;
     variable "1-t/x": r = (x - t)/x, which keeps its digits next to the
-                      diagonal (for k rational in t/x);
-    variable "x/t":   r = x/t, and K(x, t) = k(r)/t.
+                      diagonal (for k with a factor x - t, or rational in t/x);
+    variable "x/t":   r = x/t, and K(x, t) = k(r) t^d.
 
     Take as r the argument that k hands its special function, so that k is
-    a smooth function of the rounded r.  build_pv_plan evaluates k once per
-    template ratio on grids uniform in log x; everywhere else K(x, t) is
-    called like any kernel.
+    a smooth function of the rounded r.  The degree is the kernel's own
+    (the default -1 is that of every Mellin convolution k(t/x)/x).  On
+    grids uniform in log x the plan builders evaluate k once per template
+    ratio (_dilation_template); everywhere else K(x, t) is called like any
+    kernel.
     """
 
     _FORMS = {
-        # r(x, t), the divisor of k(r), and 1/(x - t) as pole(r)/divisor
+        # r(x, t), the base of the power b^d, and 1/(x - t) as pole(r)/b
         "t/x": (lambda x, t: t / x, lambda x, t: x, lambda r: 1.0 / (1.0 - r)),
         "1-t/x": (lambda x, t: (x - t) / x, lambda x, t: x, lambda r: 1.0 / r),
         "x/t": (lambda x, t: x / t, lambda x, t: t, lambda r: 1.0 / (r - 1.0)),
     }
 
-    def __init__(self, k: Callable[[np.ndarray], np.ndarray], variable: str = "t/x"):
+    def __init__(self, k: Callable[[np.ndarray], np.ndarray], variable: str = "t/x", degree: float = -1.0):
         self.k = k
         self.variable = variable
-        self.ratio, self.divisor, self.pole = self._FORMS[variable]
+        self.degree = float(degree)
+        self.ratio, self.base, self.pole = self._FORMS[variable]
+
+    def power(self, x, t):
+        """K(x, t)/k(r) = b^d."""
+        b = self.base(x, t)
+        return 1.0 / b if self.degree == -1.0 else b**self.degree
 
     def __call__(self, x, t):
-        return self.k(self.ratio(x, t)) / self.divisor(x, t)
+        b = self.base(x, t)
+        k = self.k(self.ratio(x, t))
+        return k / b if self.degree == -1.0 else k * b**self.degree
 
 
 def _log_uniform(grid: Grid) -> bool:
@@ -515,29 +560,29 @@ def _log_uniform(grid: Grid) -> bool:
 
 
 class _Template:
-    """The dilation template of a PV plan's node table (see _template).
+    """The dilation template of a plan's node table (see _template).
 
     key[q] is node q's slot plus n_gl times its row, negative for nodes off
     the template.  Slots [0, n_own) hold rows' own nodes; the body slots
     follow, n_own + (g - i + n - 1) n_gl + j for node j of the panel from
-    grid point g seen from row i, once for the panels clear of the spline's
-    not-a-knot end intervals and once more, n_body further on, for the
-    others.  rep_node and rep_row place each slot's ratio t/x where has_rep.
+    grid point g seen from row i.  rep_node and rep_row place each slot's
+    ratio t/x where has_rep.
     in_stamp marks the nodes whose pairs enter as stamps: those of the clear
-    body panels, which row i sums where used[i, g / stride], and the own
+    body panels, of which each row sums the runs of panels runs lists as
+    (rows, first panel g / stride, last panel g / stride), and the own
     nodes own_node (of rows own_row) of the rows listed in own_stamps as
     (rows, first slot, number of slots) per segment and stride class.
     """
 
-    def __init__(self, key, rep_node, rep_row, has_rep, in_stamp, own, used, n_own):
+    def __init__(self, key, rep_node, rep_row, has_rep, in_stamp, own, runs, n_own):
         self.key, self.rep_node, self.rep_row, self.has_rep = key, rep_node, rep_row, has_rep
         self.own_stamps, self.own_node, self.own_row = own
-        self.in_stamp, self.used, self.n_own = in_stamp, used, n_own
+        self.in_stamp, self.runs, self.n_own = in_stamp, runs, n_own
         self.per_pair = len(rep_node)
 
 
 def _template(grid: Grid, rules: _Rules, nodes, stride: int, n_gl: int) -> _Template:
-    """The dilation template of a PV plan on a grid uniform in log x.
+    """The dilation template of a plan on a grid uniform in log x.
 
     Node j of the body panel from grid point g sits at a ratio t/x_i fixed
     by g - i and j, so (g - i, j) is its slot, shared by every row.  A
@@ -567,10 +612,14 @@ def _template(grid: Grid, rules: _Rules, nodes, stride: int, n_gl: int) -> _Temp
         if not owned:
             continue
         held = counts > 0
+        if not np.any(held):
+            continue
+        # the segment's nodes are one block of the table, row after row
+        base, row = starts[0], np.repeat(np.arange(n), counts)
+        block = slice(base, base + len(row))
+        row_first = np.cumsum(counts) - counts  # in the block
         n_clear = np.zeros(n, dtype=int)
-        if np.any(held):
-            block = clear[starts[0] : starts[0] + counts.sum()]
-            n_clear[held] = np.add.reduceat(block, (starts - starts[0])[held], dtype=int)
+        n_clear[held] = np.add.reduceat(clear[block], row_first[held], dtype=int)
         rows_clear = n_clear == counts
         common = np.zeros(stride, dtype=int)
         first = np.zeros(stride, dtype=int)
@@ -585,18 +634,17 @@ def _template(grid: Grid, rules: _Rules, nodes, stride: int, n_gl: int) -> _Temp
         rep_node.append(rep.ravel())
         rep_row.append(np.repeat(first, width))
         has_rep.append((np.arange(width) < common[:, None]).ravel())
-        rows = np.flatnonzero(held & (counts == common[cls]))
-        row = np.repeat(rows, counts[rows])
-        place = np.arange(len(row)) - np.repeat(np.cumsum(counts[rows]) - counts[rows], counts[rows])
-        q = starts[row] + place
-        at = cls[row] * width + place  # the slot, from n_own on
+        place = np.arange(len(row)) - row_first[row]
+        at = cls[row] * width + np.minimum(place, width - 1)  # the slot, from n_own on
         u_rep = (nodes[rep] / x[first][:, None]).ravel()[at]
-        match = np.abs(nodes[q] / x[row] - u_rep) <= 1e-12 * u_rep
-        key[q[match]] = (n_own + at + n_gl * row)[match]
-        stamped = (np.bincount(row[match & clear[q]], minlength=n) == counts) & (counts > 0) & rows_clear[first[cls]]
-        in_stamp[q[stamped[row]]] = True
-        own_node.append(q[stamped[row]])
-        own_row.append(row[stamped[row]])
+        match = (counts == common[cls])[row] & (np.abs(nodes[block] / x[row] - u_rep) <= 1e-12 * u_rep)
+        key[block] = np.where(match, n_own + at + n_gl * row, key[block])
+        stamped = np.zeros(n, dtype=bool)
+        stamped[held] = np.logical_and.reduceat(match & clear[block], row_first[held])
+        stamped &= rows_clear[first[cls]]
+        in_stamp[block] = stamped[row]
+        own_node.append(base + np.flatnonzero(in_stamp[block]))
+        own_row.append(row[in_stamp[block]])
         for c in range(stride):
             own_stamps.append((np.flatnonzero(stamped & (cls == c)), n_own + c * width, common[c]))
         n_own += stride * width
@@ -605,8 +653,7 @@ def _template(grid: Grid, rules: _Rules, nodes, stride: int, n_gl: int) -> _Temp
     body = np.flatnonzero(label >= 0)
     g = label[body] // n_gl
     clear_panel = (x[g] >= lo) & (x[g + stride] <= hi)
-    n_body = (2 * n - 1) * n_gl
-    key[body] = label[body] + n_own + (n - 1) * n_gl + np.where(clear_panel, 0, n_body)
+    key[body] = label[body] + n_own + (n - 1) * n_gl
     in_stamp[body[clear_panel]] = True
     # per d = g - i a panel to place the ratio at, a clear one if there is one
     node_of = np.full(n * n_gl, -1)
@@ -620,30 +667,29 @@ def _template(grid: Grid, rules: _Rules, nodes, stride: int, n_gl: int) -> _Temp
     body_rep = np.repeat(found, n_gl)
     # the clear panels each row sums as stamps: per body segment a row's
     # panels are one run of consecutive ones, cut to the clear ones
-    n_panel = (n - 1) // stride + 1
-    used = np.zeros((n, n_panel), dtype=bool)
     g_lo, g_hi = int(g[clear_panel].min(initial=n)), int(g[clear_panel].max(initial=-1))
-    m = np.arange(n_panel)
+    runs = []
     for starts, counts, owned in rules.segments():
         if owned:
             continue
         first_label = label[np.minimum(starts, len(label) - 1)]
-        held = (counts > 0) & (first_label >= 0)
-        g_first = np.where(held, first_label // n_gl, 0)
-        g_last = g_first + (counts // n_gl - 1) * stride
+        g_first = first_label // n_gl
         m_lo = -(-np.maximum(g_first, g_lo) // stride)
-        m_hi = np.minimum(g_last, g_hi) // stride
-        used |= held[:, None] & (m >= m_lo[:, None]) & (m <= m_hi[:, None])
+        m_hi = np.minimum(g_first + (counts // n_gl - 1) * stride, g_hi) // stride
+        rows = np.flatnonzero((counts > 0) & (first_label >= 0) & (m_lo <= m_hi))
+        runs.append((rows, m_lo[rows], m_hi[rows]))
+    rows, m_lo, m_hi = (np.concatenate(part) for part in zip(*runs)) if runs else (np.zeros(0, dtype=int),) * 3
+    order = np.argsort(rows, kind="stable")
     own_node = np.concatenate(own_node) if own_node else np.zeros(0, dtype=int)
     own_row = np.concatenate(own_row) if own_row else np.zeros(0, dtype=int)
     return _Template(
         key,
-        np.concatenate(rep_node + [body_node, body_node]),
-        np.concatenate(rep_row + [body_row, body_row]),
-        np.concatenate(has_rep + [body_rep, body_rep]),
+        np.concatenate(rep_node + [body_node]),
+        np.concatenate(rep_row + [body_row]),
+        np.concatenate(has_rep + [body_rep]),
         in_stamp,
         (own_stamps, own_node, own_row),
-        used,
+        (rows[order], m_lo[order], m_hi[order]),
         n_own,
     )
 
@@ -658,36 +704,51 @@ def _panel_for(starts: np.ndarray, d: np.ndarray, n: int):
     return g, (at < len(starts)) & (g - d < n)
 
 
-def _dilation_template(grid, rules, nodes, weights, node_id, offsets, kernels, stride, n_gl):
+def _dilation_template(grid, rules, kernels, stride, n_gl, use_deriv=False, pole=False):
     """(nodes, node_id, offsets, kw, coef0, diag): what _assemble sums pair
-    by pair for a PV plan on a grid uniform in log x (a node table cut to
-    the pairs off the stamps, and their weights times the ratio kernels),
-    the spline-coefficient rows of the stamps, and a correction to the
-    matrix's diagonal (_template).
+    by pair for a plan of ratio kernels on a grid uniform in log x (a node
+    table cut to the pairs off the stamps, and their weights times the
+    kernels), the spline-coefficient rows of the stamps, and a correction
+    to the matrix's diagonal (_template).  kernels is (lower, upper): the
+    first acts on t < x, the second on t > x; pole marks a PV plan.
 
-    k is evaluated once per slot, at its template ratio r_T.  A pair's own
-    rounded ratio r differs from r_T in the last bits, which moves the pole
-    1/(x - t) by up to 1e-9 of itself at the innermost nodes, so a pair
-    takes k(r_T)/pole(r_T) from the template and multiplies it by its own
+    k is evaluated once per slot, at its template ratio r_T, and a pair
+    takes k(r_T) times its own power b^d.  A stamp carries the template's
+    weighted kernel, which scales with x^(d + 1) from row to row (a slot's
+    weight with x, the kernel with x^d; the derivative basis on a log grid
+    carries 1/t, one power less).  In a PV plan a pair's own rounded ratio
+    r differs from r_T in the last bits, which moves the pole 1/(x - t) by
+    up to 1e-9 of itself at the innermost nodes, so a pair takes
+    k(r_T)/pole(r_T) from the template and multiplies it by its own
     pole(r): next to the diagonal, where the pole sets k, that is the value
-    the per-pair kernel has.  A stamp carries the template's weighted
-    kernel; a stamped own pair's own value differs from it only next to
-    the diagonal, where f(t) is f(x_i) to within |x_i - t| f', so the
-    difference joins the diagonal.  Body panels lie at least x/8 off the
-    diagonal, where r and r_T give the same k to rounding.
+    the per-pair kernel has.  A stamped own pair's own value differs from
+    the stamp's only next to the diagonal, where f(t) is f(x_i) to within
+    |x_i - t| f', so the difference joins the diagonal.  Body panels lie at
+    least x/8 off the diagonal, where r and r_T give the same k to
+    rounding; without a pole, every pair does.
     """
     kl, ku = kernels
     n, x = grid.n, grid.points
+    nodes, starts, lengths = rules.layout()
+    weights = rules.weights()
     tm = _template(grid, rules, nodes, stride, n_gl)
-    keep = np.flatnonzero(~tm.in_stamp[node_id])
-    row = np.searchsorted(offsets, keep, side="right") - 1
-    node_id = node_id[keep]
-    offsets = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=n))])
+    # the pairs off the stamps: per row and segment, the run of the
+    # segment's nodes that are in no stamp, which are consecutive among those
+    off = ~tm.in_stamp
+    before = np.concatenate([[0], np.cumsum(off)])
+    node_id, offsets = _unroll(before[starts], before[starts + lengths] - before[starts])
+    node_id = np.flatnonzero(off)[node_id]
+    row = np.repeat(np.arange(n), np.diff(offsets))
     slot = tm.key[node_id] - n_gl * row
     slot[slot < 0] = tm.per_pair
     own_slot = tm.key[tm.own_node] - n_gl * tm.own_row
-    i, m = np.nonzero(tm.used)
-    body_d = np.unique(m * stride - i + n - 1)  # d + n - 1 of the body stamps
+    # d + n - 1 of the body stamps: a run of panels covers every stride-th
+    # d from its first to its last, marked by a difference array per class
+    run_row, m_first, m_last = tm.runs
+    size = -(-(2 * n - 1) // stride) * stride + stride
+    marks = np.bincount(m_first * stride - run_row + n - 1, minlength=size)
+    marks -= np.bincount(m_last * stride - run_row + n - 1 + stride, minlength=size)
+    body_d = np.flatnonzero(np.cumsum(marks.reshape(-1, stride), axis=0).ravel()[: 2 * n - 1])
     body_slots = tm.n_own + (body_d[:, None] * n_gl + np.arange(n_gl)).ravel()
     needed = np.zeros(tm.per_pair + 1, dtype=bool)
     needed[slot] = True
@@ -698,67 +759,123 @@ def _dilation_template(grid, rules, nodes, weights, node_id, offsets, kernels, s
     slots = np.flatnonzero(needed)
     x_k, t_k = x[row], nodes[node_id]
     per_pair = np.flatnonzero(slot == tm.per_pair)
-    # one call of k per side, at the template ratios and the per-pair ones
+    # one call of k per kernel, at the template ratios and the per-pair ones
     x_r = np.concatenate([x[tm.rep_row[slots]], x_k[per_pair]])
     t_r = np.concatenate([nodes[tm.rep_node[slots]], t_k[per_pair]])
     r = kl.ratio(x_r, t_r)
-    k_r = np.empty_like(r)
-    low = t_r < x_r
-    k_r[low] = kl.k(r[low])
-    k_r[~low] = ku.k(r[~low])
+    if kl is ku:
+        k_r = kl.k(r)
+    else:
+        k_r = np.empty_like(r)
+        low = t_r < x_r
+        k_r[low] = kl.k(r[low])
+        k_r[~low] = ku.k(r[~low])
     ns = len(slots)
-    scale = np.zeros(tm.per_pair + 1)  # k(r_T)/pole(r_T); the last is the per-pair path's
-    scale[slots] = k_r[:ns] / kl.pole(r[:ns])
-    values = scale[slot] * kl.pole(kl.ratio(x_k, t_k)) / kl.divisor(x_k, t_k)
-    values[per_pair] = k_r[ns:] / kl.divisor(x_r[ns:], t_r[ns:])
+    scale = np.zeros(tm.per_pair + 1)  # k(r_T), over pole(r_T) in PV plans
+    scale[slots] = k_r[:ns] / kl.pole(r[:ns]) if pole else k_r[:ns]
+    values = scale[slot] * kl.power(x_k, t_k)
+    if pole:
+        values *= kl.pole(kl.ratio(x_k, t_k))
+    values[per_pair] = k_r[ns:] * kl.power(x_r[ns:], t_r[ns:])
     kw = weights[node_id] * values
     # the template's weights times kernel values, for the stamps
     kw_t = np.zeros(tm.per_pair)
-    kw_t[slots] = weights[tm.rep_node[slots]] * k_r[:ns] / kl.divisor(x_r[:ns], t_r[:ns])
-    x_o, t_o = x[tm.own_row], nodes[tm.own_node]
-    kw_own = weights[tm.own_node] * scale[own_slot] * kl.pole(kl.ratio(x_o, t_o)) / kl.divisor(x_o, t_o)
-    diag = np.bincount(tm.own_row, kw_own - kw_t[own_slot], minlength=n)
-    coef0 = _stamps(grid, tm, kw_t, body_slots, nodes, stride, n_gl)
+    kw_t[slots] = weights[tm.rep_node[slots]] * k_r[:ns] * kl.power(x_r[:ns], t_r[:ns])
+    diag = 0.0
+    if pole:
+        x_o, t_o = x[tm.own_row], nodes[tm.own_node]
+        kw_own = weights[tm.own_node] * scale[own_slot] * kl.pole(kl.ratio(x_o, t_o)) * kl.power(x_o, t_o)
+        diag = np.bincount(tm.own_row, kw_own - kw_t[own_slot], minlength=n)
+    coef0 = _stamps(grid, tm, kw_t, body_slots, nodes, stride, n_gl, kl.degree + 1.0, use_deriv)
     in_use = np.zeros(len(nodes), dtype=bool)
     in_use[node_id] = True
     return nodes[in_use], (np.cumsum(in_use) - 1)[node_id], offsets, kw, coef0, diag
 
 
-def _stamps(grid, tm, kw_t, body_slots, nodes, stride, n_gl):
-    """The spline-coefficient rows of a PV plan's stamps: each slot's
-    weighted kernel times its template node's basis row, at the columns
-    counted from the panel's grid point (body stamps) or from the template
-    row (own stamps), summed once per stamp and added to every row that
-    uses it."""
-    n = grid.n
+def _stamps(grid, tm, kw_t, body_slots, nodes, stride, n_gl, power, use_deriv):
+    """The spline-coefficient rows of a plan's stamps: each slot's weighted
+    kernel times its template node's basis row (of f' for use_deriv, as
+    _assemble forms it), at the columns counted from the panel's grid point
+    (body stamps) or from the template row (own stamps), summed once per
+    stamp and added to every row that uses it, times (x_i/x_T)^power from
+    the slot's template row T to the row i (power d + 1 for a kernel of
+    degree d, one less for use_deriv)."""
+    n, x = grid.n, grid.points
     knots, k = spline_knots(grid)
     own = [(rows, np.arange(s0, s0 + count)) for rows, s0, count in tm.own_stamps if len(rows) and count]
     slots = np.concatenate([body_slots] + [s for _, s in own]).astype(int)
-    first, vals = basis_rows(knots, k, grid.coord(nodes[tm.rep_node[slots]]))
+    t_rep = nodes[tm.rep_node[slots]]
     rep_row = tm.rep_row[slots]
+    kw = kw_t[slots]
+    if use_deriv:
+        knots, k = knots[1:-1], k - 1
+        kw = kw / t_rep
+        power -= 1.0
+    first, vals = basis_rows(knots, k, grid.coord(t_rep))
+    ncol = len(knots) - k - 1
+    if power:
+        kw = kw * x[rep_row] ** -power
     nb = len(body_slots)
-    # body stamps, one per d = g - i, overlap-added one column at a time
-    # into strided column slices: panel g's column w lands at g + e0 + w
-    d = (body_slots - tm.n_own) // n_gl  # d + n - 1
-    e = first[:nb] - (rep_row[:nb] + d - (n - 1))  # columns from the panel's grid point
-    e0 = min(int(e.min(initial=0)), 0)  # <= 0 keeps the slice of `padded` below in range
-    width = int(e.max(initial=-1)) - e0 + k + 1
-    stamp = np.zeros((width, 2 * n))  # the last column, a zero stamp
-    for o in range(k + 1):
-        np.add.at(stamp, (e - e0 + o, d), kw_t[body_slots] * vals[o, :nb])
-    n_panel = tm.used.shape[1]
-    padded = np.zeros((n, n_panel * stride + width))
-    d_use = np.arange(n_panel) * stride - np.arange(n)[:, None] + n - 1
-    d_use[~tm.used] = 2 * n - 1
-    for w in range(width):
-        padded[:, w : w + n_panel * stride : stride] += stamp[w][d_use]
-    coef = padded[:, -e0 : n - e0]
+    coef = _body_stamps(tm, kw[:nb], first[:nb], vals[:, :nb], rep_row[:nb], body_slots, n, ncol, stride, n_gl)
     at = nb
     for rows, s in own:
         e = first[at : at + len(s)] - rep_row[at : at + len(s)]  # columns from the row's own
-        row_stamp, e_first = _stamp_row(e, kw_t[s], vals[:, at : at + len(s)])
+        row_stamp, e_first = _stamp_row(e, kw[at : at + len(s)], vals[:, at : at + len(s)])
         coef[rows[:, None], rows[:, None] + e_first + np.arange(len(row_stamp))] += row_stamp
         at += len(s)
+    if power:
+        coef *= (x**power)[:, None]
+    return coef
+
+
+def _body_stamps(tm, kw, first, vals, rep_row, body_slots, n, ncol, stride, n_gl):
+    """Every row's sum of the body stamps of the clear panels it uses
+    (tm.runs), as spline-coefficient rows.
+
+    Stamp d = g - i holds its columns from g + e0 on, so in the columns
+    v = col - i relative to the row it sits at d + e0 on.  Rows of one
+    class i mod stride see the stamps d = -i mod stride, and C_D, the
+    class's stamps d <= D summed, is R, the class's whole sum, below D + e0,
+    and a partial sum P_D over D's own columns [D + e0, D + e0 + width).
+    A run of panels from d_a to d_b adds C_(d_b) - C_(d_a - stride): R on
+    [d_a - stride + e0, d_b + e0), plus P_(d_b), minus P_(d_a - stride).
+    """
+    k = len(vals) - 1
+    d = (body_slots - tm.n_own) // n_gl  # d + n - 1
+    e = first - (rep_row + d - (n - 1))  # columns from the panel's grid point
+    e0 = min(int(e.min(initial=0)), 0)  # <= 0 keeps every row's window start below in range
+    width = int(e.max(initial=-1)) - e0 + k + 1
+    at = (d * width + e - e0) + np.arange(k + 1)[:, None]
+    stamp = np.bincount(at.ravel(), (kw * vals).ravel(), minlength=(2 * n - 1) * width).reshape(2 * n - 1, width)
+    partial = stamp.copy()
+    for lag in range(stride, width, stride):  # stamps d - lag reach into d's columns
+        partial[lag:, : width - lag] += stamp[:-lag, lag:]
+    # R per class, at v - (1 - n + e0), padded so that every row's ncol
+    # columns, from n - 1 - e0 - i on, are in range
+    length = max(2 * n - 1 + width, n - e0 + ncol)
+    class_of = (n - 1 - np.arange(2 * n - 1)) % stride
+    where = (class_of * length + np.arange(2 * n - 1))[:, None] + np.arange(width)
+    total = np.bincount(where.ravel(), stamp.ravel(), minlength=stride * length).reshape(stride, length)
+    rows = np.arange(n)
+    windows = np.lib.stride_tricks.sliding_window_view(total, ncol, axis=1)
+    coef = windows[rows % stride, n - 1 - e0 - rows]
+    r, m_a, m_b = tm.runs  # rows, in order, and their runs' first and last panels
+    runs = np.bincount(r, minlength=n)
+    j = np.arange(len(r)) - (np.cumsum(runs) - runs)[r]  # the run's place in its row
+    bounds = np.zeros((2, runs.max(initial=0), n, 1), dtype=int)  # where R holds, per row and run
+    bounds[0, j, r, 0] = (m_a - 1) * stride + e0
+    bounds[1, j, r, 0] = m_b * stride + e0
+    columns = np.arange(ncol)
+    inside = np.zeros((n, ncol), dtype=bool)
+    for lo, hi in zip(*bounds):
+        inside |= (columns >= lo) & (columns < hi)
+    coef *= inside
+    before = (m_a - 1) * stride - r + n - 1  # d_a - stride + n - 1
+    cols = np.concatenate([m_b * stride, (m_a - 1) * stride])[:, None] + e0 + np.arange(width)
+    adds = np.concatenate([partial[m_b * stride - r + n - 1], -partial[np.maximum(before, 0)] * (before >= 0)[:, None]])
+    rr = np.broadcast_to(np.concatenate([r, r])[:, None], cols.shape)
+    keep = (cols >= 0) & (cols < ncol)
+    np.add.at(coef, (rr[keep], cols[keep]), adds[keep])
     return coef
 
 
@@ -766,10 +883,8 @@ def _stamp_row(e, kw, vals):
     """(stamp, e0): sum of kw[s] vals[:, s] placed at columns e[s] + o, as
     a dense row from column e0."""
     e0 = int(e.min())
-    stamp = np.zeros(int(e.max()) - e0 + len(vals))
-    for o in range(len(vals)):
-        np.add.at(stamp, e - e0 + o, kw * vals[o])
-    return stamp, e0
+    at = (e - e0) + np.arange(len(vals))[:, None]
+    return np.bincount(at.ravel(), (kw * vals).ravel(), minlength=int(e.max()) - e0 + len(vals)), e0
 
 
 def build_pv_plan(
@@ -789,7 +904,7 @@ def build_pv_plan(
     grid, pair by pair.  The rule, and so t_all, offsets, sub and log_term,
     is the same either way.
     """
-    a, b = grid.hull
+    b = grid.hull[1]
     rules = _Rules(grid.n)
     _pv_rules(rules, grid.points, stride, n_gl)
     nodes, weights, node_id, offsets = rules.pairs()
@@ -797,12 +912,19 @@ def build_pv_plan(
     w_all = weights[node_id]
     x_all = np.repeat(grid.points, np.diff(offsets))
     ratio = isinstance(kernel_lower, RatioKernel) and isinstance(kernel_upper, RatioKernel)
-    sub = _segmented_sum(w_all / (x_all - t_all), offsets)
+    pole = np.subtract(x_all, t_all)
+    sub = _segmented_sum(np.divide(w_all, pole, out=pole), offsets)
+    del pole
     correction = 0.0
-    if ratio and kernel_lower.variable == kernel_upper.variable and _log_uniform(grid):
+    if (
+        ratio
+        and kernel_lower.variable == kernel_upper.variable
+        and kernel_lower.degree == kernel_upper.degree == -1.0
+        and _log_uniform(grid)
+    ):
         del w_all, x_all
         *pairs, coef0, correction = _dilation_template(
-            grid, rules, nodes, weights, node_id, offsets, (kernel_lower, kernel_upper), stride, n_gl
+            grid, rules, (kernel_lower, kernel_upper), stride, n_gl, pole=True
         )
         matrix = _assemble(grid, *pairs, False, coef0)
     else:
@@ -820,7 +942,7 @@ def build_pv_plan(
         log_term[top] = np.log(grid.points[top] / (1e-7 * grid.points[top]))
     diag = np.arange(grid.n)
     matrix[diag, diag] -= rho * (sub - log_term) - correction
-    return PVPlan(grid, t_all, offsets, matrix, sub, log_term, rho)
+    return PVPlan(grid, rules.layout(), matrix, sub, log_term, rho)
 
 
 # ----------------------------------------------------------------------

@@ -9,40 +9,33 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._engine import build_lower_plan, build_upper_plan, cached_plan
+from .._engine import RatioKernel, build_lower_plan, build_upper_plan, cached_plan
 from ..numgrid import SampledFunction
 from ..specfun import legendre_p_assoc
 from .specs import OperatorSpec, OperatorSpecError
 
 __all__ = ["apply_first_kind"]
 
-
-def _kern_b0p(nu, mu):
-    def k(x, t):
-        return (x * x - t * t) ** (-mu / 2.0) * legendre_p_assoc(nu, mu, x / t, "off_cut")
-
-    return k
-
-
-def _kern_e0p(nu, mu):
-    def k(x, t):
-        return (x * x - t * t) ** (-mu / 2.0) * legendre_p_assoc(nu, mu, t / x, "on_cut")
-
-    return k
+# variant: plan side, the Legendre argument r, its branch (builders are
+# looked up when called, so that rebinding them reaches every call)
+_VARIANTS = {
+    "B0+": ("lower", "x/t", "off_cut"),
+    "E0+": ("lower", "t/x", "on_cut"),
+    "B-": ("upper", "t/x", "off_cut"),
+    "E-": ("upper", "x/t", "on_cut"),
+}
 
 
-def _kern_bm(nu, mu):
-    def k(x, t):
-        return (t * t - x * x) ** (-mu / 2.0) * legendre_p_assoc(nu, mu, t / x, "off_cut")
+def _kernel(variant: str, nu: float, mu: float) -> RatioKernel:
+    """|x^2 - t^2|^(-mu/2) P_nu^mu(r), homogeneous of degree -mu: with b
+    the denominator of r (t for r = x/t, x for r = t/x), |x^2 - t^2| =
+    b^2 |(r - 1)(r + 1)|, formed so as it keeps its digits next to r = 1."""
+    _, variable, branch = _VARIANTS[variant]
 
-    return k
+    def k(r):
+        return np.abs((r - 1.0) * (r + 1.0)) ** (-mu / 2.0) * legendre_p_assoc(nu, mu, r, branch)
 
-
-def _kern_em(nu, mu):
-    def k(x, t):
-        return (t * t - x * x) ** (-mu / 2.0) * legendre_p_assoc(nu, mu, x / t, "on_cut")
-
-    return k
+    return RatioKernel(k, variable, -mu)
 
 
 def apply_first_kind(spec: OperatorSpec, f: SampledFunction) -> SampledFunction:
@@ -53,14 +46,10 @@ def apply_first_kind(spec: OperatorSpec, f: SampledFunction) -> SampledFunction:
         raise OperatorSpecError("first_kind requires mu < 1")
     grid = f.grid
     alpha = -mu if mu != 0 else None  # diagonal endpoint exponent (Jacobi when non-integer)
-    if spec.variant == "B0+":
-        plan = cached_plan((grid, "B0+", nu, mu), lambda: build_lower_plan(grid, _kern_b0p(nu, mu), alpha=alpha))
-    elif spec.variant == "E0+":
-        plan = cached_plan((grid, "E0+", nu, mu), lambda: build_lower_plan(grid, _kern_e0p(nu, mu), alpha=alpha))
-    elif spec.variant == "B-":
-        plan = cached_plan((grid, "B-", nu, mu), lambda: build_upper_plan(grid, _kern_bm(nu, mu), alpha=alpha))
-    elif spec.variant == "E-":
-        plan = cached_plan((grid, "E-", nu, mu), lambda: build_upper_plan(grid, _kern_em(nu, mu), alpha=alpha))
-    else:
+    if spec.variant not in _VARIANTS:
         raise OperatorSpecError(f"unknown first-kind variant {spec.variant!r}")
+    build = build_lower_plan if _VARIANTS[spec.variant][0] == "lower" else build_upper_plan
+    plan = cached_plan(
+        (grid, spec.variant, nu, mu), lambda: build(grid, _kernel(spec.variant, nu, mu), alpha=alpha)
+    )
     return f.with_values(plan.apply(f), decay_hint=None)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._engine import build_lower_plan, build_pv_plan, build_upper_plan, cached_plan
+from .._engine import RatioKernel, build_lower_plan, build_pv_plan, build_upper_plan, cached_plan
 from ..numgrid import SampledFunction
 from ..specfun import legendre_p
 from ..specfun.legendre import legendre_p_deriv_oncut
@@ -27,15 +27,22 @@ def _coeffs(nu: float) -> tuple[float, float]:
     return np.cos(np.pi * nu / 2.0), np.sin(np.pi * nu / 2.0)
 
 
+def _smooth_kernel(variant: str, nu: float) -> RatioKernel:
+    """The fused paths' zero-order kernels: P_nu'(x/t)/t (S) and P_nu(t/x) (P)."""
+    if variant == "S":
+        return RatioKernel(lambda z: legendre_p_deriv_oncut(nu, z), "x/t")
+    return RatioKernel(lambda u: legendre_p(nu, u, "on_cut"), "t/x", 0)
+
+
 def _fused_plans(variant: str, nu: float, grid):
     """Integral-form plans built at a finer, independent discretization:
     body panels at every 2nd grid point with 10 Gauss points each."""
     fine = {"stride": 2, "n_gl": 10}
     if variant == "S":
-        smooth = build_upper_plan(grid, lambda x, t: legendre_p_deriv_oncut(nu, x / t) / t, **fine)
+        smooth = build_upper_plan(grid, _smooth_kernel(variant, nu), **fine)
         kl, ku = _kernels_s(nu)
     else:
-        smooth = build_lower_plan(grid, lambda x, t: legendre_p(nu, t / x, "on_cut"), use_deriv=True, **fine)
+        smooth = build_lower_plan(grid, _smooth_kernel(variant, nu), use_deriv=True, **fine)
         kl, ku = _kernels_p(nu)
     return smooth, build_pv_plan(grid, kl, ku, **fine)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._engine import build_lower_plan, build_upper_plan, cached_plan
+from ._engine import RatioKernel, build_lower_plan, build_upper_plan, cached_plan
 from .beops.specs import OperatorSpec
 from .beops.zero_order import apply_zero_order
 from .numgrid import DecayHint, SampledFunction
@@ -33,16 +33,28 @@ def _rgamma(x: float) -> float:
     return float(np.real(1.0 / gamma_complex(complex(x))))
 
 
+def _spd_poisson_kernel(nu: float) -> RatioKernel:
+    """(x^2 - t^2)^(nu - 1/2) = x^(2 nu - 1) (r (2 - r))^(nu - 1/2), r = (x - t)/x."""
+    return RatioKernel(lambda r: (r * (2.0 - r)) ** (nu - 0.5), "1-t/x", 2.0 * nu - 1.0)
+
+
+def _spd_sonine_kernels(nu: float) -> tuple[RatioKernel, RatioKernel]:
+    """(x^2 - t^2)^(-nu - 1/2) t^(2 nu + 1), of degree 0, and the same
+    times t/x, in r = (x - t)/x (t = x (1 - r))."""
+
+    def k(r):
+        return (r * (2.0 - r)) ** (-nu - 0.5) * (1.0 - r) ** (2.0 * nu + 1.0)
+
+    return RatioKernel(k, "1-t/x", 0), RatioKernel(lambda r: k(r) * (1.0 - r), "1-t/x", 0)
+
+
 def spd_poisson(nu: float, f: SampledFunction) -> SampledFunction:
     """Poisson transmutation: x^(-2nu)/(Gamma(nu+1) 2^nu) int_0^x (x^2-t^2)^(nu-1/2) f dt."""
     if nu <= -0.5:
         raise ValueError("spd_poisson requires nu > -1/2")
     grid = f.grid
     alpha = nu - 0.5 if abs((nu - 0.5) - round(nu - 0.5)) > 1e-9 or nu < 0.5 else None
-    plan = cached_plan(
-        (grid, "spdP", nu),
-        lambda: build_lower_plan(grid, lambda x, t: (x * x - t * t) ** (nu - 0.5), alpha=alpha),
-    )
+    plan = cached_plan((grid, "spdP", nu), lambda: build_lower_plan(grid, _spd_poisson_kernel(nu), alpha=alpha))
     pref = _rgamma(nu + 1.0) / 2.0**nu * grid.points ** (-2.0 * nu)
     return f.with_values(pref * plan.apply(f), decay_hint=None)
 
@@ -59,21 +71,10 @@ def spd_sonine(nu: float, f: SampledFunction) -> SampledFunction:
         raise ValueError("spd_sonine requires nu < 1/2")
     grid = f.grid
 
-    def kern(x, t):
-        return (x * x - t * t) ** (-nu - 0.5) * t ** (2.0 * nu + 1.0)
-
-    plan = cached_plan(
-        (grid, "spdS", nu),
-        lambda: build_lower_plan(grid, kern, alpha=-nu - 0.5),
-    )
+    kernel, kernel_d = _spd_sonine_kernels(nu)
+    plan = cached_plan((grid, "spdS", nu), lambda: build_lower_plan(grid, kernel, alpha=-nu - 0.5))
     plan_d = cached_plan(
-        (grid, "spdSd", nu),
-        lambda: build_lower_plan(
-            grid,
-            lambda x, t: kern(x, t) * t / x,
-            alpha=-nu - 0.5,
-            use_deriv=True,
-        ),
+        (grid, "spdSd", nu), lambda: build_lower_plan(grid, kernel_d, alpha=-nu - 0.5, use_deriv=True)
     )
     pref = 2.0 ** (nu + 0.5) * _rgamma(0.5 - nu)
     vals = pref * (plan.apply(f) / grid.points + plan_d.apply(f))
@@ -91,17 +92,18 @@ def spd_inverse_constant(nu: float) -> float:
     )
 
 
+_HARDY = {"H1": RatioKernel(np.ones_like, "t/x", 0), "H2": RatioKernel(np.ones_like, "x/t")}  # 1 and 1/t
+
+
 def hardy(which: str, f: SampledFunction) -> SampledFunction:
     """Hardy averages H1 f = (1/x) int_0^x f, H2 f = int_x^inf f(y)/y dy."""
-    grid = f.grid
-    if which == "H1":
-        plan = cached_plan((grid, "H1"), lambda: build_lower_plan(grid, lambda x, t: np.ones_like(t)))
-        vals = plan.apply(f) / grid.points
-    elif which == "H2":
-        plan = cached_plan((grid, "H2"), lambda: build_upper_plan(grid, lambda x, t: 1.0 / t))
-        vals = plan.apply(f)
-    else:
+    if which not in _HARDY:
         raise ValueError(f"unknown Hardy variant {which!r}")
+    grid = f.grid
+    build = build_lower_plan if which == "H1" else build_upper_plan
+    vals = cached_plan((grid, which), lambda: build(grid, _HARDY[which])).apply(f)
+    if which == "H1":
+        vals = vals / grid.points
     return f.with_values(vals, decay_hint=None)
 
 
@@ -117,16 +119,17 @@ def hardy_shifted(which: str, f: SampledFunction) -> SampledFunction:
 
 
 # side, kernel, head policy: kernels singular at the origin must not use the
-# below-hull Taylor extension (operands are required to vanish there)
+# below-hull Taylor extension (operands are required to vanish there).  Each
+# kernel is of degree -1: k(x/t)/t or k(t/x)/x.
 _U_KERNELS = {
-    3: ("lower", lambda x, t: 1.0 / t, "zero"),
-    4: ("upper", lambda x, t: 1.0 / x, None),
-    5: ("lower", lambda x, t: 3.0 * x / (t * t), "zero"),
-    6: ("lower", lambda x, t: -3.0 * t / (x * x), "taylor"),
-    7: ("upper", lambda x, t: 3.0 * t / (x * x), None),
-    8: ("upper", lambda x, t: -3.0 * x / (t * t), None),
-    9: ("lower", lambda x, t: 0.5 * (15.0 * x * x / t**3 - 3.0 / t), "zero"),
-    10: ("upper", lambda x, t: 0.5 * (15.0 * t * t / x**3 - 3.0 / x), None),
+    3: ("lower", RatioKernel(np.ones_like, "x/t"), "zero"),  # 1/t
+    4: ("upper", RatioKernel(np.ones_like), None),  # 1/x
+    5: ("lower", RatioKernel(lambda z: 3.0 * z, "x/t"), "zero"),  # 3x/t^2
+    6: ("lower", RatioKernel(lambda u: -3.0 * u), "taylor"),  # -3t/x^2
+    7: ("upper", RatioKernel(lambda u: 3.0 * u), None),  # 3t/x^2
+    8: ("upper", RatioKernel(lambda z: -3.0 * z, "x/t"), None),  # -3x/t^2
+    9: ("lower", RatioKernel(lambda z: 0.5 * (15.0 * z * z - 3.0), "x/t"), "zero"),  # (15x^2/t^3 - 3/t)/2
+    10: ("upper", RatioKernel(lambda u: 0.5 * (15.0 * u * u - 3.0)), None),  # (15t^2/x^3 - 3/x)/2
 }
 
 
@@ -148,12 +151,14 @@ def unitary_u(index: int, f: SampledFunction) -> SampledFunction:
     return f.with_values(f.values + plan.apply(f), decay_hint=None)
 
 
+_STIELTJES = RatioKernel(lambda u: 1.0 / (1.0 + u))  # 1/(x + t)
+
+
 def stieltjes(f: SampledFunction) -> SampledFunction:
     """Stieltjes transform int_0^inf f(t) / (x + t) dt."""
     grid = f.grid
-    kern = lambda x, t: 1.0 / (x + t)
-    lo = cached_plan((grid, "stj_lo"), lambda: build_lower_plan(grid, kern))
-    hi = cached_plan((grid, "stj_hi"), lambda: build_upper_plan(grid, kern))
+    lo = cached_plan((grid, "stj_lo"), lambda: build_lower_plan(grid, _STIELTJES))
+    hi = cached_plan((grid, "stj_hi"), lambda: build_upper_plan(grid, _STIELTJES))
     return f.with_values(lo.apply(f) + hi.apply(f), decay_hint=DecayHint.power(1.0))
 
 

@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._engine import build_lower_plan, build_upper_plan, deriv_on_grid
+from ._engine import RatioKernel, build_lower_plan, build_upper_plan, deriv_on_grid
 from ._engine import cached_plan as _cached_plan  # perfbench/tracer.py wraps the cache under this name
 from .numgrid import SampledFunction
 from .specfun import gamma_complex
@@ -72,22 +72,37 @@ def _rgamma(x: float) -> float:
     return float(np.real(1.0 / gamma_complex(complex(x))))
 
 
+def _rl_kernel(family: str, a: float) -> RatioKernel:
+    """|x - t|^(a - 1) = x^(a - 1) |r|^(a - 1), r = (x - t)/x."""
+    sign = 1.0 if family == "rl_left" else -1.0
+    return RatioKernel(lambda r: (sign * r) ** (a - 1.0), "1-t/x", a - 1.0)
+
+
+def _ek_kernel(family: str, a: float, eta: float) -> RatioKernel:
+    """(x^2 - t^2)^(a - 1) t^(2 eta + 1) (left) or (t^2 - x^2)^(a - 1)
+    t^(1 - 2(a + eta)) (right), in r = (x - t)/x: x^2 - t^2 = x^2 r (2 - r)
+    and t = x (1 - r)."""
+    if family == "ek_left":
+        sign, power = 1.0, 2.0 * eta + 1.0
+    else:
+        sign, power = -1.0, 1.0 - 2.0 * (a + eta)
+
+    def k(r):
+        return (sign * r * (2.0 - r)) ** (a - 1.0) * (1.0 - r) ** power
+
+    return RatioKernel(k, "1-t/x", 2.0 * (a - 1.0) + power)
+
+
 def rl_integral(spec: FracSpec, f: SampledFunction) -> SampledFunction:
     """Riemann-Liouville fractional integral of order alpha on f's grid."""
     a = spec.alpha
     c = _rgamma(a)
-    if spec.family == "rl_left":
-        plan = _cached_plan(
-            (f.grid, "rl_left", a),
-            lambda: build_lower_plan(f.grid, lambda x, t: (x - t) ** (a - 1.0), alpha=a - 1.0),
-        )
-    elif spec.family == "rl_right":
-        plan = _cached_plan(
-            (f.grid, "rl_right", a),
-            lambda: build_upper_plan(f.grid, lambda x, t: (t - x) ** (a - 1.0), alpha=a - 1.0),
-        )
-    else:
+    if spec.family not in ("rl_left", "rl_right"):
         raise ValueError("rl_integral expects an rl_left or rl_right spec")
+    build = build_lower_plan if spec.family == "rl_left" else build_upper_plan
+    plan = _cached_plan(
+        (f.grid, spec.family, a), lambda: build(f.grid, _rl_kernel(spec.family, a), alpha=a - 1.0)
+    )
     return f.with_values(c * plan.apply(f), decay_hint=None)
 
 
@@ -96,27 +111,15 @@ def ek_integral(spec: FracSpec, f: SampledFunction) -> SampledFunction:
     a, eta = spec.alpha, spec.eta
     c = _rgamma(a)
     if spec.family == "ek_left":
-        plan = _cached_plan(
-            (f.grid, "ek_left", a, eta),
-            lambda: build_lower_plan(
-                f.grid,
-                lambda x, t: (x * x - t * t) ** (a - 1.0) * t ** (2.0 * eta + 1.0),
-                alpha=a - 1.0,
-            ),
-        )
-        pref = 2.0 * c * f.grid.points ** (-2.0 * (a + eta))
+        build, pref = build_lower_plan, 2.0 * c * f.grid.points ** (-2.0 * (a + eta))
     elif spec.family == "ek_right":
-        plan = _cached_plan(
-            (f.grid, "ek_right", a, eta),
-            lambda: build_upper_plan(
-                f.grid,
-                lambda x, t: (t * t - x * x) ** (a - 1.0) * t ** (1.0 - 2.0 * (a + eta)),
-                alpha=a - 1.0,
-            ),
-        )
-        pref = 2.0 * c * f.grid.points ** (2.0 * eta)
+        build, pref = build_upper_plan, 2.0 * c * f.grid.points ** (2.0 * eta)
     else:
         raise ValueError("ek_integral expects an ek_left or ek_right spec")
+    plan = _cached_plan(
+        (f.grid, spec.family, a, eta),
+        lambda: build(f.grid, _ek_kernel(spec.family, a, eta), alpha=a - 1.0),
+    )
     return f.with_values(pref * plan.apply(f), decay_hint=None)
 
 

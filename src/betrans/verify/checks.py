@@ -280,8 +280,12 @@ def _tail_free_mix(spec: OperatorSpec, f1: SampledFunction, f2: SampledFunction)
 
 
 def _p_minus_s0_residual(nu: float, f: SampledFunction) -> float:
+    """P- S0+ f - I, relative, with P- in its L2 form (path="hardy"):
+    unitarity is a statement about the L2 operators, and the raw P- form
+    differs from it by moments of its operand, which the raw S0+ image
+    carries across the hull."""
     s0 = apply_zero_order(OperatorSpec("zero_order", "S0+", nu=nu), f)
-    pm = apply_zero_order(OperatorSpec("zero_order", "P-", nu=nu), s0)
+    pm = apply_zero_order(OperatorSpec("zero_order", "P-", nu=nu), s0, path="hardy")
     return _rel_l2(pm.values - f.values, f.grid, norm_half_line(f))
 
 

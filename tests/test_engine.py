@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from betrans import _engine, numgrid
+from betrans import _engine, classicops, fracint, numgrid
 from betrans._engine import PVPlan, RatioKernel, build_lower_plan, build_pv_plan, build_upper_plan, deriv_on_grid
-from betrans.beops import katrakhov
+from betrans.beops import first_kind, katrakhov, zero_order
 from betrans.beops.second_kind import _kernels_p, _kernels_s, hilbert_pair_kernels
 from betrans.numgrid import SampledFunction, deriv_extended, eval_extended, make_grid
 from betrans.specfun import legendre_p
@@ -194,6 +194,227 @@ def test_ratio_kernel_is_the_dilation_form():
     assert np.array_equal(RatioKernel(k)(x, t), k(t / x) / x)
     assert np.array_equal(RatioKernel(k, "x/t")(x, t), k(x / t) / t)
     assert np.array_equal(RatioKernel(k, "1-t/x")(x, t), k((x - t) / x) / x)
+    # any degree d: k(r) x^d (k(r) t^d for r = x/t), and K(lx, lt) = l^d K(x, t)
+    for d in (-0.3, 0.0, 1.5):
+        kernel = RatioKernel(k, "t/x", d)
+        assert np.allclose(kernel(x, t), k(t / x) * x**d, rtol=1e-15, atol=0.0)
+        assert np.allclose(RatioKernel(k, "x/t", d)(x, t), k(x / t) * t**d, rtol=1e-15, atol=0.0)
+        assert np.allclose(kernel(7.0 * x, 7.0 * t), 7.0**d * kernel(x, t), rtol=1e-14, atol=0.0)
+
+
+# ----------------------------------------------------------------------
+# lower and upper plans of ratio kernels from the dilation template
+# ----------------------------------------------------------------------
+
+
+def _first(variant, mu=0.3):
+    build = build_lower_plan if first_kind._VARIANTS[variant][0] == "lower" else build_upper_plan
+    return build, first_kind._kernel(variant, 0.5, mu), {"alpha": -mu if mu else None}
+
+
+def _zero(plan, nu=0.5):
+    build, kernel, use_deriv = zero_order._kernel(plan, nu)
+    return build, kernel, {"use_deriv": use_deriv}
+
+
+def _u(index):
+    side, kernel, head = classicops._U_KERNELS[index]
+    return (build_lower_plan, kernel, {"head": head}) if side == "lower" else (build_upper_plan, kernel, {})
+
+
+RATIO_PLANS = {
+    "second:S:nu=0.3": lambda: _pv(_kernels_s(0.3)),
+    "second:S:nu=1.5": lambda: _pv(_kernels_s(1.5)),
+    "second:P:nu=0.3": lambda: _pv(_kernels_p(0.3)),
+    "second:P:nu=1.5": lambda: _pv(_kernels_p(1.5)),
+    "hilbert:S:nu=-1": lambda: _pv(hilbert_pair_kernels(-1)),
+    "hilbert:P:nu=-1": lambda: _pv(hilbert_pair_kernels(0)),
+    "kat:S:fused": lambda: _fused_pv("S", 0.5),
+    "kat:P:fused": lambda: _fused_pv("P", 0.5),
+}
+
+
+def _jittered_hull_grid():
+    # one hull drawn as cold_apply draws its grids
+    rng = np.random.default_rng(1)
+    return make_grid(512, (1e-4 * np.exp(rng.uniform(-0.1, 0.1)), 1e2 * np.exp(rng.uniform(-0.05, 0.05))))
+
+
+@pytest.mark.parametrize("gname", ["log", "jittered"])
+@pytest.mark.parametrize("case", list(PV_RATIO_PLANS))
+def test_template_pv_plan_matches_per_pair_path(case, gname):
+    # the template changes only the rounding: within 2e-13 relative L2 of
+    # the per-pair plan, about 1% of the Legendre-Q plans' quadrature error
+    # (1.3e-11 to 1.6e-10 on gauss, x2gauss and xexp, 6e-9 to 1.1e-8 on
+    # bump12, against the same plans at stride 2 with 10 Gauss points)
+    grid = make_grid(512, (1e-4, 1e2)) if gname == "log" else _jittered_hull_grid()
+    assert _engine._log_uniform(grid)
+    build, (k_lower, k_upper), fine = PV_RATIO_PLANS[case]()
+    plan = build(grid)
+    ref = build_pv_plan(grid, _plain(k_lower), _plain(k_upper), **fine)
+    assert np.array_equal(plan.t_all, ref.t_all) and np.array_equal(plan.offsets, ref.offsets)
+    assert np.array_equal(plan.sub, ref.sub) and np.array_equal(plan.log_term, ref.log_term)
+    for name in ("gauss", "x2gauss", "xexp", "bump12"):
+        f = suite_on_grid(name, grid)
+        want = ref.apply(f)
+        assert np.linalg.norm(plan.apply(f) - want) <= 2e-13 * np.linalg.norm(want), name
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [make_grid(256, (0.05, 12.0), "linear"), _irregular_log_grid(400, (1e-3, 40.0), 5)],
+    ids=["linear", "irregular_log"],
+)
+def test_ratio_kernels_off_uniform_log_grids_take_the_per_pair_path(grid):
+    # no template off a grid uniform in log x: the plan is the plain
+    # kernels' plan bit for bit
+    for kernels in (_kernels_s(0.3), _kernels_p(0.3), hilbert_pair_kernels(0)):
+        plan = build_pv_plan(grid, *kernels)
+        ref = build_pv_plan(grid, *(_plain(k) for k in kernels))
+        for attr in ("matrix", "t_all", "sub"):
+            assert np.array_equal(getattr(plan, attr), getattr(ref, attr)), attr
+
+
+def test_ratio_kernel_is_the_dilation_form():
+    x = np.array([0.5, 2.0, 3.0])
+    t = np.array([0.4, 3.0, 2.9])
+    k = lambda r: np.exp(-r) / (1.0 - r)  # noqa: E731
+    assert np.array_equal(RatioKernel(k)(x, t), k(t / x) / x)
+    assert np.array_equal(RatioKernel(k, "x/t")(x, t), k(x / t) / t)
+    assert np.array_equal(RatioKernel(k, "1-t/x")(x, t), k((x - t) / x) / x)
+    # any degree d: k(r) x^d (k(r) t^d for r = x/t), and K(lx, lt) = l^d K(x, t)
+    for d in (-0.3, 0.0, 1.5):
+        kernel = RatioKernel(k, "t/x", d)
+        assert np.allclose(kernel(x, t), k(t / x) * x**d, rtol=1e-15, atol=0.0)
+        assert np.allclose(RatioKernel(k, "x/t", d)(x, t), k(x / t) * t**d, rtol=1e-15, atol=0.0)
+        assert np.allclose(kernel(7.0 * x, 7.0 * t), 7.0**d * kernel(x, t), rtol=1e-14, atol=0.0)
+
+
+# ----------------------------------------------------------------------
+# lower and upper plans of ratio kernels from the dilation template
+# ----------------------------------------------------------------------
+
+
+def _first(variant, mu=0.3):
+    build = build_lower_plan if first_kind._VARIANTS[variant][0] == "lower" else build_upper_plan
+    return build, first_kind._kernel(variant, 0.5, mu), {"alpha": -mu if mu else None}
+
+
+def _zero(plan, nu=0.5):
+    build, kernel, use_deriv = zero_order._kernel(plan, nu)
+    return build, kernel, {"use_deriv": use_deriv}
+
+
+def _u(index):
+    side, kernel, head = classicops._U_KERNELS[index]
+    return (build_lower_plan, kernel, {"head": head}) if side == "lower" else (build_upper_plan, kernel, {})
+
+
+def _spd_sonine(deriv):
+    captured = {}
+
+    def build(grid, kernel, **kw):
+        captured.setdefault(kw.get("use_deriv", False), (kernel, kw))
+        return build_lower_plan(grid, kernel, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classicops, "build_lower_plan", build)
+        classicops.spd_sonine(0.25, SampledFunction.from_callable(_smooth, make_grid(64)))
+    kernel, kw = captured[deriv]
+    return build_lower_plan, kernel, kw
+
+
+RATIO_PLANS = {
+    **{f"first:{v}": (lambda v=v: _first(v)) for v in first_kind._VARIANTS},
+    "first:B0+:mu=0": lambda: _first("B0+", 0.0),
+    "first:E-:mu=-0.4": lambda: _first("E-", -0.4),
+    **{f"zero:{p}": (lambda p=p: _zero(p)) for p in ("S0+", "S0+fd", "P0+", "S-", "S-fd", "P-")},
+    "zero:P-hardy:nu=2": lambda: _zero("P-hardy", 2.0),
+    "kat:S:smooth": lambda: (build_upper_plan, katrakhov._smooth_kernel("S", 0.5), {"stride": 2, "n_gl": 10}),
+    "kat:P:smooth": lambda: (
+        build_lower_plan,
+        katrakhov._smooth_kernel("P", 0.5),
+        {"use_deriv": True, "stride": 2, "n_gl": 10},
+    ),
+    "spd:P": lambda: (build_lower_plan, classicops._spd_poisson_kernel(0.25), {"alpha": -0.25}),
+    "spd:P:nu=1.5": lambda: (build_lower_plan, classicops._spd_poisson_kernel(1.5), {}),
+    "spd:S": lambda: (build_lower_plan, classicops._spd_sonine_kernels(0.25)[0], {"alpha": -0.75}),
+    "spd:S:deriv": lambda: (
+        build_lower_plan,
+        classicops._spd_sonine_kernels(0.25)[1],
+        {"alpha": -0.75, "use_deriv": True},
+    ),
+    "hardy:H1": lambda: (build_lower_plan, classicops._HARDY["H1"], {}),
+    "hardy:H2": lambda: (build_upper_plan, classicops._HARDY["H2"], {}),
+    **{f"uhardy:U{i}": (lambda i=i: _u(i)) for i in range(3, 11)},
+    "stieltjes:lower": lambda: (build_lower_plan, classicops._STIELTJES, {}),
+    "stieltjes:upper": lambda: (build_upper_plan, classicops._STIELTJES, {}),
+    "rl_left": lambda: (build_lower_plan, fracint._rl_kernel("rl_left", 0.5), {"alpha": -0.5}),
+    "rl_right": lambda: (build_upper_plan, fracint._rl_kernel("rl_right", 0.5), {"alpha": -0.5}),
+    "ek_left": lambda: (build_lower_plan, fracint._ek_kernel("ek_left", 0.6, 0.2), {"alpha": -0.4}),
+    "ek_right": lambda: (build_upper_plan, fracint._ek_kernel("ek_right", 0.6, 0.2), {"alpha": -0.4}),
+}
+
+
+@pytest.mark.parametrize("gname", ["log", "jittered"])
+@pytest.mark.parametrize("case", list(RATIO_PLANS))
+def test_template_plan_matches_per_pair_path(case, gname):
+    # the template changes only the rounding: within PR 11's 2e-13
+    # relative L2 of the same kernel's plan as a plain (x, t) callable
+    grid = make_grid(512, (1e-4, 1e2)) if gname == "log" else _jittered_hull_grid()
+    build, kernel, kw = RATIO_PLANS[case]()
+    assert isinstance(kernel, RatioKernel)
+    plan = build(grid, kernel, **kw)
+    ref = build(grid, _plain(kernel), **kw)
+    assert np.array_equal(plan.t_all, ref.t_all) and np.array_equal(plan.offsets, ref.offsets)
+    for name in ("gauss", "x2gauss", "xexp", "bump12"):
+        f = suite_on_grid(name, grid)
+        want = ref.apply(f)
+        assert np.linalg.norm(plan.apply(f) - want) <= 2e-13 * np.linalg.norm(want), name
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [make_grid(256, (0.05, 12.0), "linear"), _irregular_log_grid(400, (1e-3, 40.0), 5)],
+    ids=["linear", "irregular_log"],
+)
+@pytest.mark.parametrize("case", list(RATIO_PLANS))
+def test_lower_upper_ratio_plans_off_uniform_log_grids_take_the_per_pair_path(case, grid):
+    build, kernel, kw = RATIO_PLANS[case]()
+    plan = build(grid, kernel, **kw)
+    ref = build(grid, _plain(kernel), **kw)
+    assert np.array_equal(plan.matrix, ref.matrix)
+
+
+@pytest.mark.parametrize(
+    "module, name, case",
+    [(first_kind, "legendre_p_assoc", "first:B0+"), (zero_order, "legendre_p", "zero:P0+")],
+    ids=["B0+", "P0+"],
+)
+def test_template_plans_evaluate_legendre_once_per_slot(monkeypatch, module, name, case):
+    # per pair, a lower plan hands its kernel every one of its nodes
+    # (268,584 on this grid); the template, about one in twenty
+    sizes = []
+    inner = getattr(module, name)
+
+    def counting(nu, *args):
+        sizes.append(np.size(args[-2]))
+        return inner(nu, *args)
+
+    monkeypatch.setattr(module, name, counting)
+    build, kernel, kw = RATIO_PLANS[case]()
+    plan = build(make_grid(512, (1e-4, 1e2)), kernel, **kw)
+    assert sizes and sum(sizes) <= 0.1 * len(plan.t_all)
+
+
+def test_plans_keep_their_rule_as_node_table_and_layout():
+    # t_all and offsets are unrolled on access, not kept pair by pair
+    grid = make_grid(512, (1e-4, 1e2))
+    plan = build_lower_plan(grid, classicops._HARDY["H1"])
+    assert "t_all" not in vars(plan) and "offsets" not in vars(plan)
+    kept = sum(v.nbytes for v in vars(plan).values() if isinstance(v, np.ndarray))
+    assert kept - plan.matrix.nbytes <= 0.1 * plan.t_all.nbytes
+    assert plan.offsets[-1] == len(plan.t_all) and len(plan.offsets) == grid.n + 1
 
 
 # ----------------------------------------------------------------------
