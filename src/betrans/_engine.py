@@ -60,7 +60,7 @@ import numpy as np
 from .numgrid import (
     Grid,
     SampledFunction,
-    _gl_rule,
+    _gl_panels,
     _jacobi,
     basis_rows,
     collocation_solve,
@@ -71,16 +71,6 @@ from .numgrid import (
 
 N_GL_HEAD = 12
 N_JACOBI = 24
-
-
-def _gl_panels(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights, one row per panel [lo_j, hi_j]."""
-    x0, w0 = _gl_rule(n)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    mid = 0.5 * (lo + hi)[:, None]
-    half = 0.5 * (hi - lo)[:, None]
-    return mid + half * x0[None, :], half * w0[None, :]
 
 
 def _head_nodes(a: float) -> tuple[np.ndarray, np.ndarray]:
@@ -443,19 +433,40 @@ def cached_plan(key, build):
     return plans[key]
 
 
-def _kernel_plan(grid: Grid, rules: _Rules, kernel, use_deriv: bool, stride: int, n_gl: int) -> KernelPlan:
-    """A lower or upper plan: a RatioKernel on a grid uniform in log x from
-    the dilation template, any other kernel or grid pair by pair."""
-    if isinstance(kernel, RatioKernel) and _log_uniform(grid):
-        *pairs, coef0, _ = _dilation_template(grid, rules, (kernel, kernel), stride, n_gl, use_deriv)
-        matrix = _assemble(grid, *pairs, use_deriv, coef0)
-    else:
-        nodes, weights, node_id, offsets = rules.pairs()
-        x_all = np.repeat(grid.points, np.diff(offsets))
-        kw = weights[node_id] * kernel(x_all, nodes[node_id])
-        del x_all
-        matrix = _assemble(grid, nodes, node_id, offsets, kw, use_deriv)
-    return KernelPlan(grid, rules.layout(), matrix)
+def _sided(fns, low, *args):
+    """fns[0](*args) where low holds and fns[1](*args) elsewhere, element
+    by element: one call when the two are one function."""
+    if fns[0] is fns[1]:
+        return fns[0](*args)
+    out = np.empty(np.shape(args[0]))
+    out[low] = fns[0](*(a[low] for a in args))
+    out[~low] = fns[1](*(a[~low] for a in args))
+    return out
+
+
+def _plan_matrix(grid: Grid, rules: _Rules, kernels, stride: int, n_gl: int, use_deriv=False, pole=False):
+    """(matrix, diag): a plan's matrix (_assemble) for the kernels
+    (lower, upper), the first on t < x and the second on t > x, and a
+    correction to its diagonal; pole marks a PV plan.  Two RatioKernels of
+    one variable and one degree on a grid uniform in log x are evaluated
+    and assembled from the dilation template (_dilation_template); any
+    other kernels or grid pair by pair, with no correction.
+    """
+    kl, ku = kernels
+    if (
+        isinstance(kl, RatioKernel)
+        and isinstance(ku, RatioKernel)
+        and (kl.variable, kl.degree) == (ku.variable, ku.degree)
+        and _log_uniform(grid)
+    ):
+        *pairs, coef0, diag = _dilation_template(grid, rules, kernels, stride, n_gl, use_deriv, pole)
+        return _assemble(grid, *pairs, use_deriv, coef0), diag
+    nodes, weights, node_id, offsets = rules.pairs()
+    x_all = np.repeat(grid.points, np.diff(offsets))
+    t_all = nodes[node_id]
+    kw = weights[node_id] * _sided(kernels, t_all < x_all, x_all, t_all)
+    del x_all, t_all
+    return _assemble(grid, nodes, node_id, offsets, kw, use_deriv), 0.0
 
 
 def build_lower_plan(
@@ -469,7 +480,7 @@ def build_lower_plan(
 ) -> KernelPlan:
     rules = _Rules(grid.n)
     _lower_rules(rules, grid.points, grid.points, alpha, stride, n_gl, head=head)
-    return _kernel_plan(grid, rules, kernel, use_deriv, stride, n_gl)
+    return KernelPlan(grid, rules.layout(), _plan_matrix(grid, rules, (kernel, kernel), stride, n_gl, use_deriv)[0])
 
 
 def build_upper_plan(
@@ -482,7 +493,7 @@ def build_upper_plan(
 ) -> KernelPlan:
     rules = _Rules(grid.n)
     _upper_rules(rules, grid.points, grid.points, alpha, stride, n_gl)
-    return _kernel_plan(grid, rules, kernel, use_deriv, stride, n_gl)
+    return KernelPlan(grid, rules.layout(), _plan_matrix(grid, rules, (kernel, kernel), stride, n_gl, use_deriv)[0])
 
 
 class PVPlan(KernelPlan):
@@ -763,13 +774,7 @@ def _dilation_template(grid, rules, kernels, stride, n_gl, use_deriv=False, pole
     x_r = np.concatenate([x[tm.rep_row[slots]], x_k[per_pair]])
     t_r = np.concatenate([nodes[tm.rep_node[slots]], t_k[per_pair]])
     r = kl.ratio(x_r, t_r)
-    if kl is ku:
-        k_r = kl.k(r)
-    else:
-        k_r = np.empty_like(r)
-        low = t_r < x_r
-        k_r[low] = kl.k(r[low])
-        k_r[~low] = ku.k(r[~low])
+    k_r = _sided((kl.k, ku.k), t_r < x_r, r)
     ns = len(slots)
     scale = np.zeros(tm.per_pair + 1)  # k(r_T), over pole(r_T) in PV plans
     scale[slots] = k_r[:ns] / kl.pole(r[:ns]) if pole else k_r[:ns]
@@ -898,42 +903,18 @@ def build_pv_plan(
     """Plan for PV kernel pairs with residue rho at the diagonal.
 
     K_lower acts on t < x, K_upper on t > x; both behave like
-    rho/(x - t) as t -> x (same one-sided residue).  Two RatioKernels of
-    one variable on a grid uniform in log x are evaluated and assembled
-    from the dilation template (_dilation_template); any other kernels or
-    grid, pair by pair.  The rule, and so t_all, offsets, sub and log_term,
-    is the same either way.
+    rho/(x - t) as t -> x (same one-sided residue).  The kernels are
+    evaluated and assembled as in every plan (_plan_matrix), and the rule,
+    and so t_all, offsets, sub and log_term, is the same either way.
     """
     b = grid.hull[1]
     rules = _Rules(grid.n)
     _pv_rules(rules, grid.points, stride, n_gl)
     nodes, weights, node_id, offsets = rules.pairs()
-    t_all = nodes[node_id]
-    w_all = weights[node_id]
-    x_all = np.repeat(grid.points, np.diff(offsets))
-    ratio = isinstance(kernel_lower, RatioKernel) and isinstance(kernel_upper, RatioKernel)
-    pole = np.subtract(x_all, t_all)
-    sub = _segmented_sum(np.divide(w_all, pole, out=pole), offsets)
-    del pole
-    correction = 0.0
-    if (
-        ratio
-        and kernel_lower.variable == kernel_upper.variable
-        and kernel_lower.degree == kernel_upper.degree == -1.0
-        and _log_uniform(grid)
-    ):
-        del w_all, x_all
-        *pairs, coef0, correction = _dilation_template(
-            grid, rules, (kernel_lower, kernel_upper), stride, n_gl, pole=True
-        )
-        matrix = _assemble(grid, *pairs, False, coef0)
-    else:
-        kw = np.empty_like(w_all)
-        lower = t_all < x_all
-        kw[lower] = w_all[lower] * kernel_lower(x_all[lower], t_all[lower])
-        kw[~lower] = w_all[~lower] * kernel_upper(x_all[~lower], t_all[~lower])
-        del w_all, x_all, lower
-        matrix = _assemble(grid, nodes, node_id, offsets, kw, False)
+    gap = np.subtract(np.repeat(grid.points, np.diff(offsets)), nodes[node_id])
+    sub = _segmented_sum(np.divide(weights[node_id], gap, out=gap), offsets)
+    del gap, node_id
+    matrix, correction = _plan_matrix(grid, rules, (kernel_lower, kernel_upper), stride, n_gl, pole=True)
     log_term = np.log(grid.points / np.maximum(b - grid.points, 1e-300))
     # at the top hull point B - x = 0: the upper side is empty and the
     # subtraction degenerates; the lower-side-only value keeps ln(x/delta)

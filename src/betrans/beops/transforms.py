@@ -70,6 +70,7 @@ from ..numgrid import (
     Grid,
     GridError,
     SampledFunction,
+    _gl_panels,
     _uniform_weights,
     basis_rows,
     collocation_solve,
@@ -141,18 +142,12 @@ def _osc_tail_integral(p: float, a: np.ndarray, nquad: int = 96) -> np.ndarray:
     out = np.zeros_like(a, dtype=complex)
     small = a < cut
     if np.any(small):
-        from ..numgrid import _gl_rule
-
-        x0, w0 = _gl_rule(nquad)
         lo = a[small]
         seg = np.zeros(np.count_nonzero(small), dtype=complex)
         # graded first panel handles the u^-p variation near small a
         for plo, phi_ in ((lo, np.minimum(4.0 * lo + 0.5, cut)), (np.minimum(4.0 * lo + 0.5, cut), np.full_like(lo, cut))):
-            half = 0.5 * (phi_ - plo)
-            mid = 0.5 * (phi_ + plo)
-            u = mid[:, None] + half[:, None] * x0[None, :]
-            vals = u ** (-p) * np.exp(1j * u)
-            seg += np.sum(vals * (half[:, None] * w0[None, :]), axis=1)
+            u, wq = _gl_panels(plo, phi_, nquad)
+            seg += np.sum(u ** (-p) * np.exp(1j * u) * wq, axis=1)
         out[small] = seg
     start = np.where(small, cut, a)
     # repeated integration by parts:

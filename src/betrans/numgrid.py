@@ -559,19 +559,28 @@ class WeightedNorm:
 # quadrature
 # ----------------------------------------------------------------------
 
-_JACOBI_CACHE: dict[tuple[int, float, float], tuple[np.ndarray, np.ndarray]] = {}
-
-
 @functools.cache
 def _gl_rule(n: int):
     return roots_legendre(n)
 
 
+def _gl_panels(lo: np.ndarray, hi: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights, one row per panel [lo_j, hi_j]."""
+    x0, w0 = _gl_rule(n)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    mid = 0.5 * (lo + hi)[:, None]
+    half = 0.5 * (hi - lo)[:, None]
+    return mid + half * x0[None, :], half * w0[None, :]
+
+
 def _jacobi(n: int, alpha: float, beta: float):
-    key = (n, round(alpha, 14), round(beta, 14))
-    if key not in _JACOBI_CACHE:
-        _JACOBI_CACHE[key] = roots_jacobi(n, alpha, beta)
-    return _JACOBI_CACHE[key]
+    return _jacobi_rule(n, round(alpha, 14), round(beta, 14))
+
+
+@functools.cache
+def _jacobi_rule(n: int, alpha: float, beta: float):
+    return roots_jacobi(n, alpha, beta)
 
 
 def geometric_breakpoints(a: float, b: float, ratio: float = 3.0, min_panels: int = 2) -> np.ndarray:
@@ -590,12 +599,8 @@ def integrate_smooth(f: Callable, a: float, b: float, *, n: int = 24, ratio: flo
         edges = geometric_breakpoints(a, b, ratio)
     else:
         edges = np.linspace(a, b, 5)
-    x0, w0 = _gl_rule(n)
-    lo, hi = edges[:-1], edges[1:]
-    mid = 0.5 * (lo + hi)[:, None]
-    half = 0.5 * (hi - lo)[:, None]
-    xs = mid + half * x0[None, :]
-    return float(np.sum(f(xs.ravel()).reshape(xs.shape) * half * w0[None, :]))
+    xs, ws = _gl_panels(edges[:-1], edges[1:], n)
+    return float(np.sum(f(xs.ravel()).reshape(xs.shape) * ws))
 
 
 @dataclass(frozen=True)
@@ -631,12 +636,8 @@ def _cluster_panels(f: Callable, a: float, b: float, cluster: str, scale: float,
     dists.append(0.0)
     offs = np.unique(np.asarray(dists))
     pts = (b - offs[::-1]) if cluster == "right" else (a + offs)
-    x0, w0 = _gl_rule(n)
-    lo, hi = pts[:-1], pts[1:]
-    mid = 0.5 * (lo + hi)[:, None]
-    half = 0.5 * (hi - lo)[:, None]
-    xs = mid + half * x0[None, :]
-    return float(np.sum(f(xs.ravel()).reshape(xs.shape) * half * w0[None, :]))
+    xs, ws = _gl_panels(pts[:-1], pts[1:], n)
+    return float(np.sum(f(xs.ravel()).reshape(xs.shape) * ws))
 
 
 def quad_singular(f: Callable, interval: tuple[float, float], singularity=None, *, n: int = 96) -> float:

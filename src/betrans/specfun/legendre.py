@@ -2,14 +2,18 @@
 
 Evaluation strategy (real degree nu, real order mu < 1):
 
-* on the cut (-1 <= x <= 1): hypergeometric series about x = 1 for P;
-  for Q a series about x = 0 built from the even/odd solution pair, switching
-  to a logarithmic expansion about x = 1 when x is close to 1.
-* off the cut (z > 1): series about z = 1 for moderate z; for large z a
-  Gauss-Jacobi discretization of the Laplace-type integral representation
-  (valid mu < 1/2, any real degree, no degenerate parameter cases), plus a
-  single order-recurrence step for 1/2 <= mu < 1.  Q uses a descending
-  series in 1/z^2 away from 1 and the logarithmic expansion near 1.
+* next to z = 1, on both branches, expansions in t = (z - 1)/2 (t < 0 on
+  the cut): the hypergeometric series about z = 1 for P_nu^mu and
+  dP_nu/dz, and for Q_nu and dQ_nu/dz the logarithmic form
+  Q_nu = c1 P_nu - (P_nu ln|t| + g(t))/2 (_q_log_form).  On the cut P
+  takes the series on the whole cut (it cannot converge within
+  SERIES_CAP terms next to x = -1), Q the logarithmic form on [0, 1)
+  and the reflection Q_nu(-y) = -cos(nu pi) Q_nu(y) - (pi/2) sin(nu pi)
+  P_nu(y) (DLMF 14.9.10 at mu = 0) on (-1, 0).
+* off the cut (z > 1): P the series about z = 1 up to z = 2.5 and above
+  it the two-branch descending expansion in 1/z^2, interpolated in nu
+  across half-integer degrees (_p_offcut_descending); Q the logarithmic
+  form up to z = 1.1 and a descending series in 1/z^2 above it.
 
 All evaluators are vectorized over the argument; degree and order are
 scalars, which matches how operator kernels are built (fixed parameters,
@@ -20,9 +24,10 @@ distinct argument (_per_distinct) and index the values back.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
+from scipy.special import cosdg, sindg
 
 from .gamma import digamma_real, gamma_complex
 
@@ -44,9 +49,8 @@ _SERIES_BLOCK = 8192  # arguments summed together by _power_series
 # z = 1 exclusion radius for the second-kind functions
 Q_EXCLUSION = 1e-8
 
-_OFFCUT_SERIES_MAX = 2.5  # series about z=1 below, integral representation above
+_OFFCUT_SERIES_MAX = 2.5  # series about z=1 below, descending expansion in 1/z^2 above
 _Q_OFFCUT_LOG_MAX = 1.10  # log expansion about z=1 below, 1/z^2 series above
-_Q_ONCUT_LOG_MIN = 0.90  # center series below, log expansion about x=1 above
 
 
 class DomainError(ValueError):
@@ -70,13 +74,11 @@ def _per_distinct(evaluate: Callable[[np.ndarray], np.ndarray], z: np.ndarray) -
 
     A plan asks for the same kernel argument at many (row, node) pairs, so
     each distinct value is evaluated once.  The values are those that
-    evaluate(z.ravel()) gives: each power series stops per element
-    (_power_series), so an element's value does not depend on the others;
-    the logarithmic forms near z = 1 stop when the whole call has converged,
-    which its slowest element decides, and u keeps that element; every other
-    step works element by element.  u is ascending, so the |w| order the
-    power series walk in is monotone, or two monotone runs, and their stable
-    argsort is cheap.
+    evaluate(z.ravel()) gives: every series stops per element
+    (_power_series) and every other step works element by element, so an
+    element's value does not depend on the others.  u is ascending, so the
+    |w| order the power series walk in is monotone, or two monotone runs,
+    and their stable argsort is cheap.
     """
     u, inv = np.unique(z.ravel(), return_inverse=True)
     return evaluate(u)[inv].reshape(z.shape)
@@ -91,13 +93,25 @@ def _below(term: np.ndarray, total: np.ndarray, tol: float) -> np.ndarray:
     return np.abs(term) <= tol * (np.abs(total) + 1e-300)
 
 
-def _power_series(ratio: Callable[[int], float], w: np.ndarray, deriv: bool = False):
-    """Sum F(w) = sum_k c_k w^k with c_0 = 1 and c_(k+1) = ratio(k) c_k.
+def _ratio_coefs(ratio: Callable[[int], float]) -> Iterator[float]:
+    """c_0 = 1 and c_(k+1) = ratio(k) c_k, up to the first zero, where the
+    series terminates."""
+    c, k = 1.0, 0
+    while c != 0.0:
+        yield c
+        c *= ratio(k)
+        k += 1
+
+
+def _power_series(coefs: Iterator[float], w: np.ndarray, deriv: bool = False):
+    """Sum F(w) = sum_k c_k w^k over the coefficients c_0, c_1, ... of coefs.
 
     With deriv=True also returns F'(w) = sum_k k c_k w^(k-1).  Each element
     stops at its own first term below SERIES_RTOL of its partial sum (and,
     with deriv, its own derivative term below SERIES_RTOL of that sum), so
-    its value does not depend on the other arguments.  The arguments are
+    its value does not depend on the other arguments.  The term of a zero
+    coefficient shows no convergence and stops nothing; where coefs ends,
+    the series has terminated and every element stops.  The arguments are
     walked in order of |w|, _SERIES_BLOCK at a time, and a block's active
     set shrinks as its elements converge: small arguments stop after a few
     terms instead of running as long as the slowest one.  Raises
@@ -108,31 +122,36 @@ def _power_series(ratio: Callable[[int], float], w: np.ndarray, deriv: bool = Fa
     flat = w.ravel()
     total = np.empty_like(flat)
     dtotal = np.empty_like(flat)
+    cs = [next(coefs)]  # drawn as far as the slowest element needs
     order = np.argsort(np.abs(flat), kind="stable")
     for start in range(0, flat.size, _SERIES_BLOCK):
         idx = order[start : start + _SERIES_BLOCK]
         x = flat[idx]
-        s = np.ones_like(x)
+        s = np.full_like(x, cs[0])
         ds = np.zeros_like(x)
         xk = np.ones_like(x)  # x^(k-1)
-        c = 1.0
         for k in range(1, SERIES_CAP + 1):
-            c *= ratio(k - 1)
-            dterm = (k * c) * xk
-            xk = xk * x
-            term = c * xk
-            s += term
-            ds += dterm
-            done = _below(term, s, SERIES_RTOL)
-            if deriv:
-                done &= _below(dterm, ds, SERIES_RTOL)
-            if k == SERIES_CAP:
-                bad = ~_below(term, s, 1e-12)
+            if k == len(cs):
+                cs.append(next(coefs, None))
+            c = cs[k]
+            if c is None:
+                done = np.ones(x.shape, dtype=bool)
+            else:
+                dterm = (k * c) * xk
+                xk = xk * x
+                term = c * xk
+                s += term
+                ds += dterm
+                done = _below(term, s, SERIES_RTOL) & (c != 0.0)
                 if deriv:
-                    bad |= ~_below(dterm, ds, 1e-12)
-                if np.any(bad):
-                    raise SeriesConvergenceError(f"kernel series did not converge in {SERIES_CAP} terms")
-                done[:] = True
+                    done &= _below(dterm, ds, SERIES_RTOL)
+                if k == SERIES_CAP:
+                    bad = ~_below(term, s, 1e-12)
+                    if deriv:
+                        bad |= ~_below(dterm, ds, 1e-12)
+                    if np.any(bad):
+                        raise SeriesConvergenceError(f"kernel series did not converge in {SERIES_CAP} terms")
+                    done[:] = True
             if np.any(done):
                 total[idx[done]] = s[done]
                 dtotal[idx[done]] = ds[done]
@@ -144,22 +163,16 @@ def _power_series(ratio: Callable[[int], float], w: np.ndarray, deriv: bool = Fa
     return (total, dtotal.reshape(w.shape)) if deriv else total
 
 
-def _hyp2f1_series(a: float, b: float, c: float, w: np.ndarray, deriv: bool = False):
-    """Direct Gauss series F(a, b; c; w), vectorized over w (|w| < 1).
-
-    With deriv=True returns (F, dF/dw).
-    """
-    return _power_series(lambda k: (a + k) * (b + k) / ((c + k) * (k + 1.0)), w, deriv)
+def _hyp2f1_series(a: float, b: float, c: float, w: np.ndarray) -> np.ndarray:
+    """Direct Gauss series F(a, b; c; w), vectorized over w (|w| < 1)."""
+    return _power_series(_ratio_coefs(lambda k: (a + k) * (b + k) / ((c + k) * (k + 1.0))), w)
 
 
-def _p_hyp_about_one(nu: float, mu: float, z: np.ndarray, on_cut: bool) -> np.ndarray:
-    """P_nu^mu via the series about z=1; argument w = (1-z)/2 must have |w| < 1."""
-    w = 0.5 * (1.0 - z)
-    if on_cut:
-        pref = ((1.0 + z) / (1.0 - z)) ** (mu / 2.0)
-    else:
-        pref = ((z + 1.0) / (z - 1.0)) ** (mu / 2.0)
-    return pref / _real_gamma(1.0 - mu) * _hyp2f1_series(-nu, nu + 1.0, 1.0 - mu, w)
+def _p_hyp_about_one(nu: float, mu: float, z: np.ndarray) -> np.ndarray:
+    """P_nu^mu via the series about z=1 on either branch; argument
+    w = (1-z)/2 must have |w| < 1."""
+    pref = np.abs((1.0 + z) / (1.0 - z)) ** (mu / 2.0)
+    return pref / _real_gamma(1.0 - mu) * _hyp2f1_series(-nu, nu + 1.0, 1.0 - mu, 0.5 * (1.0 - z))
 
 
 def _rgamma_real(x: np.ndarray) -> np.ndarray:
@@ -251,7 +264,7 @@ def _p_offcut(nu: float, mu: float, z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     near = z <= _OFFCUT_SERIES_MAX
     if np.any(near):
-        out[near] = _p_hyp_about_one(nu, mu, z[near], on_cut=False)
+        out[near] = _p_hyp_about_one(nu, mu, z[near])
     if np.any(~near):
         out[~near] = _p_offcut_descending(nu, mu, z[~near])
     return out
@@ -275,7 +288,7 @@ def _p_assoc(nu: float, mu: float, z: np.ndarray, branch: str) -> np.ndarray:
     rest = ~at_one
     if np.any(rest):
         zr = z[rest]
-        out[rest] = _p_offcut(nu, mu, zr) if branch == "off_cut" else _p_hyp_about_one(nu, mu, zr, on_cut=True)
+        out[rest] = _p_offcut(nu, mu, zr) if branch == "off_cut" else _p_hyp_about_one(nu, mu, zr)
     return out
 
 
@@ -297,12 +310,21 @@ def legendre_p(nu: float, z, branch: str):
     return legendre_p_assoc(nu, 0.0, z, branch)
 
 
+def _p_series_about_one(nu: float, t: np.ndarray):
+    """(P_nu, dP_nu/dt) as the series in t = (z-1)/2 about z = 1, on
+    either branch (t < 0 on the cut)."""
+    return _power_series(_ratio_coefs(lambda k: (nu - k) * (nu + k + 1.0) / ((k + 1.0) ** 2)), t, deriv=True)
+
+
+def _p_deriv_about_one(nu: float, z: np.ndarray) -> np.ndarray:
+    """dP_nu/dz from the series about z = 1, on either branch."""
+    return 0.5 * _p_series_about_one(nu, 0.5 * (z - 1.0))[1]
+
+
 def _p_deriv_oncut(nu: float, x: np.ndarray) -> np.ndarray:
     if np.any((x <= -1.0) | (x > 1.0)):
         raise DomainError("legendre_p_deriv_oncut requires -1 < x <= 1")
-    w = 0.5 * (1.0 - x)
-    _, dp = _p_series_about_one_with_deriv(nu, -w)
-    return 0.5 * dp
+    return _p_deriv_about_one(nu, x)
 
 
 def legendre_p_deriv_oncut(nu: float, x) -> np.ndarray:
@@ -316,9 +338,7 @@ def _p_deriv(nu: float, z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     near = z <= _OFFCUT_SERIES_MAX
     if np.any(near):
-        t = 0.5 * (z[near] - 1.0)
-        _, dp = _p_series_about_one_with_deriv(nu, t)
-        out[near] = 0.5 * dp
+        out[near] = _p_deriv_about_one(nu, z[near])
     if np.any(~near):
         zf = z[~near]
         p0 = _p_offcut_descending(nu, 0.0, zf)
@@ -337,49 +357,35 @@ def legendre_p_deriv(nu: float, z) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _p_series_about_one_with_deriv(nu: float, t: np.ndarray):
-    """P_nu(z) as a series in t and its t-derivative.
-
-    Off the cut t = (z-1)/2 > 0; on the cut call with t = -w where
-    w = (1-x)/2 (the same coefficients serve both sides).
-    """
-    return _power_series(lambda k: (nu - k) * (nu + k + 1.0) / ((k + 1.0) ** 2), t, deriv=True)
-
-
-def _q_log_form_offcut(nu: float, z: np.ndarray):
-    """(Q_nu(z), dQ_nu/dz) for z slightly above 1, via the log expansion.
-
-    Q_nu(z) = c1 P_nu(z) - (1/2) (P_nu(z) ln t + g(t)),   t = (z-1)/2,
-    with c1 = -euler_gamma - psi(nu+1) and g from the Frobenius recurrence
-    (k+1)^2 g_{k+1} = (nu(nu+1) - k(k+1)) g_k - 2(k+1) p_{k+1} - (2k+1) p_k.
-    """
-    t = 0.5 * (z - 1.0)
-    c1 = -EULER_GAMMA - digamma_real(nu + 1.0)
-    p, dp = _p_series_about_one_with_deriv(nu, t)
-
-    g = np.zeros_like(t)
-    dg = np.zeros_like(t)
-    pk = 1.0
-    gk = 0.0
-    tk = np.ones_like(t)
-    for k in range(SERIES_CAP):
+def _q_log_coefs(nu: float) -> Iterator[float]:
+    """g_0 = 0, g_1, ... of the logarithmic form, from the Frobenius
+    recurrence (k+1)^2 g_(k+1) = (nu(nu+1) - k(k+1)) g_k - 2(k+1) p_(k+1)
+    - (2k+1) p_k, with p_k the coefficients of P_nu in t."""
+    pk, gk, k = 1.0, 0.0, 0
+    while True:
+        yield gk
         pk1 = pk * (nu - k) * (nu + k + 1.0) / ((k + 1.0) ** 2)
-        gk1 = ((nu * (nu + 1.0) - k * (k + 1.0)) * gk - 2.0 * (k + 1.0) * pk1 - (2.0 * k + 1.0) * pk) / (
-            (k + 1.0) ** 2
-        )
-        dg += (k + 1.0) * gk1 * tk
-        tk = tk * t
-        term = gk1 * tk
-        g += term
-        pk, gk = pk1, gk1
-        if np.all(np.abs(term) <= SERIES_RTOL * (np.abs(g) + 1e-300)) and k > 4:
-            break
+        gk = ((nu * (nu + 1.0) - k * (k + 1.0)) * gk - 2.0 * (k + 1.0) * pk1 - (2.0 * k + 1.0) * pk) / ((k + 1.0) ** 2)
+        pk = pk1
+        k += 1
 
-    lnt = np.log(t)
+
+def _q_log_form(nu: float, t: np.ndarray):
+    """(Q_nu, dQ_nu/dz, P_nu, dP_nu/dz) at z = 1 + 2t, next to z = 1.
+
+    Q_nu = c1 P_nu - (1/2) (P_nu ln|t| + g(t)) with c1 = -euler_gamma -
+    psi(nu+1), P_nu and g the series in t (_p_series_about_one,
+    _q_log_coefs).  Off the cut t > 0; on the cut t < 0, and ln|t|, the
+    mean of ln t on the two sides of the cut, gives the Ferrers functions.
+    """
+    c1 = -EULER_GAMMA - digamma_real(nu + 1.0)
+    p, dp = _p_series_about_one(nu, t)
+    g, dg = _power_series(_q_log_coefs(nu), t, deriv=True)
+    lnt = np.log(np.abs(t))
     q = c1 * p - 0.5 * (p * lnt + g)
     # d/dz = (1/2) d/dt
     dq = 0.5 * (c1 * dp - 0.5 * (dp * lnt + p / t + dg))
-    return q, dq
+    return q, dq, p, 0.5 * dp
 
 
 def _q_tail_series_offcut(nu: float, z: np.ndarray):
@@ -400,82 +406,31 @@ def _q_tail_series_offcut(nu: float, z: np.ndarray):
     return q, q1
 
 
-def _q_oncut_center(nu: float, x: np.ndarray):
-    """(Q_nu(x), dQ_nu/dx) Ferrers, |x| < 1 away from the endpoints.
-
-    Built from the even/odd solutions about x = 0 with the classical
-    connection constants Q(0), Q'(0).
-    """
-    x2 = x * x
-    # even solution F(-nu/2, (nu+1)/2; 1/2; x^2) and odd x*F((1-nu)/2, nu/2+1; 3/2; x^2)
-    fe, dfe = _hyp2f1_series(-nu / 2.0, (nu + 1.0) / 2.0, 0.5, x2, deriv=True)
-    fo, dfo = _hyp2f1_series((1.0 - nu) / 2.0, nu / 2.0 + 1.0, 1.5, x2, deriv=True)
-    # d/dx F(x^2) = 2x F'(x^2)
-    ye, dye = fe, 2.0 * x * dfe
-    yo, dyo = x * fo, fo + 2.0 * x2 * dfo
-
-    sp = np.sqrt(np.pi)
-    q0 = -0.5 * sp * np.sin(nu * np.pi / 2.0) * _real_gamma(nu / 2.0 + 0.5) / _real_gamma(nu / 2.0 + 1.0)
-    q1 = sp * np.cos(nu * np.pi / 2.0) * _real_gamma(nu / 2.0 + 1.0) / _real_gamma(nu / 2.0 + 0.5)
-    return q0 * ye + q1 * yo, q0 * dye + q1 * dyo
-
-
-def _q_log_form_oncut(nu: float, x: np.ndarray):
-    """(Q_nu(x), dQ_nu/dx) Ferrers near x = 1 via the log expansion.
-
-    Q_nu(x) = c1 P_nu(x) - (1/2)(P_nu(x) ln w + ghat(w)), w = (1-x)/2, with
-    ghat the standard c = 1 logarithmic-case series; the p_k h_k products are
-    accumulated jointly so integer degrees need no special handling.
-    """
-    w = 0.5 * (1.0 - x)
-    c1 = -EULER_GAMMA - digamma_real(nu + 1.0)
-    # Ferrers P about x=1 has argument +w
-    p, dp_dw = _p_series_about_one_with_deriv(nu, -w)
-    dp_dw = -dp_dw  # chain rule through t = -w
-
-    g = np.zeros_like(w)
-    dg = np.zeros_like(w)
-    pk = 1.0
-    tk = 0.0  # T_k = p_k h_k
-    wk = np.ones_like(w)
-    for k in range(SERIES_CAP):
-        u, v = k - nu, nu + 1.0 + k
-        pk1 = pk * u * v / ((k + 1.0) ** 2)
-        tk1 = (u * v * tk + pk * (u + v - 2.0 * u * v / (k + 1.0))) / ((k + 1.0) ** 2)
-        dg += (k + 1.0) * tk1 * wk
-        wk = wk * w
-        term = tk1 * wk
-        g += term
-        pk, tk = pk1, tk1
-        if np.all(np.abs(term) <= SERIES_RTOL * (np.abs(g) + 1e-300)) and k > 4:
-            break
-
-    lnw = np.log(w)
-    q = c1 * p - 0.5 * (p * lnw + g)
-    dq_dw = c1 * dp_dw - 0.5 * (dp_dw * lnw + p / w + dg)
-    return q, -0.5 * dq_dw  # d/dx = -(1/2) d/dw
-
-
 def _q_with_deriv(nu: float, z: np.ndarray, branch: str):
     """(Q, dQ/dz) on either branch; raises outside the branch domain."""
     _check_q_domain(nu, z, branch)
+    if branch == "on_cut":
+        # the logarithmic form at |x|, reflected to x < 0
+        q, dq, p, dp = _q_log_form(nu, 0.5 * (np.abs(z) - 1.0))
+        neg = z < 0.0
+        if np.any(neg):
+            # in degrees, so that cos(nu pi) is exactly 0 at half-integer nu
+            # and the term in Q(y), unbounded as x -> -1, drops out (np.cos
+            # gives 6e-17 there), as sin(nu pi) does at integer nu
+            c, s = cosdg(180.0 * nu), 0.5 * np.pi * sindg(180.0 * nu)
+            q[neg] = -c * q[neg] - s * p[neg]
+            dq[neg] = c * dq[neg] + s * dp[neg]
+        return q, dq
     q = np.empty_like(z)
     dq = np.empty_like(z)
-    if branch == "off_cut":
-        near = z < _Q_OFFCUT_LOG_MAX
-        if np.any(near):
-            q[near], dq[near] = _q_log_form_offcut(nu, z[near])
-        if np.any(~near):
-            zf = z[~near]
-            qv, q1v = _q_tail_series_offcut(nu, zf)
-            q[~near] = qv
-            dq[~near] = q1v / np.sqrt(zf * zf - 1.0)
-    else:
-        near = z > _Q_ONCUT_LOG_MIN
-        if np.any(near):
-            q[near], dq[near] = _q_log_form_oncut(nu, z[near])
-        if np.any(~near):
-            q[~near], dq[~near] = _q_oncut_center(nu, z[~near])
+    near = z < _Q_OFFCUT_LOG_MAX
+    if np.any(near):
+        q[near], dq[near] = _q_log_form(nu, 0.5 * (z[near] - 1.0))[:2]
+    if np.any(~near):
+        zf = z[~near]
+        qv, q1v = _q_tail_series_offcut(nu, zf)
+        q[~near] = qv
+        dq[~near] = q1v / np.sqrt(zf * zf - 1.0)
     return q, dq
 
 

@@ -222,94 +222,6 @@ def _u(index):
     return (build_lower_plan, kernel, {"head": head}) if side == "lower" else (build_upper_plan, kernel, {})
 
 
-RATIO_PLANS = {
-    "second:S:nu=0.3": lambda: _pv(_kernels_s(0.3)),
-    "second:S:nu=1.5": lambda: _pv(_kernels_s(1.5)),
-    "second:P:nu=0.3": lambda: _pv(_kernels_p(0.3)),
-    "second:P:nu=1.5": lambda: _pv(_kernels_p(1.5)),
-    "hilbert:S:nu=-1": lambda: _pv(hilbert_pair_kernels(-1)),
-    "hilbert:P:nu=-1": lambda: _pv(hilbert_pair_kernels(0)),
-    "kat:S:fused": lambda: _fused_pv("S", 0.5),
-    "kat:P:fused": lambda: _fused_pv("P", 0.5),
-}
-
-
-def _jittered_hull_grid():
-    # one hull drawn as cold_apply draws its grids
-    rng = np.random.default_rng(1)
-    return make_grid(512, (1e-4 * np.exp(rng.uniform(-0.1, 0.1)), 1e2 * np.exp(rng.uniform(-0.05, 0.05))))
-
-
-@pytest.mark.parametrize("gname", ["log", "jittered"])
-@pytest.mark.parametrize("case", list(PV_RATIO_PLANS))
-def test_template_pv_plan_matches_per_pair_path(case, gname):
-    # the template changes only the rounding: within 2e-13 relative L2 of
-    # the per-pair plan, about 1% of the Legendre-Q plans' quadrature error
-    # (1.3e-11 to 1.6e-10 on gauss, x2gauss and xexp, 6e-9 to 1.1e-8 on
-    # bump12, against the same plans at stride 2 with 10 Gauss points)
-    grid = make_grid(512, (1e-4, 1e2)) if gname == "log" else _jittered_hull_grid()
-    assert _engine._log_uniform(grid)
-    build, (k_lower, k_upper), fine = PV_RATIO_PLANS[case]()
-    plan = build(grid)
-    ref = build_pv_plan(grid, _plain(k_lower), _plain(k_upper), **fine)
-    assert np.array_equal(plan.t_all, ref.t_all) and np.array_equal(plan.offsets, ref.offsets)
-    assert np.array_equal(plan.sub, ref.sub) and np.array_equal(plan.log_term, ref.log_term)
-    for name in ("gauss", "x2gauss", "xexp", "bump12"):
-        f = suite_on_grid(name, grid)
-        want = ref.apply(f)
-        assert np.linalg.norm(plan.apply(f) - want) <= 2e-13 * np.linalg.norm(want), name
-
-
-@pytest.mark.parametrize(
-    "grid",
-    [make_grid(256, (0.05, 12.0), "linear"), _irregular_log_grid(400, (1e-3, 40.0), 5)],
-    ids=["linear", "irregular_log"],
-)
-def test_ratio_kernels_off_uniform_log_grids_take_the_per_pair_path(grid):
-    # no template off a grid uniform in log x: the plan is the plain
-    # kernels' plan bit for bit
-    for kernels in (_kernels_s(0.3), _kernels_p(0.3), hilbert_pair_kernels(0)):
-        plan = build_pv_plan(grid, *kernels)
-        ref = build_pv_plan(grid, *(_plain(k) for k in kernels))
-        for attr in ("matrix", "t_all", "sub"):
-            assert np.array_equal(getattr(plan, attr), getattr(ref, attr)), attr
-
-
-def test_ratio_kernel_is_the_dilation_form():
-    x = np.array([0.5, 2.0, 3.0])
-    t = np.array([0.4, 3.0, 2.9])
-    k = lambda r: np.exp(-r) / (1.0 - r)  # noqa: E731
-    assert np.array_equal(RatioKernel(k)(x, t), k(t / x) / x)
-    assert np.array_equal(RatioKernel(k, "x/t")(x, t), k(x / t) / t)
-    assert np.array_equal(RatioKernel(k, "1-t/x")(x, t), k((x - t) / x) / x)
-    # any degree d: k(r) x^d (k(r) t^d for r = x/t), and K(lx, lt) = l^d K(x, t)
-    for d in (-0.3, 0.0, 1.5):
-        kernel = RatioKernel(k, "t/x", d)
-        assert np.allclose(kernel(x, t), k(t / x) * x**d, rtol=1e-15, atol=0.0)
-        assert np.allclose(RatioKernel(k, "x/t", d)(x, t), k(x / t) * t**d, rtol=1e-15, atol=0.0)
-        assert np.allclose(kernel(7.0 * x, 7.0 * t), 7.0**d * kernel(x, t), rtol=1e-14, atol=0.0)
-
-
-# ----------------------------------------------------------------------
-# lower and upper plans of ratio kernels from the dilation template
-# ----------------------------------------------------------------------
-
-
-def _first(variant, mu=0.3):
-    build = build_lower_plan if first_kind._VARIANTS[variant][0] == "lower" else build_upper_plan
-    return build, first_kind._kernel(variant, 0.5, mu), {"alpha": -mu if mu else None}
-
-
-def _zero(plan, nu=0.5):
-    build, kernel, use_deriv = zero_order._kernel(plan, nu)
-    return build, kernel, {"use_deriv": use_deriv}
-
-
-def _u(index):
-    side, kernel, head = classicops._U_KERNELS[index]
-    return (build_lower_plan, kernel, {"head": head}) if side == "lower" else (build_upper_plan, kernel, {})
-
-
 def _spd_sonine(deriv):
     captured = {}
 

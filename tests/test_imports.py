@@ -47,6 +47,45 @@ def test_module_has_no_unused_import(path):
 
 
 # ----------------------------------------------------------------------
+# shadowed definitions
+# ----------------------------------------------------------------------
+
+# a second top-level binding of a name silently replaces the first: a test
+# defined twice runs once, in its last version, and a helper's first body
+# is dead code
+REPO = PACKAGE.parent.parent
+SOURCES = sorted(PACKAGE.rglob("*.py")) + sorted((REPO / "tests").glob("*.py"))
+
+
+def rebound_names(source: str) -> list[str]:
+    """Top-level names bound more than once by def, class or assignment."""
+    seen, again = set(), []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [(node.name, node.lineno)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [(t.id, node.lineno) for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name, line in names:
+            if name in seen:
+                again.append(f"line {line}: {name}")
+            seen.add(name)
+    return again
+
+
+def test_rebinding_scan_finds_a_second_definition():
+    source = "def f():\n    pass\nclass C:\n    pass\nX = 1\ndef f(x):\n    return x\nX = {}\nY = 2\n"
+    assert rebound_names(source) == ["line 6: f", "line 8: X"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.relative_to(REPO).as_posix() for p in SOURCES])
+def test_module_binds_each_top_level_name_once(path):
+    assert rebound_names(path.read_text(encoding="utf-8")) == []
+
+
+# ----------------------------------------------------------------------
 # layer boundaries
 # ----------------------------------------------------------------------
 
@@ -304,10 +343,9 @@ def test_mellin_does_not_import_the_operator_layer():
 
 
 # plans live on their grid (_engine.cached_plan): no module keeps a cache in
-# a module-level dict of its own.  Two stay: the transforms' matrices (the
-# benchmark reads that dict) and the Gauss-Jacobi rules (keyed by rounded
-# exponents).  Nothing imports zero_order's private `_plan`.
-MODULE_DICTS_KEPT = {("beops/transforms.py", "_MATRIX_CACHE"), ("numgrid.py", "_JACOBI_CACHE")}
+# a module-level dict of its own.  One stays: the transforms' matrices (the
+# benchmark reads that dict).  Nothing imports zero_order's private `_plan`.
+MODULE_DICTS_KEPT = {("beops/transforms.py", "_MATRIX_CACHE")}
 
 
 def module_state(source: str) -> list[tuple[int, str]]:

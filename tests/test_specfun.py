@@ -209,10 +209,11 @@ def test_q_on_cut_vs_mpmath():
 
 @pytest.mark.parametrize("nu", [-0.5, 0.3, 0.5, 0.7, 2.0])
 def test_ferrers_q_and_derivative_vs_mpmath(nu):
-    # the series about x = 0 (|x| < 0.9): each element sums until both its
-    # value term and its derivative term are below round-off, so dQ/dx is
-    # as accurate as Q (stopping on the value term alone left dQ/dx off by
-    # up to 7.7e-14 of its largest value)
+    # the logarithmic form at t = (x - 1)/2 in [-1/2, 0): each element sums
+    # until both its value term and its derivative term are below round-off,
+    # so dQ/dx is as accurate as Q (the derivative terms are about k times
+    # the value terms, so stopping on the value term alone would cut dQ/dx
+    # short)
     x = np.concatenate([np.geomspace(1e-5, 0.1, 20, endpoint=False), np.linspace(0.1, 0.8999, 40)])
     q = legendre_q(nu, x, "on_cut")
     dq = -legendre_q1(nu, x, "on_cut") / np.sqrt(1.0 - x * x)
@@ -242,14 +243,16 @@ def test_digamma_vs_mpmath():
 
 def test_kernel_series_values_do_not_depend_on_the_batch():
     # every series argument stops on its own terms, so an element's value is
-    # bitwise the same alone or in any batch; the arguments stay in the
-    # zones of the per-element series (|x| < 0.9 on the cut, z >= 1.1 off it)
+    # bitwise the same alone or in any batch, the logarithmic zones next to
+    # z = 1 included (Q^1 on the whole cut, and off it below z = 1.1)
     rng = np.random.default_rng(7)
     on_cut = np.concatenate([rng.uniform(-0.89, 0.89, 300), [0.0, 1e-6, 0.5, -0.8999]])
     off_cut = np.concatenate([1.1 + rng.exponential(3.0, 300), [1.1, 2.5, 1e3]])
+    q_on_cut = np.concatenate([rng.uniform(-1.0 + 1e-7, 1.0 - 1e-7, 200), [-1.0 + 1e-7, -0.5, 0.0, 0.95, 1.0 - 1e-7]])
+    q_off_cut = np.concatenate([rng.uniform(1.0 + 1e-7, 1.1, 200), [1.0 + 1e-7, 1.0 + 1e-4, 1.0999]])
     cases = [
-        (lambda v: legendre_q1(0.3, v, "on_cut"), on_cut),
-        (lambda v: legendre_q1(0.3, v, "off_cut"), off_cut),
+        (lambda v: legendre_q1(0.3, v, "on_cut"), q_on_cut),
+        (lambda v: legendre_q1(0.3, v, "off_cut"), np.concatenate([q_off_cut, off_cut])),
         (lambda v: legendre_p(0.7, v, "on_cut"), on_cut),
         (lambda v: legendre_p_deriv_oncut(0.7, v), on_cut),
     ]
@@ -270,6 +273,22 @@ def test_half_integer_descending_values_do_not_depend_on_the_batch():
     assert np.array_equal(batch, single)
 
 
+def test_ferrers_q_and_q1_vs_mpmath_over_the_whole_cut():
+    # the logarithmic form on [0, 1) and its reflection on (-1, 0) hold Q and
+    # Q^1 to round-off up to 1e-7 of both ends, where no series may fail to
+    # converge (measured: at most 1.2e-15 of max(|Q|, 1) and 6.7e-16 of
+    # max(|Q^1|, 1))
+    ends = np.geomspace(1e-7, 0.1, 9)
+    x = np.concatenate([-1.0 + ends, np.linspace(-0.9, 0.9, 13), 1.0 - ends[::-1]])
+    with mpmath.workdps(20):
+        for nu in [-0.5, 0.3, 0.5, 1.5, 2.0]:
+            # Q_2(0) = 0, which mpmath finds only when told the precision of a zero
+            rq = np.array([float(mpmath.legenq(nu, 0, xi, zeroprec=64)) for xi in x])
+            rq1 = np.array([float(mpmath.legenq(nu, 1, xi)) for xi in x])
+            assert np.max(np.abs(legendre_q(nu, x, "on_cut") - rq) / np.maximum(np.abs(rq), 1.0)) <= 2e-15
+            assert np.max(np.abs(legendre_q1(nu, x, "on_cut") - rq1) / np.maximum(np.abs(rq1), 1.0)) <= 2e-15
+
+
 def test_kernel_series_raises_when_it_cannot_converge():
     # P_nu on the cut at x = -0.99998 sums the series about x = 1 at
     # w = (1 - x)/2 = 0.99999, which is far from converged after SERIES_CAP
@@ -284,9 +303,10 @@ def test_kernel_series_raises_when_it_cannot_converge():
 
 # each kernel with its per-element body (the evaluation without the step
 # that removes repeated arguments) and the zones its arguments cover: on
-# the cut the series about 0 or 1 (|x| < 0.9) and the logarithmic form
-# (0.9 < x < 1); off the cut the logarithmic form (1 < z < 1.1), the series
-# about 1 or in 1/z^2 (z >= 1.1) and above z = 2.5 the descending expansion
+# the cut the series about 1 for P and the logarithmic form for Q, direct
+# (x >= 0) or reflected (x < 0); off the cut the logarithmic form
+# (1 < z < 1.1), the series about 1 or in 1/z^2 (z >= 1.1) and above
+# z = 2.5 the descending expansion
 DEDUP_CASES = {
     "p_on_cut": (
         lambda z: legendre_p(0.7, z, "on_cut"),
@@ -316,7 +336,7 @@ DEDUP_CASES = {
     "q_on_cut": (
         lambda z: legendre_q(0.7, z, "on_cut"),
         lambda z: legendre_module._q_with_deriv(0.7, z, "on_cut")[0],
-        [(-0.9, 0.9), (0.9, 1.0 - 1e-6)],
+        [(-1.0 + 1e-6, 0.0), (0.0, 1.0 - 1e-6)],
     ),
     "q_off_cut": (
         lambda z: legendre_q(0.7, z, "off_cut"),
@@ -326,7 +346,7 @@ DEDUP_CASES = {
     "q1_on_cut": (
         lambda z: legendre_q1(0.7, z, "on_cut"),
         lambda z: legendre_module._q1(0.7, z, "on_cut"),
-        [(-0.9, 0.9), (0.9, 1.0 - 1e-6)],
+        [(-1.0 + 1e-6, 0.0), (0.0, 1.0 - 1e-6)],
     ),
     "q1_off_cut": (
         lambda z: legendre_q1(0.7, z, "off_cut"),
@@ -341,7 +361,6 @@ def test_kernels_equal_their_values_at_the_distinct_arguments(case):
     # about 300 distinct arguments across the zones, each repeated 1-5 times
     # and shuffled: the result is bitwise the value at the distinct
     # arguments indexed back, and the per-element body's on the whole array
-    # (the logarithmic forms stop on their slowest element, which stays)
     fn, body, zones = DEDUP_CASES[case]
     rng = np.random.default_rng(5)
     distinct = np.concatenate([rng.uniform(lo, hi, 300 // len(zones)) for lo, hi in zones])
