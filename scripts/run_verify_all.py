@@ -2,9 +2,10 @@
 """Run the complete verification suite and write the JSON report bundle.
 
 With --compare BASE.json (a bundle this script wrote, say at the parent
-commit), print every check whose status or whose residual_max to 3
-significant digits differs from BASE's, or that only one side has; the
-exit status is then 1 if there is any such check and 0 if there is none.
+commit), print whether the new bundle is byte-identical to BASE, then every
+check whose status or whose residual_max to 3 significant digits differs
+from BASE's, or that only one side has; the exit status is then 1 if there
+is any such check and 0 if there is none.
 Without it, the exit status is 3 if any check fails.
 """
 
@@ -43,8 +44,9 @@ def main():
     args = ap.parse_args()
     base = None
     if args.compare:
-        with open(args.compare, encoding="utf-8") as fh:
-            base = json.load(fh)
+        with open(args.compare, "rb") as fh:
+            base_bytes = fh.read()
+        base = json.loads(base_bytes)
     t0 = time.time()
     reports = run_all(out_path=args.output)
     failed = [r.check_id for r in reports if r.status == "FAIL"]
@@ -52,6 +54,9 @@ def main():
     if failed:
         print("FAILED:", ", ".join(failed))
     if base is not None:
+        with open(args.output, "rb") as fh:
+            same = fh.read() == base_bytes
+        print(f"{args.output} is {'byte-identical to' if same else 'not byte-identical to'} {args.compare}")
         changed = compare(base, [r.as_dict() for r in reports])
         print(f"{len(changed)} of {len(reports)} checks differ from {args.compare} (status, residual_max to 3 significant digits)")
         for line in changed:

@@ -74,6 +74,7 @@ from ..numgrid import (
     _uniform_weights,
     basis_rows,
     collocation_solve,
+    fit_power_law,
     grid_key,
     head_basis,
     head_model,
@@ -168,23 +169,12 @@ def _fit_power_tail(f: SampledFunction, y_top: float):
     or fast-decaying tails are rejected (their truncation error is
     negligible or not representable by this model).
     """
-    pts, vals = f.grid.points, f.values
+    pts = f.grid.points
     win = (pts > 0.72 * y_top) & (pts <= y_top)
-    if np.count_nonzero(win) < 8:
+    fit = fit_power_law(pts[win], f.values[win], 0.15) if np.count_nonzero(win) >= 8 else None
+    if fit is None or not (0.5 < -fit[1] < 8.0):
         return None
-    v = vals[win]
-    y = pts[win]
-    if np.min(np.abs(v)) < 1e-13 or np.min(v) * np.max(v) <= 0:
-        return None
-    logs = np.log(np.abs(v))
-    slope, intercept = np.polyfit(np.log(y), logs, 1)
-    if np.max(np.abs(np.polyval([slope, intercept], np.log(y)) - logs)) > 0.15:
-        return None
-    p = -slope
-    if not (0.5 < p < 8.0):
-        return None
-    c = np.sign(v[-1]) * np.exp(intercept)
-    return c, p
+    return fit[0], -fit[1]
 
 
 def _algebraic_tail(kind: str, t: np.ndarray, f: SampledFunction, y_top: float) -> np.ndarray:

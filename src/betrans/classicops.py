@@ -14,7 +14,7 @@ from ._engine import RatioKernel, build_lower_plan, build_upper_plan, cached_pla
 from .beops.specs import OperatorSpec
 from .beops.zero_order import apply_zero_order
 from .numgrid import DecayHint, SampledFunction
-from .specfun import gamma_complex
+from .specfun import gamma_complex, rgamma
 
 __all__ = [
     "spd_poisson",
@@ -27,10 +27,6 @@ __all__ = [
     "lift_sonine",
     "lift_poisson",
 ]
-
-
-def _rgamma(x: float) -> float:
-    return float(np.real(1.0 / gamma_complex(complex(x))))
 
 
 def _spd_poisson_kernel(nu: float) -> RatioKernel:
@@ -55,7 +51,7 @@ def spd_poisson(nu: float, f: SampledFunction) -> SampledFunction:
     grid = f.grid
     alpha = nu - 0.5 if abs((nu - 0.5) - round(nu - 0.5)) > 1e-9 or nu < 0.5 else None
     plan = cached_plan((grid, "spdP", nu), lambda: build_lower_plan(grid, _spd_poisson_kernel(nu), alpha=alpha))
-    pref = _rgamma(nu + 1.0) / 2.0**nu * grid.points ** (-2.0 * nu)
+    pref = rgamma(nu + 1.0) / 2.0**nu * grid.points ** (-2.0 * nu)
     return f.with_values(pref * plan.apply(f), decay_hint=None)
 
 
@@ -76,7 +72,7 @@ def spd_sonine(nu: float, f: SampledFunction) -> SampledFunction:
     plan_d = cached_plan(
         (grid, "spdSd", nu), lambda: build_lower_plan(grid, kernel_d, alpha=-nu - 0.5, use_deriv=True)
     )
-    pref = 2.0 ** (nu + 0.5) * _rgamma(0.5 - nu)
+    pref = 2.0 ** (nu + 0.5) * rgamma(0.5 - nu)
     vals = pref * (plan.apply(f) / grid.points + plan_d.apply(f))
     return f.with_values(vals, decay_hint=None)
 

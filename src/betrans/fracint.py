@@ -15,7 +15,7 @@ import numpy as np
 from ._engine import RatioKernel, build_lower_plan, build_upper_plan, deriv_on_grid
 from ._engine import cached_plan as _cached_plan  # perfbench/tracer.py wraps the cache under this name
 from .numgrid import SampledFunction
-from .specfun import gamma_complex
+from .specfun import rgamma
 
 __all__ = [
     "FracSpec",
@@ -68,10 +68,6 @@ class FracSpec:
             raise ValueError("by_function spec requires a MonotoneFunction")
 
 
-def _rgamma(x: float) -> float:
-    return float(np.real(1.0 / gamma_complex(complex(x))))
-
-
 def _rl_kernel(family: str, a: float) -> RatioKernel:
     """|x - t|^(a - 1) = x^(a - 1) |r|^(a - 1), r = (x - t)/x."""
     sign = 1.0 if family == "rl_left" else -1.0
@@ -96,7 +92,7 @@ def _ek_kernel(family: str, a: float, eta: float) -> RatioKernel:
 def rl_integral(spec: FracSpec, f: SampledFunction) -> SampledFunction:
     """Riemann-Liouville fractional integral of order alpha on f's grid."""
     a = spec.alpha
-    c = _rgamma(a)
+    c = rgamma(a)
     if spec.family not in ("rl_left", "rl_right"):
         raise ValueError("rl_integral expects an rl_left or rl_right spec")
     build = build_lower_plan if spec.family == "rl_left" else build_upper_plan
@@ -109,7 +105,7 @@ def rl_integral(spec: FracSpec, f: SampledFunction) -> SampledFunction:
 def ek_integral(spec: FracSpec, f: SampledFunction) -> SampledFunction:
     """Erdelyi-Kober fractional integral on f's grid."""
     a, eta = spec.alpha, spec.eta
-    c = _rgamma(a)
+    c = rgamma(a)
     if spec.family == "ek_left":
         build, pref = build_lower_plan, 2.0 * c * f.grid.points ** (-2.0 * (a + eta))
     elif spec.family == "ek_right":
@@ -128,7 +124,7 @@ def frac_by_function(spec: FracSpec, f: SampledFunction) -> SampledFunction:
     if spec.family != "by_function":
         raise ValueError("frac_by_function expects a by_function spec")
     a, mono = spec.alpha, spec.g
-    c = _rgamma(a)
+    c = rgamma(a)
     pts = f.grid.points
     if np.any(mono.gprime(pts) <= 0):
         raise ValueError(f"g={mono.name!r} is not strictly increasing on the hull")

@@ -19,8 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .numgrid import SampledFunction, head_model
-from .specfun import gamma_complex
+from .numgrid import SampledFunction, fit_power_law, head_model
+from .specfun import gamma_complex, rgamma
 
 __all__ = [
     "MellinSamples",
@@ -139,23 +139,10 @@ def mellin_numeric(f: SampledFunction, sigma: float, u_points) -> MellinSamples:
 
 
 def _fit_power(pts: np.ndarray, vals: np.ndarray):
-    """Fit a signed local power law c x^p, or None for sign-changing/tiny data.
-
-    Returns (c_at_unit, p) with c such that f ~ c x^p; for the head fit p is
-    the growth exponent at 0, for the tail fit the decay sign convention is
-    handled by the caller.
-    """
-    if len(pts) < 6:
-        return None
-    if np.min(np.abs(vals)) < 1e-13 or np.min(vals) * np.max(vals) <= 0:
-        return None
-    logs = np.log(np.abs(vals))
-    slope, intercept = np.polyfit(np.log(pts), logs, 1)
-    if np.max(np.abs(np.polyval([slope, intercept], np.log(pts)) - logs)) > 0.05:
-        return None
-    if abs(slope) > 8.0:
-        return None
-    return float(np.sign(vals[0]) * np.exp(intercept)), float(slope)
+    """A power law c x^p through at least 6 samples, |p| <= 8 (see
+    fit_power_law), or None."""
+    fit = fit_power_law(pts, vals, 0.05) if len(pts) >= 6 else None
+    return fit if fit is not None and abs(fit[1]) <= 8.0 else None
 
 
 def measured_multiplicator(f: SampledFunction, af: SampledFunction, sigma: float, u_points):
@@ -170,35 +157,22 @@ def measured_multiplicator(f: SampledFunction, af: SampledFunction, sigma: float
 # ----------------------------------------------------------------------
 
 
-def _g(z):
-    return gamma_complex(np.asarray(z, dtype=complex))
-
-
-def _rg(z):
-    """1/Gamma(z), entire: zero at the poles of Gamma."""
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    out = np.empty_like(z)
-    pole = (np.abs(np.imag(z)) < 1e-13) & (np.real(z) <= 0.5) & (
-        np.abs(np.real(z) - np.round(np.real(z))) < 1e-13
-    )
-    out[pole] = 0.0
-    if np.any(~pole):
-        out[~pole] = 1.0 / gamma_complex(z[~pole])
-    return out
-
-
 def m_zero_order(variant: str, nu, s):
     """Multiplicators of the four zero-order-smoothness operators."""
     s = np.asarray(s, dtype=complex)
     nu = complex(nu)
     if variant == "S0+":
-        return _g(-s / 2 + nu / 2 + 1) * _g(-s / 2 - nu / 2 + 0.5) * _rg(0.5 - s / 2) * _rg(1 - s / 2)
+        num = gamma_complex(-s / 2 + nu / 2 + 1) * gamma_complex(-s / 2 - nu / 2 + 0.5)
+        return num * rgamma(0.5 - s / 2) * rgamma(1 - s / 2)
     if variant == "P0+":
-        return _g(0.5 - s / 2) * _g(1 - s / 2) * _rg(-s / 2 + nu / 2 + 1) * _rg(-s / 2 - nu / 2 + 0.5)
+        num = gamma_complex(0.5 - s / 2) * gamma_complex(1 - s / 2)
+        return num * rgamma(-s / 2 + nu / 2 + 1) * rgamma(-s / 2 - nu / 2 + 0.5)
     if variant == "S-":
-        return _g(s / 2) * _g(s / 2 + 0.5) * _rg(s / 2 + nu / 2 + 0.5) * _rg(s / 2 - nu / 2)
+        num = gamma_complex(s / 2) * gamma_complex(s / 2 + 0.5)
+        return num * rgamma(s / 2 + nu / 2 + 0.5) * rgamma(s / 2 - nu / 2)
     if variant == "P-":
-        return _g(s / 2 + nu / 2 + 0.5) * _g(s / 2 - nu / 2) * _rg(s / 2) * _rg(s / 2 + 0.5)
+        num = gamma_complex(s / 2 + nu / 2 + 0.5) * gamma_complex(s / 2 - nu / 2)
+        return num * rgamma(s / 2) * rgamma(s / 2 + 0.5)
     raise CatalogError(f"unknown zero-order variant {variant!r}")
 
 
@@ -230,11 +204,11 @@ def m_second_kind(variant: str, nu, s):
     nu = complex(nu)
     if variant == "S":
         return (
-            -_g(s / 2)
-            * _g(s / 2 + 0.5)
-            * _g(1.0 - s / 2 + nu / 2)
+            -gamma_complex(s / 2)
+            * gamma_complex(s / 2 + 0.5)
+            * gamma_complex(1.0 - s / 2 + nu / 2)
             * np.cos(np.pi * (s - nu) / 2.0)
-            / (np.pi * _g(s / 2 + nu / 2 + 0.5))
+            / (np.pi * gamma_complex(s / 2 + nu / 2 + 0.5))
         )
     if variant == "P":
         # symbol of the adjoint realization: m_P(s) = m_S(1 - s) for real kernels
@@ -250,8 +224,8 @@ def m_second_kind_2param(nu, mu, s):
     if np.any(np.abs(den) < 1e-13):
         raise FormulaPoleError("two-parameter symbol pole")
     trig = (np.cos(np.pi * (mu - s)) - np.cos(np.pi * nu)) / den
-    gam = _g(s / 2) * _g(s / 2 + 0.5) / (
-        _g(s / 2 + (1 - nu - mu) / 2) * _g(s / 2 + 1 + (nu - mu) / 2)
+    gam = gamma_complex(s / 2) * gamma_complex(s / 2 + 0.5) / (
+        gamma_complex(s / 2 + (1 - nu - mu) / 2) * gamma_complex(s / 2 + 1 + (nu - mu) / 2)
     )
     return 2.0 ** (mu - 1.0) * trig * gam
 
@@ -305,9 +279,10 @@ def m_spd(variant: str, nu, s):
     s = np.asarray(s, dtype=complex)
     nu = complex(nu)
     if variant == "P":
-        return _g((1.0 - s) / 2.0) * _g(nu + 0.5) / (2.0 ** (nu + 1.0) * _g(nu + 1.0) * _g(nu + 1.0 - s / 2.0))
+        num = gamma_complex((1.0 - s) / 2.0) * gamma_complex(nu + 0.5)
+        return num / (2.0 ** (nu + 1.0) * gamma_complex(nu + 1.0) * gamma_complex(nu + 1.0 - s / 2.0))
     if variant == "S":
-        return 2.0 ** (nu + 0.5) * _g(nu + 1.0 - s / 2.0) / _g(0.5 - s / 2.0)
+        return 2.0 ** (nu + 0.5) * gamma_complex(nu + 1.0 - s / 2.0) / gamma_complex(0.5 - s / 2.0)
     raise CatalogError(f"unknown spd variant {variant!r}")
 
 

@@ -54,11 +54,13 @@ __all__ = [
     "head_basis",
     "eval_extended",
     "deriv_extended",
+    "fit_power_law",
     "read_csv",
     "write_csv",
 ]
 
 DEFAULT_GRID_N = 512
+_RIGHT_BLOCK = 128  # rows per transposed banded solve (collocation_solve)
 DEFAULT_GRID_RANGE = (1e-4, 1e2)
 
 
@@ -172,10 +174,20 @@ class Grid:
 
     @functools.cached_property
     def _collocation_lu(self) -> tuple[int, int, np.ndarray, np.ndarray]:
-        """(lower, upper, lu, piv): LAPACK's banded LU factors of the
-        collocation matrix of the grid's spline (see collocation_solve),
-        computed once per grid."""
-        return _collocation_factors(self, False)
+        """(lower, upper, lu, piv): LAPACK's banded LU factors of A, the
+        collocation matrix of the grid's spline (row i: the basis at grid
+        point i; see collocation_solve), computed once per grid."""
+        knots, k = spline_knots(self)
+        first, vals = basis_rows(knots, k, self.coord(self.points))
+        rows = np.broadcast_to(np.arange(self.n), vals.shape)
+        cols = first + np.arange(k + 1)[:, None]
+        lower, upper = int(np.max(rows - cols)), int(np.max(cols - rows))
+        band = np.zeros((2 * lower + upper + 1, self.n), order="F")  # the top rows hold the LU's fill-in
+        band[lower + upper + rows - cols, cols] = vals
+        lu, piv, info = dgbtrf(band, lower, upper, overwrite_ab=True)
+        if info:
+            raise GridError("the grid's spline collocation matrix is singular")
+        return lower, upper, lu, piv
 
     @functools.cached_property
     def plans(self) -> dict:
@@ -273,36 +285,22 @@ def basis_rows(knots: np.ndarray, k: int, s: np.ndarray) -> tuple[np.ndarray, np
     return last
 
 
-def _collocation_factors(grid: Grid, transpose: bool) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """(lower, upper, lu, piv): LAPACK's banded LU factors of A, the
-    collocation matrix of grid's spline (row i: the basis at grid point
-    i), or of its transpose."""
-    knots, k = spline_knots(grid)
-    first, vals = basis_rows(knots, k, grid.coord(grid.points))
-    rows = np.broadcast_to(np.arange(grid.n), vals.shape)
-    cols = first + np.arange(k + 1)[:, None]
-    if transpose:
-        rows, cols = cols, rows
-    lower, upper = int(np.max(rows - cols)), int(np.max(cols - rows))
-    band = np.zeros((2 * lower + upper + 1, grid.n), order="F")  # the top rows hold the LU's fill-in
-    band[lower + upper + rows - cols, cols] = vals
-    lu, piv, info = dgbtrf(band, lower, upper, overwrite_ab=True)
-    if info:
-        raise GridError("the grid's spline collocation matrix is singular")
-    return lower, upper, lu, piv
-
-
 def collocation_solve(grid: Grid, rhs: np.ndarray, side: Literal["left", "right"]) -> np.ndarray:
     """inv(A) @ rhs for side "left" (a function's spline coefficients from
     its samples, with the grid's LU factors of A), rhs @ inv(A) for side
     "right" (a plan's or transform's matrix on the samples from its rows on
     the coefficients; rhs is overwritten), A the collocation matrix of
     grid's spline."""
+    lower, upper, lu, piv = grid._collocation_lu
     if side == "left":
-        lower, upper, lu, piv = grid._collocation_lu
         return dgbtrs(lu, lower, upper, rhs, piv)[0]
-    lower, upper, lu, piv = _collocation_factors(grid, True)  # rhs @ inv(A) = (inv(A^T) rhs^T)^T
-    return dgbtrs(lu, lower, upper, rhs.T, piv, overwrite_b=True)[0].T
+    # rhs @ inv(A) = (inv(A^T) rhs^T)^T, solved with A's factors (trans=1),
+    # _RIGHT_BLOCK rows at a time: in one call the transposed solve of 2048
+    # rows on a 2048-point grid took 1.8 times as long as the untransposed one
+    for j in range(0, len(rhs), _RIGHT_BLOCK):
+        rows = rhs[j : j + _RIGHT_BLOCK]
+        rows[...] = dgbtrs(lu, lower, upper, rows.T, piv, trans=1, overwrite_b=True)[0].T
+    return rhs
 
 
 def taylor_terms(grid: Grid, values: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -546,6 +544,19 @@ def deriv_extended(f: SampledFunction, t: np.ndarray) -> np.ndarray:
     """f' at arbitrary nodes t > 0: spline inside the hull, head model below,
     0 above."""
     return _extended(f, t, True)
+
+
+def fit_power_law(x: np.ndarray, v: np.ndarray, max_dev: float):
+    """(c, p) of the line fitted to ln|v| against ln x, v ~ c x^p, or None
+    when v changes sign, a sample is below 1e-13 in magnitude, or the line
+    misses some ln|v| by more than max_dev."""
+    if np.min(np.abs(v)) < 1e-13 or np.min(v) * np.max(v) <= 0:
+        return None
+    logs = np.log(np.abs(v))
+    p, intercept = np.polyfit(np.log(x), logs, 1)
+    if np.max(np.abs(np.polyval([p, intercept], np.log(x)) - logs)) > max_dev:
+        return None
+    return float(np.sign(v[0]) * np.exp(intercept)), float(p)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
-"""Special-function substrate: complex gamma, Legendre functions, Bessel."""
+"""Special-function substrate: the Gamma layer, Legendre functions, Bessel."""
 
 from .bessel import bessel_j, bessel_j_normalized
-from .gamma import GammaPoleError, digamma_real, gamma_complex, gammaln_real
+from .gamma import GammaPoleError, digamma_real, gamma_complex, gamma_real, rgamma
 from .legendre import (
     DomainError,
     SeriesConvergenceError,
@@ -18,7 +18,8 @@ __all__ = [
     "SingularityError",
     "SeriesConvergenceError",
     "gamma_complex",
-    "gammaln_real",
+    "gamma_real",
+    "rgamma",
     "digamma_real",
     "legendre_p",
     "legendre_p_assoc",

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import jv
 
-from .gamma import gamma_complex
+from .gamma import gamma_real
 
 __all__ = ["bessel_j", "bessel_j_normalized"]
 
@@ -53,6 +53,6 @@ def bessel_j_normalized(nu: float, x):
         out[small] = _jnorm_series(nu, x_arr[small])
     if np.any(~small):
         xl = x_arr[~small]
-        c = 2.0**nu * float(np.real(gamma_complex(complex(nu + 1.0))))
+        c = 2.0**nu * gamma_real(nu + 1.0)
         out[~small] = c * jv(nu, xl) / xl**nu
     return float(out[0]) if scalar else out

@@ -1,16 +1,17 @@
-"""Complex gamma function via a fixed-coefficient Lanczos approximation.
+"""The package's one Gamma layer: Gamma, 1/Gamma and psi.
 
-The rational approximation is valid on Re z > 0.5; the left half-plane is
-reached through the reflection formula.  Accuracy is ~1e-13 relative on the
-strip |Re z| <= 20, |Im z| <= 50, which is what the Mellin-multiplicator
-formulas on the critical line need.
+gamma_complex is a fixed-coefficient Lanczos approximation, valid on
+Re z > 0.5, with the reflection formula for the left half-plane; gamma_real
+(Gamma at one real point) and rgamma (1/Gamma, entire) are built on it.
+Accuracy is ~1e-13 relative on the strip |Re z| <= 20, |Im z| <= 50, which
+is what the Mellin-multiplicator formulas on the critical line need.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["GammaPoleError", "gamma_complex", "gammaln_real", "digamma_real"]
+__all__ = ["GammaPoleError", "gamma_complex", "gamma_real", "rgamma", "digamma_real"]
 
 # Lanczos g=7, 9-term coefficient set.
 _LANCZOS_G = 7.0
@@ -73,12 +74,24 @@ def gamma_complex(z):
     return out[0] if scalar else out
 
 
-def gammaln_real(x):
-    """log Gamma(x) for real x > 0 (array-friendly), via the same Lanczos core."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise GammaPoleError("gammaln_real requires x > 0")
-    return np.log(np.abs(gamma_complex(x)))
+def gamma_real(x: float) -> float:
+    """Gamma(x) at one real point x; raises GammaPoleError at the poles."""
+    return float(np.real(gamma_complex(complex(x))))
+
+
+def rgamma(z):
+    """1/Gamma(z), entire: zero at the poles z = 0, -1, -2, ...
+
+    Real for real input, complex otherwise, and shaped like z.
+    """
+    real = np.isrealobj(z)
+    z = np.asarray(z, dtype=complex)
+    pole = _is_nonpositive_int(z)
+    out = np.zeros(z.shape, dtype=float if real else complex)
+    if not np.all(pole):
+        vals = 1.0 / gamma_complex(z[~pole])
+        out[~pole] = np.real(vals) if real else vals
+    return out[()]
 
 
 def digamma_real(x: float) -> float:

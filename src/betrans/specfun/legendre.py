@@ -29,7 +29,7 @@ from typing import Callable, Iterator
 import numpy as np
 from scipy.special import cosdg, sindg
 
-from .gamma import digamma_real, gamma_complex
+from .gamma import digamma_real, gamma_real, rgamma
 
 __all__ = [
     "DomainError",
@@ -63,10 +63,6 @@ class SingularityError(ValueError):
 
 class SeriesConvergenceError(RuntimeError):
     """A kernel series failed to reach the target tolerance within the cap."""
-
-
-def _real_gamma(x: float) -> float:
-    return float(np.real(gamma_complex(complex(x))))
 
 
 def _per_distinct(evaluate: Callable[[np.ndarray], np.ndarray], z: np.ndarray) -> np.ndarray:
@@ -172,18 +168,7 @@ def _p_hyp_about_one(nu: float, mu: float, z: np.ndarray) -> np.ndarray:
     """P_nu^mu via the series about z=1 on either branch; argument
     w = (1-z)/2 must have |w| < 1."""
     pref = np.abs((1.0 + z) / (1.0 - z)) ** (mu / 2.0)
-    return pref / _real_gamma(1.0 - mu) * _hyp2f1_series(-nu, nu + 1.0, 1.0 - mu, 0.5 * (1.0 - z))
-
-
-def _rgamma_real(x: np.ndarray) -> np.ndarray:
-    """1 / Gamma(x) for real x, zero at the poles (entire function)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(x)
-    pole = (x <= 0.5) & (np.abs(x - np.round(x)) < 1e-13)
-    out[pole] = 0.0
-    if np.any(~pole):
-        out[~pole] = np.real(1.0 / gamma_complex(x[~pole].astype(complex)))
-    return out
+    return pref / gamma_real(1.0 - mu) * _hyp2f1_series(-nu, nu + 1.0, 1.0 - mu, 0.5 * (1.0 - z))
 
 
 def _hyp2f1_regularized(a: float, b: float, c: float, w: np.ndarray, nterms: int = 90) -> np.ndarray:
@@ -193,7 +178,7 @@ def _hyp2f1_regularized(a: float, b: float, c: float, w: np.ndarray, nterms: int
     the tiny arguments w = 1/z^2 that large z produces.
     """
     k = np.arange(nterms)
-    rg = _rgamma_real(c + k)
+    rg = rgamma(c + k)
     # (a)_k (b)_k / k!
     coef = np.ones(nterms)
     for i in range(1, nterms):
@@ -219,12 +204,12 @@ def _p_offcut_descending_raw(nu: float, mu: float, z: np.ndarray) -> np.ndarray:
     w = 1.0 / (z * z)
     t1 = (
         (mu + nu)
-        * float(_rgamma_real(1.0 - mu - nu)[0])
+        * rgamma(1.0 - mu - nu)
         * _hyp2f1_regularized((nu + mu) / 2.0 + 1.0, (nu + mu + 1.0) / 2.0, nu + 1.5, w)
         / (2.0 ** (nu + 1.0) * z ** (nu + mu + 1.0))
     )
     t2 = (
-        float(_rgamma_real(1.0 + nu - mu)[0])
+        rgamma(1.0 + nu - mu)
         * 2.0**nu
         * z ** (nu - mu)
         * _hyp2f1_regularized((mu - nu + 1.0) / 2.0, (mu - nu) / 2.0, 0.5 - nu, w)
@@ -391,14 +376,14 @@ def _q_log_form(nu: float, t: np.ndarray):
 def _q_tail_series_offcut(nu: float, z: np.ndarray):
     """(Q_nu(z), Q_nu^1(z)) for z away from 1, descending 1/z^2 series."""
     w = 1.0 / (z * z)
-    g_nu1 = _real_gamma(nu + 1.0)
-    g_nu32 = _real_gamma(nu + 1.5)
+    g_nu1 = gamma_real(nu + 1.0)
+    g_nu32 = gamma_real(nu + 1.5)
     f0 = _hyp2f1_series(nu / 2.0 + 1.0, nu / 2.0 + 0.5, nu + 1.5, w)
     q = np.sqrt(np.pi) * g_nu1 / (g_nu32 * (2.0 * z) ** (nu + 1.0)) * f0
     f1 = _hyp2f1_series(nu / 2.0 + 1.5, nu / 2.0 + 1.0, nu + 1.5, w)
     q1 = (
         -np.sqrt(np.pi)
-        * _real_gamma(nu + 2.0)
+        * gamma_real(nu + 2.0)
         * np.sqrt(z * z - 1.0)
         / (2.0 ** (nu + 1.0) * g_nu32 * z ** (nu + 2.0))
         * f1

@@ -32,8 +32,6 @@ def _suite_main(names=None):
 def _suite_smooth():
     """Gentle members for finite-difference-limited checks: a wide compact
     bump plus an analytic decaying member."""
-    from ..testfuncs import wide_bump
-
     grid = default_grid("main")
     return [("wide_bump", wide_bump(grid)), ("x2gauss", suite_on_grid("x2gauss", grid))]
 
@@ -205,15 +203,14 @@ def _report_spd() -> VerificationReport:
 
 
 def _report_spd_bessel() -> VerificationReport:
-    from ..specfun import bessel_j_normalized, gamma_complex
+    from ..specfun import bessel_j_normalized, gamma_real
 
     grid = default_grid("main")
     x = grid.points
     nu = 0.7
     fcos = SampledFunction(grid, np.cos(x), DecayHint.power(0.0))
     pc = classicops.spd_poisson(nu, fcos)
-    g = lambda z: float(np.real(gamma_complex(complex(z))))
-    cnu = np.sqrt(np.pi) * g(nu + 0.5) / (2.0 ** (nu + 1.0) * g(nu + 1.0) ** 2)
+    cnu = np.sqrt(np.pi) * gamma_real(nu + 0.5) / (2.0 ** (nu + 1.0) * gamma_real(nu + 1.0) ** 2)
     jn = bessel_j_normalized(nu, x)
     m = (x > 0.01) & (x < 20.0)
     res = [float(np.max(np.abs(pc.values[m] - cnu * jn[m])))]

@@ -383,3 +383,115 @@ def test_module_keeps_no_cache_dict_of_its_own(path):
     rel = path.relative_to(PACKAGE).as_posix()
     found = [(line, name) for line, name in module_state(path.read_text(encoding="utf-8")) if (rel, name) not in MODULE_DICTS_KEPT]
     assert found == []
+
+
+# one Gamma layer: specfun/gamma.py defines Gamma and 1/Gamma (gamma_complex,
+# gamma_real, rgamma), and every other module calls them; none defines a
+# one-parameter helper that returns Gamma, or 1/Gamma, of its parameter,
+# converted or masked at the poles
+GAMMA_CALLS = {"gamma_complex", "gamma_real", "rgamma"}
+CONVERSIONS = {"float", "complex", "real", "asarray", "atleast_1d", "array", "astype"}
+
+
+def _called_name(node) -> str | None:
+    if isinstance(node, ast.Call):
+        func = node.func
+        return func.id if isinstance(func, ast.Name) else func.attr if isinstance(func, ast.Attribute) else None
+    return None
+
+
+def _is_param(node, names: set[str]) -> bool:
+    """node is the parameter, or the parameter converted or indexed."""
+    while True:
+        if isinstance(node, ast.Name):
+            return node.id in names
+        if isinstance(node, ast.Subscript):
+            node = node.value
+        elif _called_name(node) == "astype":
+            node = node.func.value
+        elif _called_name(node) in CONVERSIONS and node.args:
+            node = node.args[0]
+        else:
+            return False
+
+
+def _is_gamma_of_param(node, names: set[str]) -> bool:
+    """node is Gamma or 1/Gamma of the parameter, possibly converted."""
+    while _called_name(node) in CONVERSIONS and node.args:
+        node = node.args[0]
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) and isinstance(node.left, ast.Constant):
+        node = node.right
+    return _called_name(node) in GAMMA_CALLS and bool(node.args) and _is_param(node.args[0], names)
+
+
+def gamma_helpers(source: str) -> list[str]:
+    """'line N: name' of each def or lambda of one parameter that returns,
+    or stores into a masked output, Gamma or 1/Gamma of that parameter."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            continue
+        params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        if len(params) != 1 or node.args.vararg or node.args.kwarg:
+            continue
+        names = {params[0].arg}
+        if isinstance(node, ast.Lambda):
+            values = [node.body]
+        else:
+            values = []
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Assign) and _is_param(sub.value, names):
+                    names |= {t.id for t in sub.targets if isinstance(t, ast.Name)}  # z = np.asarray(z)
+                elif isinstance(sub, ast.Assign) and any(isinstance(t, ast.Subscript) for t in sub.targets):
+                    values.append(sub.value)  # out[~pole] = 1 / gamma_complex(z[~pole])
+                elif isinstance(sub, ast.Return) and sub.value is not None:
+                    values.append(sub.value)
+        if any(_is_gamma_of_param(v, names) for v in values):
+            found.append(f"line {node.lineno}: {getattr(node, 'name', 'lambda')}")
+    return found
+
+
+# the eight helpers that the Gamma layer replaced, as they were written
+REMOVED_GAMMA_HELPERS = {
+    "mellin._g": "def _g(z):\n    return gamma_complex(np.asarray(z, dtype=complex))\n",
+    "mellin._rg": (
+        "def _rg(z):\n    z = np.atleast_1d(np.asarray(z, dtype=complex))\n    out = np.empty_like(z)\n"
+        "    pole = (np.abs(np.imag(z)) < 1e-13) & (np.real(z) <= 0.5)\n    out[pole] = 0.0\n"
+        "    if np.any(~pole):\n        out[~pole] = 1.0 / gamma_complex(z[~pole])\n    return out\n"
+    ),
+    "legendre._real_gamma": "def _real_gamma(x: float) -> float:\n    return float(np.real(gamma_complex(complex(x))))\n",
+    "legendre._rgamma_real": (
+        "def _rgamma_real(x):\n    x = np.atleast_1d(np.asarray(x, dtype=float))\n    out = np.empty_like(x)\n"
+        "    pole = (x <= 0.5) & (np.abs(x - np.round(x)) < 1e-13)\n    out[pole] = 0.0\n"
+        "    if np.any(~pole):\n        out[~pole] = np.real(1.0 / gamma_complex(x[~pole].astype(complex)))\n    return out\n"
+    ),
+    "classicops._rgamma": "def _rgamma(x: float) -> float:\n    return float(np.real(1.0 / gamma_complex(complex(x))))\n",
+    "fracint._rgamma": "def _rgamma(x):\n    return float(np.real(1.0 / gamma_complex(complex(x))))\n",
+    "checks.copson_check": "def copson_check(data):\n    gam = lambda z: float(np.real(gamma_complex(complex(z))))\n    return gam(data.alpha)\n",
+    "registry._report_spd_bessel": "def _report_spd_bessel():\n    g = lambda z: float(np.real(gamma_complex(complex(z))))\n    return g(0.7)\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REMOVED_GAMMA_HELPERS))
+def test_gamma_scan_finds_each_removed_helper(name):
+    assert len(gamma_helpers(REMOVED_GAMMA_HELPERS[name])) == 1
+
+
+def test_gamma_scan_passes_gamma_of_other_arguments():
+    source = (
+        "def spd_inverse_constant(nu):\n"
+        "    return float(np.real(gamma_complex(complex(nu + 0.5)) / gamma_complex(complex(nu + 1.0))))\n"
+        "def m_spd(variant, nu, s):\n    return gamma_complex(nu + 1.0 - s / 2.0) / gamma_complex(0.5 - s / 2.0)\n"
+        "def prefactor(nu):\n    return rgamma(nu + 1.0) / 2.0**nu\n"
+        "side = lambda boundary_fn, gamma_: gamma_real(gamma_ + 0.5)\n"
+    )
+    assert gamma_helpers(source) == []
+
+
+OUTSIDE_GAMMA = [p for p in ALL_MODULES if p.relative_to(PACKAGE).as_posix() != "specfun/gamma.py"]
+
+
+@pytest.mark.parametrize("path", OUTSIDE_GAMMA, ids=[str(p.relative_to(PACKAGE)) for p in OUTSIDE_GAMMA])
+def test_only_the_gamma_module_defines_gamma_helpers(path):
+    assert gamma_helpers(path.read_text(encoding="utf-8")) == []
+

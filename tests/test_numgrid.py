@@ -15,6 +15,7 @@ from betrans.numgrid import (
     SampledFunction,
     TailWarning,
     WeightedNorm,
+    fit_power_law,
     integral_completed,
     integrate_smooth,
     make_grid,
@@ -421,3 +422,52 @@ def test_grids_compare_and_hash_by_identity():
     SampledFunction.from_callable(np.exp, g)(np.array([0.5]))
     hash(g)
     assert g._collocation_lu is factors
+
+
+def test_right_collocation_solve_uses_the_grid_factors(monkeypatch):
+    from betrans import numgrid
+    from betrans.numgrid import basis_rows, collocation_solve, spline_knots
+
+    factorisations = []
+    dgbtrf = numgrid.dgbtrf
+    monkeypatch.setattr(numgrid, "dgbtrf", lambda *a, **k: factorisations.append(1) or dgbtrf(*a, **k))
+    grid = make_grid(512, (1e-4, 1e2))
+    rhs = np.random.default_rng(7).standard_normal((300, grid.n))  # blocks of 128, 128 and 44 rows
+    x = collocation_solve(grid, rhs.copy(), "right")
+    collocation_solve(grid, rhs.copy(), "right")
+    assert len(factorisations) == 1
+    knots, k = spline_knots(grid)
+    first, vals = basis_rows(knots, k, grid.coord(grid.points))
+    a = np.zeros((grid.n, grid.n))
+    for o in range(k + 1):
+        a[np.arange(grid.n), first + o] = vals[o]
+    assert np.max(np.abs(x @ a - rhs)) < 1e-13 * np.max(np.abs(rhs))
+
+
+def test_fit_power_law_recovers_a_signed_power():
+    x = np.geomspace(1.0, 3.0, 10)
+    c, p = fit_power_law(x, -2.5 * x**-1.75, 0.05)
+    assert c == pytest.approx(-2.5, rel=1e-12) and p == pytest.approx(-1.75, rel=1e-12)
+
+
+def test_fit_power_law_rejects_what_no_single_power_follows():
+    x = np.geomspace(1.0, 3.0, 10)
+    v = x**-2.0
+    assert fit_power_law(x, np.where(x < 2.0, v, -v), 0.05) is None  # a sign change
+    tiny = v.copy()
+    tiny[4] = 1e-14
+    assert fit_power_law(x, tiny, 10.0) is None  # a sample below 1e-13
+    bent = v * (1.0 + 0.2 * (x > 2.5))  # ln|v| jumps by ln 1.2 = 0.18 at the end
+    assert fit_power_law(x, bent, 0.05) is None
+    assert fit_power_law(x, bent, 0.15) is not None
+
+
+def test_sampled_functions_add_on_one_grid():
+    grid = make_grid(64, (0.1, 10.0))
+    f = SampledFunction.from_callable(np.exp, grid, DecayHint.exponential())
+    g = SampledFunction(grid, grid.points**2, DecayHint.power(1.0))
+    h = f + g
+    assert h.grid is grid and h.decay_hint == f.decay_hint
+    assert np.array_equal(h.values, f.values + g.values)
+    with pytest.raises(GridError):
+        f + SampledFunction.from_callable(np.exp, make_grid(64, (0.1, 20.0)))

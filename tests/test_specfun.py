@@ -12,10 +12,12 @@ from betrans.specfun import (
     bessel_j_normalized,
     digamma_real,
     gamma_complex,
+    gamma_real,
     legendre_p,
     legendre_p_assoc,
     legendre_q,
     legendre_q1,
+    rgamma,
 )
 from betrans._engine import build_pv_plan
 from betrans.beops.second_kind import _kernels_s
@@ -88,6 +90,46 @@ def test_gamma_duplication_property(z):
     except GammaPoleError:
         return
     assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), 1e-30)
+
+
+def test_rgamma_vanishes_at_the_poles():
+    for z in (0.0, -1.0, -3.0):
+        assert rgamma(z) == 0.0 and isinstance(rgamma(z), np.floating)
+        assert rgamma(complex(z)) == 0.0 and isinstance(rgamma(complex(z)), np.complexfloating)
+    assert np.array_equal(rgamma(np.array([0.0, -1.0, -3.0])), np.zeros(3))
+    assert np.array_equal(rgamma(np.array([0.0, -1.0, -3.0], dtype=complex)), np.zeros(3, dtype=complex))
+
+
+def test_rgamma_is_real_for_real_input_and_shaped_like_it():
+    x = np.linspace(-4.7, 6.3, 12).reshape(3, 4)
+    assert rgamma(x).shape == (3, 4) and rgamma(x).dtype == float
+    assert rgamma(x + 0j).shape == (3, 4) and rgamma(x + 0j).dtype == complex
+    assert np.ndim(rgamma(0.3)) == 0 and np.ndim(rgamma(np.array(0.3))) == 0
+    assert rgamma(np.array([], dtype=float)).shape == (0,)
+
+
+def test_rgamma_is_the_reciprocal_of_gamma_complex_to_the_bit():
+    rng = np.random.default_rng(3)
+    z = rng.uniform(-15, 15, 400) + 1j * rng.uniform(-45, 45, 400)
+    z[:5] = [-2.0, 0.0, -7.0, 1.0, 2.5]  # poles among the arguments, masked
+    pole = np.zeros(400, dtype=bool)
+    pole[[0, 1, 2]] = True
+    assert np.array_equal(rgamma(z)[~pole], 1.0 / gamma_complex(z[~pole]))
+    assert np.array_equal(rgamma(z)[pole], np.zeros(3))
+    x = rng.uniform(-15, 15, 400)
+    assert np.array_equal(rgamma(x), np.real(1.0 / gamma_complex(x)))
+    for v in x[:20]:
+        assert rgamma(float(v)) == np.real(1.0 / gamma_complex(complex(v)))
+
+
+def test_gamma_real_at_one_point():
+    assert gamma_real(5.0) == pytest.approx(24.0, rel=1e-13)
+    assert type(gamma_real(0.5)) is float
+    for x in (0.3, 1.7, -0.5, -2.5, 12.25):
+        assert gamma_real(x) == float(np.real(gamma_complex(complex(x))))
+        assert gamma_real(x) == pytest.approx(float(mpmath.gamma(x)), rel=1e-13)
+    with pytest.raises(GammaPoleError):
+        gamma_real(-2.0)
 
 
 # ----------------------------------------------------------------------
