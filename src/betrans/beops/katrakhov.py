@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .._engine import RatioKernel, build_lower_plan, build_pv_plan, build_upper_plan, cached_plan
+from .._engine import build_pv_plan, cached_plan
 from ..numgrid import SampledFunction
-from ..specfun import legendre_p
-from ..specfun.legendre import legendre_p_deriv_oncut
+from . import zero_order
 from .second_kind import _kernels_p, _kernels_s, apply_second_kind
 from .specs import OperatorSpec, OperatorSpecError
 from .zero_order import apply_zero_order
@@ -27,24 +26,14 @@ def _coeffs(nu: float) -> tuple[float, float]:
     return np.cos(np.pi * nu / 2.0), np.sin(np.pi * nu / 2.0)
 
 
-def _smooth_kernel(variant: str, nu: float) -> RatioKernel:
-    """The fused paths' zero-order kernels: P_nu'(x/t)/t (S) and P_nu(t/x) (P)."""
-    if variant == "S":
-        return RatioKernel(lambda z: legendre_p_deriv_oncut(nu, z), "x/t")
-    return RatioKernel(lambda u: legendre_p(nu, u, "on_cut"), "t/x", 0)
-
-
 def _fused_plans(variant: str, nu: float, grid):
     """Integral-form plans built at a finer, independent discretization:
-    body panels at every 2nd grid point with 10 Gauss points each."""
+    body panels at every 2nd grid point with 10 Gauss points each.  The
+    smooth part is the zero-order kernel of S- (variant S) or P0+ (P)."""
+    build, kernel, use_deriv = zero_order._kernel("S-" if variant == "S" else "P0+", nu)
+    kl, ku = _kernels_s(nu) if variant == "S" else _kernels_p(nu)
     fine = {"stride": 2, "n_gl": 10}
-    if variant == "S":
-        smooth = build_upper_plan(grid, _smooth_kernel(variant, nu), **fine)
-        kl, ku = _kernels_s(nu)
-    else:
-        smooth = build_lower_plan(grid, _smooth_kernel(variant, nu), use_deriv=True, **fine)
-        kl, ku = _kernels_p(nu)
-    return smooth, build_pv_plan(grid, kl, ku, **fine)
+    return build(grid, kernel, use_deriv=use_deriv, **fine), build_pv_plan(grid, kl, ku, **fine)
 
 
 def apply_katrakhov(spec: OperatorSpec, f: SampledFunction, path: str = "combination") -> SampledFunction:

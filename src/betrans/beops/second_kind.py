@@ -43,28 +43,30 @@ def hilbert_pair_kernels(which: int):
     return kernel, kernel
 
 
-# Ratio kernels in the argument of Q_nu^1, z = x/y for S and u = y/x for P;
-# z^2 - 1 is formed as (z - 1)(z + 1), as z*z - 1 cancels near the diagonal.
+def _q1_kernels(nu: float):
+    """The Q_nu^1 kernels as functions of its argument r, off the cut (r > 1)
+    and on it (r < 1): r = x/y for S and r = y/x for P.  r^2 - 1 is formed
+    as (r - 1)(r + 1), as r*r - 1 cancels near the diagonal."""
+
+    def off(r):
+        return -_TWO_OVER_PI * ((r - 1.0) * (r + 1.0)) ** (-0.5) * legendre_q1(nu, r, "off_cut")
+
+    def on(r):
+        return _TWO_OVER_PI * ((1.0 - r) * (1.0 + r)) ** (-0.5) * legendre_q1(nu, r, "on_cut")
+
+    return off, on
 
 
 def _kernels_s(nu: float):
-    def k_lower(z):  # y < x, z = x/y > 1
-        return -_TWO_OVER_PI * ((z - 1.0) * (z + 1.0)) ** (-0.5) * legendre_q1(nu, z, "off_cut")
-
-    def k_upper(z):  # y > x, z = x/y < 1
-        return _TWO_OVER_PI * ((1.0 - z) * (1.0 + z)) ** (-0.5) * legendre_q1(nu, z, "on_cut")
-
-    return RatioKernel(k_lower, "x/t"), RatioKernel(k_upper, "x/t")
+    """(lower, upper) kernels of S: y < x is off the cut, y > x on it."""
+    off, on = _q1_kernels(nu)
+    return RatioKernel(off, "x/t"), RatioKernel(on, "x/t")
 
 
 def _kernels_p(nu: float):
-    def k_lower(u):  # y < x, u = y/x < 1
-        return _TWO_OVER_PI * ((1.0 - u) * (1.0 + u)) ** (-0.5) * legendre_q1(nu, u, "on_cut")
-
-    def k_upper(u):  # y > x, u = y/x > 1
-        return -_TWO_OVER_PI * ((u - 1.0) * (u + 1.0)) ** (-0.5) * legendre_q1(nu, u, "off_cut")
-
-    return RatioKernel(k_lower), RatioKernel(k_upper)
+    """(lower, upper) kernels of P: y < x is on the cut, y > x off it."""
+    off, on = _q1_kernels(nu)
+    return RatioKernel(on), RatioKernel(off)
 
 
 def apply_second_kind(spec: OperatorSpec, f: SampledFunction) -> SampledFunction:

@@ -158,18 +158,18 @@ def stieltjes(f: SampledFunction) -> SampledFunction:
     return f.with_values(lo.apply(f) + hi.apply(f), decay_hint=DecayHint.power(1.0))
 
 
-def lift_sonine(nu: float, f: SampledFunction, base_variant: str = "S-") -> SampledFunction:
-    """Degree-shift lift: S_nu = X_(nu-1/2) o (multiply by x^(nu+1/2)).
+def lift_sonine(nu: float, f: SampledFunction) -> SampledFunction:
+    """Degree-shift lift: S_nu = S-_(nu-1/2) o (multiply by x^(nu+1/2)).
 
-    With a base X intertwining the angular-momentum operator of degree
-    nu - 1/2 into the second derivative, the lift intertwines the Bessel
-    operator of degree nu into the second derivative.
+    The zero-order S- of degree nu - 1/2 intertwines the angular-momentum
+    operator of that degree into the second derivative, so the lift
+    intertwines the Bessel operator of degree nu into the second derivative.
     """
     weighted = f.with_values(f.grid.points ** (nu + 0.5) * f.values)
-    return apply_zero_order(OperatorSpec("zero_order", base_variant, nu=nu - 0.5), weighted)
+    return apply_zero_order(OperatorSpec("zero_order", "S-", nu=nu - 0.5), weighted)
 
 
-def lift_poisson(nu: float, f: SampledFunction, base_variant: str = "P-") -> SampledFunction:
-    """Degree-shift lift: P_nu = (multiply by x^-(nu+1/2)) o Y_(nu-1/2)."""
-    out = apply_zero_order(OperatorSpec("zero_order", base_variant, nu=nu - 0.5), f)
+def lift_poisson(nu: float, f: SampledFunction) -> SampledFunction:
+    """Degree-shift lift: P_nu = (multiply by x^-(nu+1/2)) o P-_(nu-1/2)."""
+    out = apply_zero_order(OperatorSpec("zero_order", "P-", nu=nu - 0.5), f)
     return out.with_values(out.values * f.grid.points ** (-(nu + 0.5)))

@@ -1,8 +1,9 @@
 """Command-line interface: apply operators, evaluate symbols and norms,
 run the verification suite, and emit plot-ready data.
 
-Exit codes: 0 success, 1 argument/parse error, 2 math-domain error,
-3 verification failure (verify subcommand only).
+Exit codes: 0 success, 1 argument/parse error (or a file that cannot be
+read or written), 2 math-domain error, 3 verification failure (a check
+FAILs, or differs from the --compare bundle).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -21,7 +23,7 @@ from .numgrid import GridError, make_grid, read_csv, write_csv
 from .specfun import DomainError, GammaPoleError, SingularityError
 from .testfuncs import SUITE, suite_on_grid
 from .verify import checks as verify_checks
-from .verify.registry import REGISTRY, run_all, run_checks
+from .verify.registry import REGISTRY, bundle_json, compare_bundles, run_checks
 
 _MATH_ERRORS = (
     DomainError,
@@ -128,17 +130,23 @@ def _cmd_funceq(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    base = Path(args.compare).read_bytes() if args.compare else None
     ids = args.checks
-    if not ids or ids == ["all"]:
-        reports = run_all(out_path=args.output, verbose=not args.quiet)
-    else:
-        reports = run_checks(ids, verbose=not args.quiet)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                json.dump([r.as_dict() for r in reports], fh, indent=2, sort_keys=True)
+    reports = run_checks(REGISTRY if not ids or ids == ["all"] else ids, verbose=not args.quiet)
+    bundle = bundle_json(reports)
+    if args.output:
+        Path(args.output).write_text(bundle, encoding="utf-8")
     n_fail = sum(1 for r in reports if r.status == "FAIL")
     print(f"{len(reports)} checks: {len(reports) - n_fail} ok, {n_fail} failed")
-    return 3 if n_fail else 0
+    changed = []
+    if base is not None:
+        same = "byte-identical" if base == bundle.encode() else "not byte-identical"
+        print(f"the bundle is {same} to {args.compare}")
+        changed = compare_bundles(json.loads(base), json.loads(bundle))
+        print(f"{len(changed)} of {len(reports)} checks differ from {args.compare} (status, residual_max to 3 significant digits, params, notes)")
+        for line in changed:
+            print("  " + line)
+    return 3 if n_fail or changed else 0
 
 
 def _cmd_copson(args) -> int:
@@ -203,6 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification checks (default: all)")
     p.add_argument("checks", nargs="*", help="check ids; empty or 'all' runs everything")
     p.add_argument("--output", default=None, help="JSON report bundle path")
+    p.add_argument("--compare", metavar="BASE.json", default=None,
+                   help="report the checks that differ from this bundle; exit 3 if any does")
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
@@ -226,7 +236,7 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except OperatorSpecError as exc:
+    except (OperatorSpecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except _MATH_ERRORS as exc:

@@ -91,13 +91,14 @@ def _rel_l2(diff_vals: np.ndarray, grid: Grid, ref: float, interior: float = 1.0
     return norm_l2(SampledFunction(grid, diff_vals), interior=interior) / ref
 
 
-def _suite(grid: Grid, names=None, min_origin_order: float = -1.0):
-    names = names or list(SUITE)
-    out = []
-    for name in names:
-        if _ORIGIN_ORDER[name] >= min_origin_order:
-            out.append((name, suite_on_grid(name, grid)))
-    return out
+def _suite(grid: Grid, names=None):
+    """(name, samples) of the named suite members (default: all of
+    testfuncs.SUITE, in its order) on grid."""
+    return [(name, suite_on_grid(name, grid)) for name in names or SUITE]
+
+
+def _d2_op(nu: float, f: SampledFunction) -> np.ndarray:
+    return second_deriv_on_grid(f.values, f.grid)
 
 
 def _bessel_op(nu: float, f: SampledFunction) -> np.ndarray:
@@ -110,51 +111,33 @@ def _angular_op(nu: float, f: SampledFunction) -> np.ndarray:
     return second_deriv_on_grid(f.values, f.grid) - nu * (nu + 1.0) / (x * x) * f.values
 
 
-def _apply_general(op, f):
-    """Dispatch that also accepts ('spd', 'S'/'P'), ('lift', nu) handles."""
-    if isinstance(op, OperatorSpec):
-        return apply(op, f)
-    kind = op[0]
-    if kind == "lift_sonine":
-        return classicops.lift_sonine(op[1], f)
-    if kind == "lift_poisson":
-        return classicops.lift_poisson(op[1], f)
-    raise ValueError(f"unknown operator handle {op!r}")
+# (A, B) of each intertwining target "A_to_B": the angular-momentum operator
+# D^2 - nu(nu+1)/x^2, the Bessel operator D^2 + (2 nu + 1)/x D, and d^2/dx^2
+_INTERTWINING = {
+    "angular_to_d2": (_angular_op, _d2_op),
+    "bessel_to_d2": (_bessel_op, _d2_op),
+    "d2_to_bessel": (_d2_op, _bessel_op),
+    "d2_to_angular": (_d2_op, _angular_op),
+}
 
 
-def check_intertwining(op, target: str, f_suite, nu: float, check_id: str, tolerance: float = TOL["intertwining"]) -> VerificationReport:
+def check_intertwining(op, target: str, f_suite, nu: float, tolerance: float = TOL["intertwining"]) -> VerificationReport:
     """Residual of T(A f) - B(T f) over the interior 60% of the hull.
 
-    target: "angular_to_d2"  (A = angular momentum, B = second derivative),
-            "bessel_to_d2"   (A = Bessel operator, B = second derivative),
-            "d2_to_bessel"   (A = second derivative, B = Bessel operator).
+    op is an OperatorSpec or any callable f -> T f; target names (A, B) in
+    _INTERTWINING, with A and B as finite differences on the grid.
     """
+    if target not in _INTERTWINING:
+        raise ValueError(f"unknown intertwining target {target!r}")
+    a_op, b_op = _INTERTWINING[target]
+    t_op = functools.partial(apply, op) if isinstance(op, OperatorSpec) else op
     residuals = []
-    for name, f in f_suite:
-        grid = f.grid
-        if target == "angular_to_d2":
-            af = f.with_values(_angular_op(nu, f))
-            lhs = _apply_general(op, af).values
-            rhs = second_deriv_on_grid(_apply_general(op, f).values, grid)
-        elif target == "bessel_to_d2":
-            af = f.with_values(_bessel_op(nu, f))
-            lhs = _apply_general(op, af).values
-            rhs = second_deriv_on_grid(_apply_general(op, f).values, grid)
-        elif target == "d2_to_bessel":
-            af = f.with_values(second_deriv_on_grid(f.values, grid))
-            lhs = _apply_general(op, af).values
-            tf = _apply_general(op, f)
-            rhs = _bessel_op(nu, tf)
-        elif target == "d2_to_angular":
-            af = f.with_values(second_deriv_on_grid(f.values, grid))
-            lhs = _apply_general(op, af).values
-            tf = _apply_general(op, f)
-            rhs = _angular_op(nu, tf)
-        else:
-            raise ValueError(f"unknown intertwining target {target!r}")
-        residuals.append(_rel_l2(lhs - rhs, grid, ref=norm_l2(f), interior=0.6))
+    for _, f in f_suite:
+        lhs = t_op(f.with_values(a_op(nu, f))).values
+        rhs = b_op(nu, t_op(f))
+        residuals.append(_rel_l2(lhs - rhs, f.grid, ref=norm_l2(f), interior=0.6))
     return VerificationReport(
-        check_id=check_id,
+        check_id=f"intertwine[{target};nu={nu:g}]",
         provenance="transmutation intertwining identity, finite-difference differential operators",
         params={"target": target, "nu": nu, "suite": [n for n, _ in f_suite]},
         residuals=residuals,
@@ -302,19 +285,18 @@ def check_unitarity(nu: float, f_suite, tolerance: float = TOL["isometry"]) -> V
     * P0+ isometry and P0+ S- = I: P0+ f tends to -P_nu(0) f(0) at
       infinity, which is in L2 only when P_nu(0) f(0) = 0, i.e. at odd nu
       or for operands with f(0) = 0.
-    * P- S0+ = I: f/t^nu must be integrable at 0 (origin order >= nu), and
-      the moments of _growing_moments(nu) must vanish, since otherwise
-      S0+ f grows like a power of x and the raw P- of it diverges.  No
-      frozen suite member meets this at nu >= 2, so there the composition
-      runs on a compact operand whose moments are killed as the S0+ plan
-      integrates them (_tail_free_mix).
+    * P- S0+ = I: f/t^nu must be integrable at 0 (origin order >= nu).
+      P- is taken in its L2 form (_p_minus_s0_residual), a lower integral
+      like S0+, so the composition also holds where the moments of
+      _growing_moments(nu) make S0+ f grow like a power of x.  It runs once
+      more on a compact operand whose moments are killed as the S0+ plan
+      integrates them (_tail_free_mix), where S0+ f stays bounded.
 
     Excluded members are listed in the report's notes.
     """
     residuals = []
     notes = []
     n_int = int(round(nu))
-    moments = _growing_moments(n_int)
     for name, f in f_suite:
         grid = f.grid
         nf = norm_half_line(f)
@@ -329,14 +311,10 @@ def check_unitarity(nu: float, f_suite, tolerance: float = TOL["isometry"]) -> V
             notes.append(f"{name}: P0+ image tends to -P_nu(0) f(0) != 0 at infinity")
         if _ORIGIN_ORDER[name] < nu:
             notes.append(f"{name}: 0+ Sonine raw form needs origin order >= nu")
-            continue
-        weighted = [grid.weights * grid.points**p * f.values for p in moments]
-        live = [p for p, m in zip(moments, weighted) if abs(m.sum()) > 1e-8 * np.abs(m).sum()]
-        if live:
-            notes.append(f"{name}: S0+ image grows, moments t^{live} do not vanish")
         else:
             residuals.append(_p_minus_s0_residual(nu, f))
     names = [n for n, _ in f_suite]
+    moments = _growing_moments(n_int)
     if moments:
         # moment_free_combo kills the moments only to the accuracy of its own
         # rule, and S0+ f grows from what is left

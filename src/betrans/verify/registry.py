@@ -7,8 +7,10 @@ deterministic and reproducible.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
+from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
@@ -21,19 +23,21 @@ from . import checks
 from .checks import TOL, default_grid
 from .report import FAIL, VerificationReport
 
-__all__ = ["REGISTRY", "run_all", "run_checks", "check_ids"]
+__all__ = ["REGISTRY", "run_all", "run_checks", "check_ids", "bundle_json", "compare_bundles"]
 
 
 def _suite_main(names=None):
-    grid = default_grid("main")
-    return [(n, suite_on_grid(n, grid)) for n in (names or ["bump12", "x2gauss"])]
+    return checks._suite(default_grid("main"), names)
+
+
+def _wide_bump(kind: str = "main"):
+    return [("wide_bump", wide_bump(default_grid(kind)))]
 
 
 def _suite_smooth():
     """Gentle members for finite-difference-limited checks: a wide compact
     bump plus an analytic decaying member."""
-    grid = default_grid("main")
-    return [("wide_bump", wide_bump(grid)), ("x2gauss", suite_on_grid("x2gauss", grid))]
+    return _wide_bump() + _suite_main(["x2gauss"])
 
 
 def _report_funceq(nu: float, composed: bool = False) -> VerificationReport:
@@ -149,10 +153,8 @@ def _report_mult_second_kind() -> VerificationReport:
     grid = default_grid("main")
     res = []
     f = suite_on_grid("bump12", grid)
-    for var, g, gname in (("S", f, "bump12"), ("P", f, "bump12")):
-        rep = checks.check_multiplicator_ratio(
-            OperatorSpec("second_kind", var, nu=0.3), g, gname, tolerance=1e-3
-        )
+    for var in ("S", "P"):
+        rep = checks.check_multiplicator_ratio(OperatorSpec("second_kind", var, nu=0.3), f, "bump12", tolerance=1e-3)
         res.extend(rep.residuals)
     return VerificationReport(
         check_id="mult_consistency[second_kind;nu=0.3]",
@@ -332,17 +334,6 @@ def _report_weighted_third() -> VerificationReport:
     )
 
 
-def _report_weighted_third_intertwining() -> VerificationReport:
-    grid = default_grid("mid")
-    nu = 0.5
-    spec = OperatorSpec("weighted_third", "S", nu=nu, phi="one", trig="sin")
-    rep = checks.check_intertwining(
-        spec, "bessel_to_d2", [("x2gauss", suite_on_grid("x2gauss", grid))], nu=nu,
-        check_id="intertwine[weighted_third;nu=0.5]",
-    )
-    return rep
-
-
 def _report_katrakhov_identity_nu0() -> VerificationReport:
     grid = default_grid("main")
     from ..beops import apply_katrakhov
@@ -364,12 +355,8 @@ def _report_lift() -> VerificationReport:
     grid = default_grid("main")
     res = []
     for nu in (0.5, 1.5):
-        for name, f in _suite_main(["x2gauss", "xexp"]):
-            rep = checks.check_intertwining(
-                ("lift_sonine", nu), "bessel_to_d2", [(name, f)], nu=nu,
-                check_id=f"intertwine[lift;nu={nu:g}]",
-            )
-            res.extend(rep.residuals)
+        lift = functools.partial(classicops.lift_sonine, nu)
+        res.extend(checks.check_intertwining(lift, "bessel_to_d2", _suite_main(["x2gauss", "xexp"]), nu=nu).residuals)
         for name, f in _suite_main(["bump12"]):
             # reciprocal-symbol bases make the lifted pair mutually inverse
             comp = classicops.lift_sonine(nu, classicops.lift_poisson(nu, f))
@@ -416,47 +403,27 @@ def _report_stieltjes_composed() -> VerificationReport:
     )
 
 
-def _copson_const() -> VerificationReport:
-    rep = checks.copson_check(
-        checks.CopsonData(0.5, 1.5, lambda t: np.ones_like(np.asarray(t, dtype=float))),
-        tolerance=1e-6,
-    )
-    rep.check_id = "copson_const"
-    return rep
-
-
-SUITE_NAMES = ("gauss", "xexp", "bump12", "x2gauss", "singauss")
-
-
 def _build_registry() -> dict[str, Callable[[], VerificationReport]]:
     reg: dict[str, Callable[[], VerificationReport]] = {}
 
-    reg["copson_const"] = _copson_const
+    reg["copson_const"] = lambda: checks.copson_check(
+        checks.CopsonData(0.5, 1.5, lambda t: np.ones_like(np.asarray(t, dtype=float))), tolerance=1e-6
+    )
     reg["copson_gauss"] = lambda: checks.copson_check(
         checks.CopsonData(0.5, 1.5, lambda t: np.exp(-np.asarray(t, dtype=float) ** 2))
     )
 
-    for formula in ("thm1_a", "thm1_b", "thm1_c", "thm1_d"):
-        for nu, mu in ((1.0, 0.0), (1.0, 0.5), (2.0, 0.0), (0.5, 0.3)):
-            reg[f"fact[{formula};nu={nu:g},mu={mu:g}]"] = (
-                lambda formula=formula, nu=nu, mu=mu: checks.check_factorization(
-                    formula, nu, mu, _suite_main(["bump12"])
+    thm1 = ((1.0, 0.0), (1.0, 0.5), (2.0, 0.0), (0.5, 0.3))
+    thm4 = ((0.0, -1.0), (0.5, -1.0), (0.0, -0.5), (0.25, -0.75))
+    for formulas, points in ((("thm1_a", "thm1_b", "thm1_c", "thm1_d"), thm1), (("thm4_a", "thm4_c"), ((1.0, 0.0),)),
+                             (("thm4_b", "thm4_d"), thm4)):
+        for formula in formulas:
+            for nu, mu in points:
+                reg[f"fact[{formula};nu={nu:g},mu={mu:g}]"] = (
+                    lambda formula=formula, nu=nu, mu=mu: checks.check_factorization(
+                        formula, nu, mu, _suite_main(["bump12"])
+                    )
                 )
-            )
-    for formula in ("thm4_a", "thm4_c"):
-        reg[f"fact[{formula};nu=1,mu=0]"] = lambda formula=formula: checks.check_factorization(
-            formula, 1.0, 0.0, _suite_main(["bump12"])
-        )
-    for formula, points in (
-        ("thm4_b", ((0.0, -1.0), (0.5, -1.0), (0.0, -0.5), (0.25, -0.75))),
-        ("thm4_d", ((0.0, -1.0), (0.5, -1.0), (0.0, -0.5), (0.25, -0.75))),
-    ):
-        for nu, mu in points:
-            reg[f"fact[{formula};nu={nu:g},mu={mu:g}]"] = (
-                lambda formula=formula, nu=nu, mu=mu: checks.check_factorization(
-                    formula, nu, mu, _suite_main(["bump12"])
-                )
-            )
 
     reg["funceq[zero:S0+;nu=0]"] = lambda: _report_funceq(0.0)
     reg["funceq[zero:S0+;nu=1]"] = lambda: _report_funceq(1.0)
@@ -465,58 +432,28 @@ def _build_registry() -> dict[str, Callable[[], VerificationReport]]:
 
     reg["hardy_identities"] = checks.check_hardy_identities
     reg["hardy_shifted_unitarity"] = checks.check_shifted_hardy_unitarity
-    reg["hardy_shifted_intertwining"] = lambda: checks.check_intertwining(
-        OperatorSpec("hardy_shifted", "H1"),
-        "d2_to_angular",
-        [("wide_bump", wide_bump(default_grid("main")))],
-        nu=1.0,
-        check_id="intertwine[hardy_shifted H1]",
-    )
 
-    reg["intertwine[zero:S-;nu=0.5]"] = lambda: checks.check_intertwining(
-        OperatorSpec("zero_order", "S-", nu=0.5),
-        "angular_to_d2",
-        _suite_smooth(),
-        nu=0.5,
-        check_id="intertwine[zero:S-;nu=0.5]",
-    )
-    # the 0+ intertwining identity needs operands vanishing faster than
-    # x^(nu+1) at the origin (constant defect -3 f''(0)/2 otherwise)
-    reg["intertwine[zero:S0+;nu=1]"] = lambda: checks.check_intertwining(
-        OperatorSpec("zero_order", "S0+", nu=1.0),
-        "angular_to_d2",
-        [nw for nw in _suite_smooth() if nw[0] == "wide_bump"],
-        nu=1.0,
-        check_id="intertwine[zero:S0+;nu=1]",
-    )
-    reg["intertwine[kat:S;nu=0.5]"] = lambda: checks.check_intertwining(
-        OperatorSpec("katrakhov", "S", nu=0.5),
-        "angular_to_d2",
-        _suite_smooth(),
-        nu=0.5,
-        check_id="intertwine[kat:S;nu=0.5]",
-    )
-    def _suite_spd():
+    # intertwining identities T A = B T: key, T, target "A_to_B", operands, degree
+    for key, op, target, suite, nu in (
+        ("hardy_shifted_intertwining", OperatorSpec("hardy_shifted", "H1"), "d2_to_angular", _wide_bump, 1.0),
+        ("intertwine[zero:S-;nu=0.5]", OperatorSpec("zero_order", "S-", nu=0.5), "angular_to_d2", _suite_smooth, 0.5),
+        # the 0+ intertwining identity needs operands vanishing faster than
+        # x^(nu+1) at the origin (constant defect -3 f''(0)/2 otherwise)
+        ("intertwine[zero:S0+;nu=1]", OperatorSpec("zero_order", "S0+", nu=1.0), "angular_to_d2", _wide_bump, 1.0),
+        ("intertwine[kat:S;nu=0.5]", OperatorSpec("katrakhov", "S", nu=0.5), "angular_to_d2", _suite_smooth, 0.5),
         # compact operand on the fine grid: the classical pair wants
         # even-type behavior at the origin and resolvable images
-        grid = default_grid("fine")
-        return [("wide_bump", wide_bump(grid))]
-
-    reg["intertwine[spd:S;nu=0.25]"] = lambda: checks.check_intertwining(
-        OperatorSpec("spd", "S", nu=0.25),
-        "bessel_to_d2",
-        _suite_spd(),
-        nu=0.25,
-        check_id="intertwine[spd:S;nu=0.25]",
-    )
-    reg["intertwine[spd:P;nu=0.25]"] = lambda: checks.check_intertwining(
-        OperatorSpec("spd", "P", nu=0.25),
-        "d2_to_bessel",
-        _suite_spd(),
-        nu=0.25,
-        check_id="intertwine[spd:P;nu=0.25]",
-    )
-    reg["intertwine[weighted_third;nu=0.5]"] = _report_weighted_third_intertwining
+        ("intertwine[spd:S;nu=0.25]", OperatorSpec("spd", "S", nu=0.25), "bessel_to_d2", lambda: _wide_bump("fine"), 0.25),
+        ("intertwine[spd:P;nu=0.25]", OperatorSpec("spd", "P", nu=0.25), "d2_to_bessel", lambda: _wide_bump("fine"), 0.25),
+        (
+            "intertwine[weighted_third;nu=0.5]",
+            OperatorSpec("weighted_third", "S", nu=0.5, phi="one", trig="sin"),
+            "bessel_to_d2",
+            lambda: checks._suite(default_grid("mid"), ["x2gauss"]),
+            0.5,
+        ),
+    ):
+        reg[key] = lambda op=op, target=target, suite=suite, nu=nu: checks.check_intertwining(op, target, suite(), nu)
 
     reg["katrakhov_nu0_identity"] = _report_katrakhov_identity_nu0
     reg["katrakhov_unitarity"] = checks.check_katrakhov
@@ -564,8 +501,8 @@ def _build_registry() -> dict[str, Callable[[], VerificationReport]]:
     reg["weighted_third_inverse"] = _report_weighted_third
 
     reg["unbounded[zero:S0+;nu=0.5]"] = checks.check_unbounded_growth
-    reg["unitarity[zero_order;nu=1]"] = lambda: checks.check_unitarity(1.0, _suite_main(list(SUITE_NAMES)))
-    reg["unitarity[zero_order;nu=2]"] = lambda: checks.check_unitarity(2.0, _suite_main(list(SUITE_NAMES)))
+    reg["unitarity[zero_order;nu=1]"] = lambda: checks.check_unitarity(1.0, _suite_main())
+    reg["unitarity[zero_order;nu=2]"] = lambda: checks.check_unitarity(2.0, _suite_main())
     reg["unitary_hardy_suite"] = checks.check_unitary_hardy_suite
 
     reg["first_kind_reductions"] = _report_first_kind_reductions
@@ -606,10 +543,40 @@ def run_checks(ids: Iterable[str], verbose: bool = True) -> list[VerificationRep
     return reports
 
 
+def bundle_json(reports: Iterable[VerificationReport]) -> str:
+    """The JSON report bundle: every report's dict, in check-id order.  What
+    `betrans verify --output` writes and `--compare` reads."""
+    return json.dumps([r.as_dict() for r in sorted(reports, key=lambda r: r.check_id)], indent=2, sort_keys=True)
+
+
 def run_all(out_path=None, verbose: bool = True) -> list[VerificationReport]:
-    reports = run_checks(REGISTRY.keys(), verbose=verbose)
+    reports = run_checks(REGISTRY, verbose=verbose)
     if out_path is not None:
-        bundle = [r.as_dict() for r in sorted(reports, key=lambda r: r.check_id)]
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump(bundle, fh, indent=2, sort_keys=True)
+        Path(out_path).write_text(bundle_json(reports), encoding="utf-8")
     return reports
+
+
+def _summary(entry: dict) -> str:
+    return f"{entry['status']} {entry['residual_max']:.2e}"
+
+
+def compare_bundles(base: list[dict], change: list[dict]) -> list[str]:
+    """One line per check whose status, residual_max to 3 significant
+    digits, params or notes differ between two bundles, or that only one
+    bundle has."""
+    old = {e["check_id"]: e for e in base}
+    new = {e["check_id"]: e for e in change}
+    lines = []
+    for cid in sorted(old.keys() | new.keys()):
+        if cid not in new:
+            lines.append(f"{cid}: only in the base bundle")
+        elif cid not in old:
+            lines.append(f"{cid}: not in the base bundle")
+        else:
+            a, b = old[cid], new[cid]
+            moved = _summary(a) != _summary(b)
+            differ = [f"{key} differ" for key in ("params", "notes") if a[key] != b[key]]
+            if moved or differ:
+                head = f"{_summary(a)} -> {_summary(b)}" if moved else _summary(b)
+                lines.append("; ".join([f"{cid}: {head}", *differ]))
+    return lines

@@ -240,7 +240,7 @@ def test_katrakhov_integral_path_plans_keep_their_discretization(monkeypatch):
     import hashlib
 
     from betrans import _engine
-    from betrans.beops import katrakhov
+    from betrans.beops import katrakhov, zero_order
     from betrans.numgrid import make_grid
 
     assembled = []
@@ -255,8 +255,8 @@ def test_katrakhov_integral_path_plans_keep_their_discretization(monkeypatch):
     def unit(*args):
         return np.ones_like(args[-1])
 
-    monkeypatch.setattr(katrakhov, "legendre_p", lambda nu, z, branch: np.ones_like(z))
-    monkeypatch.setattr(katrakhov, "legendre_p_deriv_oncut", lambda nu, x: np.ones_like(x))
+    monkeypatch.setattr(zero_order, "legendre_p", lambda nu, z, branch: np.ones_like(z))
+    monkeypatch.setattr(zero_order, "legendre_p_deriv_oncut", lambda nu, x: np.ones_like(x))
     monkeypatch.setattr(katrakhov, "_kernels_s", lambda nu: (unit, unit))
     monkeypatch.setattr(katrakhov, "_kernels_p", lambda nu: (unit, unit))
     grid = make_grid(48, (0.05, 12.0), "linear")

@@ -107,6 +107,21 @@ def test_verify_subset_and_report(tmp_path, capsys):
     assert all(r["status"] in ("PASS", "XFAIL-PASS", "SKIPPED") for r in bundle)
 
 
+def test_verify_compare_against_its_own_bundle(tmp_path, capsys):
+    base = tmp_path / "base.json"
+    ids = ["funceq[zero:S0+;nu=1]", "copson_const"]
+    assert run_cli(["verify", *ids, "--output", str(base), "--quiet"], capsys)[0] == 0
+    code, out = run_cli(["verify", *ids, "--compare", str(base), "--quiet"], capsys)
+    assert code == 0
+    assert "byte-identical to" in out and "not byte-identical" not in out
+    assert "0 of 2 checks differ" in out
+    code, out = run_cli(["verify", "copson_const", "--compare", str(base), "--quiet"], capsys)
+    assert code == 3
+    assert "funceq[zero:S0+;nu=1]: only in the base bundle" in out
+    # a bundle that cannot be read is an argument error, reported before any check runs
+    assert run_cli(["verify", "copson_const", "--compare", str(tmp_path / "missing.json")], capsys) == (1, "")
+
+
 def test_copson_subcommand(capsys):
     code, out = run_cli(["copson", "--alpha", "0.5", "--beta", "1.5", "--fn", "gauss"], capsys)
     assert code == 0

@@ -242,10 +242,10 @@ RATIO_PLANS = {
     "first:E-:mu=-0.4": lambda: _first("E-", -0.4),
     **{f"zero:{p}": (lambda p=p: _zero(p)) for p in ("S0+", "S0+fd", "P0+", "S-", "S-fd", "P-")},
     "zero:P-hardy:nu=2": lambda: _zero("P-hardy", 2.0),
-    "kat:S:smooth": lambda: (build_upper_plan, katrakhov._smooth_kernel("S", 0.5), {"stride": 2, "n_gl": 10}),
+    "kat:S:smooth": lambda: (build_upper_plan, zero_order._kernel("S-", 0.5)[1], {"stride": 2, "n_gl": 10}),
     "kat:P:smooth": lambda: (
         build_lower_plan,
-        katrakhov._smooth_kernel("P", 0.5),
+        zero_order._kernel("P0+", 0.5)[1],
         {"use_deriv": True, "stride": 2, "n_gl": 10},
     ),
     "spd:P": lambda: (build_lower_plan, classicops._spd_poisson_kernel(0.25), {"alpha": -0.25}),

@@ -136,3 +136,40 @@ def test_run_checks_turns_a_raise_into_one_fail_report(monkeypatch):
     assert bad.status == FAIL and not bad.passed
     assert "RuntimeError" in bad.notes and "kernel exploded" in bad.notes
     assert reps[0].status == PASS
+
+
+def test_intertwining_callable_operator_matches_its_spec():
+    from betrans.beops import OperatorSpec, apply
+    from betrans.testfuncs import wide_bump
+    from betrans.verify.checks import _INTERTWINING
+
+    suite = [("wide_bump", wide_bump(default_grid("main")))]
+    spec = OperatorSpec("zero_order", "S-", nu=0.5)
+    for target in _INTERTWINING:
+        by_spec = V.check_intertwining(spec, target, suite, nu=0.5)
+        by_callable = V.check_intertwining(lambda f: apply(spec, f), target, suite, nu=0.5)
+        assert by_callable.residuals == by_spec.residuals, target
+    with pytest.raises(ValueError):
+        V.check_intertwining(spec, "d2_to_laplace", suite, nu=0.5)
+
+
+def test_compare_bundles_names_every_difference():
+    from betrans.verify.registry import compare_bundles
+
+    def entry(cid, status="PASS", residual=1e-6, params=None, notes=""):
+        return {"check_id": cid, "status": status, "residual_max": residual, "params": params or {"nu": 1.0},
+                "notes": notes, "provenance": "p", "tolerance": 1e-3}
+
+    base = [entry("same"), entry("rounding"), entry("status"), entry("residual"), entry("notes"),
+            entry("params"), entry("gone")]
+    change = [entry("same"), entry("rounding", residual=1.0004e-6), entry("status", "FAIL", 2e-3),
+              entry("residual", residual=1.5e-6), entry("notes", notes="x2gauss: excluded"),
+              entry("params", params={"nu": 2.0}), entry("new")]
+    assert compare_bundles(base, change) == [
+        "gone: only in the base bundle",
+        "new: not in the base bundle",
+        "notes: PASS 1.00e-06; notes differ",
+        "params: PASS 1.00e-06; params differ",
+        "residual: PASS 1.00e-06 -> PASS 1.50e-06",
+        "status: PASS 1.00e-06 -> FAIL 2.00e-03",
+    ]
