@@ -3,13 +3,15 @@
 
 Exports HEAD with ``git archive`` into a temporary directory, then runs
 ``perfbench/run.py --trace 0`` on it and on the working tree, alternating
-which goes first, k times for every workload in BENCHMARK.json (run i uses
-seed i + 1 on both sides).  Writes ``BENCH_<tag>.json`` with every
+which goes first, --runs times for every workload in BENCHMARK.json (run k,
+counted from 1, uses seed k on both sides, and runs the base first when k
+is odd).  Writes ``BENCH_<tag>.json`` with every
 run's end-to-end metrics and per-op times (``op_ms``, from the report
 line); per metric and side the median and quartiles; per op and side the
 median time (``op_ms_median``), so a gain can be read op by op; the
-change/base ratio of the medians and how many pairs the change won (ties
-count for neither side); nproc and the numpy/scipy versions.
+change/base ratio of the medians, how many pairs the change won (ties
+count for neither side) and the verdicts ``gain`` and ``within_bound``
+(see compare); nproc and the numpy/scipy versions.
 
     python3 scripts/bench.py --tag pr3
 
@@ -83,19 +85,28 @@ def quartiles(vals: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3, "runs": len(vals)}
 
 
-def compare(runs: dict, name: str, better: str) -> dict:
-    """One end-to-end metric on both sides: quartiles, ratio, pairs won."""
+def compare(runs: dict, name: str, better: str, bound: float) -> dict:
+    """One end-to-end metric on both sides: quartiles, ratio, pairs won, and
+    two verdicts.  gain: the change won at least 9 in 10 of the pairs, and
+    its median is better than the base's by more than the base's quartile
+    distance.  within_bound: the change's median is no worse than the
+    base's by more than the metric's bound (a fraction of the base's)."""
     vals = {side: [r["metrics"][name] for r in rs if name in r.get("metrics", {})] for side, rs in runs.items()}
     if not (vals["base"] and vals["change"]):
         return {}
     out = {side: quartiles(v) for side, v in vals.items()}
     out["change_over_base"] = out["change"]["median"] / out["base"]["median"] if out["base"]["median"] else None
-    won = 0  # pairs run on the same seed in which the change's value beat the base's
+    won = pairs = 0  # pairs run on the same seed, and those in which the change's value beat the base's
     for b, c in zip(runs["base"], runs["change"]):
         if name in b.get("metrics", {}) and name in c.get("metrics", {}):
             diff = c["metrics"][name] - b["metrics"][name]
             won += bool(diff < 0 if better == "lower" else diff > 0)
+            pairs += 1
     out["pairs_change_better"] = won
+    base, change = out["base"]["median"], out["change"]["median"]
+    sign = 1.0 if better == "lower" else -1.0  # sign * (base - change) > 0: the change is better
+    out["gain"] = won >= 0.9 * pairs and sign * (base - change) > out["base"]["q3"] - out["base"]["q1"]
+    out["within_bound"] = sign * (change - base) <= bound * abs(base)
     return out
 
 
@@ -127,7 +138,7 @@ def main(argv=None) -> int:
         "change": "working tree on " + base_rev + (" (with uncommitted changes)" if git("status", "--porcelain") else ""),
         "command": f"perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
         "runs_per_side": args.runs,
-        "order": "run i: base first when i is even, change first when i is odd",
+        "order": "run k (seed k, counted from 1): base first when k is odd, change first when k is even",
         "machine": {
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
@@ -153,7 +164,7 @@ def main(argv=None) -> int:
                     shown = {k: round(v, 3) for k, v in r.get("metrics", {}).items()}
                     print(f"{w} run {i + 1} {side}: {shown or r.get('error', '')[-300:]}", flush=True)
             out["workloads"][w] = {
-                "metrics": {m["name"]: compare(runs, m["name"], m["better"]) for m in spec["end_to_end"]},
+                "metrics": {m["name"]: compare(runs, m["name"], m["better"], m["bound"]) for m in spec["end_to_end"]},
                 "op_ms_median": {side: per_op_median(rs) for side, rs in runs.items()},
                 "all_correct": {side: all(r.get("correct", False) for r in rs) for side, rs in runs.items()},
                 "runs": runs,

@@ -159,15 +159,22 @@ class _Rules:
         count = np.asarray(count, dtype=int)
         self._add(t, w, (np.cumsum(count) - count) * k, count * k, -1, True)
 
+    @staticmethod
+    def _joined(parts: list) -> np.ndarray:
+        """The parts as one array, joined once: the list keeps the result."""
+        if len(parts) > 1:
+            parts[:] = [np.concatenate(parts)]
+        return parts[0]
+
     def layout(self):
         """(nodes, starts, lengths): the node table, and per row i and
         segment s the run starts[i, s]:starts[i, s] + lengths[i, s] of it
         that row i's rule holds there."""
-        return np.concatenate(self._t), np.stack(self._starts, axis=1), np.stack(self._lengths, axis=1)
+        return self._joined(self._t), np.stack(self._starts, axis=1), np.stack(self._lengths, axis=1)
 
     def weights(self) -> np.ndarray:
         """The weight of every node, in node-table order."""
-        return np.concatenate(self._w)
+        return self._joined(self._w)
 
     def pairs(self):
         """(nodes, weights, node_id, offsets): row i's rule is nodes and
@@ -177,7 +184,7 @@ class _Rules:
 
     def lattice(self) -> np.ndarray:
         """Every node's lattice label, in node-table order."""
-        return np.concatenate(self._lattice)
+        return self._joined(self._lattice)
 
     def segments(self):
         """(starts, counts, owned) per segment: row i's nodes there are
@@ -749,6 +756,7 @@ def _dilation_template(grid, rules, kernels, stride, n_gl, use_deriv=False, pole
     before = np.concatenate([[0], np.cumsum(off)])
     node_id, offsets = _unroll(before[starts], before[starts + lengths] - before[starts])
     node_id = np.flatnonzero(off)[node_id]
+    del before
     row = np.repeat(np.arange(n), np.diff(offsets))
     slot = tm.key[node_id] - n_gl * row
     slot[slot < 0] = tm.per_pair
@@ -788,9 +796,13 @@ def _dilation_template(grid, rules, kernels, stride, n_gl, use_deriv=False, pole
     kw_t[slots] = weights[tm.rep_node[slots]] * k_r[:ns] * kl.power(x_r[:ns], t_r[:ns])
     diag = 0.0
     if pole:
-        x_o, t_o = x[tm.own_row], nodes[tm.own_node]
-        kw_own = weights[tm.own_node] * scale[own_slot] * kl.pole(kl.ratio(x_o, t_o)) * kl.power(x_o, t_o)
-        diag = np.bincount(tm.own_row, kw_own - kw_t[own_slot], minlength=n)
+        diag = np.zeros(n)
+        # a block at a time: the stamped own nodes fill most of the node table
+        for lo in range(0, len(own_slot), _ASSEMBLY_PAIRS):
+            q, r, s = (a[lo : lo + _ASSEMBLY_PAIRS] for a in (tm.own_node, tm.own_row, own_slot))
+            x_o, t_o = x[r], nodes[q]
+            kw_own = weights[q] * scale[s] * kl.pole(kl.ratio(x_o, t_o)) * kl.power(x_o, t_o)
+            diag += np.bincount(r, kw_own - kw_t[s], minlength=n)
     coef0 = _stamps(grid, tm, kw_t, body_slots, nodes, stride, n_gl, kl.degree + 1.0, use_deriv)
     in_use = np.zeros(len(nodes), dtype=bool)
     in_use[node_id] = True
@@ -892,6 +904,29 @@ def _stamp_row(e, kw, vals):
     return np.bincount(at.ravel(), (kw * vals).ravel(), minlength=int(e.max()) - e0 + len(vals)), e0
 
 
+def _pole_sum(grid: Grid, rules: _Rules) -> np.ndarray:
+    """sub_i = sum of w/(x_i - t) over row i's rule: the pole's integral as
+    the plan's quadrature sees it.
+
+    Summed a block of rows at a time, each row in the order of its rule, so
+    no array spans every (row, node) pair; sub depends on the rule alone,
+    whatever the plan's kernels.
+    """
+    n, x = grid.n, grid.points
+    nodes, starts, lengths = rules.layout()
+    weights = rules.weights()
+    ends = np.concatenate([[0], np.cumsum(lengths.sum(axis=1))])  # row i's pairs end at ends[i + 1]
+    sub = np.empty(n)
+    r0 = 0
+    while r0 < n:
+        r1 = min(max(int(np.searchsorted(ends, ends[r0] + _ASSEMBLY_PAIRS, side="right")) - 1, r0 + 1), n)
+        node_id, offsets = _unroll(starts[r0:r1], lengths[r0:r1])
+        terms = weights[node_id] / (np.repeat(x[r0:r1], np.diff(offsets)) - nodes[node_id])
+        sub[r0:r1] = _segmented_sum(terms, offsets)
+        r0 = r1
+    return sub
+
+
 def build_pv_plan(
     grid: Grid,
     kernel_lower: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -910,10 +945,7 @@ def build_pv_plan(
     b = grid.hull[1]
     rules = _Rules(grid.n)
     _pv_rules(rules, grid.points, stride, n_gl)
-    nodes, weights, node_id, offsets = rules.pairs()
-    gap = np.subtract(np.repeat(grid.points, np.diff(offsets)), nodes[node_id])
-    sub = _segmented_sum(np.divide(weights[node_id], gap, out=gap), offsets)
-    del gap, node_id
+    sub = _pole_sum(grid, rules)
     matrix, correction = _plan_matrix(grid, rules, (kernel_lower, kernel_upper), stride, n_gl, pole=True)
     log_term = np.log(grid.points / np.maximum(b - grid.points, 1e-300))
     # at the top hull point B - x = 0: the upper side is empty and the

@@ -1,19 +1,31 @@
 """Legendre functions of the first and second kind, on and off the cut.
 
-Evaluation strategy (real degree nu, real order mu < 1):
+Evaluation strategy (real degree nu, real order mu < 1), zone by zone of
+the argument; each element takes its zone's expansion and its own stopping
+term, so its value does not depend on the other arguments:
 
-* next to z = 1, on both branches, expansions in t = (z - 1)/2 (t < 0 on
-  the cut): the hypergeometric series about z = 1 for P_nu^mu and
-  dP_nu/dz, and for Q_nu and dQ_nu/dz the logarithmic form
-  Q_nu = c1 P_nu - (P_nu ln|t| + g(t))/2 (_q_log_form).  On the cut P
-  takes the series on the whole cut (it cannot converge within
-  SERIES_CAP terms next to x = -1), Q the logarithmic form on [0, 1)
-  and the reflection Q_nu(-y) = -cos(nu pi) Q_nu(y) - (pi/2) sin(nu pi)
-  P_nu(y) (DLMF 14.9.10 at mu = 0) on (-1, 0).
+* on the cut, |x| < 1/2: P_nu, dP_nu/dx, Q_nu and dQ_nu/dx from the even
+  and odd solutions of Legendre's equation as series in x^2 about x = 0
+  (_about_zero), from the values at 0 of DLMF 14.5.1-4.  Their terms fall
+  like x^(2m), about 27 of them to round-off at |x| = 1/2; beyond it they
+  slow toward the singular ends, while the expansions about x = 1 speed up.
+* on the cut, |x| >= 1/2, and next to z = 1 off it: expansions in
+  t = (z - 1)/2 (t < 0 on the cut), at most about 27 terms at x = 1/2: the
+  hypergeometric series about z = 1 for P_nu^mu and dP_nu/dz, and for Q_nu
+  and dQ_nu/dz the logarithmic form Q_nu = c1 P_nu - (P_nu ln|t| + g(t))/2
+  (_q_log_form).  P_nu^mu of order mu != 0 takes the series on the whole
+  cut.  On (-1, -1/2] P takes the series (it cannot converge within
+  SERIES_CAP terms next to x = -1) and Q the reflection
+  Q_nu(-y) = -cos(nu pi) Q_nu(y) - (pi/2) sin(nu pi) P_nu(y) (DLMF 14.9.10
+  at mu = 0) of the logarithmic form at y = -x.
 * off the cut (z > 1): P the series about z = 1 up to z = 2.5 and above
   it the two-branch descending expansion in 1/z^2, interpolated in nu
-  across half-integer degrees (_p_offcut_descending); Q the logarithmic
-  form up to z = 1.1 and a descending series in 1/z^2 above it.
+  across half-integer degrees (_p_offcut_descending), with a number of
+  terms fixed per zone of 1/z^2 (_HYP_ZONES); Q the logarithmic form up to
+  z = 1.2 (where its cancellation between c1 P and P ln t still costs no
+  digit at nu <= 3) and above it one series in zeta^2, zeta = z - (z^2 -
+  1)^(1/2), and its derivative (_q_tail_series_offcut), below 0.41^k from
+  z = 1.1 on.
 
 All evaluators are vectorized over the argument; degree and order are
 scalars, which matches how operator kernels are built (fixed parameters,
@@ -50,7 +62,8 @@ _SERIES_BLOCK = 8192  # arguments summed together by _power_series
 Q_EXCLUSION = 1e-8
 
 _OFFCUT_SERIES_MAX = 2.5  # series about z=1 below, descending expansion in 1/z^2 above
-_Q_OFFCUT_LOG_MAX = 1.10  # log expansion about z=1 below, 1/z^2 series above
+_Q_OFFCUT_LOG_MAX = 1.2  # Q off the cut: log expansion about z=1 below, series in zeta^2 above
+_ONCUT_ZERO_MAX = 0.5  # on the cut: series in x^2 about x=0 below |x| = 1/2, about x=1 above
 
 
 class DomainError(ValueError):
@@ -110,7 +123,9 @@ def _power_series(coefs: Iterator[float], w: np.ndarray, deriv: bool = False):
     the series has terminated and every element stops.  The arguments are
     walked in order of |w|, _SERIES_BLOCK at a time, and a block's active
     set shrinks as its elements converge: small arguments stop after a few
-    terms instead of running as long as the slowest one.  Raises
+    terms instead of running as long as the slowest one.  An element's sums
+    are recorded at its own stopping term, and the block is compacted to
+    its live elements once half of it has stopped.  Raises
     SeriesConvergenceError when an element still has a term above 1e-12 of
     its sum at SERIES_CAP terms.
     """
@@ -126,35 +141,43 @@ def _power_series(coefs: Iterator[float], w: np.ndarray, deriv: bool = False):
         s = np.full_like(x, cs[0])
         ds = np.zeros_like(x)
         xk = np.ones_like(x)  # x^(k-1)
+        live = np.ones(x.shape, dtype=bool)
+        n_live = x.size
         for k in range(1, SERIES_CAP + 1):
             if k == len(cs):
                 cs.append(next(coefs, None))
             c = cs[k]
             if c is None:
-                done = np.ones(x.shape, dtype=bool)
+                done = live
             else:
                 dterm = (k * c) * xk
-                xk = xk * x
+                xk *= x
                 term = c * xk
                 s += term
                 ds += dterm
-                done = _below(term, s, SERIES_RTOL) & (c != 0.0)
+                if c == 0.0 and k < SERIES_CAP:
+                    continue
+                done = _below(term, s, SERIES_RTOL)
                 if deriv:
                     done &= _below(dterm, ds, SERIES_RTOL)
+                done &= live
                 if k == SERIES_CAP:
                     bad = ~_below(term, s, 1e-12)
                     if deriv:
                         bad |= ~_below(dterm, ds, 1e-12)
-                    if np.any(bad):
+                    if np.any(bad & live):
                         raise SeriesConvergenceError(f"kernel series did not converge in {SERIES_CAP} terms")
-                    done[:] = True
-            if np.any(done):
+                    done = live
+            n_done = int(np.count_nonzero(done))
+            if n_done:
                 total[idx[done]] = s[done]
                 dtotal[idx[done]] = ds[done]
-                keep = ~done
-                idx, x, s, ds, xk = idx[keep], x[keep], s[keep], ds[keep], xk[keep]
-                if idx.size == 0:
+                n_live -= n_done
+                if n_live == 0:
                     break
+                live &= ~done
+                if 2 * n_live <= x.size:
+                    idx, x, s, ds, xk, live = idx[live], x[live], s[live], ds[live], xk[live], live[live]
     total = total.reshape(w.shape)
     return (total, dtotal.reshape(w.shape)) if deriv else total
 
@@ -167,28 +190,44 @@ def _hyp2f1_series(a: float, b: float, c: float, w: np.ndarray) -> np.ndarray:
 def _p_hyp_about_one(nu: float, mu: float, z: np.ndarray) -> np.ndarray:
     """P_nu^mu via the series about z=1 on either branch; argument
     w = (1-z)/2 must have |w| < 1."""
-    pref = np.abs((1.0 + z) / (1.0 - z)) ** (mu / 2.0)
-    return pref / gamma_real(1.0 - mu) * _hyp2f1_series(-nu, nu + 1.0, 1.0 - mu, 0.5 * (1.0 - z))
+    series = _hyp2f1_series(-nu, nu + 1.0, 1.0 - mu, 0.5 * (1.0 - z))
+    return np.abs((1.0 + z) / (1.0 - z)) ** (mu / 2.0) / gamma_real(1.0 - mu) * series
 
 
-def _hyp2f1_regularized(a: float, b: float, c: float, w: np.ndarray, nterms: int = 90) -> np.ndarray:
+# (top of the zone in w, terms summed there): w^n <= 1e-60 at each top
+# (w <= 0.16 above z = 2.5), so the terms left out lie far below round-off
+_HYP_ZONES = ((1e-6, 10), (1e-3, 20), (1e-2, 30), (0.04, 43), (np.inf, 75))
+
+
+def _hyp2f1_regularized(a: float, b: float, c: float, w: np.ndarray) -> np.ndarray:
     """F(a, b; c; w) / Gamma(c), entire in c, as a truncated series (|w| << 1).
 
     Evaluated by Horner's rule: no power table, and no subnormal powers of
-    the tiny arguments w = 1/z^2 that large z produces.
+    the tiny arguments w = 1/z^2 that large z produces.  Each element sums
+    the number of terms of its zone of w (_HYP_ZONES), so its value does
+    not depend on the other arguments.
     """
-    k = np.arange(nterms)
-    rg = rgamma(c + k)
+    nterms = _HYP_ZONES[-1][1]
+    rg = rgamma(c + np.arange(nterms))
     # (a)_k (b)_k / k!
     coef = np.ones(nterms)
     for i in range(1, nterms):
         coef[i] = coef[i - 1] * (a + i - 1.0) * (b + i - 1.0) / i
     coef = coef * rg
     w = np.asarray(w, dtype=float)
-    out = np.full_like(w, coef[-1])
-    for ck in coef[-2::-1]:
-        out *= w
-        out += ck
+    out = np.empty_like(w)
+    # the last zone takes every w above the others', NaN too
+    zone = np.minimum(np.searchsorted([top for top, _ in _HYP_ZONES], w), len(_HYP_ZONES) - 1)
+    for i, (_, n) in enumerate(_HYP_ZONES):
+        sel = zone == i
+        if not np.any(sel):
+            continue
+        wz = w[sel]
+        acc = np.full_like(wz, coef[n - 1])
+        for ck in coef[n - 2 :: -1]:
+            acc *= wz
+            acc += ck
+        out[sel] = acc
     return out
 
 
@@ -245,14 +284,33 @@ def _p_offcut_descending(nu: float, mu: float, z: np.ndarray) -> np.ndarray:
     return acc / np.sum(wts)
 
 
-def _p_offcut(nu: float, mu: float, z: np.ndarray) -> np.ndarray:
+def _zoned(z: np.ndarray, inner: np.ndarray, f_inner, f_outer) -> np.ndarray:
+    """f_inner(z) where inner holds and f_outer(z) elsewhere, element by element."""
     out = np.empty_like(z)
-    near = z <= _OFFCUT_SERIES_MAX
-    if np.any(near):
-        out[near] = _p_hyp_about_one(nu, mu, z[near])
-    if np.any(~near):
-        out[~near] = _p_offcut_descending(nu, mu, z[~near])
+    if np.any(inner):
+        out[inner] = f_inner(z[inner])
+    if not np.all(inner):
+        out[~inner] = f_outer(z[~inner])
     return out
+
+
+def _p_offcut(nu: float, mu: float, z: np.ndarray) -> np.ndarray:
+    return _zoned(
+        z, z <= _OFFCUT_SERIES_MAX, lambda u: _p_hyp_about_one(nu, mu, u), lambda u: _p_offcut_descending(nu, mu, u)
+    )
+
+
+def _p_oncut(nu: float, mu: float, x: np.ndarray) -> np.ndarray:
+    """The Ferrers P_nu^mu: at mu = 0 from the series about x = 0 where
+    |x| < 1/2, elsewhere from the series about x = 1."""
+    if mu != 0.0:
+        return _p_hyp_about_one(nu, mu, x)
+    return _zoned(
+        x,
+        np.abs(x) < _ONCUT_ZERO_MAX,
+        lambda u: _about_zero(_p_at_zero(nu), nu, u, deriv=False),
+        lambda u: _p_hyp_about_one(nu, 0.0, u),
+    )
 
 
 def _p_assoc(nu: float, mu: float, z: np.ndarray, branch: str) -> np.ndarray:
@@ -273,7 +331,7 @@ def _p_assoc(nu: float, mu: float, z: np.ndarray, branch: str) -> np.ndarray:
     rest = ~at_one
     if np.any(rest):
         zr = z[rest]
-        out[rest] = _p_offcut(nu, mu, zr) if branch == "off_cut" else _p_hyp_about_one(nu, mu, zr)
+        out[rest] = _p_offcut(nu, mu, zr) if branch == "off_cut" else _p_oncut(nu, mu, zr)
     return out
 
 
@@ -301,6 +359,41 @@ def _p_series_about_one(nu: float, t: np.ndarray):
     return _power_series(_ratio_coefs(lambda k: (nu - k) * (nu + k + 1.0) / ((k + 1.0) ** 2)), t, deriv=True)
 
 
+def _about_zero(values, nu: float, x: np.ndarray, deriv: bool = True):
+    """(f, df/dx) on the cut, or f alone without deriv, for the solution f
+    of Legendre's equation of degree nu with (f(0), f'(0)) = values: the
+    even and odd solutions as series in u = x^2 about x = 0, E(u) and
+    x O(u), with (2m+1)(2m+2) e_(m+1) = (2m - nu)(2m + nu + 1) e_m and
+    (2m+2)(2m+3) o_(m+1) = (2m + 1 - nu)(2m + nu + 2) o_m.  Their terms fall
+    like u^m, so about 27 of them reach round-off at |x| = 1/2."""
+    f0, f1 = values
+    u = x * x
+    even = _ratio_coefs(lambda m: (2.0 * m - nu) * (2.0 * m + nu + 1.0) / ((2.0 * m + 1.0) * (2.0 * m + 2.0)))
+    odd = _ratio_coefs(lambda m: (2.0 * m + 1.0 - nu) * (2.0 * m + nu + 2.0) / ((2.0 * m + 2.0) * (2.0 * m + 3.0)))
+    if not deriv:
+        return f0 * _power_series(even, u) + f1 * x * _power_series(odd, u)
+    e, de = _power_series(even, u, deriv=True)
+    o, do = _power_series(odd, u, deriv=True)
+    return f0 * e + f1 * x * o, 2.0 * f0 * x * de + f1 * (o + 2.0 * u * do)
+
+
+def _p_at_zero(nu: float):
+    """(P_nu(0), P_nu'(0)) of the Ferrers function (DLMF 14.5.1-2), as the
+    series about x = 1 at x = 0 (t = -1/2); at integer degree it
+    terminates, so P_n keeps its exact values there (P_0 = 1, P_1'(0) = 1)."""
+    p, dp = _p_series_about_one(nu, np.array([-0.5]))
+    return float(p[0]), 0.5 * float(dp[0])  # d/dx = (1/2) d/dt
+
+
+def _q_at_zero(nu: float):
+    """(Q_nu(0), Q_nu'(0)) of the Ferrers function (DLMF 14.5.3-4), the
+    sine and cosine in degrees so that they vanish exactly."""
+    sqpi = np.sqrt(np.pi)
+    q0 = -0.5 * sqpi * sindg(90.0 * nu) * gamma_real(nu / 2.0 + 0.5) * rgamma(nu / 2.0 + 1.0)
+    q1 = sqpi * cosdg(90.0 * nu) * gamma_real(nu / 2.0 + 1.0) * rgamma(nu / 2.0 + 0.5)
+    return q0, q1
+
+
 def _p_deriv_about_one(nu: float, z: np.ndarray) -> np.ndarray:
     """dP_nu/dz from the series about z = 1, on either branch."""
     return 0.5 * _p_series_about_one(nu, 0.5 * (z - 1.0))[1]
@@ -309,7 +402,9 @@ def _p_deriv_about_one(nu: float, z: np.ndarray) -> np.ndarray:
 def _p_deriv_oncut(nu: float, x: np.ndarray) -> np.ndarray:
     if np.any((x <= -1.0) | (x > 1.0)):
         raise DomainError("legendre_p_deriv_oncut requires -1 < x <= 1")
-    return _p_deriv_about_one(nu, x)
+    return _zoned(
+        x, np.abs(x) < _ONCUT_ZERO_MAX, lambda u: _about_zero(_p_at_zero(nu), nu, u)[1], lambda u: _p_deriv_about_one(nu, u)
+    )
 
 
 def legendre_p_deriv_oncut(nu: float, x) -> np.ndarray:
@@ -320,16 +415,11 @@ def legendre_p_deriv_oncut(nu: float, x) -> np.ndarray:
 def _p_deriv(nu: float, z: np.ndarray) -> np.ndarray:
     if np.any(z < 1.0):
         raise DomainError("legendre_p_deriv requires z >= 1")
-    out = np.empty_like(z)
-    near = z <= _OFFCUT_SERIES_MAX
-    if np.any(near):
-        out[near] = _p_deriv_about_one(nu, z[near])
-    if np.any(~near):
-        zf = z[~near]
-        p0 = _p_offcut_descending(nu, 0.0, zf)
-        p1 = _p_offcut_descending(nu - 1.0, 0.0, zf)
-        out[~near] = nu * (zf * p0 - p1) / (zf * zf - 1.0)
-    return out
+
+    def descending(u):
+        return nu * (u * _p_offcut_descending(nu, 0.0, u) - _p_offcut_descending(nu - 1.0, 0.0, u)) / (u * u - 1.0)
+
+    return _zoned(z, z <= _OFFCUT_SERIES_MAX, lambda u: _p_deriv_about_one(nu, u), descending)
 
 
 def legendre_p_deriv(nu: float, z) -> np.ndarray:
@@ -374,48 +464,52 @@ def _q_log_form(nu: float, t: np.ndarray):
 
 
 def _q_tail_series_offcut(nu: float, z: np.ndarray):
-    """(Q_nu(z), Q_nu^1(z)) for z away from 1, descending 1/z^2 series."""
-    w = 1.0 / (z * z)
-    g_nu1 = gamma_real(nu + 1.0)
-    g_nu32 = gamma_real(nu + 1.5)
-    f0 = _hyp2f1_series(nu / 2.0 + 1.0, nu / 2.0 + 0.5, nu + 1.5, w)
-    q = np.sqrt(np.pi) * g_nu1 / (g_nu32 * (2.0 * z) ** (nu + 1.0)) * f0
-    f1 = _hyp2f1_series(nu / 2.0 + 1.5, nu / 2.0 + 1.0, nu + 1.5, w)
-    q1 = (
-        -np.sqrt(np.pi)
-        * gamma_real(nu + 2.0)
-        * np.sqrt(z * z - 1.0)
-        / (2.0 ** (nu + 1.0) * g_nu32 * z ** (nu + 2.0))
-        * f1
-    )
-    return q, q1
+    """(Q_nu(z), dQ_nu/dz) for z away from 1, from one series in zeta^2,
+    zeta = z - (z^2 - 1)^(1/2) = e^-eta at z = cosh eta:
+
+        Q_nu = C zeta^(nu+1) F(zeta^2),  F = F(1/2, nu + 1; nu + 3/2; .),
+        dQ_nu/dz = -C zeta^(nu+1) ((nu+1) F + 2 zeta^2 F') / (z^2 - 1)^(1/2),
+
+    C = sqrt(pi) Gamma(nu+1)/Gamma(nu+3/2).  Its terms fall like zeta^(2k),
+    below 0.41^k from z = 1.1 on, where the series in 1/z^2 falls like
+    0.83^k; its coefficients are positive, so nothing cancels."""
+    root = np.sqrt((z - 1.0) * (z + 1.0))
+    zeta = 1.0 / (z + root)
+    u = zeta * zeta
+    f, df = _power_series(_ratio_coefs(lambda k: (0.5 + k) * (nu + 1.0 + k) / ((nu + 1.5 + k) * (k + 1.0))), u, deriv=True)
+    lead = np.sqrt(np.pi) * gamma_real(nu + 1.0) / gamma_real(nu + 1.5) * zeta ** (nu + 1.0)
+    return lead * f, -lead * ((nu + 1.0) * f + 2.0 * u * df) / root
+
+
+def _q_log_reflected(nu: float, x: np.ndarray):
+    """(Q, dQ/dx) on the cut from the logarithmic form at |x|, reflected to
+    x < 0."""
+    q, dq, p, dp = _q_log_form(nu, 0.5 * (np.abs(x) - 1.0))
+    neg = x < 0.0
+    if np.any(neg):
+        # in degrees, so that cos(nu pi) is exactly 0 at half-integer nu
+        # and the term in Q(y), unbounded as x -> -1, drops out (np.cos
+        # gives 6e-17 there), as sin(nu pi) does at integer nu
+        c, s = cosdg(180.0 * nu), 0.5 * np.pi * sindg(180.0 * nu)
+        q[neg] = -c * q[neg] - s * p[neg]
+        dq[neg] = c * dq[neg] + s * dp[neg]
+    return q, dq
 
 
 def _q_with_deriv(nu: float, z: np.ndarray, branch: str):
     """(Q, dQ/dz) on either branch; raises outside the branch domain."""
     _check_q_domain(nu, z, branch)
     if branch == "on_cut":
-        # the logarithmic form at |x|, reflected to x < 0
-        q, dq, p, dp = _q_log_form(nu, 0.5 * (np.abs(z) - 1.0))
-        neg = z < 0.0
-        if np.any(neg):
-            # in degrees, so that cos(nu pi) is exactly 0 at half-integer nu
-            # and the term in Q(y), unbounded as x -> -1, drops out (np.cos
-            # gives 6e-17 there), as sin(nu pi) does at integer nu
-            c, s = cosdg(180.0 * nu), 0.5 * np.pi * sindg(180.0 * nu)
-            q[neg] = -c * q[neg] - s * p[neg]
-            dq[neg] = c * dq[neg] + s * dp[neg]
-        return q, dq
+        inner = np.abs(z) < _ONCUT_ZERO_MAX
+        zones = (lambda u: _about_zero(_q_at_zero(nu), nu, u), lambda u: _q_log_reflected(nu, u))
+    else:
+        inner = z < _Q_OFFCUT_LOG_MAX
+        zones = (lambda u: _q_log_form(nu, 0.5 * (u - 1.0))[:2], lambda u: _q_tail_series_offcut(nu, u))
     q = np.empty_like(z)
     dq = np.empty_like(z)
-    near = z < _Q_OFFCUT_LOG_MAX
-    if np.any(near):
-        q[near], dq[near] = _q_log_form(nu, 0.5 * (z[near] - 1.0))[:2]
-    if np.any(~near):
-        zf = z[~near]
-        qv, q1v = _q_tail_series_offcut(nu, zf)
-        q[~near] = qv
-        dq[~near] = q1v / np.sqrt(zf * zf - 1.0)
+    for sel, evaluate in zip((inner, ~inner), zones):
+        if np.any(sel):
+            q[sel], dq[sel] = evaluate(z[sel])
     return q, dq
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,13 @@ mpmath.mp.dps = 30
 def test_gamma_classical_values():
     assert gamma_complex(0.5) == pytest.approx(np.sqrt(np.pi), rel=1e-13)
     assert gamma_complex(5.0) == pytest.approx(24.0, rel=1e-13)
+
+
+def test_gamma_is_exact_at_the_positive_integers():
+    # Gamma(n) = (n - 1)!, which the Lanczos sum misses by a few ulp
+    n = np.arange(1, 30)
+    assert np.array_equal(np.real(gamma_complex(n + 0j)), [float(math.factorial(k - 1)) for k in n])
+    assert gamma_real(1.0) == 1.0 and gamma_real(2.0) == 1.0 and rgamma(1.0) == 1.0
 
 
 def test_gamma_reflection_at_half_plus_3i():
@@ -189,6 +198,12 @@ def test_p_large_argument_descending_zone():
             assert float(legendre_p_deriv(nu, z)[0]) == pytest.approx(dref, rel=1e-12)
 
 
+def test_p_descending_zone_passes_nan_through():
+    # NaN lies in no zone of 1/z^2 below the last, which takes it
+    for nu in (0.3, 0.5):
+        assert np.isnan(legendre_p_assoc(nu, 0.2, np.nan, "off_cut"))
+
+
 def test_p_recurrence_both_branches():
     # (n+1) P_{n+1} = (2n+1) z P_n - n P_{n-1}, integer degrees
     for z, branch in ((1.8, "off_cut"), (0.45, "on_cut")):
@@ -251,8 +266,9 @@ def test_q_on_cut_vs_mpmath():
 
 @pytest.mark.parametrize("nu", [-0.5, 0.3, 0.5, 0.7, 2.0])
 def test_ferrers_q_and_derivative_vs_mpmath(nu):
-    # the logarithmic form at t = (x - 1)/2 in [-1/2, 0): each element sums
-    # until both its value term and its derivative term are below round-off,
+    # the series in x^2 about 0 below x = 1/2, and the logarithmic form at
+    # t = (x - 1)/2 in [-1/4, 0) above it: each element sums until both
+    # its value term and its derivative term are below round-off,
     # so dQ/dx is as accurate as Q (the derivative terms are about k times
     # the value terms, so stopping on the value term alone would cut dQ/dx
     # short)
@@ -284,16 +300,23 @@ def test_digamma_vs_mpmath():
 
 
 def test_kernel_series_values_do_not_depend_on_the_batch():
-    # every series argument stops on its own terms, so an element's value is
-    # bitwise the same alone or in any batch, the logarithmic zones next to
-    # z = 1 included (Q^1 on the whole cut, and off it below z = 1.1)
+    # every series argument stops on its own terms and takes its own zone's
+    # expansion, so an element's value is bitwise the same alone or in any
+    # batch: on the cut the series in x^2 about 0 below |x| = 1/2 and the
+    # expansions about 1 (for Q the logarithmic form, reflected to x < 0)
+    # above it; off it Q's logarithmic form below z = 1.2 and the series in
+    # zeta^2 above it
     rng = np.random.default_rng(7)
-    on_cut = np.concatenate([rng.uniform(-0.89, 0.89, 300), [0.0, 1e-6, 0.5, -0.8999]])
-    off_cut = np.concatenate([1.1 + rng.exponential(3.0, 300), [1.1, 2.5, 1e3]])
-    q_on_cut = np.concatenate([rng.uniform(-1.0 + 1e-7, 1.0 - 1e-7, 200), [-1.0 + 1e-7, -0.5, 0.0, 0.95, 1.0 - 1e-7]])
-    q_off_cut = np.concatenate([rng.uniform(1.0 + 1e-7, 1.1, 200), [1.0 + 1e-7, 1.0 + 1e-4, 1.0999]])
+    half = [0.5 + e for e in (-1e-12, 0.0, 1e-12)]
+    on_cut = np.concatenate([rng.uniform(-0.89, 0.89, 300), [0.0, 1e-6, 0.5, -0.8999], half, np.negative(half)])
+    off_cut = np.concatenate([1.2 + rng.exponential(3.0, 300), [1.2, 2.5, 1e3]])
+    q_on_cut = np.concatenate(
+        [rng.uniform(-1.0 + 1e-7, 1.0 - 1e-7, 200), [-1.0 + 1e-7, -0.5, 0.0, 0.95, 1.0 - 1e-7], half, np.negative(half)]
+    )
+    q_off_cut = np.concatenate([rng.uniform(1.0 + 1e-7, 1.2, 200), [1.0 + 1e-7, 1.0 + 1e-4, 1.1999, 1.2 - 1e-12]])
     cases = [
         (lambda v: legendre_q1(0.3, v, "on_cut"), q_on_cut),
+        (lambda v: legendre_q(0.3, v, "on_cut"), q_on_cut),
         (lambda v: legendre_q1(0.3, v, "off_cut"), np.concatenate([q_off_cut, off_cut])),
         (lambda v: legendre_p(0.7, v, "on_cut"), on_cut),
         (lambda v: legendre_p_deriv_oncut(0.7, v), on_cut),
@@ -306,19 +329,59 @@ def test_kernel_series_values_do_not_depend_on_the_batch():
 
 def test_half_integer_descending_values_do_not_depend_on_the_batch():
     # near half-integer degree above z = 2.5 the value is interpolated in nu
-    # over eight Chebyshev nodes by a fixed-order sum per element, so it is
+    # over eight Chebyshev nodes by a fixed-order sum per element, and each
+    # element sums the number of terms of its zone of 1/z^2, so it is
     # bitwise the same alone or in a batch (a BLAS product rounded the last
-    # outputs of a call differently)
+    # outputs of a call differently); z = 2e3 is alone in its zone, and
+    # batched with z = 2.6 from the widest one
     z = np.linspace(3.0, 40.0, 11)
-    batch = legendre_p(0.5, z, "off_cut")
-    single = np.array([float(np.atleast_1d(legendre_p(0.5, v, "off_cut"))[0]) for v in z])
-    assert np.array_equal(batch, single)
+    for fn in (lambda v: legendre_p(0.5, v, "off_cut"), lambda v: legendre_p_assoc(0.5, 0.3, v, "off_cut")):
+        for args in (z, np.array([2e3, 2.6]), np.concatenate([z, [2e3, 1e5, 2.6]])):
+            batch = fn(args)
+            single = np.array([float(np.atleast_1d(fn(v))[0]) for v in args])
+            assert np.array_equal(batch, single)
+
+
+@pytest.mark.parametrize("nu", [-0.5, 0.3, 0.5, 1.5, 2.0])
+def test_values_on_both_sides_of_every_zone_switch_vs_mpmath(nu):
+    # on the cut |x| = 1/2 parts the series in x^2 about 0 from the
+    # expansions about 1 (and, for x < 0, Q's reflection); off it z = 1.2
+    # parts Q's logarithmic form from the series in zeta^2, and w = 1/z^2 =
+    # 1e-6, 1e-3, 1e-2 and 0.04 part the zones of terms of the descending
+    # expansion of P (measured: at most 1.3e-15 on the cut, 4.8e-15 for Q
+    # off it, and 2.1e-13 for P at nu = 1.5, the cancellation next to
+    # half-integer degree)
+    steps = (-1e-3, -1e-6, -1e-12, 0.0, 1e-12, 1e-6, 1e-3)
+    x = np.array([sign * (0.5 + e) for sign in (1.0, -1.0) for e in steps])
+    z = np.array([1.2 + e for e in steps])
+    zp = np.array([top * (1.0 + e) for top in (1e3, 10**1.5, 10.0, 5.0) for e in (-1e-9, 0.0, 1e-9)])
+    with mpmath.workdps(25):
+        on_cut = [
+            (legendre_q(nu, x, "on_cut"), [mpmath.legenq(nu, 0, v, zeroprec=64) for v in x]),
+            (legendre_q1(nu, x, "on_cut"), [mpmath.legenq(nu, 1, v) for v in x]),
+            (legendre_p(nu, x, "on_cut"), [mpmath.legenp(nu, 0, v) for v in x]),
+            (legendre_p_deriv_oncut(nu, x), [mpmath.diff(lambda t: mpmath.legenp(nu, 0, t), v) for v in x]),
+        ]
+        off_cut = [
+            (legendre_q(nu, z, "off_cut"), [mpmath.legenq(nu, 0, v, type=3).real for v in z]),
+            (legendre_q1(nu, z, "off_cut"), [mpmath.legenq(nu, 1, v, type=3).real for v in z]),
+            (legendre_p(nu, zp, "off_cut"), [mpmath.legenp(nu, 0, v, type=3) for v in zp]),
+            (legendre_p_assoc(nu, 0.3, zp, "off_cut"), [mpmath.legenp(nu, 0.3, v, type=3) for v in zp]),
+            (legendre_p_deriv(nu, zp), [mpmath.diff(lambda t: mpmath.legenp(nu, 0, t, type=3), v) for v in zp]),
+        ]
+    for got, ref in on_cut:
+        ref = np.array([float(r) for r in ref])
+        assert np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)) <= 2e-15
+    for got, ref in off_cut:
+        ref = np.array([float(r) for r in ref])
+        assert np.max(np.abs(got / ref - 1.0)) <= 1e-11
 
 
 def test_ferrers_q_and_q1_vs_mpmath_over_the_whole_cut():
-    # the logarithmic form on [0, 1) and its reflection on (-1, 0) hold Q and
-    # Q^1 to round-off up to 1e-7 of both ends, where no series may fail to
-    # converge (measured: at most 1.2e-15 of max(|Q|, 1) and 6.7e-16 of
+    # the series in x^2 about 0 on (-1/2, 1/2), the logarithmic form on
+    # [1/2, 1) and its reflection on (-1, -1/2] hold Q and Q^1 to round-off
+    # up to 1e-7 of both ends, where no series may fail to converge
+    # (measured: at most 7.9e-16 of max(|Q|, 1) and 1.2e-15 of
     # max(|Q^1|, 1))
     ends = np.geomspace(1e-7, 0.1, 9)
     x = np.concatenate([-1.0 + ends, np.linspace(-0.9, 0.9, 13), 1.0 - ends[::-1]])
@@ -345,55 +408,56 @@ def test_kernel_series_raises_when_it_cannot_converge():
 
 # each kernel with its per-element body (the evaluation without the step
 # that removes repeated arguments) and the zones its arguments cover: on
-# the cut the series about 1 for P and the logarithmic form for Q, direct
-# (x >= 0) or reflected (x < 0); off the cut the logarithmic form
-# (1 < z < 1.1), the series about 1 or in 1/z^2 (z >= 1.1) and above
-# z = 2.5 the descending expansion
+# the cut the series in x^2 about 0 (|x| < 1/2), the series about 1 for P
+# and the logarithmic form for Q, direct (x >= 1/2) or reflected
+# (x <= -1/2); off the cut the logarithmic form (1 < z < 1.2), the series
+# about 1 or in zeta^2 (z >= 1.2) and above z = 2.5 the descending
+# expansion
 DEDUP_CASES = {
     "p_on_cut": (
         lambda z: legendre_p(0.7, z, "on_cut"),
         lambda z: legendre_module._p_assoc(0.7, 0.0, z, "on_cut"),
-        [(-0.9, 0.9), (0.9, 1.0)],
+        [(-0.9, -0.5), (-0.5, 0.5), (0.5, 1.0)],
     ),
     "p_assoc_on_cut": (
         lambda z: legendre_p_assoc(0.7, 0.3, z, "on_cut"),
         lambda z: legendre_module._p_assoc(0.7, 0.3, z, "on_cut"),
-        [(-0.9, 0.9), (0.9, 1.0)],
+        [(-0.9, -0.5), (-0.5, 0.5), (0.5, 1.0)],
     ),
     "p_assoc_off_cut": (
         lambda z: legendre_p_assoc(0.7, 0.3, z, "off_cut"),
         lambda z: legendre_module._p_assoc(0.7, 0.3, z, "off_cut"),
-        [(1.0, 1.1), (1.1, 2.5), (2.5, 60.0)],
+        [(1.0, 1.2), (1.2, 2.5), (2.5, 60.0), (1e3, 1e5)],
     ),
     "p_deriv_oncut": (
         lambda z: legendre_p_deriv_oncut(0.7, z),
         lambda z: legendre_module._p_deriv_oncut(0.7, z),
-        [(-0.9, 0.9), (0.9, 1.0)],
+        [(-0.9, -0.5), (-0.5, 0.5), (0.5, 1.0)],
     ),
     "p_deriv": (
         lambda z: legendre_p_deriv(0.7, z),
         lambda z: legendre_module._p_deriv(0.7, z),
-        [(1.0, 2.5), (2.5, 60.0)],
+        [(1.0, 2.5), (2.5, 60.0), (1e3, 1e5)],
     ),
     "q_on_cut": (
         lambda z: legendre_q(0.7, z, "on_cut"),
         lambda z: legendre_module._q_with_deriv(0.7, z, "on_cut")[0],
-        [(-1.0 + 1e-6, 0.0), (0.0, 1.0 - 1e-6)],
+        [(-1.0 + 1e-6, -0.5), (-0.5, 0.5), (0.5, 1.0 - 1e-6)],
     ),
     "q_off_cut": (
         lambda z: legendre_q(0.7, z, "off_cut"),
         lambda z: legendre_module._q_with_deriv(0.7, z, "off_cut")[0],
-        [(1.0 + 1e-6, 1.1), (1.1, 60.0)],
+        [(1.0 + 1e-6, 1.2), (1.2, 60.0)],
     ),
     "q1_on_cut": (
         lambda z: legendre_q1(0.7, z, "on_cut"),
         lambda z: legendre_module._q1(0.7, z, "on_cut"),
-        [(-1.0 + 1e-6, 0.0), (0.0, 1.0 - 1e-6)],
+        [(-1.0 + 1e-6, -0.5), (-0.5, 0.5), (0.5, 1.0 - 1e-6)],
     ),
     "q1_off_cut": (
         lambda z: legendre_q1(0.7, z, "off_cut"),
         lambda z: legendre_module._q1(0.7, z, "off_cut"),
-        [(1.0 + 1e-6, 1.1), (1.1, 60.0)],
+        [(1.0 + 1e-6, 1.2), (1.2, 60.0)],
     ),
 }
 
