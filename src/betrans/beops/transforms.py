@@ -64,7 +64,6 @@ import functools
 import warnings
 
 import numpy as np
-from scipy.special import jv, rgamma
 
 from ..numgrid import (
     Grid,
@@ -82,6 +81,8 @@ from ..numgrid import (
     points_digest,
     spline_knots,
 )
+from ..specfun import rgamma
+from ..specfun.bessel import jv
 from .specs import OperatorSpec, OperatorSpecError
 
 __all__ = [

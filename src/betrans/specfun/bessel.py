@@ -1,20 +1,29 @@
 """Bessel functions of the first kind and the normalized variant j_nu.
 
-J_nu is delegated to scipy's well-tested implementation; the normalized
-function j_nu(x) = 2^nu Gamma(nu+1) J_nu(x) / x^nu is evaluated by its
-ascending series near the origin so that j_nu(0) = 1 holds exactly.
+J_nu is delegated to scipy's well-tested implementation through one
+gateway, jv, the package's only use of scipy: it imports scipy.special at
+its first call, so that importing the package loads no scipy.  The
+normalized function j_nu(x) = 2^nu Gamma(nu+1) J_nu(x) / x^nu is evaluated
+by its ascending series near the origin so that j_nu(0) = 1 holds exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import jv
 
 from .gamma import gamma_real
 
-__all__ = ["bessel_j", "bessel_j_normalized"]
+__all__ = ["bessel_j", "bessel_j_normalized", "jv"]
 
 _SERIES_SWITCH = 0.5
+
+
+def jv(nu, x, out=None):
+    """J_nu(x), scipy.special.jv's (a ufunc: broadcasts, writes to out if
+    given)."""
+    from scipy.special import jv as scipy_jv
+
+    return scipy_jv(nu, x, out=out)
 
 
 def bessel_j(nu: float, x):

@@ -39,7 +39,6 @@ from __future__ import annotations
 from typing import Callable, Iterator
 
 import numpy as np
-from scipy.special import cosdg, sindg
 
 from .gamma import digamma_real, gamma_real, rgamma
 
@@ -385,12 +384,28 @@ def _p_at_zero(nu: float):
     return float(p[0]), 0.5 * float(dp[0])  # d/dx = (1/2) d/dt
 
 
+def _quarter_turn(q: float) -> tuple[float, float]:
+    """(cos(q pi/2), sin(q pi/2)), exactly 0 and +-1 at integer q.
+
+    |q| is reduced to the nearest whole number n of quarter turns (halves
+    rounded up), the cosine and sine taken at the remainder, within
+    1/2, and turned back by n; at half-integer q this gives the values of
+    scipy's cosdg and sindg at 90 q degrees, which reduce the same way.
+    """
+    n = np.floor(abs(q) + 0.5)
+    r = (abs(q) - n) * (0.5 * np.pi)
+    c, s = np.cos(r), np.sin(r)
+    c, s = ((c, s), (-s, c), (-c, -s), (s, -c))[int(n) % 4]
+    return float(c), float(s if q >= 0 else -s)
+
+
 def _q_at_zero(nu: float):
     """(Q_nu(0), Q_nu'(0)) of the Ferrers function (DLMF 14.5.3-4), the
-    sine and cosine in degrees so that they vanish exactly."""
+    sine and cosine in quarter turns so that they vanish exactly."""
     sqpi = np.sqrt(np.pi)
-    q0 = -0.5 * sqpi * sindg(90.0 * nu) * gamma_real(nu / 2.0 + 0.5) * rgamma(nu / 2.0 + 1.0)
-    q1 = sqpi * cosdg(90.0 * nu) * gamma_real(nu / 2.0 + 1.0) * rgamma(nu / 2.0 + 0.5)
+    cos_q, sin_q = _quarter_turn(nu)
+    q0 = -0.5 * sqpi * sin_q * gamma_real(nu / 2.0 + 0.5) * rgamma(nu / 2.0 + 1.0)
+    q1 = sqpi * cos_q * gamma_real(nu / 2.0 + 1.0) * rgamma(nu / 2.0 + 0.5)
     return q0, q1
 
 
@@ -487,10 +502,11 @@ def _q_log_reflected(nu: float, x: np.ndarray):
     q, dq, p, dp = _q_log_form(nu, 0.5 * (np.abs(x) - 1.0))
     neg = x < 0.0
     if np.any(neg):
-        # in degrees, so that cos(nu pi) is exactly 0 at half-integer nu
-        # and the term in Q(y), unbounded as x -> -1, drops out (np.cos
+        # in quarter turns, so that cos(nu pi) is exactly 0 at half-integer
+        # nu and the term in Q(y), unbounded as x -> -1, drops out (np.cos
         # gives 6e-17 there), as sin(nu pi) does at integer nu
-        c, s = cosdg(180.0 * nu), 0.5 * np.pi * sindg(180.0 * nu)
+        c, s = _quarter_turn(2.0 * nu)
+        s *= 0.5 * np.pi
         q[neg] = -c * q[neg] - s * p[neg]
         dq[neg] = c * dq[neg] + s * dp[neg]
     return q, dq

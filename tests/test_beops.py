@@ -236,7 +236,8 @@ def test_katrakhov_integral_path_plans_keep_their_discretization(monkeypatch):
     # with unit kernels the node weights times kernel values that the
     # builders hand to the matrix assembly are the bare weights, and the
     # digests of nodes, weights, offsets and pole sums are those of the same
-    # plans built by the former module-global setting
+    # plans built by the former module-global setting, on the Gauss rules
+    # of numgrid.gauss_jacobi
     import hashlib
 
     from betrans import _engine
@@ -261,8 +262,8 @@ def test_katrakhov_integral_path_plans_keep_their_discretization(monkeypatch):
     monkeypatch.setattr(katrakhov, "_kernels_p", lambda nu: (unit, unit))
     grid = make_grid(48, (0.05, 12.0), "linear")
     expected = {
-        "S": ("eb736594fe0f207d380f4c5e4500a865", 5990, 30606),
-        "P": ("0d60c97174f9c73be2d4ee03ab118601", 6336, 30606),
+        "S": ("98623d759c7fb0e0678261fea342111e", 5990, 30606),
+        "P": ("53bf04368561986b8c17b0f4f570f8a7", 6336, 30606),
     }
     for variant, (digest, n_smooth, n_pv) in expected.items():
         assembled.clear()

@@ -158,10 +158,12 @@ def test_only_numgrid_reads_the_sampled_function_internals(path):
     assert private_reads(path.read_text(encoding="utf-8")) == []
 
 
-# the special functions are the bottom layer: they build on numpy, scipy and
-# each other (and the language's own __future__ and typing), never on the
-# layers above them
-SPECFUN_MAY_IMPORT = [("numpy",), ("scipy",), ("betrans", "specfun"), ("__future__",), ("typing",)]
+# the special functions are the bottom layer: they build on numpy and each
+# other (and the standard library's __future__, math and typing), never on
+# the layers above them; the one exception is the J_nu gateway's scipy
+# import (see test_only_the_bessel_gateway_imports_scipy)
+SPECFUN_MAY_IMPORT = [("numpy",), ("betrans", "specfun"), ("__future__",), ("math",), ("typing",)]
+SPECFUN_GATEWAY_IMPORTS = {"bessel.py": ["scipy.special.jv"]}
 
 
 def imports_outside_specfun(source: str, package: tuple[str, ...]) -> list[str]:
@@ -173,8 +175,8 @@ def imports_outside_specfun(source: str, package: tuple[str, ...]) -> list[str]:
 
 
 def test_specfun_scan_finds_an_import_from_above():
-    source = "import os\nimport numpy as np\nfrom scipy.special import jv\nfrom .gamma import gamma_complex\nfrom ..numgrid import make_grid\n"
-    assert imports_outside_specfun(source, ("betrans", "specfun")) == ["betrans.numgrid.make_grid", "os"]
+    source = "import os\nimport math\nimport numpy as np\nfrom scipy.special import jv\nfrom .gamma import gamma_complex\nfrom ..numgrid import make_grid\n"
+    assert imports_outside_specfun(source, ("betrans", "specfun")) == ["betrans.numgrid.make_grid", "os", "scipy.special.jv"]
 
 
 SPECFUN_MODULES = sorted((PACKAGE / "specfun").glob("*.py"))
@@ -182,7 +184,8 @@ SPECFUN_MODULES = sorted((PACKAGE / "specfun").glob("*.py"))
 
 @pytest.mark.parametrize("path", SPECFUN_MODULES, ids=[str(p.relative_to(PACKAGE)) for p in SPECFUN_MODULES])
 def test_specfun_imports_only_numpy_scipy_and_specfun(path):
-    assert imports_outside_specfun(path.read_text(encoding="utf-8"), _package_of(path)) == []
+    found = imports_outside_specfun(path.read_text(encoding="utf-8"), _package_of(path))
+    assert found == SPECFUN_GATEWAY_IMPORTS.get(path.name, [])
 
 
 # numgrid owns the one interpolating spline: no module builds one with
@@ -218,11 +221,44 @@ def test_only_numgrid_imports_a_banded_solver(path):
     assert not imports_banded_solver(path.read_text(encoding="utf-8"), _package_of(path))
 
 
-def test_cli_import_does_not_load_scipy_interpolate():
-    code = "import sys, betrans.cli; print('scipy.interpolate' in sys.modules)"
+# numpy is the package's one run-time import: scipy is loaded only for J_nu,
+# through the gateway specfun.bessel.jv at its first call
+def _scipy_loaded_after(code: str) -> list[str]:
+    code = "import sys\n" + code + "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
+    return ast.literal_eval(out.stdout.strip().splitlines()[-1])
+
+
+def test_cli_import_loads_no_scipy():
+    assert _scipy_loaded_after("import betrans.cli") == []
+
+
+@pytest.mark.parametrize("op", ["first:B0+:nu=0.5:mu=0.3", "second:S:nu=0.3"])
+def test_apply_loads_no_scipy(op):
+    # first:B0+ builds on Gauss-Jacobi panels, second:S on Gauss-Legendre
+    # panels and the collocation solves
+    code = "import contextlib, io, betrans.cli\nwith contextlib.redirect_stdout(io.StringIO()):\n"
+    code += f"    assert betrans.cli.main(['apply', '--op', '{op}', '--fn', 'gauss', '--grid-n', '128']) == 0"
+    assert _scipy_loaded_after(code) == []
+
+
+def imports_scipy(source: str, package: tuple[str, ...]) -> bool:
+    return any(name.split(".")[0] == "scipy" for name in imported_modules(source, package))
+
+
+def test_scipy_scan_finds_its_imports():
+    assert imports_scipy("from scipy.special import jv\n", ("betrans",))
+    assert imports_scipy("def f():\n    import scipy.linalg as sl\n", ("betrans",))
+    assert not imports_scipy("from .specfun.bessel import jv\nimport numpy as np\n", ("betrans", "beops"))
+
+
+OUTSIDE_BESSEL = [p for p in ALL_MODULES if p.relative_to(PACKAGE).as_posix() != "specfun/bessel.py"]
+
+
+@pytest.mark.parametrize("path", OUTSIDE_BESSEL, ids=[str(p.relative_to(PACKAGE)) for p in OUTSIDE_BESSEL])
+def test_only_the_bessel_gateway_imports_scipy(path):
+    assert not imports_scipy(path.read_text(encoding="utf-8"), _package_of(path))
 
 
 # the operator catalog (betrans/catalog.py) is the one list of operator
