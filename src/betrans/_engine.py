@@ -1,25 +1,24 @@
 """Shared quadrature engine for kernel operators on (0, inf).
 
 A plan discretises one operator on one grid as an n x (n + 6) matrix on
-the operand's samples followed by the six coefficients of its head model
-(numgrid.head_model), the operand below the grid hull.  Its quadrature
-fixes, per output abscissa, nodes, weights and kernel values.  Inside the
-hull the operand at a node is numgrid's interpolating spline, linear in the
-samples (the knots are fixed), and below it the head model is linear in its
-coefficients (numgrid.head_basis), so the weighted node sums fold into one
-matrix, assembled once when the plan is built: the nodes' basis rows
-(numgrid.basis_rows), weighted and summed per output row, then solved
-against the spline's collocation matrix (numgrid.collocation_solve), next
-to the head nodes' weights times their head-basis rows.  Applying the plan
-is one matrix-vector product.  Plans are cached on their grid
-(cached_plan), and compositions stay cheap.
+the operand's spline coefficients followed by the six coefficients of its
+head model (numgrid.operand_vector), the operand below the grid hull.  Its
+quadrature fixes, per output abscissa, nodes, weights and kernel values.
+Inside the hull the operand at a node is numgrid's interpolating spline,
+linear in its coefficients, and below it the head model is linear in its
+own (numgrid.head_basis), so the weighted node sums fold into one matrix,
+assembled once when the plan is built: the nodes' basis rows
+(numgrid.basis_rows), weighted and summed per output row, next to the head
+nodes' weights times their head-basis rows.  Applying the plan is one
+matrix-vector product.  Plans are cached on their grid (cached_plan), and
+compositions stay cheap.
 
 Three plan geometries cover every operator in the package:
 
 * lower:  int_0^x K(x, t) f(t) dt   (optional (x-t)^alpha endpoint weight)
 * upper:  int_x^B K(x, t) f(t) dt   (optional (t-x)^alpha endpoint weight)
 * pv:     one-sided kernels with a simple pole at t = x; the pole is
-          subtracted exactly (its term is the matrix's diagonal) and the
+          subtracted exactly (its term is the spline's row at x) and the
           bounded remainder is integrated on panels graded geometrically
           toward the diagonal.
 
@@ -63,14 +62,14 @@ from .numgrid import (
     _gl_panels,
     _jacobi,
     basis_rows,
-    collocation_solve,
     head_basis,
-    head_model,
+    operand_vector,
     spline_knots,
 )
 
 N_GL_HEAD = 12
 N_JACOBI = 24
+_PV_DELTA = 1e-7  # a PV rule's innermost approach to the pole, as a fraction of x
 
 
 def _head_nodes(a: float) -> tuple[np.ndarray, np.ndarray]:
@@ -284,12 +283,12 @@ def _pv_rules(rules: _Rules, pts, stride: int, n_gl: int):
 
     Grid-aligned panels cover t < x - eps0 and t > x + eps0, with
     eps0 = min(x, b - x)/8; on each side panels graded by halving reach from
-    eps0 down to the innermost approach 1e-7 x, where the bracket integrand
-    is bounded.
+    eps0 down to the innermost approach _PV_DELTA x, where the bracket
+    integrand is bounded.
     """
     b = pts[-1]
     x = pts
-    delta = 1e-7 * x
+    delta = _PV_DELTA * x
     eps0 = np.maximum(np.minimum(x, b - x), delta * 4.0) / 8.0
     _lower_rules(rules, x - eps0, pts, None, stride, n_gl)
     # scales eps0, eps0/2, ... while above delta, then delta itself
@@ -336,7 +335,7 @@ _ASSEMBLY_PAIRS = 1 << 14  # (row, node) pairs accumulated per block
 
 
 def _assemble(grid: Grid, nodes, node_id, offsets, kw, use_deriv: bool, coef0=None):
-    """The n x (n + 6) matrix, on [samples | head model], of the plan whose
+    """The n x (n + 6) matrix, on numgrid.operand_vector, of the plan whose
     row i is sum kw[p] f(nodes[node_id[p]]) over p in offsets[i]:offsets[i + 1]
     (f' for use_deriv), plus the spline-coefficient rows coef0 when given
     (summed into in place).
@@ -344,8 +343,8 @@ def _assemble(grid: Grid, nodes, node_id, offsets, kw, use_deriv: bool, coef0=No
     Inside the hull f is the operand's interpolating spline: each node's
     basis row (of f' for use_deriv: the degree k-1 rows on the inner knots
     times the coefficients' difference matrix, divided by t on log grids),
-    weighted and summed per output row, then solved against the collocation
-    matrix, gives the first n columns.  Below the hull f is its head model,
+    weighted and summed per output row, gives the first n columns, on the
+    spline's coefficients.  Below the hull f is its head model,
     linear in the model's six coefficients (numgrid.head_basis): the
     weights summed per row and node, times the basis rows at the nodes,
     give the last six.  Above the hull f is zero.
@@ -397,13 +396,13 @@ def _assemble(grid: Grid, nodes, node_id, offsets, kw, use_deriv: bool, coef0=No
         coef = np.zeros((n, ncol + 1))
         coef[:, 1:] += scaled
         coef[:, :-1] -= scaled
-    return np.hstack([collocation_solve(grid, coef, "right"), head])
+    return np.hstack([coef, head])
 
 
 class KernelPlan:
     """Cached quadrature for g(x_i) = int K(x_i, t) f(t) dt on one grid, as
-    an n x (n + 6) matrix on the operand's samples followed by its head
-    model's six coefficients (numgrid.head_model).
+    an n x (n + 6) matrix on the operand's spline coefficients followed by
+    its head model's six coefficients (numgrid.operand_vector).
 
     The rule is kept as its node table and layout (_Rules.layout); t_all,
     every quadrature node row after row, and offsets (row i's are
@@ -424,7 +423,7 @@ class KernelPlan:
         return np.concatenate([[0], np.cumsum(self.lengths.sum(axis=1))])
 
     def apply(self, f: SampledFunction) -> np.ndarray:
-        return self.matrix @ np.concatenate([f.values, head_model(f)])
+        return self.matrix @ operand_vector(f)
 
 
 def cached_plan(key, build):
@@ -454,7 +453,7 @@ def _sided(fns, low, *args):
 def _plan_matrix(grid: Grid, rules: _Rules, kernels, stride: int, n_gl: int, use_deriv=False, pole=False):
     """(matrix, diag): a plan's matrix (_assemble) for the kernels
     (lower, upper), the first on t < x and the second on t > x, and a
-    correction to its diagonal; pole marks a PV plan.  Two RatioKernels of
+    correction to its pole term; pole marks a PV plan.  Two RatioKernels of
     one variable and one degree on a grid uniform in log x are evaluated
     and assembled from the dilation template (_dilation_template); any
     other kernels or grid pair by pair, with no correction.
@@ -513,7 +512,8 @@ class PVPlan(KernelPlan):
 
     and the bracket is evaluated on panels graded toward the diagonal (it
     retains integrable |x-y|^(-1/2)-type corrections but no pole).  The
-    pole terms -rho f(x_i) (sub_i - log_term_i) are the matrix's diagonal.
+    pole terms -rho f(x_i) (sub_i - log_term_i) are on the matrix's rows as
+    multiples of A's, since f(x_i) = (A c)_i, A the collocation matrix.
     """
 
     def __init__(self, grid, layout, matrix, sub, log_term, rho):
@@ -727,7 +727,7 @@ def _dilation_template(grid, rules, kernels, stride, n_gl, use_deriv=False, pole
     by pair for a plan of ratio kernels on a grid uniform in log x (a node
     table cut to the pairs off the stamps, and their weights times the
     kernels), the spline-coefficient rows of the stamps, and a correction
-    to the matrix's diagonal (_template).  kernels is (lower, upper): the
+    to the pole term (_template).  kernels is (lower, upper): the
     first acts on t < x, the second on t > x; pole marks a PV plan.
 
     k is evaluated once per slot, at its template ratio r_T, and a pair
@@ -741,7 +741,7 @@ def _dilation_template(grid, rules, kernels, stride, n_gl, use_deriv=False, pole
     pole(r): next to the diagonal, where the pole sets k, that is the value
     the per-pair kernel has.  A stamped own pair's own value differs from
     the stamp's only next to the diagonal, where f(t) is f(x_i) to within
-    |x_i - t| f', so the difference joins the diagonal.  Body panels lie at
+    |x_i - t| f', so the difference joins the pole term.  Body panels lie at
     least x/8 off the diagonal, where r and r_T give the same k to
     rounding; without a pole, every pair does.
     """
@@ -952,9 +952,9 @@ def build_pv_plan(
     # subtraction degenerates; the lower-side-only value keeps ln(x/delta)
     top = grid.points >= b * (1.0 - 1e-12)
     if np.any(top):
-        log_term[top] = np.log(grid.points[top] / (1e-7 * grid.points[top]))
-    diag = np.arange(grid.n)
-    matrix[diag, diag] -= rho * (sub - log_term) - correction
+        log_term[top] = np.log(grid.points[top] / (_PV_DELTA * grid.points[top]))
+    first, vals = basis_rows(*spline_knots(grid), grid.coord(grid.points))  # row i of A
+    matrix[np.arange(grid.n), first + np.arange(len(vals))[:, None]] -= (rho * (sub - log_term) - correction) * vals
     return PVPlan(grid, rules.layout(), matrix, sub, log_term, rho)
 
 

@@ -4,18 +4,18 @@ operators built by composing them.
 A transform's quadrature is an end-corrected rule T on a uniform abscissa
 y of 16384 points from 0 to min(hull top, 60), fine enough for the spectral
 band.  Inside the operand's hull f(y) is its quintic spline, which is linear
-in the samples, so T folds (as the engine's plans do) into one n_out x n_in
-matrix on the samples: R = (T B) inv(A), B the spline's basis rows at the
-abscissae inside the hull and inv(A) its collocation solve.  Below the hull
-(y = 0 on a log grid, 8 abscissae on the linear spectral grid) f is its head
-model, linear in the model's six coefficients, so those columns H of T fold
-into six: H E, E the head model's basis rows there (numgrid.head_basis).
-One array [R | H E] is cached per kernel ("sin", "cos" or the Hankel
-order), output points (their digest) and input grid (numgrid.grid_key):
-8.4 MB for 2048 outputs over 512 samples, where the 16384-column rule took
-268 MB.  Applying a transform is one matrix-vector product with it, on the
-operand's samples followed by its head model's coefficients, the layout of
-the engine's plans.
+in its coefficients, so T folds (as the engine's plans do) into one
+n_out x n_in matrix on the coefficients: T B, B the spline's basis rows at
+the abscissae inside the hull.  Below the hull (y = 0 on a log grid, 8
+abscissae on the linear spectral grid) f is its head model, linear in the
+model's six coefficients, so those columns H of T fold into six: H E, E
+the head model's basis rows there (numgrid.head_basis).  One array
+[T B | H E] is cached per kernel ("sin", "cos" or the Hankel order), output
+points (their digest) and input grid (numgrid.grid_key): 8.4 MB for 2048
+outputs over 512 samples, where the 16384-column rule took 268 MB.
+Applying a transform is one matrix-vector product with it, on the
+operand's spline coefficients followed by its head model's coefficients
+(numgrid.operand_vector), the layout of the engine's plans.
 
 The fold takes 256 consecutive abscissae at a time, one small dense product
 with their weighted basis block.  Sine and cosine entries need no trig call
@@ -72,12 +72,12 @@ from ..numgrid import (
     _gl_panels,
     _uniform_weights,
     basis_rows,
-    collocation_solve,
     fit_power_law,
     grid_key,
     head_basis,
     head_model,
     make_grid,
+    operand_vector,
     points_digest,
     spline_knots,
 )
@@ -251,14 +251,14 @@ def _trig_fold(kind: str, t: np.ndarray, y: np.ndarray, n_head: int, blocks, coe
 
 def _transform_values(op, f: SampledFunction, t: np.ndarray) -> np.ndarray:
     """The quadrature of transform op ("sin", "cos" or a Hankel order nu) of
-    f at the points t, through its cached matrix on f's samples.
+    f at the points t, through its cached matrix on f's operand vector.
 
-    The matrix is [R | H E], cached per (op, t, f's grid), and acts on
-    f's samples followed by its head model's six coefficients: R = (T B)
-    inv(A), with T the rule (kernel times weights) at the abscissae inside
-    the hull, B the spline's basis there and inv(A) its collocation solve;
-    H, the rule at the n_head abscissae below the hull, times E, the head
-    model's basis there (numgrid.head_basis).
+    The matrix is [T B | H E], cached per (op, t, f's grid), and acts on
+    f's spline coefficients followed by its head model's six coefficients
+    (numgrid.operand_vector): T is the rule (kernel times weights) at the
+    abscissae inside the hull and B the spline's basis there; H, the rule
+    at the n_head abscissae below the hull, times E, the head model's basis
+    there (numgrid.head_basis).
     """
     if op == -0.5:  # t^1/2 y^1/2 J_-1/2(t y) = sqrt(2/pi) cos(t y) (DLMF 10.16.1)
         op = "cos"
@@ -272,8 +272,8 @@ def _transform_values(op, f: SampledFunction, t: np.ndarray) -> np.ndarray:
         fold = _trig_fold if isinstance(op, str) else _hankel_fold
         head = fold(op, t, y, n_head, blocks, coef) * w[:n_head]
         head_cols = head @ head_basis(y[:n_head], grid.hull[0])
-        _MATRIX_CACHE[key] = np.hstack([collocation_solve(grid, coef, "right"), head_cols])
-    return _MATRIX_CACHE[key] @ np.concatenate([f.values, head_model(f)])
+        _MATRIX_CACHE[key] = np.hstack([coef, head_cols])
+    return _MATRIX_CACHE[key] @ operand_vector(f)
 
 
 def fourier_sine(f: SampledFunction, out_grid: Grid | None = None) -> SampledFunction:

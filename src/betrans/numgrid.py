@@ -14,11 +14,12 @@ banded solve against its collocation matrix (collocation_solve; each grid
 keeps a block LU of that matrix, and the operator plans built on it).  The
 LU takes no pivots: a B-spline collocation matrix is totally positive (de
 Boor & Pinkus 1977, Numer. Math. 27:485), so Gaussian elimination without
-pivoting is stable on it.
-The plans and the spectral transforms fold basis rows through the solve
-into matrices on the samples, next to six columns on the head model;
-a sampled function evaluates the spline off the grid by Horner's rule from
-its Taylor terms at each knot interval's left end (taylor_terms).
+pivoting is stable on it.  Each sampled function is solved for its
+coefficients once (spline_coefficients).  The plans and the spectral
+transforms fold basis rows into matrices on them and six columns on the
+head model (operand_vector); a sampled function evaluates the spline off
+the grid by Horner's rule from its Taylor terms at each knot interval's
+left end (taylor_terms).
 """
 
 from __future__ import annotations
@@ -284,12 +285,10 @@ class _BlockLU(NamedTuple):
 
     cols: np.ndarray  # (k + 1, n): A's row i holds vals[:, i] in columns cols[:, i]
     vals: np.ndarray
-    edges: np.ndarray  # the block boundaries, J + 1 of them
     slots: np.ndarray  # (n,): the rows of A in the stacked blocks, flattened
     w: int  # the band's half-width
     inverses: np.ndarray  # (J, m, m): inv(U_j)
     lower: np.ndarray  # (J - 1, w, m): the first w rows of L_j, from j = 1
-    corners: np.ndarray  # (J, w, w): the corners of F_j
     spill: np.ndarray  # (J - 1, m, w): inv(U_j) F_j on the first w unknowns of block j + 1
     forward: np.ndarray  # (J w, J w): L's coupling of the blocks' first w unknowns, inverted
     backward: np.ndarray  # (J w, J w): U's coupling of the blocks' first w unknowns, inverted
@@ -346,27 +345,24 @@ def _block_lu(first: np.ndarray, vals: np.ndarray) -> _BlockLU:
         if j < nb - 1:
             backward[j] -= spill[j, :w] @ backward[j + 1]
     slots = np.arange(n) + np.repeat(np.arange(nb) * m - edges[:-1], sizes)
-    return _BlockLU(cols, vals, edges, slots, w, inverses, lower, corners, spill, forward.reshape(nb * w, -1), backward.reshape(nb * w, -1))
+    return _BlockLU(cols, vals, slots, w, inverses, lower, spill, forward.reshape(nb * w, -1), backward.reshape(nb * w, -1))
 
 
-def collocation_solve(grid: Grid, rhs: np.ndarray, side: Literal["left", "right"]) -> np.ndarray:
-    """inv(A) @ rhs for side "left" (a function's spline coefficients from
-    its samples, a vector; rhs is left alone), rhs @ inv(A) for side
-    "right" (a plan's or transform's matrix on the samples from its rows on
-    the coefficients; rhs is overwritten), A the collocation matrix of
-    grid's spline, solved with the grid's block LU (_block_lu).
+def collocation_solve(grid: Grid, rhs: np.ndarray) -> np.ndarray:
+    """inv(A) @ rhs, A the collocation matrix of grid's spline: the
+    spline's coefficients from the samples rhs (a vector, left alone),
+    solved with the grid's block LU (_block_lu).
 
     A product with inv(U_j) sums terms of alternating sign, so it is
     accurate to a few units of roundoff in norm but not in each component.
-    The matrices on samples need no more; the spline's coefficients do,
-    since its derivatives at the hull edge difference them, and get one
-    step of iterative refinement.  Against a solve refined with residuals
-    in extended precision they are then within 3.2e-16 to 1.4e-15 of
-    max|c| on the test grids, as LAPACK's banded solve is, and within
-    9.5e-16 to 7.5e-15 without it.
+    The coefficients need more, since the spline's derivatives difference
+    them, and get one step of iterative refinement.  Against a solve
+    refined with residuals in extended precision they are then within
+    3.2e-16 to 1.4e-15 of max|c| on the test grids, as LAPACK's banded
+    solve is, and within 9.5e-16 to 7.5e-15 without it.
     """
     lu = grid._collocation_lu
-    w, edges = lu.w, lu.edges
+    w = lu.w
 
     def left(b):  # L y = b, then U c = y, on all blocks at once
         z = np.zeros(lu.inverses.shape[:2])
@@ -383,25 +379,15 @@ def collocation_solve(grid: Grid, rhs: np.ndarray, side: Literal["left", "right"
         p[:-1] -= (lu.spill @ s[1:, :, None])[..., 0]
         return p.reshape(-1)[lu.slots]
 
-    if side == "left":
-        c = left(rhs)
-        return c + left(rhs - np.einsum("on,on->n", lu.vals, c[lu.cols]))
-    # Y U = rhs block column by block column, then X L = Y, in place on rhs
-    for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        if lo:
-            rhs[:, lo : lo + w] -= rhs[:, lo - w : lo] @ lu.corners[j - 1]
-        rhs[:, lo:hi] = rhs[:, lo:hi] @ lu.inverses[j, : hi - lo, : hi - lo]
-    for j in reversed(range(len(lu.lower))):
-        lo, hi = edges[j], edges[j + 1]
-        rhs[:, lo:hi] -= rhs[:, hi : hi + w] @ lu.lower[j, :, : hi - lo]
-    return rhs
+    c = left(rhs)
+    return c + left(rhs - np.einsum("on,on->n", lu.vals, c[lu.cols]))
 
 
-def taylor_terms(grid: Grid, values: np.ndarray, ends: np.ndarray) -> np.ndarray:
+def taylor_terms(grid: Grid, coef: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """P[m, i] = (d/ds)^m f(ends[i]) / m!, m = 0, ..., k, for the spline f
-    through the samples values on grid, at knots ends (in the grid
-    coordinate s; at a knot the terms are those of the interval to its
-    right).
+    with coefficients coef on grid (spline_coefficients), at knots ends (in
+    the grid coordinate s; at a knot the terms are those of the interval to
+    its right).
 
     The m-th derivative is the B-spline of degree k - m whose coefficients
     come from the (m-1)-th's by differences (scipy's splder: diff(c) k / dt),
@@ -409,7 +395,7 @@ def taylor_terms(grid: Grid, values: np.ndarray, ends: np.ndarray) -> np.ndarray
     derivatives' to the bit.
     """
     knots, k = spline_knots(grid)
-    coef = [collocation_solve(grid, values, "left")]
+    coef = [coef]
     for m in range(1, k + 1):
         deg, t = k - m, knots[m : len(knots) - m]
         coef.append(np.diff(coef[-1]) * (deg + 1) / (t[deg + 1 :] - t[: -deg - 1]))
@@ -455,6 +441,7 @@ class SampledFunction:
         self.grid = grid
         self.values = values
         self.decay_hint = decay_hint
+        self._coef = None  # the spline's coefficients, see spline_coefficients
         self._table = None  # the spline's Taylor table, see _taylor_table
         self._head = None  # head-model coefficients, see head_model
 
@@ -468,7 +455,7 @@ class SampledFunction:
         is sum_m P[m, i] (s - ends[i])^m in the grid coordinate s."""
         if self._table is None:
             ends = np.unique(spline_knots(self.grid)[0])[:-1]
-            self._table = ends, taylor_terms(self.grid, self.values, ends)
+            self._table = ends, taylor_terms(self.grid, spline_coefficients(self), ends)
         return self._table
 
     def _in_hull(self, x, deriv: bool) -> np.ndarray:
@@ -527,6 +514,13 @@ class SampledFunction:
             raise GridError("operands live on different grids")
 
 
+def spline_coefficients(f: SampledFunction) -> np.ndarray:
+    """f's spline coefficients (collocation_solve), solved once per function."""
+    if f._coef is None:
+        f._coef = collocation_solve(f.grid, f.values)
+    return f._coef
+
+
 # ----------------------------------------------------------------------
 # head model: the operand below the grid hull
 # ----------------------------------------------------------------------
@@ -539,9 +533,9 @@ class SampledFunction:
 # edge samples (functions of interest are smooth at 0 or vanish there).
 # Above the hull a function is taken as zero (decaying operands).  The
 # model is linear in its six coefficients (head_basis), so the plans and the
-# spectral transforms act on them: their matrices take a function's samples
-# followed by head_model(f).  integral_completed and mellin_numeric
-# integrate the model in closed form.
+# spectral transforms act on them: their matrices take a function's spline
+# coefficients followed by head_model(f) (operand_vector).
+# integral_completed and mellin_numeric integrate the model in closed form.
 
 _LOG_HEAD_SPAN = 30.0  # edge samples fitted by the logarithmic model: [a, 30a]
 _LOG_HEAD_GAIN = 1e-3  # the log basis must fit them this much better than a cubic
@@ -591,7 +585,7 @@ def _taylor_head(f: SampledFunction) -> np.ndarray:
         c, *_ = np.linalg.lstsq(np.stack([np.ones_like(dt), dt, dt * dt], axis=1), f.values[:k], rcond=None)
         v0, fp, fpp = c[0], c[1], 2.0 * c[2]
     else:
-        v0, d1, half_d2 = taylor_terms(f.grid, f.values, f.grid.coord(x[:1]))[:3, 0]  # the table's first column
+        v0, d1, half_d2 = taylor_terms(f.grid, spline_coefficients(f), f.grid.coord(x[:1]))[:3, 0]  # the table's first column
         d2 = 2.0 * half_d2
         fp, fpp = (d1 / a, (d2 - d1) / (a * a)) if f.grid.spacing == "log" else (d1, d2)
     # v0 + fp (t - a) + fpp (t - a)^2 / 2 in powers of u = t / a
@@ -605,6 +599,12 @@ def head_model(f: SampledFunction) -> np.ndarray:
         fit = _log_head(f)
         f._head = _taylor_head(f) if fit is None else fit
     return f._head
+
+
+def operand_vector(f: SampledFunction) -> np.ndarray:
+    """[spline_coefficients(f) | head_model(f)]: what the plans' and the
+    spectral transforms' n x (n + 6) matrices act on."""
+    return np.concatenate([spline_coefficients(f), head_model(f)])
 
 
 def head_basis(t, a: float, deriv: bool = False) -> np.ndarray:

@@ -82,11 +82,16 @@ def plans_with_weights():
 
 def _node_sum(plan, kw, use_deriv, f):
     """The plan applied as a sum over its quadrature nodes: the operand (or
-    its derivative) at every node, spline inside the hull, head model below."""
+    its derivative) at every node, spline inside the hull, head model below;
+    a PV plan's pole term takes f(x_i) as (A c)_i, the spline's basis row at
+    x_i times its coefficients."""
     vals = deriv_extended(f, plan.t_all) if use_deriv else eval_extended(f, plan.t_all)
     out = _engine._segmented_sum(kw * vals, plan.offsets)
     if isinstance(plan, PVPlan):
-        out = out - plan.rho * f.values * (plan.sub - plan.log_term)
+        grid = f.grid
+        first, rows = numgrid.basis_rows(*numgrid.spline_knots(grid), grid.coord(grid.points))
+        at_x = np.sum(rows * numgrid.spline_coefficients(f)[first + np.arange(len(rows))[:, None]], axis=0)
+        out = out - plan.rho * at_x * (plan.sub - plan.log_term)
     return out
 
 
@@ -110,11 +115,37 @@ def test_operands_cover_both_head_models():
 
 
 def test_plan_is_one_matrix_on_the_grid(plans_with_weights):
-    # columns: the samples, then the head model's six coefficients, which
-    # only plans with nodes below the hull read
+    # columns: the operand's spline coefficients, then its head model's six
+    # coefficients, which only plans with nodes below the hull read
     for (gname, geometry), (grid, plan, _, _) in plans_with_weights.items():
         assert plan.matrix.shape == (grid.n, grid.n + 6)
         assert np.any(plan.matrix[:, grid.n :]) == np.any(plan.t_all < grid.points[0])
+        f = SampledFunction.from_callable(_smooth, grid)
+        vector = np.concatenate([numgrid.spline_coefficients(f), numgrid.head_model(f)])
+        assert np.array_equal(plan.apply(f), plan.matrix @ vector)
+
+
+def test_an_operand_is_solved_for_its_spline_once(monkeypatch):
+    # plans, transforms, evaluation and the head model (here the Taylor
+    # fallback: 1 sample in [a, 1.5a]) all read the operand's one cached
+    # set of spline coefficients, and no plan or transform solves at all
+    from betrans.beops import transforms
+    from betrans.beops.transforms import default_spectral_grid, fourier_sine
+
+    solves = []
+    solve = numgrid.collocation_solve
+    for module in (numgrid, _engine, transforms):  # wherever the name is bound
+        if hasattr(module, "collocation_solve"):
+            monkeypatch.setattr(module, "collocation_solve", lambda *a: solves.append(1) or solve(*a))
+    grid = make_grid(48, (0.05, 12.0), "linear")
+    f = SampledFunction.from_callable(_smooth, grid)
+    assert numgrid._log_head(f) is None and np.count_nonzero(grid.points <= 1.5 * grid.points[0]) < 8
+    x = np.linspace(0.1, 11.0, 7)
+    for build in (GEOMETRIES["lower"], GEOMETRIES["upper"], GEOMETRIES["pv"]):
+        build(grid).apply(f)
+    fourier_sine(f, default_spectral_grid(256))
+    f(x), f.deriv(x), numgrid.head_model(f)
+    assert len(solves) == 1
 
 
 # ----------------------------------------------------------------------

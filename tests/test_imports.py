@@ -131,11 +131,11 @@ def test_core_module_does_not_import_the_harness(path):
     assert not imports_harness(path.read_text(encoding="utf-8"), _package_of(path))
 
 
-# SampledFunction's spline table and cached head model, and the grid's
-# collocation factors: numgrid owns them, and every other layer goes through
-# its functions (the first three names are those of an earlier scipy-backed
-# spline, kept so that it does not come back)
-SAMPLED_PRIVATE = {"_spline", "_dspline", "_ensure_spline", "_head", "_table", "_taylor_table", "_in_hull", "_collocation_lu"}
+# SampledFunction's spline coefficients, spline table and cached head
+# model, and the grid's collocation factors: numgrid owns them, and every
+# other layer goes through its functions (the first three names are those
+# of an earlier scipy-backed spline, kept so that it does not come back)
+SAMPLED_PRIVATE = {"_spline", "_dspline", "_ensure_spline", "_coef", "_head", "_table", "_taylor_table", "_in_hull", "_collocation_lu"}
 
 
 def private_reads(source: str) -> list[str]:
@@ -237,7 +237,7 @@ def test_cli_import_loads_no_scipy():
 @pytest.mark.parametrize("op", ["first:B0+:nu=0.5:mu=0.3", "second:S:nu=0.3"])
 def test_apply_loads_no_scipy(op):
     # first:B0+ builds on Gauss-Jacobi panels, second:S on Gauss-Legendre
-    # panels and the collocation solves
+    # panels and the operand's collocation solve
     code = "import contextlib, io, betrans.cli\nwith contextlib.redirect_stdout(io.StringIO()):\n"
     code += f"    assert betrans.cli.main(['apply', '--op', '{op}', '--fn', 'gauss', '--grid-n', '128']) == 0"
     assert _scipy_loaded_after(code) == []

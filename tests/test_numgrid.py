@@ -392,11 +392,11 @@ def test_spline_coefficients_equal_make_interp_spline(gname, operand):
 
     f = SampledFunction.from_callable(HEAD_OPERANDS[operand], _spline_grids()[gname])
     values = f.values.copy()
-    c, ref = collocation_solve(f.grid, f.values, "left"), _scipy_spline(f).c
+    c, ref = collocation_solve(f.grid, f.values), _scipy_spline(f).c
     # LAPACK's banded LU and the block LU round differently: at most
     # 1.2e-15 of max|c| apart on these grids
     assert np.max(np.abs(c - ref)) <= COEF_TOL * np.max(np.abs(ref))
-    assert np.array_equal(f.values, values)  # the left solve leaves the samples alone
+    assert np.array_equal(f.values, values)  # the solve leaves the samples alone
 
 
 def _de_boor_extended(knots, k, c, s):
@@ -419,7 +419,7 @@ def test_sampled_function_evaluates_its_spline(gname, operand):
     evaluated in extended precision: scipy's own double evaluation is off
     by up to 9e-16 of max|f| at such points, so a comparison with it would
     measure the two roundings together."""
-    from betrans.numgrid import spline_knots, taylor_terms
+    from betrans.numgrid import spline_coefficients, spline_knots, taylor_terms
 
     grid = _spline_grids()[gname]
     f = SampledFunction.from_callable(HEAD_OPERANDS[operand], grid)
@@ -446,9 +446,10 @@ def test_sampled_function_evaluates_its_spline(gname, operand):
     # coefficients (at most 0.19 and 0.29 of the bounds, on the log grid)
     sa = grid.coord(grid.points[:1])
     edge = [spline.derivative(m)(sa)[0] for m in range(3)]
-    scale = np.max(np.abs(taylor_terms(grid, f.values, grid.coord(grid.points[:-1]))[:3]), axis=1) * [1.0, 1.0, 2.0]
+    coef = spline_coefficients(f)
+    scale = np.max(np.abs(taylor_terms(grid, coef, grid.coord(grid.points[:-1]))[:3]), axis=1) * [1.0, 1.0, 2.0]
     bounds = [float(e[0]) for e in _derivative_bounds(grid, spline.c, sa)]
-    for terms in (taylor_terms(grid, f.values, sa)[:3, 0], f._taylor_table()[1][:3, 0]):
+    for terms in (taylor_terms(grid, coef, sa)[:3, 0], f._taylor_table()[1][:3, 0]):
         got = [terms[0], terms[1], 2.0 * terms[2]]
         assert got[0] == edge[0] == f.values[0]
         for m in (1, 2):
@@ -462,7 +463,7 @@ def test_grid_factors_its_collocation_matrix_once():
     factors = grid._collocation_lu
     SampledFunction.from_callable(np.sin, grid)(np.array([1.234]))
     assert grid._collocation_lu is factors
-    assert np.allclose(collocation_solve(grid, np.ones(64), "left"), 1.0)  # the B-splines sum to one
+    assert np.allclose(collocation_solve(grid, np.ones(64)), 1.0)  # the B-splines sum to one
 
 
 def test_grids_compare_and_hash_by_identity():
@@ -485,21 +486,6 @@ def _collocation_matrix(grid):
     for o in range(k + 1):
         a[np.arange(grid.n), first + o] = vals[o]
     return a
-
-
-def test_right_collocation_solve_uses_the_grid_factors(monkeypatch):
-    from betrans import numgrid
-    from betrans.numgrid import collocation_solve
-
-    factorisations = []
-    block_lu = numgrid._block_lu
-    monkeypatch.setattr(numgrid, "_block_lu", lambda *a: factorisations.append(1) or block_lu(*a))
-    grid = make_grid(512, (1e-4, 1e2))
-    rhs = np.random.default_rng(7).standard_normal((300, grid.n))
-    x = collocation_solve(grid, rhs.copy(), "right")
-    collocation_solve(grid, rhs.copy(), "right")
-    assert len(factorisations) == 1
-    assert np.max(np.abs(x @ _collocation_matrix(grid) - rhs)) < 1e-13 * np.max(np.abs(rhs))
 
 
 def _block_solve_grids():
@@ -531,14 +517,9 @@ def test_block_solve_matches_a_banded_lapack_solve(gname):
     a = _collocation_matrix(grid)
     rng = np.random.default_rng(5)
     f = np.exp(-grid.coord(grid.points) ** 2 / 8.0) + 1e-3 * rng.standard_normal(grid.n)
-    c, ref = collocation_solve(grid, f, "left"), solve_banded((5, 5), banded(a), f)
+    c, ref = collocation_solve(grid, f), solve_banded((5, 5), banded(a), f)
     assert np.max(np.abs(c - ref)) <= 2e-15 * np.max(np.abs(ref))
     assert np.max(np.abs(a @ c - f)) <= 2e-15 * np.max(np.abs(f))  # the interpolation residual
-    rows = rng.standard_normal((100, grid.n))
-    x = collocation_solve(grid, rows.copy(), "right")
-    ref = solve_banded((5, 5), banded(a.T), rows.T).T
-    assert np.max(np.abs(x - ref)) <= 1e-14 * np.max(np.abs(ref))
-    assert np.max(np.abs(x @ a - rows)) <= 1e-14 * np.max(np.abs(rows))
 
 
 def test_block_lu_rejects_a_singular_pivot_block():

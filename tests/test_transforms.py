@@ -228,11 +228,10 @@ FOLD_DIRECTIONS = ("log->spectral", "spectral->log", "irregular->spectral")
 @pytest.mark.parametrize("direction", FOLD_DIRECTIONS)
 @pytest.mark.parametrize("op", ("sin", "cos", -0.5, -0.3, 0.0, 0.5, 1.0, 1.5, 2.5))
 def test_folded_transform_matches_dense_reference(op, direction, monkeypatch):
-    # the cached matrix on the operand's samples (kernel rule times the
-    # spline's basis, solved against its collocation matrix, plus head
-    # columns) against the dense kernel rule applied to the operand at
-    # every abscissa; the rounding of the two orders of summation stays
-    # within 1e-14 of the largest output
+    # the cached matrix on the operand's spline coefficients (kernel rule
+    # times the spline's basis, plus head columns) against the dense kernel
+    # rule applied to the operand at every abscissa; the rounding of the
+    # two orders of summation stays within 1e-14 of the largest output
     from betrans.beops import transforms
     from betrans.numgrid import eval_extended
 
@@ -278,7 +277,7 @@ def test_matrix_cache_keys_on_grid_points(monkeypatch):
     fs = fourier_sine(f, irregular)
     assert np.max(np.abs(fs.values - np.sqrt(2.0 / np.pi) * x / (1.0 + x * x))) < 1e-6
     # so must an operand on an irregular input grid with the same size and
-    # hull as the cached log grid: the matrix acts on its samples
+    # hull as the cached log grid: the matrix acts on its spline's coefficients
     src_irr = _irregular_log_grid(512, src.hull, 7)
     f_irr = SampledFunction.from_callable(lambda y: np.exp(-y), src_irr, DecayHint.exponential())
     fourier_cosine(f, regular)
@@ -286,8 +285,8 @@ def test_matrix_cache_keys_on_grid_points(monkeypatch):
     t = regular.points
     assert np.max(np.abs(fc.values - np.sqrt(2.0 / np.pi) / (1.0 + t * t))) < 1e-6
     assert len(transforms._MATRIX_CACHE) == 4
-    # each cached array is n_out x (n_in + 6): the samples and the head
-    # model's six coefficients, never n_out x 16384
+    # each cached array is n_out x (n_in + 6): the spline's coefficients and
+    # the head model's six coefficients, never n_out x 16384
     for mat in transforms._MATRIX_CACHE.values():
         assert mat.shape == (len(t), src.n + 6)
 
