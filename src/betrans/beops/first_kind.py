@@ -12,7 +12,7 @@ import numpy as np
 from .._engine import RatioKernel, build_lower_plan, build_upper_plan, cached_plan
 from ..numgrid import SampledFunction
 from ..specfun import legendre_p_assoc
-from .specs import OperatorSpec, OperatorSpecError
+from .specs import OperatorSpec, OperatorSpecError, real_nu
 
 __all__ = ["apply_first_kind"]
 
@@ -41,7 +41,7 @@ def _kernel(variant: str, nu: float, mu: float) -> RatioKernel:
 def apply_first_kind(spec: OperatorSpec, f: SampledFunction) -> SampledFunction:
     if spec.family != "first_kind":
         raise OperatorSpecError("apply_first_kind expects a first_kind spec")
-    nu, mu = float(np.real(spec.nu)), float(spec.mu)
+    nu, mu = real_nu(spec), float(spec.mu)
     if mu >= 1.0:
         raise OperatorSpecError("first_kind requires mu < 1")
     grid = f.grid

@@ -16,7 +16,7 @@ from .._engine import build_pv_plan, cached_plan
 from ..numgrid import SampledFunction
 from . import zero_order
 from .second_kind import _kernels_p, _kernels_s, apply_second_kind
-from .specs import OperatorSpec, OperatorSpecError
+from .specs import OperatorSpec, OperatorSpecError, real_nu
 from .zero_order import apply_zero_order
 
 __all__ = ["apply_katrakhov"]
@@ -44,7 +44,7 @@ def apply_katrakhov(spec: OperatorSpec, f: SampledFunction, path: str = "combina
     """
     if spec.family != "katrakhov":
         raise OperatorSpecError("apply_katrakhov expects a katrakhov spec")
-    nu = float(np.real(spec.nu))
+    nu = real_nu(spec)
     kappa, tau = _coeffs(nu)
     if path == "combination":
         if spec.variant == "S":

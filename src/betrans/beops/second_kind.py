@@ -17,7 +17,7 @@ import numpy as np
 from .._engine import RatioKernel, build_pv_plan, cached_plan
 from ..numgrid import SampledFunction
 from ..specfun import legendre_q1
-from .specs import OperatorSpec, OperatorSpecError
+from .specs import OperatorSpec, OperatorSpecError, real_nu
 
 __all__ = ["apply_second_kind", "apply_second_kind_2param", "hilbert_pair_kernels"]
 
@@ -72,7 +72,7 @@ def _kernels_p(nu: float):
 def apply_second_kind(spec: OperatorSpec, f: SampledFunction) -> SampledFunction:
     if spec.family != "second_kind":
         raise OperatorSpecError("apply_second_kind expects a second_kind spec")
-    nu = float(np.real(spec.nu))
+    nu = real_nu(spec)
     grid = f.grid
     if abs(nu + 1.0) < _INT_TOL:
         # Legendre-Q kernels degenerate at nu = -1; use the closed Hilbert forms:
@@ -98,7 +98,7 @@ def apply_second_kind_2param(spec: OperatorSpec, f: SampledFunction) -> SampledF
             "two-parameter second-kind application is experimental away from mu = 1; "
             "only mu = 1 is supported"
         )
-    if float(np.real(spec.nu)) >= 1.0:
-        raise OperatorSpecError("two-parameter second-kind requires Re nu < 1")
+    if real_nu(spec) >= 1.0:
+        raise OperatorSpecError("two-parameter second-kind requires nu < 1")
     one_param = OperatorSpec("second_kind", "S", nu=spec.nu)
     return apply_second_kind(one_param, f)

@@ -63,6 +63,15 @@ class OperatorSpec:
         return format_operator(self)
 
 
+def real_nu(spec: OperatorSpec) -> float:
+    """spec's nu as a float, for the operators' apply paths, which take no
+    imaginary part (the Mellin symbols and norms do)."""
+    nu = complex(spec.nu)
+    if nu.imag != 0:
+        raise OperatorSpecError(f"{spec.label} cannot be applied: nu is not real")
+    return nu.real
+
+
 def parse_operator(text: str) -> OperatorSpec:
     from ..catalog import BY_TOKEN
 

@@ -17,18 +17,6 @@ Applying a transform is one matrix-vector product with it, on the
 operand's spline coefficients followed by its head model's coefficients
 (numgrid.operand_vector), the layout of the engine's plans.
 
-The fold takes 256 consecutive abscissae at a time, one small dense product
-with their weighted basis block.  Sine and cosine entries need no trig call
-each: y is uniform, so in a chunk starting at y0,
-sin(t (y0 + d)) = sin(t y0) cos(t d) + cos(t y0) sin(t d) (and the cosine
-likewise), with the cos(t d) and sin(t d) tables built once per matrix; a
-chunk costs two products and two trig calls per row.  F_(-1/2) is the
-cosine transform (t^1/2 y^1/2 J_(-1/2)(t y) = sqrt(2/pi) cos(t y), DLMF
-10.16.1) and shares its cached matrix.  Other Hankel rows are filled 32 at
-a time and each block is folded before the next, so no array spans all
-rows and all 16384 abscissae.  The folded values match the rule applied to
-the spline at every abscissa to about 2e-15 of the largest output.
-
 Below the switch point z0 = 25 a Hankel entry is w y^(2nu+1) G_nu(t y),
 where G_nu(z) = z^-nu J_nu(z) is an entire function of x = z^2/2.  Each
 matrix builds a Taylor table of G_nu on the nodes x_m = m/4 (8 terms past
@@ -44,14 +32,28 @@ Below z0 the table is as close to J_nu as ``jv`` (both within 1.3e-14
 against mpmath); up to z = 2500 the expansion is within 4e-15 of J_nu, the
 rounding of w at large z.
 
-Where nu + 1/2 is an integer the expansion ends after nu + 1/2 terms and
-is exact, and its k-th term a_k (t y)^-k cos or sin w splits into a factor
-of t and one of y.  So each 256-abscissa chunk where every row of a 32-row
-block has z >= z0 is folded as the sine and cosine are, one pair of
-products per term (_far_fold): no trig call or power per entry.  The
-blocks' rows are filled, per entry, only up to their first such chunk.
-Other orders take the per-entry fill everywhere; ``_hankel_matrix`` is that
-fill over all columns, the reference the kernel tests probe.
+Sine, cosine and, where nu + 1/2 is an integer, the Hankel kernel at
+z >= z0 share one form, sqrt(2/pi) (y/t)^p sum_k a_k (t y)^-k
+cos(t y - (m - k) pi/2): one term a_0 = 1 with p = 0 and m = 1 (sine) or
+m = 0 (cosine), or the expansion's a_k with p = m = nu + 1/2, where it ends
+after nu + 1/2 terms and is exact.  F_(-1/2) is the cosine transform
+(t^1/2 y^1/2 J_(-1/2)(t y) = sqrt(2/pi) cos(t y), DLMF 10.16.1) and shares
+its cached matrix.  One fold (_quarter_fold) takes that form 256
+consecutive abscissae at a time, one small dense product with their
+weighted basis block: y is uniform, so in a chunk starting at y0
+cos(t (y0 + d) - n pi/2) = c cos(t d) - s sin(t d), with c and s the
+cosine and sine of t y0 turned n quarter turns (exactly: no multiple of
+pi/2 is subtracted) and the cos(t d) and sin(t d) tables built once per
+matrix.  Term k's a_k sqrt(2/pi) y^(p-k) goes into the block and its
+t^-(p+k) onto the rows, so a chunk costs two products and two trig calls
+per row, and no entry a trig call or power of its own.  Other Hankel rows
+are filled 32 at a time and each block is folded before the next, so no
+array spans all rows and all 16384 abscissae; at half-integer orders a
+block is filled only up to its first chunk where every row has z >= z0,
+and the fold takes the rest.  ``_hankel_matrix`` is that fill over all
+columns, the reference the kernel tests probe.  The folded values match
+the rule applied to the spline at every abscissa to about 2e-15 of the
+largest output.
 
 The quadrature starts at y = 0, so an operand whose head model carries ln y
 is rejected.  The weighted third-kind operators S = F_{s|c}^{-1} (1/phi) F_nu
@@ -83,7 +85,7 @@ from ..numgrid import (
 )
 from ..specfun import rgamma
 from ..specfun.bessel import jv
-from .specs import OperatorSpec, OperatorSpecError
+from .specs import OperatorSpec, OperatorSpecError, real_nu
 
 __all__ = [
     "fourier_sine",
@@ -219,36 +221,6 @@ def _basis_blocks(grid: Grid, y: np.ndarray, w: np.ndarray, n_head: int):
     return knots, k, blocks
 
 
-def _shift_tables(t: np.ndarray, step: float):
-    """cos(t d) and sin(t d) at d = k step, k < _CHUNK, for each t: with them
-    the trig functions of t (y0 + d) split into those of t y0."""
-    phase = np.outer(t, np.arange(_CHUNK) * step)
-    return np.cos(phase), np.sin(phase, out=phase)
-
-
-def _trig_fold(kind: str, t: np.ndarray, y: np.ndarray, n_head: int, blocks, coef: np.ndarray) -> np.ndarray:
-    """Adds T B of the kernel sqrt(2/pi) trig(t y), trig sin or cos, into
-    coef (see _basis_blocks) and returns the kernel at y[:n_head].
-
-    y is uniform, so a chunk's abscissae are y0 + delta with the same delta
-    in every chunk: trig(t (y0 + delta)) splits into sin and cos of t y0,
-    one per row, times the tables cos(t delta) and sin(t delta), built once.
-    """
-    cos_tab, sin_tab = _shift_tables(t, y[1])
-    for j0, c0, b in blocks:
-        m, span = b.shape
-        p = cos_tab[:, :m] @ b
-        q = sin_tab[:, :m] @ b
-        sin0, cos0 = np.sin(t * y[j0])[:, None], np.cos(t * y[j0])[:, None]
-        if kind == "sin":  # sin(a + d) = sin a cos d + cos a sin d
-            coef[:, c0 : c0 + span] += sin0 * p + cos0 * q
-        else:  # cos(a + d) = cos a cos d - sin a sin d
-            coef[:, c0 : c0 + span] += cos0 * p - sin0 * q
-    coef *= _SQRT_2_OVER_PI
-    trig = np.sin if kind == "sin" else np.cos
-    return _SQRT_2_OVER_PI * trig(np.outer(t, y[:n_head]))
-
-
 def _transform_values(op, f: SampledFunction, t: np.ndarray) -> np.ndarray:
     """The quadrature of transform op ("sin", "cos" or a Hankel order nu) of
     f at the points t, through its cached matrix on f's operand vector.
@@ -269,8 +241,7 @@ def _transform_values(op, f: SampledFunction, t: np.ndarray) -> np.ndarray:
         n_head = int(np.searchsorted(y, grid.hull[0]))  # the abscissae below the hull
         knots, k, blocks = _basis_blocks(grid, y, w, n_head)
         coef = np.zeros((len(t), len(knots) - k - 1))
-        fold = _trig_fold if isinstance(op, str) else _hankel_fold
-        head = fold(op, t, y, n_head, blocks, coef) * w[:n_head]
+        head = _fold(op, t, y, n_head, blocks, coef) * w[:n_head]
         head_cols = head @ head_basis(y[:n_head], grid.hull[0])
         _MATRIX_CACHE[key] = np.hstack([coef, head_cols])
     return _MATRIX_CACHE[key] @ operand_vector(f)
@@ -295,14 +266,14 @@ def fourier_cosine(f: SampledFunction, out_grid: Grid | None = None) -> SampledF
 
 
 def _hankel_coefficients(nu: float) -> np.ndarray | None:
-    """(-1)^floor(k/2) a_k(nu) of Hankel's expansion, k = 0, 1, ..., up to the
-    first term below _SERIES_TOL at z = _Z_SWITCH (all of them where the
+    """The coefficients a_k(nu) of Hankel's expansion, k = 0, 1, ..., up to
+    the first term below _SERIES_TOL at z = _Z_SWITCH (all of them where the
     series ends).
 
-    a_k = (4nu^2 - 1^2)(4nu^2 - 3^2)...(4nu^2 - (2k-1)^2) / (k! 8^k); the
-    sign is the one a_k carries in P (even k) or Q (odd k).  None when a term
-    grows before the cut: the expansion then cannot reach double precision
-    at the switch point, and J_nu stays on jv.
+    a_k = (4nu^2 - 1^2)(4nu^2 - 3^2)...(4nu^2 - (2k-1)^2) / (k! 8^k), and
+    J_nu(z) = sqrt(2/(pi z)) sum_k a_k z^-k cos(z - (nu + 1/2 - k) pi/2).
+    None when a term grows before the cut: the expansion then cannot reach
+    double precision at the switch point, and J_nu stays on jv.
     """
     mu = 4.0 * nu * nu
     a = [1.0]
@@ -312,7 +283,7 @@ def _hankel_coefficients(nu: float) -> np.ndarray | None:
         if abs(ak) > abs(a[-1]) * _Z_SWITCH:
             return None
         if abs(ak) < _SERIES_TOL * _Z_SWITCH**k:
-            return np.where(np.arange(k) % 4 < 2, 1.0, -1.0) * a
+            return np.array(a)
         a.append(ak)
 
 
@@ -329,11 +300,11 @@ def _horner(coef: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
 
 
 def _expansion_bracket(nu: float, a: np.ndarray, z: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-    """out = P cos w - Q sin w of Hankel's expansion at z, from the signed
+    """out = P cos w - Q sin w of Hankel's expansion at z, from the
     coefficients given (see _hankel_coefficients).
 
-    J_nu(z) = sqrt(2/(pi z)) out.  P = sum_k (-1)^k a_2k z^-2k and
-    Q = sum_k (-1)^k a_2k+1 z^-(2k+1); z is overwritten.  scratch holds
+    J_nu(z) = sqrt(2/(pi z)) out.  P = sum_k a_2k u^k and
+    Q = z^-1 sum_k a_2k+1 u^k, u = -z^-2; z is overwritten.  scratch holds
     three arrays shaped like z.
     """
     u, q, c = scratch
@@ -343,7 +314,7 @@ def _expansion_bracket(nu: float, a: np.ndarray, z: np.ndarray, out: np.ndarray,
         np.cos(z, out=out)
         return
     np.multiply(z, z, out=u)
-    np.reciprocal(u, out=u)
+    np.divide(-1.0, u, out=u)
     _horner(a[0::2], u, out)
     _horner(a[1::2], u, q)
     q /= z
@@ -483,59 +454,71 @@ def _hankel_matrix(nu: float, t: np.ndarray, y: np.ndarray, w: np.ndarray) -> np
     return mat
 
 
-def _far_fold(nu: float, a: np.ndarray, t: np.ndarray, y: np.ndarray, blocks, starts: np.ndarray, coef: np.ndarray) -> None:
-    """Adds T B of the Hankel kernel into coef (see _basis_blocks) over the
-    chunks that lie where every row of theirs has z >= z0, for an order
-    whose expansion ends: nu + 1/2 an integer, a its every coefficient.
+def _quarter_fold(a: np.ndarray, p: float, m: int, t: np.ndarray, y: np.ndarray, blocks, first_rows, coef: np.ndarray) -> None:
+    """Adds into coef (see _basis_blocks) T B of the kernel
+    sqrt(2/pi) (y/t)^p sum_k a_k (t y)^-k cos(t y - (m - k) pi/2); row i
+    takes block c when i >= first_rows[c].
 
-    Row i takes chunk j0 when starts[i // _ROW_BLOCK] <= j0.  There the
-    kernel is exactly sqrt(2/pi) y^(nu+1/2) t^-(nu+1/2) sum_k a_k (t y)^-k
-    times cos w (even k) or -sin w (odd k), w = t y - nu pi/2 - pi/4, and
-    each term folds as the trig fold folds its kernel: y^-k goes into the
-    block, t^-k onto the rows, and cos w and sin w split into those of
-    t y0 - nu pi/2 - pi/4, one per row, times the tables cos(t d) and
-    sin(t d), built once.  No entry costs a trig call or a power of its own.
+    y is uniform, so a chunk's abscissae are y0 + d with the same d in
+    every chunk: cos(t (y0 + d) - n pi/2) = c cos(t d) - s sin(t d), with
+    (c, s) = (cos t y0, sin t y0) turned exactly n quarter turns, one pair
+    per row, and the tables cos(t d) and sin(t d) built once.  Term k's
+    a_k sqrt(2/pi) y^(p-k) goes into the block and its t^-(p+k) onto the
+    rows, so no entry costs a trig call or a power of its own.
     """
-    cos_tab, sin_tab = _shift_tables(t, y[1])
-    phase = (0.5 * nu + 0.25) * np.pi
-    powers = np.arange(len(a))
-    for j0, c0, b in blocks:
-        i0 = _ROW_BLOCK * int(np.searchsorted(-starts, -j0))  # starts do not rise
+    phase = np.outer(t, np.arange(_CHUNK) * y[1])
+    cos_tab, sin_tab = np.cos(phase), np.sin(phase, out=phase)
+    k = np.arange(len(a))
+    col_factors = _SQRT_2_OVER_PI * a * y[:, None] ** (p - k)
+    row_factors = [t ** -(p + j) if p + j else None for j in k]
+    for (j0, c0, b), i0 in zip(blocks, first_rows):
         if i0 >= len(t):
             continue
-        m, span = b.shape
-        yc = y[j0 : j0 + m]
-        cols = (_SQRT_2_OVER_PI * yc ** (nu + 0.5))[:, None] / yc[:, None] ** powers  # column k: times y^-k
-        bk = (cols[:, :, None] * b[:, None, :]).reshape(m, -1)
-        tr = t[i0:]
-        ak = (a / tr[:, None] ** powers)[:, :, None]  # a_k t^-k
-        p = ak * (cos_tab[i0:, :m] @ bk).reshape(-1, len(a), span)
-        q = ak * (sin_tab[i0:, :m] @ bk).reshape(-1, len(a), span)
-        w0 = tr * y[j0] - phase
-        cos0, sin0 = np.cos(w0)[:, None], np.sin(w0)[:, None]
-        # even k: cos w = cos w0 p - sin w0 q; odd k: -sin w = -sin w0 p - cos w0 q
-        acc = cos0 * (p[:, 0::2].sum(axis=1) - q[:, 1::2].sum(axis=1))
-        acc -= sin0 * (q[:, 0::2].sum(axis=1) + p[:, 1::2].sum(axis=1))
-        coef[i0:, c0 : c0 + span] += acc * (tr ** (-nu - 0.5))[:, None]
+        n, span = b.shape
+        bk = (b[:, None, :] * col_factors[j0 : j0 + n, :, None]).reshape(n, -1)
+        cp = cos_tab[i0:, :n] @ bk
+        sp = sin_tab[i0:, :n] @ bk
+        ty0 = t[i0:, None] * y[j0]
+        c, s = np.cos(ty0), np.sin(ty0)
+        for _ in range(m % 4):  # cos(x - pi/2) = sin x, sin(x - pi/2) = -cos x
+            c, s = s, -c
+        out = coef[i0:, c0 : c0 + span]
+        for j, r in zip(k, row_factors):
+            pj, qj = cp[:, j * span : (j + 1) * span], sp[:, j * span : (j + 1) * span]
+            pj *= c
+            qj *= s
+            pj -= qj
+            if r is not None:
+                pj *= r[i0:, None]
+            out += pj
+            c, s = -s, c  # term k + 1 turns one quarter less
 
 
-def _hankel_fold(nu: float, t: np.ndarray, y: np.ndarray, n_head: int, blocks, coef: np.ndarray) -> np.ndarray:
-    """Adds T B of the Hankel kernel t^-nu y^(nu+1) J_nu(t y) into coef (see
-    _basis_blocks) and returns the kernel at y[:n_head].
+def _fold(op, t: np.ndarray, y: np.ndarray, n_head: int, blocks, coef: np.ndarray) -> np.ndarray:
+    """Adds T B of transform op's kernel ("sin", "cos" or the Hankel order
+    nu, t^-nu y^(nu+1) J_nu(t y)) into coef (see _basis_blocks) and returns
+    the kernel at y[:n_head].
 
-    Rows are filled a block at a time (_hankel_rows) and each block is
-    folded at once.  At orders whose expansion ends (nu + 1/2 an integer)
-    a block is filled only up to the first chunk where all its rows have
-    z >= z0; the chunks from there on are folded by _far_fold.
+    Sine and cosine are one _quarter_fold each, at m = 1 and m = 0.  Hankel
+    rows are filled a block at a time (_hankel_rows) and each block is
+    folded at once; at orders whose expansion ends (nu + 1/2 an integer) a
+    block is filled only up to the first chunk where all its rows have
+    z >= z0, and _quarter_fold takes the chunks from there on.
     """
-    fill = _hankel_rows(nu, y, np.ones_like(y))  # the weights are in the blocks
-    a = _hankel_coefficients(nu)
+    if isinstance(op, str):
+        _quarter_fold(np.ones(1), 0.0, int(op == "sin"), t, y, blocks, [0] * len(blocks), coef)
+        trig = np.sin if op == "sin" else np.cos
+        return _SQRT_2_OVER_PI * trig(np.outer(t, y[:n_head]))
+    fill = _hankel_rows(op, y, np.ones_like(y))  # the weights are in the blocks
+    a = _hankel_coefficients(op)
     starts = np.full(-(-len(t) // _ROW_BLOCK), len(y))
-    if a is not None and float(nu + 0.5).is_integer():
+    if a is not None and float(op + 0.5).is_integer():
         chunks = np.array([j0 for j0, _, _ in blocks] + [len(y)])
         switch = np.searchsorted(y, _Z_SWITCH / t[::_ROW_BLOCK])  # each block's first row is the latest to switch
         starts = chunks[np.searchsorted(chunks, switch)]
-        _far_fold(nu, a, t, y, blocks, starts, coef)  # first: its tables are freed before the fill's scratch fills
+        first_rows = [_ROW_BLOCK * int(np.searchsorted(-starts, -j0)) for j0, _, _ in blocks]  # starts do not rise
+        # first: its tables are freed before the fill's scratch fills
+        _quarter_fold(a, op + 0.5, int(op + 0.5), t, y, blocks, first_rows, coef)
     buf = np.empty((min(_ROW_BLOCK, len(t)), len(y)))
     head = np.empty((len(t), n_head))
     for i0, end in zip(range(0, len(t), _ROW_BLOCK), starts):
@@ -593,7 +576,7 @@ def apply_weighted_third(
     """
     if spec.family != "weighted_third":
         raise OperatorSpecError("apply_weighted_third expects a weighted_third spec")
-    nu = float(np.real(spec.nu))
+    nu = real_nu(spec)
     phi = weight_function(spec.phi)
     sg = spectral_grid or default_spectral_grid()
     phivals = phi(sg.points)

@@ -20,7 +20,7 @@ from .._engine import cached_plan as _plan  # perfbench/tracer.py wraps the cach
 from ..numgrid import SampledFunction
 from ..specfun import legendre_p
 from ..specfun.legendre import legendre_p_deriv, legendre_p_deriv_oncut
-from .specs import OperatorSpec, OperatorSpecError
+from .specs import OperatorSpec, OperatorSpecError, real_nu
 
 __all__ = ["apply_zero_order"]
 
@@ -98,7 +98,7 @@ def apply_zero_order(
     """
     if spec.family != "zero_order":
         raise OperatorSpecError("apply_zero_order expects a zero_order spec")
-    nu = float(np.real(spec.nu))
+    nu = real_nu(spec)
     if path == "hardy":
         if spec.variant != "P-" or abs(nu - round(nu)) > 1e-12 or nu < 0:
             raise OperatorSpecError('path="hardy" is the L2 form of P- at integer degree nu >= 0')

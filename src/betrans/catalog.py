@@ -33,7 +33,7 @@ import numpy as np
 
 from . import classicops, mellin
 from .beops import first_kind, katrakhov, second_kind, transforms, zero_order
-from .beops.specs import OperatorSpecError
+from .beops.specs import OperatorSpecError, real_nu
 
 __all__ = ["Family", "FAMILIES", "BY_NAME", "BY_TOKEN", "mellin_row"]
 
@@ -103,7 +103,7 @@ def _second_kind_norm(spec) -> float:
 
 
 def _spd_apply(spec, f):
-    nu = float(np.real(spec.nu))
+    nu = real_nu(spec)
     return classicops.spd_poisson(nu, f) if spec.variant == "P" else classicops.spd_sonine(nu, f)
 
 

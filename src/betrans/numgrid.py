@@ -51,7 +51,6 @@ __all__ = [
     "norm_weighted",
     "norm_l2",
     "norm_half_line",
-    "integral_completed",
     "head_model",
     "head_basis",
     "eval_extended",
@@ -535,7 +534,7 @@ def spline_coefficients(f: SampledFunction) -> np.ndarray:
 # model is linear in its six coefficients (head_basis), so the plans and the
 # spectral transforms act on them: their matrices take a function's spline
 # coefficients followed by head_model(f) (operand_vector).
-# integral_completed and mellin_numeric integrate the model in closed form.
+# mellin_numeric integrates the model in closed form.
 
 _LOG_HEAD_SPAN = 30.0  # edge samples fitted by the logarithmic model: [a, 30a]
 _LOG_HEAD_GAIN = 1e-3  # the log basis must fit them this much better than a cubic
@@ -889,33 +888,6 @@ def norm_weighted(f: SampledFunction, w: WeightedNorm = WeightedNorm()) -> float
     x = f.grid.points
     core = float(np.sum(f.grid.weights * f.values**2 * x ** (2 * w.k + 1)))
     return float(np.sqrt(core + _tail_estimate(f, w.k)))
-
-
-def integral_completed(f: SampledFunction) -> float:
-    """Hull integral of f plus head/tail completion toward (0, inf).
-
-    The head (0, a) integrates f's head model in closed form; the tail
-    comes from the decay hint.
-    """
-    core = float(np.sum(f.grid.weights * f.values))
-    a, b = f.grid.hull
-    k1 = np.arange(1.0, 4.0)
-    c, d = head_model(f).reshape(3, 2).T
-    head = a * float(np.sum(c / k1 - d / k1**2))
-    tail = 0.0
-    hint = f.decay_hint
-    fb = float(f.values[-1])
-    if hint is not None and abs(fb) > 1e-140:
-        if hint.kind == "exponential":
-            lam = _decay_rate(f)
-            if lam is not None and lam > 0:  # samples that do not decay leave a zero tail
-                tail = fb / lam
-        elif hint.kind == "power":
-            if hint.p > 1:
-                tail = fb * b / (hint.p - 1.0)
-            else:
-                raise DivergentTailError("power decay p <= 1 gives a divergent tail integral")
-    return core + head + tail
 
 
 _EDGE_BLOCK = 8  # samples per completion fit

@@ -45,6 +45,27 @@ def test_grammar_round_trip():
         assert parse_operator(format_operator(spec)) == spec
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "first:B0+:nu=0.5+1j:mu=0.3",
+        "zero:S0+:nu=0.5+1j",
+        "second:S:nu=0.5+1j",
+        "second2:S:nu=0.5+1j:mu=1",
+        "kat:S:nu=0.5+1j",
+        "third:S:nu=0.5+1j:phi=one:trig=sin",
+        "spd:S:nu=0.5+1j",
+    ],
+)
+def test_apply_rejects_a_non_real_nu(text, bump):
+    # the grammar takes a complex nu for the symbols and norms; an apply
+    # path that kept only its real part would return the Re nu image
+    from betrans.beops import apply
+
+    with pytest.raises(OperatorSpecError, match="nu is not real"):
+        apply(parse_operator(text), bump)
+
+
 def test_grammar_rejects_bad_input():
     with pytest.raises(OperatorSpecError):
         parse_operator("nope:X")

@@ -86,6 +86,15 @@ def test_parse_error_exit_code(capsys):
     assert code == 1
 
 
+def test_apply_at_a_non_real_nu_exit_code(capsys):
+    # the Re nu = 1 image is not the operator at nu = 1 + i: an argument error
+    args = ["apply", "--op", "zero:S0+:nu=1+1j", "--fn", "gauss", "--grid-n", "64"]
+    code = main(args)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and "nu is not real" in captured.err
+
+
 def test_math_domain_error_exit_code(capsys):
     # spd Sonine requires nu < 1/2
     code, _ = run_cli(

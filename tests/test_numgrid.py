@@ -16,7 +16,6 @@ from betrans.numgrid import (
     TailWarning,
     WeightedNorm,
     fit_power_law,
-    integral_completed,
     integrate_smooth,
     make_grid,
     norm_half_line,
@@ -45,18 +44,6 @@ def test_grid_validation():
         make_grid(8, (1e-3, 1.0))
     with pytest.raises(GridError):
         Grid(points=np.array([1.0, 0.5]), weights=np.array([1.0, 1.0]), spacing="linear")
-
-
-def test_known_integral_exponential():
-    g = make_grid(512, (1e-6, 40.0), "log")
-    f = SampledFunction.from_callable(lambda x: np.exp(-x), g, DecayHint.exponential())
-    assert abs(integral_completed(f) - 1.0) < 1e-8
-
-
-def test_known_integral_x_gaussian():
-    g = make_grid(512, (1e-6, 10.0), "log")
-    f = SampledFunction.from_callable(lambda x: x * np.exp(-(x**2)), g, DecayHint.exponential())
-    assert abs(integral_completed(f) - 0.5) < 1e-8
 
 
 @settings(max_examples=25, deadline=None)
@@ -210,14 +197,6 @@ def test_uniform_weights_match_per_call_stencils(n, h):
 # ----------------------------------------------------------------------
 # head model below the hull
 # ----------------------------------------------------------------------
-
-
-def test_integral_completed_follows_a_logarithmic_head():
-    # int_0^inf -ln x e^-x dx = Euler's gamma; a Taylor head at the hull
-    # edge cannot follow the logarithm (3.3e-5 off)
-    g = make_grid(512, (1e-4, 40.0))
-    f = SampledFunction.from_callable(lambda x: -np.log(x) * np.exp(-x), g, DecayHint.exponential())
-    assert abs(integral_completed(f) - np.euler_gamma) < 1e-10
 
 
 def _head_grids():

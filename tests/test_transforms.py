@@ -226,7 +226,7 @@ FOLD_DIRECTIONS = ("log->spectral", "spectral->log", "irregular->spectral")
 
 
 @pytest.mark.parametrize("direction", FOLD_DIRECTIONS)
-@pytest.mark.parametrize("op", ("sin", "cos", -0.5, -0.3, 0.0, 0.5, 1.0, 1.5, 2.5))
+@pytest.mark.parametrize("op", ("sin", "cos", -0.5, -0.3, 0.0, 0.5, 1.0, 1.5, 2.5, 3.5))
 def test_folded_transform_matches_dense_reference(op, direction, monkeypatch):
     # the cached matrix on the operand's spline coefficients (kernel rule
     # times the spline's basis, plus head columns) against the dense kernel
@@ -257,6 +257,36 @@ def test_folded_transform_matches_dense_reference(op, direction, monkeypatch):
         else:
             dense = transforms._hankel_matrix(op, tb, y, w)
         ref[i0 : i0 + 128] = dense @ fy
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("direction", ("log->spectral", "spectral->log"))
+@pytest.mark.parametrize("m", (0, 1, 2, 3))
+def test_one_term_fold_turns_whole_quarter_turns(m, direction):
+    # the one-term fold of sqrt(2/pi) cos(t y - m pi/2), cosine at m = 0 and
+    # sine at m = 1, against the dense rule with that kernel written without
+    # pi/2 (cos, sin, -cos, -sin); from the linear grid the first chunk
+    # starts past the abscissae below its hull, which take the dense kernel
+    from betrans.beops import transforms
+    from betrans.numgrid import eval_extended, head_basis, operand_vector
+
+    log_grid = make_grid(512, (1e-3, 40.0))
+    spectral = default_spectral_grid(256)
+    src, out = (log_grid, spectral) if direction == "log->spectral" else (spectral, log_grid)
+    f = SampledFunction.from_callable(lambda y: np.exp(-y * y / 8.0) * (1.0 + np.sin(3.0 * y)), src)
+    t = out.points
+    y, w = transforms._quad_abscissa(f)
+    n_head = int(np.searchsorted(y, src.hull[0]))
+    knots, k, blocks = transforms._basis_blocks(src, y, w, n_head)
+    coef = np.zeros((len(t), len(knots) - k - 1))
+    transforms._quarter_fold(np.ones(1), 0.0, m, t, y, blocks, [0] * len(blocks), coef)
+    kernel = (np.cos, np.sin, lambda x: -np.cos(x), lambda x: -np.sin(x))[m]
+    head = np.sqrt(2.0 / np.pi) * kernel(np.outer(t, y[:n_head])) * w[:n_head]
+    got = np.hstack([coef, head @ head_basis(y[:n_head], src.hull[0])]) @ operand_vector(f)
+    fy = eval_extended(f, y)
+    ref = np.concatenate(
+        [np.sqrt(2.0 / np.pi) * kernel(np.outer(t[i0 : i0 + 128], y)) @ (w * fy) for i0 in range(0, len(t), 128)]
+    )
     assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -319,7 +349,7 @@ def test_hankel_minus_half_builds_without_bessel_kernel(monkeypatch):
 @pytest.mark.parametrize("nu", (0.5, 1.5))
 def test_half_integer_hankel_folds_its_far_region(nu, monkeypatch):
     # at nu + 1/2 an integer Hankel's expansion ends, and the chunks where
-    # it holds for every row are folded as the trig folds are: the dense
+    # it holds for every row go to the fold that sine and cosine take: the dense
     # fill evaluates the expansion only up to each row block's first such
     # chunk, so a fallback to the per-entry fill fails here
     from betrans.beops import transforms
