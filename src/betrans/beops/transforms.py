@@ -12,7 +12,8 @@ model's six coefficients, so those columns H of T fold into six: H E, E
 the head model's basis rows there (numgrid.head_basis).  One array
 [T B | H E] is cached per kernel ("sin", "cos" or the Hankel order), output
 points (their digest) and input grid (numgrid.grid_key): 8.4 MB for 2048
-outputs over 512 samples, where the 16384-column rule took 268 MB.
+outputs over 512 samples, where the 16384-column rule took 268 MB, and
+the fold writes straight into that array.
 Applying a transform is one matrix-vector product with it, on the
 operand's spline coefficients followed by its head model's coefficients
 (numgrid.operand_vector), the layout of the engine's plans.
@@ -38,20 +39,22 @@ cos(t y - (m - k) pi/2): one term a_0 = 1 with p = 0 and m = 1 (sine) or
 m = 0 (cosine), or the expansion's a_k with p = m = nu + 1/2, where it ends
 after nu + 1/2 terms and is exact.  F_(-1/2) is the cosine transform
 (t^1/2 y^1/2 J_(-1/2)(t y) = sqrt(2/pi) cos(t y), DLMF 10.16.1) and shares
-its cached matrix.  One fold (_quarter_fold) takes that form 256
-consecutive abscissae at a time, one small dense product with their
-weighted basis block: y is uniform, so in a chunk starting at y0
+its cached matrix.  One fold (_quarter_fold) takes that form in chunks
+of 256 consecutive abscissae: y is uniform, so in a chunk starting at y0
 cos(t (y0 + d) - n pi/2) = c cos(t d) - s sin(t d), with c and s the
 cosine and sine of t y0 turned n quarter turns (exactly: no multiple of
 pi/2 is subtracted) and the cos(t d) and sin(t d) tables built once per
-matrix.  Term k's a_k sqrt(2/pi) y^(p-k) goes into the block and its
-t^-(p+k) onto the rows, so a chunk costs two products and two trig calls
-per row, and no entry a trig call or power of its own.  Other Hankel rows
-are filled 32 at a time and each block is folded before the next, so no
-array spans all rows and all 16384 abscissae; at half-integer orders a
-block is filled only up to its first chunk where every row has z >= z0,
-and the fold takes the rest.  ``_hankel_matrix`` is that fill over all
-columns, the reference the kernel tests probe.  The folded values match
+matrix.  Term k's a_k sqrt(2/pi) y^(p-k) goes into the chunk's weighted
+basis block and its t^-(p+k) onto the rows.  Consecutive chunks' blocks
+stand side by side, up to 256 columns a group, so a group costs one
+product with each table, a chunk two trig calls per row, and no entry a
+trig call or power of its own.  Other Hankel rows are filled 32 at a
+time, over at most 2048 abscissae a step, and each block is folded before
+the next, so no array spans all rows and all 16384 abscissae; at
+half-integer orders a block is filled only up to its first chunk where
+every row has z >= z0, and the fold takes the rest.  ``_hankel_matrix`` is
+that fill over all columns, the reference the kernel tests probe.  The
+folded values match
 the rule applied to the spline at every abscissa to about 2e-15 of the
 largest output.
 
@@ -124,16 +127,19 @@ def _quad_top(f: SampledFunction) -> float:
     return min(f.grid.hull[1], _Y_CAP)
 
 
-def _quad_abscissa(f: SampledFunction):
+def _reject_log_head(f: SampledFunction) -> None:
     if np.any(head_model(f)[1::2]):
         raise GridError(
             "the operand has a logarithmic head (x^k ln x terms at the origin), "
             "which the transform's quadrature would evaluate at y = 0, where it diverges"
         )
-    y_top = _quad_top(f)
-    y = np.linspace(0.0, y_top, _NY)
-    w = _uniform_weights(_NY, y[1] - y[0])
-    return y, w
+
+
+def _quad_abscissa(f: SampledFunction):
+    """The rule's abscissae y and weights w on f's grid (they depend on its
+    hull only)."""
+    y = np.linspace(0.0, _quad_top(f), _NY)
+    return y, _uniform_weights(_NY, y[1] - y[0])
 
 
 def _osc_tail_integral(p: float, a: np.ndarray, nquad: int = 96) -> np.ndarray:
@@ -230,20 +236,25 @@ def _transform_values(op, f: SampledFunction, t: np.ndarray) -> np.ndarray:
     (numgrid.operand_vector): T is the rule (kernel times weights) at the
     abscissae inside the hull and B the spline's basis there; H, the rule
     at the n_head abscissae below the hull, times E, the head model's basis
-    there (numgrid.head_basis).
+    there (numgrid.head_basis).  The fold writes straight into the cached
+    array.
     """
     if op == -0.5:  # t^1/2 y^1/2 J_-1/2(t y) = sqrt(2/pi) cos(t y) (DLMF 10.16.1)
         op = "cos"
-    y, w = _quad_abscissa(f)
+    _reject_log_head(f)
     grid = f.grid
     key = (op, points_digest(t), grid_key(grid))
     if key not in _MATRIX_CACHE:
+        y, w = _quad_abscissa(f)
         n_head = int(np.searchsorted(y, grid.hull[0]))  # the abscissae below the hull
         knots, k, blocks = _basis_blocks(grid, y, w, n_head)
-        coef = np.zeros((len(t), len(knots) - k - 1))
-        head = _fold(op, t, y, n_head, blocks, coef) * w[:n_head]
-        head_cols = head @ head_basis(y[:n_head], grid.hull[0])
-        _MATRIX_CACHE[key] = np.hstack([coef, head_cols])
+        n_coef = len(knots) - k - 1
+        head_rows = head_basis(y[:n_head], grid.hull[0])
+        mat = np.zeros((len(t), n_coef + head_rows.shape[1]))
+        head = _fold(op, t, y, n_head, blocks, mat[:, :n_coef])
+        head *= w[:n_head]
+        np.matmul(head, head_rows, out=mat[:, n_coef:])
+        _MATRIX_CACHE[key] = mat
     return _MATRIX_CACHE[key] @ operand_vector(f)
 
 
@@ -375,10 +386,11 @@ def _far_rows(nu: float, a: np.ndarray | None, tb: np.ndarray, y: np.ndarray, n_
     """The kernel at z = tb[i] * y[j] >= _Z_SWITCH (tb, y ascending) into out.
 
     J_nu from jv when a is None, else the bracket of Hankel's expansion
-    (J_nu = sqrt(2/(pi z)) bracket), cut for each doubling band of z at the
-    first term below _SERIES_TOL.  In the first n_mixed columns z is raised
-    to _Z_SWITCH where it lies below; those entries belong to the table.
-    scratch is flat, 4 out.size long.
+    (J_nu = sqrt(2/(pi z)) bracket), cut for each doubling band of z, at
+    most _COL_BLOCK columns wide, at the first term below _SERIES_TOL.  In
+    the first n_mixed columns z is raised to _Z_SWITCH where it lies below;
+    those entries belong to the table.  scratch is flat, 4 rows *
+    min(n, _COL_BLOCK) long.
     """
     rows, n = out.shape
     if a is None:
@@ -389,6 +401,7 @@ def _far_rows(nu: float, a: np.ndarray | None, tb: np.ndarray, y: np.ndarray, n_
     lo = 0
     while lo < n:
         hi = n_mixed if lo < n_mixed else int(np.searchsorted(y, 2.0 * y[lo]))
+        hi = min(hi, lo + _COL_BLOCK)
         m = rows * (hi - lo)
         z, *work = (scratch[j * m : (j + 1) * m].reshape(rows, hi - lo) for j in range(4))
         np.outer(tb, y[lo:hi], out=z)
@@ -423,7 +436,7 @@ def _hankel_rows(nu: float, y: np.ndarray, w: np.ndarray):
         far_cols, far_pow = _SQRT_2_OVER_PI * ys ** (nu + 0.5) * ws, -nu - 0.5
     # y^(nu+1) J_nu(t y) t^-nu -> y^(2nu+1) / (2^nu Gamma(nu+1)) as y -> 0
     limit = w[0] * (_SQRT_2_OVER_PI if nu == -0.5 else 0.0)
-    scratch = np.empty(4 * _ROW_BLOCK * len(ys))
+    scratch = np.empty(4 * _ROW_BLOCK * min(_COL_BLOCK, len(ys)))
 
     def fill(tb: np.ndarray, out: np.ndarray) -> None:
         out[:, 0] = limit
@@ -463,35 +476,57 @@ def _quarter_fold(a: np.ndarray, p: float, m: int, t: np.ndarray, y: np.ndarray,
     every chunk: cos(t (y0 + d) - n pi/2) = c cos(t d) - s sin(t d), with
     (c, s) = (cos t y0, sin t y0) turned exactly n quarter turns, one pair
     per row, and the tables cos(t d) and sin(t d) built once.  Term k's
-    a_k sqrt(2/pi) y^(p-k) goes into the block and its t^-(p+k) onto the
-    rows, so no entry costs a trig call or a power of its own.
+    a_k sqrt(2/pi) y^(p-k) goes into the block and its t^-(p+k) onto
+    (c, s), so no entry costs a trig call or a power of its own.
+    Consecutive chunks' weighted blocks stand side by side, up to _CHUNK
+    columns a group, and each group is one product with each table from
+    its lowest first row, combined in place.
     """
     phase = np.outer(t, np.arange(_CHUNK) * y[1])
     cos_tab, sin_tab = np.cos(phase), np.sin(phase, out=phase)
     k = np.arange(len(a))
     col_factors = _SQRT_2_OVER_PI * a * y[:, None] ** (p - k)
-    row_factors = [t ** -(p + j) if p + j else None for j in k]
+    row_factors = [t[:, None] ** -(p + j) if p + j else None for j in k]
+    groups, widths = [], [_CHUNK]
     for (j0, c0, b), i0 in zip(blocks, first_rows):
         if i0 >= len(t):
             continue
-        n, span = b.shape
-        bk = (b[:, None, :] * col_factors[j0 : j0 + n, :, None]).reshape(n, -1)
-        cp = cos_tab[i0:, :n] @ bk
-        sp = sin_tab[i0:, :n] @ bk
-        ty0 = t[i0:, None] * y[j0]
-        c, s = np.cos(ty0), np.sin(ty0)
-        for _ in range(m % 4):  # cos(x - pi/2) = sin x, sin(x - pi/2) = -cos x
-            c, s = s, -c
-        out = coef[i0:, c0 : c0 + span]
-        for j, r in zip(k, row_factors):
-            pj, qj = cp[:, j * span : (j + 1) * span], sp[:, j * span : (j + 1) * span]
-            pj *= c
-            qj *= s
-            pj -= qj
-            if r is not None:
-                pj *= r[i0:, None]
-            out += pj
-            c, s = -s, c  # term k + 1 turns one quarter less
+        if widths[-1] + len(a) * b.shape[1] > _CHUNK:
+            groups.append([])
+            widths.append(0)
+        groups[-1].append((j0, c0, b, i0))
+        widths[-1] += len(a) * b.shape[1]
+    if not groups:
+        return
+    widths = widths[1:]
+    products = np.empty((2, len(t) * max(widths)))
+    for group, width in zip(groups, widths):
+        g0 = min(i0 for *_, i0 in group)
+        bk = np.zeros((max(len(b) for _, _, b, _ in group), width))
+        col = 0
+        for j0, _, b, _ in group:
+            for j in k:
+                np.multiply(b, col_factors[j0 : j0 + len(b), j, None], out=bk[: len(b), col : col + b.shape[1]])
+                col += b.shape[1]
+        cp, sp = (buf[: (len(t) - g0) * width].reshape(-1, width) for buf in products)
+        np.matmul(cos_tab[g0:, : len(bk)], bk, out=cp)
+        np.matmul(sin_tab[g0:, : len(bk)], bk, out=sp)
+        col = 0
+        for j0, c0, b, i0 in group:
+            span = b.shape[1]
+            ty0 = t[i0:, None] * y[j0]
+            c, s = np.cos(ty0), np.sin(ty0)
+            for _ in range(m % 4):  # cos(x - pi/2) = sin x, sin(x - pi/2) = -cos x
+                c, s = s, -c
+            out = coef[i0:, c0 : c0 + span]
+            for r in row_factors:
+                pj, qj = cp[i0 - g0 :, col : col + span], sp[i0 - g0 :, col : col + span]
+                pj *= c if r is None else c * r[i0:]
+                qj *= s if r is None else s * r[i0:]
+                pj -= qj
+                out += pj
+                c, s = -s, c  # term k + 1 turns one quarter less
+                col += span
 
 
 def _fold(op, t: np.ndarray, y: np.ndarray, n_head: int, blocks, coef: np.ndarray) -> np.ndarray:

@@ -294,7 +294,7 @@ def test_matrix_cache_keys_on_grid_points(monkeypatch):
     # an irregular grid with the same size and end points as a cached
     # linear one (read_csv builds such grids) must get its own matrix
     from betrans.beops import transforms
-    from betrans.numgrid import Grid, _irregular_weights
+    from betrans.numgrid import Grid, _irregular_weights, grid_key, points_digest
 
     monkeypatch.setattr(transforms, "_MATRIX_CACHE", {})
     src = make_grid(512, (1e-3, 40.0))
@@ -314,11 +314,52 @@ def test_matrix_cache_keys_on_grid_points(monkeypatch):
     fc = fourier_cosine(f_irr, regular)
     t = regular.points
     assert np.max(np.abs(fc.values - np.sqrt(2.0 / np.pi) / (1.0 + t * t))) < 1e-6
-    assert len(transforms._MATRIX_CACHE) == 4
+    # one key per build: the kernel, the output points and the input grid
+    keys = (("sin", t, src), ("sin", x, src), ("cos", t, src), ("cos", t, src_irr))
+    assert set(transforms._MATRIX_CACHE) == {(op, points_digest(tp), grid_key(g)) for op, tp, g in keys}
     # each cached array is n_out x (n_in + 6): the spline's coefficients and
     # the head model's six coefficients, never n_out x 16384
     for mat in transforms._MATRIX_CACHE.values():
         assert mat.shape == (len(t), src.n + 6)
+
+
+def test_workload_builds_stay_within_a_transient_memory_bound(monkeypatch):
+    # the spectral workload's six builds in its order: Hankel at nu = 1/2,
+    # sine and cosine, each way between a 512-point log grid and the
+    # 2048-point spectral grid.  Each build's traced peak, less the bytes
+    # it adds to the cache, stays under its own bound: 5% above the value
+    # measured here (22.51, 11.95, 20.61, 12.68, 10.10 and 20.61 MB), and
+    # never above the unbatched fold's (28.88, 15.45, 20.83, 26.79, 13.60
+    # and 20.83 MB, its far-field scratch spanning all 16384 abscissae).
+    import tracemalloc
+
+    from betrans.beops import transforms
+
+    monkeypatch.setattr(transforms, "_MATRIX_CACHE", {})
+    warm = make_grid(32, (1e-3, 40.0))  # loads scipy's jv before tracing
+    hankel(0.5, SampledFunction.from_callable(lambda y: np.exp(-y * y), warm), default_spectral_grid(64))
+    grid, sg = make_grid(512, (1e-3, 40.0)), default_spectral_grid()
+    f = SampledFunction.from_callable(lambda y: np.exp(-y * y / 8.0), grid, DecayHint.exponential())
+    g = SampledFunction.from_callable(lambda y: np.exp(-y * y / 8.0), sg, DecayHint.exponential())
+    builds = (
+        (lambda: hankel(0.5, f, sg), 23.6e6),
+        (lambda: fourier_sine(g, grid), 12.5e6),
+        (lambda: fourier_sine(f, sg), 20.83e6),
+        (lambda: hankel(0.5, g, grid), 13.3e6),
+        (lambda: fourier_cosine(g, grid), 10.6e6),
+        (lambda: fourier_cosine(f, sg), 20.83e6),
+    )
+    excess, bounds = [], [bound for _, bound in builds]
+    for build, _ in builds:
+        cached = sum(mat.nbytes for mat in transforms._MATRIX_CACHE.values())
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        excess.append(peak - (sum(mat.nbytes for mat in transforms._MATRIX_CACHE.values()) - cached))
+    assert all(e < bound for e, bound in zip(excess, bounds)), [round(e / 1e6, 2) for e in excess]
 
 
 def test_hankel_minus_half_is_cosine_transform(bump_mid):
@@ -410,5 +451,22 @@ def test_transforms_reject_an_operand_with_a_logarithmic_head(transform):
     }[transform]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        with pytest.raises(GridError, match="logarithmic head"):
+            run()
+
+
+def test_a_logarithmic_head_is_rejected_on_a_grid_with_cached_matrices(monkeypatch):
+    # the check runs on every call, not only when a matrix is built
+    from betrans.beops import transforms
+
+    monkeypatch.setattr(transforms, "_MATRIX_CACHE", {})
+    grid = make_grid(512, (1e-3, 40.0))
+    gauss = suite_on_grid("gauss", grid)
+    image = apply(parse_operator("zero:S-:nu=1"), gauss)
+    assert image.grid is grid
+    sg = default_spectral_grid(256)
+    fourier_cosine(gauss, sg)
+    hankel(0.0, gauss, sg)
+    for run in (lambda: fourier_cosine(image, sg), lambda: hankel(0.0, image, sg)):
         with pytest.raises(GridError, match="logarithmic head"):
             run()
