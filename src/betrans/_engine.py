@@ -22,10 +22,9 @@ Three plan geometries cover every operator in the package:
           bounded remainder is integrated on panels graded geometrically
           toward the diagonal.
 
-Body panels are tied to every stride-th grid point and carry n_gl Gauss
-points each; both are keyword parameters of the plan builders (defaults
-4 and 8), so a finer, independent discretization needs no global state.
-Every output row that reaches a body panel shares its nodes, so the
+Body panels are tied to every stride-th grid point (_BODY_STRIDE, 4) and
+carry _N_GL_SMALL (8) Gauss points each, one discretization for every
+plan.  Every output row that reaches a body panel shares its nodes, so the
 spline's basis is evaluated once per distinct node.
 
 Kernels homogeneous of degree d, K(x, t) = k(r) x^d with r a function of
@@ -63,6 +62,7 @@ from .numgrid import (
     _jacobi,
     basis_rows,
     head_basis,
+    log_uniform,
     operand_vector,
     spline_knots,
 )
@@ -102,8 +102,8 @@ def _jacobi_panels(lo: np.ndarray, x: np.ndarray, alpha: float, left_end: bool =
     return t, w
 
 
-_BODY_STRIDE = 4  # default body panel edges: every 4th grid point
-_N_GL_SMALL = 8  # default Gauss points per body panel
+_BODY_STRIDE = 4  # the stride: body panel edges at every 4th grid point
+_N_GL_SMALL = 8  # Gauss points per body panel
 
 
 def _needs_jacobi(alpha: Optional[float]) -> bool:
@@ -202,12 +202,12 @@ def _unroll(starts, lengths):
     return node_id, np.concatenate([[0], ends[nseg - 1 :: nseg]])
 
 
-def _stride_starts(idx: np.ndarray, stride: int) -> np.ndarray:
+def _stride_starts(idx: np.ndarray) -> np.ndarray:
     """grid_start of the panels between consecutive grid indices idx."""
-    return np.where(np.diff(idx) == stride, idx[:-1], -1)
+    return np.where(np.diff(idx) == _BODY_STRIDE, idx[:-1], -1)
 
 
-def _lower_rules(rules: _Rules, x, pts, alpha, stride: int, n_gl: int, head: str = "taylor"):
+def _lower_rules(rules: _Rules, x, pts, alpha, head: str = "taylor"):
     """Rules for int_0^(x_i); optional (x-t)^alpha endpoint factor at t = x_i.
 
     head="taylor" extends the integral over (0, hull_a) using the operand's
@@ -229,24 +229,24 @@ def _lower_rules(rules: _Rules, x, pts, alpha, stride: int, n_gl: int, head: str
         rules.shared(*_head_nodes(a), 0, far)
     # tying the panels to the grid makes the quadrature resolve any operand
     # the grid itself resolves
-    inner_idx = np.arange(stride, len(pts), stride)
+    inner_idx = np.arange(_BODY_STRIDE, len(pts), _BODY_STRIDE)
     inner_idx = inner_idx[pts[inner_idx] > a * (1.0 + 1e-12)]
     inner = pts[inner_idx]
     m = np.where(far, np.searchsorted(inner, x * (1.0 - 1e-12)), 0)  # inner edges below x_i
     edges = np.concatenate([[a], inner[: m.max(initial=0)]])
     edge_idx = np.concatenate([[0], inner_idx[: m.max(initial=0)]])
-    rules.shared(*_gl_panels(edges[:-1], edges[1:], n_gl), 0, m, _stride_starts(edge_idx, stride))
+    rules.shared(*_gl_panels(edges[:-1], edges[1:], _N_GL_SMALL), 0, m, _stride_starts(edge_idx))
     x_far, m_far = x[far], m[far]
     if singular:
         split = np.where(m_far > 0, edges[m_far], np.maximum(0.5 * x_far, a))
         alone = far & (m == 0)
-        rules.owned(*_gl_panels(np.full(np.count_nonzero(alone), a), split[m_far == 0], n_gl), alone)
+        rules.owned(*_gl_panels(np.full(np.count_nonzero(alone), a), split[m_far == 0], _N_GL_SMALL), alone)
         rules.owned(*_jacobi_panels(split, x_far, alpha), far)
     else:
-        rules.owned(*_gl_panels(edges[m_far], x_far, n_gl), far)
+        rules.owned(*_gl_panels(edges[m_far], x_far, _N_GL_SMALL), far)
 
 
-def _upper_rules(rules: _Rules, x, pts, alpha, stride: int, n_gl: int):
+def _upper_rules(rules: _Rules, x, pts, alpha):
     """Rules for int_(x_i)^b; optional (t-x)^alpha singularity at t = x_i.
 
     The first body panel starts at x_i (a Gauss-Jacobi panel when the
@@ -256,7 +256,7 @@ def _upper_rules(rules: _Rules, x, pts, alpha, stride: int, n_gl: int):
     b = pts[-1]
     singular = _needs_jacobi(alpha)
     live = x < b * (1.0 - 1e-14)
-    inner_idx = np.arange(stride, len(pts), stride)
+    inner_idx = np.arange(_BODY_STRIDE, len(pts), _BODY_STRIDE)
     inner_idx = inner_idx[pts[inner_idx] < b * (1.0 - 1e-12)]
     inner = pts[inner_idx]
     first = np.searchsorted(inner, x * (1.0 + 1e-12), side="right")  # first inner edge above x_i
@@ -265,20 +265,20 @@ def _upper_rules(rules: _Rules, x, pts, alpha, stride: int, n_gl: int):
     edges = np.concatenate([inner[skip:], [b]])
     x_live, m_live = x[live], m[live]
     nxt = edges[first[live] - skip]
-    body = (*_gl_panels(edges[:-1], edges[1:], n_gl), first - skip, m)
-    grid_start = _stride_starts(np.concatenate([inner_idx[skip:], [len(pts) - 1]]), stride)
+    body = (*_gl_panels(edges[:-1], edges[1:], _N_GL_SMALL), first - skip, m)
+    grid_start = _stride_starts(np.concatenate([inner_idx[skip:], [len(pts) - 1]]))
     if singular:
         split = np.where(m_live > 0, nxt, np.minimum(2.0 * x_live, b))
         rules.owned(*_jacobi_panels(split, x_live, alpha, left_end=True), live)
         rules.shared(*body, grid_start)
         alone = live & (m == 0)
-        rules.owned(*_gl_panels(split[m_live == 0], np.full(np.count_nonzero(alone), b), n_gl), alone)
+        rules.owned(*_gl_panels(split[m_live == 0], np.full(np.count_nonzero(alone), b), _N_GL_SMALL), alone)
     else:
-        rules.owned(*_gl_panels(x_live, nxt, n_gl), live)
+        rules.owned(*_gl_panels(x_live, nxt, _N_GL_SMALL), live)
         rules.shared(*body, grid_start)
 
 
-def _pv_rules(rules: _Rules, pts, stride: int, n_gl: int):
+def _pv_rules(rules: _Rules, pts):
     """Rules for the pole-subtracted PV integrals over (0, b).
 
     Grid-aligned panels cover t < x - eps0 and t > x + eps0, with
@@ -290,7 +290,7 @@ def _pv_rules(rules: _Rules, pts, stride: int, n_gl: int):
     x = pts
     delta = _PV_DELTA * x
     eps0 = np.maximum(np.minimum(x, b - x), delta * 4.0) / 8.0
-    _lower_rules(rules, x - eps0, pts, None, stride, n_gl)
+    _lower_rules(rules, x - eps0, pts, None)
     # scales eps0, eps0/2, ... while above delta, then delta itself
     halvings = eps0[:, None] * 0.5 ** np.arange(64)
     count = np.count_nonzero(halvings > delta[:, None], axis=1)
@@ -300,7 +300,7 @@ def _pv_rules(rules: _Rules, pts, stride: int, n_gl: int):
     scales[count == 0, 0] = eps0[count == 0]
     edge = x[:, None] - scales
     valid = cols[:-1] < count[:, None]
-    rules.owned(*_gl_panels(edge[:, :-1][valid], edge[:, 1:][valid], n_gl), count)
+    rules.owned(*_gl_panels(edge[:, :-1][valid], edge[:, 1:][valid], _N_GL_SMALL), count)
     # upper side: the scales that fit below b - x, innermost first, or the
     # two scales min(eps0, b - x) and delta when fewer fit
     hi_cap = b - x
@@ -314,10 +314,10 @@ def _pv_rules(rules: _Rules, pts, stride: int, n_gl: int):
     panels = np.where(up, n_hi - 1, 0)
     edge = x[:, None] + rev
     valid = cols[:-1] < panels[:, None]
-    rules.owned(*_gl_panels(edge[:, :-1][valid], edge[:, 1:][valid], n_gl), panels)
+    rules.owned(*_gl_panels(edge[:, :-1][valid], edge[:, 1:][valid], _N_GL_SMALL), panels)
     start = np.take_along_axis(edge, np.maximum(n_hi - 1, 0)[:, None], axis=1)[:, 0]
     beyond = up & (start < b * (1.0 - 1e-12))
-    _upper_rules(rules, np.where(beyond, start, b), pts, None, stride, n_gl)
+    _upper_rules(rules, np.where(beyond, start, b), pts, None)
 
 
 def _segmented_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -450,7 +450,7 @@ def _sided(fns, low, *args):
     return out
 
 
-def _plan_matrix(grid: Grid, rules: _Rules, kernels, stride: int, n_gl: int, use_deriv=False, pole=False):
+def _plan_matrix(grid: Grid, rules: _Rules, kernels, use_deriv=False, pole=False):
     """(matrix, diag): a plan's matrix (_assemble) for the kernels
     (lower, upper), the first on t < x and the second on t > x, and a
     correction to its pole term; pole marks a PV plan.  Two RatioKernels of
@@ -463,9 +463,9 @@ def _plan_matrix(grid: Grid, rules: _Rules, kernels, stride: int, n_gl: int, use
         isinstance(kl, RatioKernel)
         and isinstance(ku, RatioKernel)
         and (kl.variable, kl.degree) == (ku.variable, ku.degree)
-        and _log_uniform(grid)
+        and log_uniform(grid)
     ):
-        *pairs, coef0, diag = _dilation_template(grid, rules, kernels, stride, n_gl, use_deriv, pole)
+        *pairs, coef0, diag = _dilation_template(grid, rules, kernels, use_deriv, pole)
         return _assemble(grid, *pairs, use_deriv, coef0), diag
     nodes, weights, node_id, offsets = rules.pairs()
     x_all = np.repeat(grid.points, np.diff(offsets))
@@ -481,12 +481,10 @@ def build_lower_plan(
     alpha: Optional[float] = None,
     use_deriv: bool = False,
     head: str = "taylor",
-    stride: int = _BODY_STRIDE,
-    n_gl: int = _N_GL_SMALL,
 ) -> KernelPlan:
     rules = _Rules(grid.n)
-    _lower_rules(rules, grid.points, grid.points, alpha, stride, n_gl, head=head)
-    return KernelPlan(grid, rules.layout(), _plan_matrix(grid, rules, (kernel, kernel), stride, n_gl, use_deriv)[0])
+    _lower_rules(rules, grid.points, grid.points, alpha, head=head)
+    return KernelPlan(grid, rules.layout(), _plan_matrix(grid, rules, (kernel, kernel), use_deriv)[0])
 
 
 def build_upper_plan(
@@ -494,12 +492,10 @@ def build_upper_plan(
     kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
     alpha: Optional[float] = None,
     use_deriv: bool = False,
-    stride: int = _BODY_STRIDE,
-    n_gl: int = _N_GL_SMALL,
 ) -> KernelPlan:
     rules = _Rules(grid.n)
-    _upper_rules(rules, grid.points, grid.points, alpha, stride, n_gl)
-    return KernelPlan(grid, rules.layout(), _plan_matrix(grid, rules, (kernel, kernel), stride, n_gl, use_deriv)[0])
+    _upper_rules(rules, grid.points, grid.points, alpha)
+    return KernelPlan(grid, rules.layout(), _plan_matrix(grid, rules, (kernel, kernel), use_deriv)[0])
 
 
 class PVPlan(KernelPlan):
@@ -568,23 +564,14 @@ class RatioKernel:
         return k / b if self.degree == -1.0 else k * b**self.degree
 
 
-def _log_uniform(grid: Grid) -> bool:
-    """Whether the grid's points are uniform in log x, to rounding."""
-    if grid.spacing != "log":
-        return False
-    s = grid.coord(grid.points)
-    h = (s[-1] - s[0]) / (grid.n - 1)
-    return bool(np.max(np.abs(s - (s[0] + h * np.arange(grid.n)))) <= 1e-12 * h)
-
-
 class _Template:
     """The dilation template of a plan's node table (see _template).
 
-    key[q] is node q's slot plus n_gl times its row, negative for nodes off
-    the template.  Slots [0, n_own) hold rows' own nodes; the body slots
-    follow, n_own + (g - i + n - 1) n_gl + j for node j of the panel from
-    grid point g seen from row i.  rep_node and rep_row place each slot's
-    ratio t/x where has_rep.
+    key[q] is node q's slot plus _N_GL_SMALL times its row, negative for
+    nodes off the template.  Slots [0, n_own) hold rows' own nodes; the body
+    slots follow, n_own + (g - i + n - 1) _N_GL_SMALL + j for node j of the
+    panel from grid point g seen from row i.  rep_node and rep_row place
+    each slot's ratio t/x where has_rep.
     in_stamp marks the nodes whose pairs enter as stamps: those of the clear
     body panels, of which each row sums the runs of panels runs lists as
     (rows, first panel g / stride, last panel g / stride), and the own
@@ -599,7 +586,7 @@ class _Template:
         self.per_pair = len(rep_node)
 
 
-def _template(grid: Grid, rules: _Rules, nodes, stride: int, n_gl: int) -> _Template:
+def _template(grid: Grid, rules: _Rules, nodes) -> _Template:
     """The dilation template of a plan on a grid uniform in log x.
 
     Node j of the body panel from grid point g sits at a ratio t/x_i fixed
@@ -617,7 +604,7 @@ def _template(grid: Grid, rules: _Rules, nodes, stride: int, n_gl: int) -> _Temp
     as stamps (_stamps).
     """
     n, x = grid.n, grid.points
-    cls = np.arange(n) % stride
+    cls = np.arange(n) % _BODY_STRIDE
     knots, k = spline_knots(grid)
     lo = np.exp(knots[2 * k]) * (1.0 + 1e-12)
     hi = np.exp(knots[len(knots) - 2 * k - 1]) * (1.0 - 1e-12)
@@ -639,9 +626,9 @@ def _template(grid: Grid, rules: _Rules, nodes, stride: int, n_gl: int) -> _Temp
         n_clear = np.zeros(n, dtype=int)
         n_clear[held] = np.add.reduceat(clear[block], row_first[held], dtype=int)
         rows_clear = n_clear == counts
-        common = np.zeros(stride, dtype=int)
-        first = np.zeros(stride, dtype=int)
-        for c in range(stride):
+        common = np.zeros(_BODY_STRIDE, dtype=int)
+        first = np.zeros(_BODY_STRIDE, dtype=int)
+        for c in range(_BODY_STRIDE):
             in_class = held & (cls == c)
             if np.any(in_class):
                 common[c] = np.bincount(counts[in_class]).argmax()
@@ -656,33 +643,33 @@ def _template(grid: Grid, rules: _Rules, nodes, stride: int, n_gl: int) -> _Temp
         at = cls[row] * width + np.minimum(place, width - 1)  # the slot, from n_own on
         u_rep = (nodes[rep] / x[first][:, None]).ravel()[at]
         match = (counts == common[cls])[row] & (np.abs(nodes[block] / x[row] - u_rep) <= 1e-12 * u_rep)
-        key[block] = np.where(match, n_own + at + n_gl * row, key[block])
+        key[block] = np.where(match, n_own + at + _N_GL_SMALL * row, key[block])
         stamped = np.zeros(n, dtype=bool)
         stamped[held] = np.logical_and.reduceat(match & clear[block], row_first[held])
         stamped &= rows_clear[first[cls]]
         in_stamp[block] = stamped[row]
         own_node.append(base + np.flatnonzero(in_stamp[block]))
         own_row.append(row[in_stamp[block]])
-        for c in range(stride):
+        for c in range(_BODY_STRIDE):
             own_stamps.append((np.flatnonzero(stamped & (cls == c)), n_own + c * width, common[c]))
-        n_own += stride * width
+        n_own += _BODY_STRIDE * width
 
     label = rules.lattice()
     body = np.flatnonzero(label >= 0)
-    g = label[body] // n_gl
-    clear_panel = (x[g] >= lo) & (x[g + stride] <= hi)
-    key[body] = label[body] + n_own + (n - 1) * n_gl
+    g = label[body] // _N_GL_SMALL
+    clear_panel = (x[g] >= lo) & (x[g + _BODY_STRIDE] <= hi)
+    key[body] = label[body] + n_own + (n - 1) * _N_GL_SMALL
     in_stamp[body[clear_panel]] = True
     # per d = g - i a panel to place the ratio at, a clear one if there is one
-    node_of = np.full(n * n_gl, -1)
+    node_of = np.full(n * _N_GL_SMALL, -1)
     node_of[label[body]] = body
     d = np.arange(1 - n, n)
     g_rep, found = _panel_for(np.unique(g), d, n)
     g_clear, found_clear = _panel_for(np.unique(g[clear_panel]), d, n)
     g_rep = np.where(found_clear, g_clear, g_rep)
-    body_node = np.where(found[:, None], node_of[g_rep[:, None] * n_gl + np.arange(n_gl)], 0).ravel()
-    body_row = np.repeat(np.where(found, g_rep - d, 0), n_gl)
-    body_rep = np.repeat(found, n_gl)
+    body_node = np.where(found[:, None], node_of[g_rep[:, None] * _N_GL_SMALL + np.arange(_N_GL_SMALL)], 0).ravel()
+    body_row = np.repeat(np.where(found, g_rep - d, 0), _N_GL_SMALL)
+    body_rep = np.repeat(found, _N_GL_SMALL)
     # the clear panels each row sums as stamps: per body segment a row's
     # panels are one run of consecutive ones, cut to the clear ones
     g_lo, g_hi = int(g[clear_panel].min(initial=n)), int(g[clear_panel].max(initial=-1))
@@ -691,9 +678,9 @@ def _template(grid: Grid, rules: _Rules, nodes, stride: int, n_gl: int) -> _Temp
         if owned:
             continue
         first_label = label[np.minimum(starts, len(label) - 1)]
-        g_first = first_label // n_gl
-        m_lo = -(-np.maximum(g_first, g_lo) // stride)
-        m_hi = np.minimum(g_first + (counts // n_gl - 1) * stride, g_hi) // stride
+        g_first = first_label // _N_GL_SMALL
+        m_lo = -(-np.maximum(g_first, g_lo) // _BODY_STRIDE)
+        m_hi = np.minimum(g_first + (counts // _N_GL_SMALL - 1) * _BODY_STRIDE, g_hi) // _BODY_STRIDE
         rows = np.flatnonzero((counts > 0) & (first_label >= 0) & (m_lo <= m_hi))
         runs.append((rows, m_lo[rows], m_hi[rows]))
     rows, m_lo, m_hi = (np.concatenate(part) for part in zip(*runs)) if runs else (np.zeros(0, dtype=int),) * 3
@@ -722,7 +709,7 @@ def _panel_for(starts: np.ndarray, d: np.ndarray, n: int):
     return g, (at < len(starts)) & (g - d < n)
 
 
-def _dilation_template(grid, rules, kernels, stride, n_gl, use_deriv=False, pole=False):
+def _dilation_template(grid, rules, kernels, use_deriv=False, pole=False):
     """(nodes, node_id, offsets, kw, coef0, diag): what _assemble sums pair
     by pair for a plan of ratio kernels on a grid uniform in log x (a node
     table cut to the pairs off the stamps, and their weights times the
@@ -749,7 +736,7 @@ def _dilation_template(grid, rules, kernels, stride, n_gl, use_deriv=False, pole
     n, x = grid.n, grid.points
     nodes, starts, lengths = rules.layout()
     weights = rules.weights()
-    tm = _template(grid, rules, nodes, stride, n_gl)
+    tm = _template(grid, rules, nodes)
     # the pairs off the stamps: per row and segment, the run of the
     # segment's nodes that are in no stamp, which are consecutive among those
     off = ~tm.in_stamp
@@ -758,17 +745,17 @@ def _dilation_template(grid, rules, kernels, stride, n_gl, use_deriv=False, pole
     node_id = np.flatnonzero(off)[node_id]
     del before
     row = np.repeat(np.arange(n), np.diff(offsets))
-    slot = tm.key[node_id] - n_gl * row
+    slot = tm.key[node_id] - _N_GL_SMALL * row
     slot[slot < 0] = tm.per_pair
-    own_slot = tm.key[tm.own_node] - n_gl * tm.own_row
+    own_slot = tm.key[tm.own_node] - _N_GL_SMALL * tm.own_row
     # d + n - 1 of the body stamps: a run of panels covers every stride-th
     # d from its first to its last, marked by a difference array per class
     run_row, m_first, m_last = tm.runs
-    size = -(-(2 * n - 1) // stride) * stride + stride
-    marks = np.bincount(m_first * stride - run_row + n - 1, minlength=size)
-    marks -= np.bincount(m_last * stride - run_row + n - 1 + stride, minlength=size)
-    body_d = np.flatnonzero(np.cumsum(marks.reshape(-1, stride), axis=0).ravel()[: 2 * n - 1])
-    body_slots = tm.n_own + (body_d[:, None] * n_gl + np.arange(n_gl)).ravel()
+    size = -(-(2 * n - 1) // _BODY_STRIDE) * _BODY_STRIDE + _BODY_STRIDE
+    marks = np.bincount(m_first * _BODY_STRIDE - run_row + n - 1, minlength=size)
+    marks -= np.bincount(m_last * _BODY_STRIDE - run_row + n - 1 + _BODY_STRIDE, minlength=size)
+    body_d = np.flatnonzero(np.cumsum(marks.reshape(-1, _BODY_STRIDE), axis=0).ravel()[: 2 * n - 1])
+    body_slots = tm.n_own + (body_d[:, None] * _N_GL_SMALL + np.arange(_N_GL_SMALL)).ravel()
     needed = np.zeros(tm.per_pair + 1, dtype=bool)
     needed[slot] = True
     needed[own_slot] = True
@@ -803,13 +790,13 @@ def _dilation_template(grid, rules, kernels, stride, n_gl, use_deriv=False, pole
             x_o, t_o = x[r], nodes[q]
             kw_own = weights[q] * scale[s] * kl.pole(kl.ratio(x_o, t_o)) * kl.power(x_o, t_o)
             diag += np.bincount(r, kw_own - kw_t[s], minlength=n)
-    coef0 = _stamps(grid, tm, kw_t, body_slots, nodes, stride, n_gl, kl.degree + 1.0, use_deriv)
+    coef0 = _stamps(grid, tm, kw_t, body_slots, nodes, kl.degree + 1.0, use_deriv)
     in_use = np.zeros(len(nodes), dtype=bool)
     in_use[node_id] = True
     return nodes[in_use], (np.cumsum(in_use) - 1)[node_id], offsets, kw, coef0, diag
 
 
-def _stamps(grid, tm, kw_t, body_slots, nodes, stride, n_gl, power, use_deriv):
+def _stamps(grid, tm, kw_t, body_slots, nodes, power, use_deriv):
     """The spline-coefficient rows of a plan's stamps: each slot's weighted
     kernel times its template node's basis row (of f' for use_deriv, as
     _assemble forms it), at the columns counted from the panel's grid point
@@ -833,7 +820,7 @@ def _stamps(grid, tm, kw_t, body_slots, nodes, stride, n_gl, power, use_deriv):
     if power:
         kw = kw * x[rep_row] ** -power
     nb = len(body_slots)
-    coef = _body_stamps(tm, kw[:nb], first[:nb], vals[:, :nb], rep_row[:nb], body_slots, n, ncol, stride, n_gl)
+    coef = _body_stamps(tm, kw[:nb], first[:nb], vals[:, :nb], rep_row[:nb], body_slots, n, ncol)
     at = nb
     for rows, s in own:
         e = first[at : at + len(s)] - rep_row[at : at + len(s)]  # columns from the row's own
@@ -845,7 +832,7 @@ def _stamps(grid, tm, kw_t, body_slots, nodes, stride, n_gl, power, use_deriv):
     return coef
 
 
-def _body_stamps(tm, kw, first, vals, rep_row, body_slots, n, ncol, stride, n_gl):
+def _body_stamps(tm, kw, first, vals, rep_row, body_slots, n, ncol):
     """Every row's sum of the body stamps of the clear panels it uses
     (tm.runs), as spline-coefficient rows.
 
@@ -858,38 +845,40 @@ def _body_stamps(tm, kw, first, vals, rep_row, body_slots, n, ncol, stride, n_gl
     [d_a - stride + e0, d_b + e0), plus P_(d_b), minus P_(d_a - stride).
     """
     k = len(vals) - 1
-    d = (body_slots - tm.n_own) // n_gl  # d + n - 1
+    d = (body_slots - tm.n_own) // _N_GL_SMALL  # d + n - 1
     e = first - (rep_row + d - (n - 1))  # columns from the panel's grid point
     e0 = min(int(e.min(initial=0)), 0)  # <= 0 keeps every row's window start below in range
     width = int(e.max(initial=-1)) - e0 + k + 1
     at = (d * width + e - e0) + np.arange(k + 1)[:, None]
     stamp = np.bincount(at.ravel(), (kw * vals).ravel(), minlength=(2 * n - 1) * width).reshape(2 * n - 1, width)
     partial = stamp.copy()
-    for lag in range(stride, width, stride):  # stamps d - lag reach into d's columns
+    for lag in range(_BODY_STRIDE, width, _BODY_STRIDE):  # stamps d - lag reach into d's columns
         partial[lag:, : width - lag] += stamp[:-lag, lag:]
     # R per class, at v - (1 - n + e0), padded so that every row's ncol
     # columns, from n - 1 - e0 - i on, are in range
     length = max(2 * n - 1 + width, n - e0 + ncol)
-    class_of = (n - 1 - np.arange(2 * n - 1)) % stride
+    class_of = (n - 1 - np.arange(2 * n - 1)) % _BODY_STRIDE
     where = (class_of * length + np.arange(2 * n - 1))[:, None] + np.arange(width)
-    total = np.bincount(where.ravel(), stamp.ravel(), minlength=stride * length).reshape(stride, length)
+    total = np.bincount(where.ravel(), stamp.ravel(), minlength=_BODY_STRIDE * length).reshape(_BODY_STRIDE, length)
     rows = np.arange(n)
     windows = np.lib.stride_tricks.sliding_window_view(total, ncol, axis=1)
-    coef = windows[rows % stride, n - 1 - e0 - rows]
+    coef = windows[rows % _BODY_STRIDE, n - 1 - e0 - rows]
     r, m_a, m_b = tm.runs  # rows, in order, and their runs' first and last panels
     runs = np.bincount(r, minlength=n)
     j = np.arange(len(r)) - (np.cumsum(runs) - runs)[r]  # the run's place in its row
     bounds = np.zeros((2, runs.max(initial=0), n, 1), dtype=int)  # where R holds, per row and run
-    bounds[0, j, r, 0] = (m_a - 1) * stride + e0
-    bounds[1, j, r, 0] = m_b * stride + e0
+    bounds[0, j, r, 0] = (m_a - 1) * _BODY_STRIDE + e0
+    bounds[1, j, r, 0] = m_b * _BODY_STRIDE + e0
     columns = np.arange(ncol)
     inside = np.zeros((n, ncol), dtype=bool)
     for lo, hi in zip(*bounds):
         inside |= (columns >= lo) & (columns < hi)
     coef *= inside
-    before = (m_a - 1) * stride - r + n - 1  # d_a - stride + n - 1
-    cols = np.concatenate([m_b * stride, (m_a - 1) * stride])[:, None] + e0 + np.arange(width)
-    adds = np.concatenate([partial[m_b * stride - r + n - 1], -partial[np.maximum(before, 0)] * (before >= 0)[:, None]])
+    before = (m_a - 1) * _BODY_STRIDE - r + n - 1  # d_a - stride + n - 1
+    cols = np.concatenate([m_b * _BODY_STRIDE, (m_a - 1) * _BODY_STRIDE])[:, None] + e0 + np.arange(width)
+    adds = np.concatenate(
+        [partial[m_b * _BODY_STRIDE - r + n - 1], -partial[np.maximum(before, 0)] * (before >= 0)[:, None]]
+    )
     rr = np.broadcast_to(np.concatenate([r, r])[:, None], cols.shape)
     keep = (cols >= 0) & (cols < ncol)
     np.add.at(coef, (rr[keep], cols[keep]), adds[keep])
@@ -932,8 +921,6 @@ def build_pv_plan(
     kernel_lower: Callable[[np.ndarray, np.ndarray], np.ndarray],
     kernel_upper: Callable[[np.ndarray, np.ndarray], np.ndarray],
     rho: float = 1.0 / np.pi,
-    stride: int = _BODY_STRIDE,
-    n_gl: int = _N_GL_SMALL,
 ) -> PVPlan:
     """Plan for PV kernel pairs with residue rho at the diagonal.
 
@@ -944,9 +931,9 @@ def build_pv_plan(
     """
     b = grid.hull[1]
     rules = _Rules(grid.n)
-    _pv_rules(rules, grid.points, stride, n_gl)
+    _pv_rules(rules, grid.points)
     sub = _pole_sum(grid, rules)
-    matrix, correction = _plan_matrix(grid, rules, (kernel_lower, kernel_upper), stride, n_gl, pole=True)
+    matrix, correction = _plan_matrix(grid, rules, (kernel_lower, kernel_upper), pole=True)
     log_term = np.log(grid.points / np.maximum(b - grid.points, 1e-300))
     # at the top hull point B - x = 0: the upper side is empty and the
     # subtraction degenerates; the lower-side-only value keeps ln(x/delta)

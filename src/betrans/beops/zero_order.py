@@ -2,11 +2,11 @@
 
 Four variants with Legendre-polynomial/function kernels P_nu(x/t) or
 P_nu(t/x), with the derivative outside the integral (S0+, S-) or on the
-operand (P0+, P-).  The outer derivative is taken on the kernel by default;
-the differentiate-the-result route (4th-order differences after
-quadrature) exists behind a flag for cross-checks.  At integer degree P-
-also has its L2 form (path="hardy").  Every kernel is homogeneous, handed
-to the plans as an _engine.RatioKernel.
+operand (P0+, P-).  The outer derivative is taken on the kernel, which is
+smooth at the diagonal for this family.  At integer degree P- also has its
+L2 form (path="hardy").  Every kernel is homogeneous, handed to the plans
+as an _engine.RatioKernel; the independent path is the symbol on the
+critical line (mellin.line_apply).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from .._engine import RatioKernel, build_lower_plan, build_upper_plan, deriv_on_grid
+from .._engine import RatioKernel, build_lower_plan, build_upper_plan
 from .._engine import cached_plan as _plan  # perfbench/tracer.py wraps the cache under this name
 from ..numgrid import SampledFunction
 from ..specfun import legendre_p
@@ -34,10 +34,8 @@ def _p_deriv_poly(nu: float, u: np.ndarray) -> np.ndarray:
 # looked up when called, so that rebinding them reaches every call)
 _PLANS = {
     "S0+": ("lower", lambda nu, z: legendre_p_deriv(nu, z), "x/t", -1, False),
-    "S0+fd": ("lower", lambda nu, z: legendre_p(nu, z, "off_cut"), "x/t", 0, False),
     "P0+": ("lower", lambda nu, u: legendre_p(nu, u, "on_cut"), "t/x", 0, True),
     "S-": ("upper", lambda nu, z: legendre_p_deriv_oncut(nu, z), "x/t", -1, False),
-    "S-fd": ("upper", lambda nu, z: legendre_p(nu, z, "on_cut"), "x/t", 0, False),
     "P-": ("upper", lambda nu, u: legendre_p(nu, u, "off_cut"), "t/x", 0, True),
     "P-hardy": ("lower", _p_deriv_poly, "t/x", -1, False),
 }
@@ -79,15 +77,10 @@ def _check_lower_decay(nu: float, f: SampledFunction) -> None:
     )
 
 
-def apply_zero_order(
-    spec: OperatorSpec, f: SampledFunction, outer_fd: bool = False, path: str = "raw"
-) -> SampledFunction:
+def apply_zero_order(spec: OperatorSpec, f: SampledFunction, path: str = "raw") -> SampledFunction:
     """Apply one zero-order-smoothness operator.
 
-    The derivative-outside variants (S0+, S-) differentiate the kernel by
-    default (the kernel is smooth at the diagonal for this family, and the
-    outer-difference route loses several digits on sharp operands); set
-    outer_fd=True for the differentiate-the-result cross-check path.
+    The derivative-outside variants (S0+, S-) differentiate the kernel.
 
     path="hardy" applies P- at integer degree n in its L2 form,
     P- g = g - int_0^x P_n'(t/x) g(t) dt / x: the raw form
@@ -105,20 +98,13 @@ def apply_zero_order(
         return f.with_values(f.values - _apply_plan("P-hardy", nu, f), decay_hint=None)
     if path != "raw":
         raise OperatorSpecError(f"unknown path {path!r}")
-    grid = f.grid
     if spec.variant == "S0+":
         _check_lower_decay(nu, f)
-        if outer_fd:
-            vals = deriv_on_grid(_apply_plan("S0+fd", nu, f), grid)
-        else:
-            vals = f.values + _apply_plan("S0+", nu, f)
+        vals = f.values + _apply_plan("S0+", nu, f)
     elif spec.variant == "P0+":
         vals = _apply_plan("P0+", nu, f)
     elif spec.variant == "S-":
-        if outer_fd:
-            vals = -deriv_on_grid(_apply_plan("S-fd", nu, f), grid)
-        else:
-            vals = f.values - _apply_plan("S-", nu, f)
+        vals = f.values - _apply_plan("S-", nu, f)
     elif spec.variant == "P-":
         vals = -_apply_plan("P-", nu, f)
     else:

@@ -1,15 +1,17 @@
-"""Numerical Mellin transform, the closed-form Mellin symbols, and operator
-norms as critical-line suprema.
+"""Numerical Mellin transform, the closed-form Mellin symbols, operator
+norms as critical-line suprema, and operators applied through their symbol.
 
 Every zero-order-smoothness operator, the second- and third-kind families,
 the Stieltjes transform, and the elementary Hardy-type operators act as
 Mellin convolutions: M[Af](s) = m(s) M[f](s).  This module owns the
 quadrature (mellin_numeric, measured_multiplicator), the closed forms m
 (m_zero_order ... m_spd: gamma and trigonometric factors), the numeric
-critical-line sup, and the functional equation.  Which family has which
-symbol, strip and closed-form norm is the operator catalog's
-(betrans.catalog); multiplicator, admissible_strip and operator_norm look
-the spec's family up there.
+critical-line sup, and the functional equation.  line_apply applies a
+symbol on Re s = 1/2 by FFT, on a grid uniform in log x, to operands with
+x^(1/2) f negligible at both hull ends: the evaluation path independent of
+the plans.  Which family has which symbol, strip and closed-form norm is
+the operator catalog's (betrans.catalog); multiplicator, admissible_strip,
+operator_norm and line_apply look the spec's family up there.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numgrid import SampledFunction, fit_power_law, head_model
+from .numgrid import GridError, SampledFunction, fit_power_law, head_model, log_uniform
 from .specfun import gamma_complex, rgamma
 
 __all__ = [
@@ -33,6 +35,7 @@ __all__ = [
     "operator_norm",
     "numeric_line_sup",
     "measured_multiplicator",
+    "line_apply",
 ]
 
 UNBOUNDED_TOL = 1e-12  # norm-denominator threshold reporting +inf
@@ -176,24 +179,9 @@ def m_zero_order(variant: str, nu, s):
     raise CatalogError(f"unknown zero-order variant {variant!r}")
 
 
-def p_second_kind(nu, s):
-    """Period-2 factor linking the second-kind and zero-order symbols.
-
-    p(s) = (sin pi nu + sin pi s) / (cos pi s - cos pi nu)
-         = -cot(pi (s - nu) / 2),
-    pinned by the nu = 0, +-1 degenerations to the half-line Hilbert pair
-    and by unitarity of the third-kind combinations.
-    """
-    s = np.asarray(s, dtype=complex)
-    nu = complex(nu)
-    den = np.cos(np.pi * s) - np.cos(np.pi * nu)
-    if np.any(np.abs(den) < 1e-13):
-        raise FormulaPoleError("p(s) pole: cos(pi s) = cos(pi nu)")
-    return (np.sin(np.pi * nu) + np.sin(np.pi * s)) / den
-
-
 def m_second_kind(variant: str, nu, s):
-    """Second-kind symbols: the period-2 factor times the zero-order symbol.
+    """Second-kind symbols: m_S is the period-2 factor -cot(pi (s - nu)/2)
+    times the zero-order symbol m_S-.
 
     Evaluated in the pole-free combined form (the factor's pole cancels a
     zero of the gamma ratio on the degenerate set cos(pi s) = cos(pi nu)):
@@ -311,6 +299,40 @@ def admissible_strip(spec) -> tuple[float, float]:
 
     nu_re = float(np.real(spec.nu)) if spec.nu is not None else 0.0
     return mellin_row(spec).strip(spec.variant, nu_re)
+
+
+# ----------------------------------------------------------------------
+# the symbol applied on the critical line
+# ----------------------------------------------------------------------
+
+_LINE_PAD = 4  # line_apply's FFT length, in multiples of the grid size
+
+
+def line_apply(spec, f: SampledFunction) -> SampledFunction:
+    """A catalogued Mellin multiplier applied through its symbol on
+    Re s = 1/2, by FFT (FFTLog: Talman 1978, J. Comput. Phys. 29:35;
+    Hamilton 2000, MNRAS 312:257).
+
+    With x = e^tau, M f(1/2 - iu) is the Fourier transform of
+    g(tau) = e^(tau/2) f(e^tau), so A f = x^(-1/2) F^-1[m(1/2 - iu) F g].
+    g's samples, zero-padded to _LINE_PAD n, take rfft, the symbol
+    (multiplicator) and irfft, and the first n are untilted.  No kernel and
+    no quadrature enter, so this path is independent of the plans.
+
+    Domain: the grid is uniform in log x (else GridError), and x^(1/2) f is
+    negligible at both hull ends, since the FFT takes g as zero outside the
+    hull.  The image may decay slowly: what it carries past the hull wraps
+    around the padded period, damped over it.
+    """
+    grid = f.grid
+    if not log_uniform(grid):
+        raise GridError("line_apply needs a grid uniform in log x")
+    size = _LINE_PAD * grid.n
+    h = np.log(grid.points[-1] / grid.points[0]) / (grid.n - 1)
+    u = 2.0 * np.pi * np.fft.rfftfreq(size, h)
+    root = np.sqrt(grid.points)
+    image = np.fft.irfft(np.fft.rfft(root * f.values, size) * multiplicator(spec, 0.5 - 1j * u), size)
+    return f.with_values(image[: grid.n] / root, decay_hint=None)
 
 
 # ----------------------------------------------------------------------

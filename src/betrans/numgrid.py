@@ -196,6 +196,15 @@ class Grid:
         return (s >= lo) & (s <= hi)
 
 
+def log_uniform(grid: Grid) -> bool:
+    """Whether the grid's points are uniform in log x, to rounding."""
+    if grid.spacing != "log":
+        return False
+    s = grid.coord(grid.points)
+    h = (s[-1] - s[0]) / (grid.n - 1)
+    return bool(np.max(np.abs(s - (s[0] + h * np.arange(grid.n)))) <= 1e-12 * h)
+
+
 def points_digest(points: np.ndarray) -> str:
     """Cache-key part for a set of grid points: a digest of their values."""
     return hashlib.blake2b(np.ascontiguousarray(points, dtype=float).tobytes(), digest_size=16).hexdigest()

@@ -8,7 +8,7 @@ import pytest
 
 from betrans import _engine, classicops, fracint, numgrid
 from betrans._engine import PVPlan, RatioKernel, build_lower_plan, build_pv_plan, build_upper_plan, deriv_on_grid
-from betrans.beops import first_kind, katrakhov, zero_order
+from betrans.beops import first_kind, zero_order
 from betrans.beops.second_kind import _kernels_p, _kernels_s, hilbert_pair_kernels
 from betrans.numgrid import SampledFunction, deriv_extended, eval_extended, make_grid
 from betrans.specfun import legendre_p
@@ -158,25 +158,13 @@ def _plain(kernel):
     return lambda x, t: kernel(x, t)
 
 
-def _fused_pv(variant, nu):
-    """katrakhov's fused PV plan (stride 2, 10 Gauss points) and its kernels."""
-    kernels = katrakhov._kernels_s(nu) if variant == "S" else katrakhov._kernels_p(nu)
-    return (lambda g: katrakhov._fused_plans(variant, nu, g)[1]), kernels, {"stride": 2, "n_gl": 10}
-
-
-def _pv(kernels):
-    return (lambda g: build_pv_plan(g, *kernels)), kernels, {}
-
-
 PV_RATIO_PLANS = {
-    "second:S:nu=0.3": lambda: _pv(_kernels_s(0.3)),
-    "second:S:nu=1.5": lambda: _pv(_kernels_s(1.5)),
-    "second:P:nu=0.3": lambda: _pv(_kernels_p(0.3)),
-    "second:P:nu=1.5": lambda: _pv(_kernels_p(1.5)),
-    "hilbert:S:nu=-1": lambda: _pv(hilbert_pair_kernels(-1)),
-    "hilbert:P:nu=-1": lambda: _pv(hilbert_pair_kernels(0)),
-    "kat:S:fused": lambda: _fused_pv("S", 0.5),
-    "kat:P:fused": lambda: _fused_pv("P", 0.5),
+    "second:S:nu=0.3": lambda: _kernels_s(0.3),
+    "second:S:nu=1.5": lambda: _kernels_s(1.5),
+    "second:P:nu=0.3": lambda: _kernels_p(0.3),
+    "second:P:nu=1.5": lambda: _kernels_p(1.5),
+    "hilbert:S:nu=-1": lambda: hilbert_pair_kernels(-1),
+    "hilbert:P:nu=-1": lambda: hilbert_pair_kernels(0),
 }
 
 
@@ -192,12 +180,13 @@ def test_template_pv_plan_matches_per_pair_path(case, gname):
     # the template changes only the rounding: within 2e-13 relative L2 of
     # the per-pair plan, about 1% of the Legendre-Q plans' quadrature error
     # (1.3e-11 to 1.6e-10 on gauss, x2gauss and xexp, 6e-9 to 1.1e-8 on
-    # bump12, against the same plans at stride 2 with 10 Gauss points)
+    # bump12, against the same plans on a rule of body panels at every 2nd
+    # grid point with 10 Gauss points each)
     grid = make_grid(512, (1e-4, 1e2)) if gname == "log" else _jittered_hull_grid()
-    assert _engine._log_uniform(grid)
-    build, (k_lower, k_upper), fine = PV_RATIO_PLANS[case]()
-    plan = build(grid)
-    ref = build_pv_plan(grid, _plain(k_lower), _plain(k_upper), **fine)
+    assert numgrid.log_uniform(grid)
+    k_lower, k_upper = PV_RATIO_PLANS[case]()
+    plan = build_pv_plan(grid, k_lower, k_upper)
+    ref = build_pv_plan(grid, _plain(k_lower), _plain(k_upper))
     assert np.array_equal(plan.t_all, ref.t_all) and np.array_equal(plan.offsets, ref.offsets)
     assert np.array_equal(plan.sub, ref.sub) and np.array_equal(plan.log_term, ref.log_term)
     for name in ("gauss", "x2gauss", "xexp", "bump12"):
@@ -221,17 +210,16 @@ def test_ratio_kernels_off_uniform_log_grids_take_the_per_pair_path(grid):
             assert np.array_equal(getattr(plan, attr), getattr(ref, attr)), attr
 
 
-@pytest.mark.parametrize("fine", [{}, {"stride": 2, "n_gl": 10}], ids=["default", "fine"])
 @pytest.mark.parametrize("gname", ["log", "jittered", "linear"])
-def test_pv_pole_sum_is_the_sum_over_the_plans_rule(gname, fine):
+def test_pv_pole_sum_is_the_sum_over_the_plans_rule(gname):
     # sub is sum w/(x - t) over each row's rule (plan.t_all, plan.offsets)
     # to 1e-14 of its largest value, and bit for bit the per-pair sum over
     # all rows at once, though it is summed a block of rows at a time
     grid = {"log": make_grid(512, (1e-4, 1e2)), "jittered": _jittered_hull_grid()}.get(gname)
     grid = grid or make_grid(256, (0.05, 12.0), "linear")
-    plan = build_pv_plan(grid, *hilbert_pair_kernels(0), **fine)
+    plan = build_pv_plan(grid, *hilbert_pair_kernels(0))
     rules = _engine._Rules(grid.n)
-    _engine._pv_rules(rules, grid.points, fine.get("stride", 4), fine.get("n_gl", 8))
+    _engine._pv_rules(rules, grid.points)
     nodes, weights, node_id, offsets = rules.pairs()
     assert np.array_equal(nodes[node_id], plan.t_all) and np.array_equal(offsets, plan.offsets)
     terms = weights[node_id] / (np.repeat(grid.points, np.diff(offsets)) - plan.t_all)
@@ -308,14 +296,8 @@ RATIO_PLANS = {
     **{f"first:{v}": (lambda v=v: _first(v)) for v in first_kind._VARIANTS},
     "first:B0+:mu=0": lambda: _first("B0+", 0.0),
     "first:E-:mu=-0.4": lambda: _first("E-", -0.4),
-    **{f"zero:{p}": (lambda p=p: _zero(p)) for p in ("S0+", "S0+fd", "P0+", "S-", "S-fd", "P-")},
+    **{f"zero:{p}": (lambda p=p: _zero(p)) for p in ("S0+", "P0+", "S-", "P-")},
     "zero:P-hardy:nu=2": lambda: _zero("P-hardy", 2.0),
-    "kat:S:smooth": lambda: (build_upper_plan, zero_order._kernel("S-", 0.5)[1], {"stride": 2, "n_gl": 10}),
-    "kat:P:smooth": lambda: (
-        build_lower_plan,
-        zero_order._kernel("P0+", 0.5)[1],
-        {"use_deriv": True, "stride": 2, "n_gl": 10},
-    ),
     "spd:P": lambda: (build_lower_plan, classicops._spd_poisson_kernel(0.25), {"alpha": -0.25}),
     "spd:P:nu=1.5": lambda: (build_lower_plan, classicops._spd_poisson_kernel(1.5), {}),
     "spd:S": lambda: (build_lower_plan, classicops._spd_sonine_kernels(0.25)[0], {"alpha": -0.75}),

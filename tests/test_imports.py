@@ -243,6 +243,14 @@ def test_apply_loads_no_scipy(op):
     assert _scipy_loaded_after(code) == []
 
 
+def test_katrakhov_unitarity_check_loads_no_scipy():
+    # its second path, mellin.line_apply, is numpy's FFT times the catalog's
+    # symbol, next to the plans
+    code = "from betrans.verify.registry import run_checks\n"
+    code += "assert run_checks(['katrakhov_unitarity'], verbose=False)[0].status == 'PASS'"
+    assert _scipy_loaded_after(code) == []
+
+
 def imports_scipy(source: str, package: tuple[str, ...]) -> bool:
     return any(name.split(".")[0] == "scipy" for name in imported_modules(source, package))
 

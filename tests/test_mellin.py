@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,11 +19,11 @@ from betrans.mellin import (
     measured_multiplicator,
     mellin_numeric,
     multiplicator,
+    line_apply,
     numeric_line_sup,
     operator_norm,
-    p_second_kind,
 )
-from betrans.numgrid import DecayHint, SampledFunction, make_grid
+from betrans.numgrid import DecayHint, GridError, SampledFunction, make_grid
 from betrans.specfun import gamma_complex
 from betrans.verify.checks import check_functional_equation
 
@@ -91,10 +93,13 @@ def test_inverse_pair_identity_random_strip_points():
 
 
 def test_second_kind_periodic_factor_degenerations():
+    # m_S is the zero-order m_S- times the period-2 factor -cot(pi (s - nu)/2):
+    # -cot(pi s/2) at nu = 0 and tan(pi s/2) at nu = +-1, the half-line
+    # Hilbert pair (measured within 6e-16)
     s = 0.5 + 1j * np.linspace(-4, 4, 12)
-    assert np.max(np.abs(p_second_kind(0.0, s) + 1.0 / np.tan(np.pi * s / 2.0))) < 1e-12
-    assert np.max(np.abs(p_second_kind(1.0, s) - np.tan(np.pi * s / 2.0))) < 1e-12
-    assert np.max(np.abs(p_second_kind(-1.0, s) - np.tan(np.pi * s / 2.0))) < 1e-12
+    for nu in (0.0, 1.0, -1.0, 0.3, 0.7, 1.5):
+        factor = -1.0 / np.tan(np.pi * (s - nu) / 2.0)
+        assert np.max(np.abs(m_second_kind("S", nu, s) - factor * m_zero_order("S-", nu, s))) < 1e-12
 
 
 def test_two_parameter_symbol_reduces_at_unit_order():
@@ -214,3 +219,26 @@ def test_measured_multiplicator_consistency(bump):
     meas = measured_multiplicator(bump, out, 0.5, u)
     expect = m_second_kind("S", 0.3, 0.5 + 1j * u)
     assert np.max(np.abs(meas - expect) / np.abs(expect)) < 1e-3
+
+
+# ----------------------------------------------------------------------
+# the symbol applied on the critical line
+# ----------------------------------------------------------------------
+
+
+def test_line_apply_matches_hardy_closed_form():
+    # H1 x^2 e^(-x^2) = (sqrt(pi)/4 erf x - x e^(-x^2)/2)/x; measured within
+    # 4.2e-9 of max|image| on make_grid(512), its slow 1/x tail wrapping
+    # around the padded period
+    grid = make_grid(512)
+    x = grid.points
+    f = SampledFunction.from_callable(lambda t: t * t * np.exp(-t * t), grid, DecayHint.exponential())
+    exact = (np.sqrt(np.pi) / 4.0 * np.vectorize(math.erf)(x) - x * np.exp(-x * x) / 2.0) / x
+    image = line_apply(OperatorSpec("hardy", "H1"), f)
+    assert np.max(np.abs(image.values - exact)) <= 1e-8 * np.max(np.abs(exact))
+
+
+def test_line_apply_needs_a_grid_uniform_in_log_x():
+    f = SampledFunction.from_callable(lambda t: t * t * np.exp(-t * t), make_grid(256, (0.05, 12.0), "linear"))
+    with pytest.raises(GridError, match="uniform in log x"):
+        line_apply(OperatorSpec("hardy", "H1"), f)
