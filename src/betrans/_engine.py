@@ -22,29 +22,31 @@ Three plan geometries cover every operator in the package:
           bounded remainder is integrated on panels graded geometrically
           toward the diagonal.
 
-Body panels are tied to every stride-th grid point (_BODY_STRIDE, 4) and
-carry _N_GL_SMALL (8) Gauss points each, one discretization for every
-plan.  Every output row that reaches a body panel shares its nodes, so the
-spline's basis is evaluated once per distinct node.
+The rule is a grid-interval lattice: every grid interval [x_m, x_(m+1)]
+carries N_GAUSS Gauss points, and a row holds the whole intervals its
+integral covers.  The intervals next to a row's own abscissa take its
+special panels: Gauss-Jacobi on the interval that ends at the diagonal
+when the endpoint power needs one, and in PV plans panels graded by
+halving across each neighbouring interval down to _PV_DELTA x.  Below the
+hull the head rule (_head_nodes) covers (0, a); rows with x <= 2a in lower
+plans take one panel from the start instead.
 
-Kernels homogeneous of degree d, K(x, t) = k(r) x^d with r a function of
-t/x (RatioKernel), repeat on a grid uniform in log x, in all three
-geometries: seen from x_i, the node j of the body panel from grid point g
-sits at a ratio t/x fixed by g - i and j, and a row's own panels (the last
-panel ending at x_i, the panel from x_i, and in PV plans, while x_i <= b/2,
-those ending at x_i -/+ eps0 and the graded ones, all scaled by
-eps0 = x_i/8) are those of the row one stride before it, dilated by
-x_(i+stride)/x_i.  So one template per stride class holds every ratio those
-rows see, k is evaluated once per template ratio, and a slot's weight times
-kernel scales with x^(d+1) from row to row.  Where the spline's knots are
-uniform (clear of its not-a-knot end intervals) the weighted basis rows of
-a template row, or of a body panel at one g - i, are summed once and added
-to every row as a shifted stamp, times that power of x.  The rule itself
-does not change: each row keeps its nodes and weights, and only the
-arithmetic that evaluates the same kernel at them does, to rounding.  Head
-nodes below a, the panel cut short at b and, in PV plans, rows with
-x > b/2, where eps0 = (b - x)/8, keep the per-pair path, as do any other
-kernel and any other grid (_dilation_template).
+Kernels homogeneous of degree d, K(x, t) = x^d K(1, t/x) (RatioKernel),
+see the same rule from every row of a grid uniform in log x: a node of
+interval m, seen from row i, sits at t/x_i fixed by m - i, and a row's
+special panels scale with x_i.  So K(1, .) is evaluated once per offset
+and node, at the nodes of one relative row x = 1 (about 2 n N_GAUSS
+values), and a weight times kernel scales with x_i^(d + 1) from row to
+row.  Clear of the spline's not-a-knot end intervals its basis functions
+are translates of one cardinal quintic, so the plan's columns there are
+Toeplitz, C[i, j] = x_i^(d + 1) c(i - j), with c one bincount of the
+relative row's weights times kernel against the cardinal quintic
+(_lattice_plan).  The end columns, the head columns, the rows whose rule
+is not the relative row's cut to the grid and, in PV plans, the pole sums
+are summed from the same values; only the head nodes (and the few panels
+of such rows that are not on the lattice) are evaluated row by row.  Any
+other kernel and any other grid take every pair on its own, which is the
+same rule to rounding.
 
 Above the grid hull the operand is taken as zero.
 """
@@ -69,6 +71,8 @@ from .numgrid import (
 
 N_GL_HEAD = 12
 N_JACOBI = 24
+N_GAUSS = 6  # Gauss points per grid interval
+N_GRADED = 8  # Gauss points per graded PV panel
 _PV_DELTA = 1e-7  # a PV rule's innermost approach to the pole, as a fraction of x
 
 
@@ -102,10 +106,6 @@ def _jacobi_panels(lo: np.ndarray, x: np.ndarray, alpha: float, left_end: bool =
     return t, w
 
 
-_BODY_STRIDE = 4  # the stride: body panel edges at every 4th grid point
-_N_GL_SMALL = 8  # Gauss points per body panel
-
-
 def _needs_jacobi(alpha: Optional[float]) -> bool:
     """Endpoint powers that defeat plain Gauss panels: negative, or positive
     non-integer (Hoelder endpoints slow Gauss-Legendre to O(h^(1+alpha)))."""
@@ -115,48 +115,46 @@ def _needs_jacobi(alpha: Optional[float]) -> bool:
 
 
 class _Rules:
-    """The quadrature rules of a plan's output rows over one node table.
+    """The quadrature rules of the rows `rows` (indices into the points
+    pts) over one node table.
 
-    Body panels tied to grid points serve every row that reaches them, so
-    their nodes are stored once; panels ending at a row's own abscissa
-    belong to that row.  Each call adds one (possibly empty) segment to
-    every row, and a row's rule is its segments in call order.
-
-    Each node also gets a lattice label: g k + j for node j of a shared
-    k-point panel that spans `stride` grid steps from grid point g, -1 for
-    any other node.
+    The table opens with the Gauss points of every interval of pts,
+    N_GAUSS per interval in interval order, shared by every row; the head
+    nodes below pts[0] are shared too, and panels next to a row's own
+    abscissa belong to that row.  Each call adds one (possibly empty)
+    segment of one kind ("intervals", "head" or "owned") to every row, and
+    a row's rule is its segments in call order.
     """
 
-    def __init__(self, n_rows: int):
-        self.n_rows = n_rows
-        self.size = 0
-        self._t, self._w, self._starts, self._lengths, self._lattice, self._owned = [], [], [], [], [], []
+    def __init__(self, pts: np.ndarray, rows: np.ndarray):
+        self.pts, self.rows = pts, rows
+        t, w = _gl_panels(pts[:-1], pts[1:], N_GAUSS)
+        self._t, self._w = [t.ravel()], [w.ravel()]
+        self.size = t.size
+        self._starts, self._lengths, self.kinds = [], [], []
 
-    def _add(self, t, w, starts, lengths, lattice, owned):
-        self._starts.append(self.size + np.broadcast_to(starts, self.n_rows))
-        self._lengths.append(np.broadcast_to(lengths, self.n_rows))
+    def _add(self, kind, t, w, starts, lengths):
+        self._starts.append(np.broadcast_to(starts, len(self.rows)))
+        self._lengths.append(np.broadcast_to(lengths, len(self.rows)))
         self._t.append(t.ravel())
         self._w.append(w.ravel())
-        self._lattice.append(np.broadcast_to(lattice, t.shape).ravel())
-        self._owned.append(owned)
+        self.kinds.append(kind)
         self.size += t.size
 
-    def shared(self, t, w, first, count, grid_start=None):
-        """Panels (rows of t, w) of which row i uses count[i] from first[i] on;
-        grid_start[p] is the grid point panel p starts at when it spans one
-        stride of grid points (else -1, or None for panels not tied to the grid)."""
-        k = t.shape[1]
-        lattice = -1
-        if grid_start is not None:
-            g = np.asarray(grid_start)[:, None]
-            lattice = np.where(g >= 0, g * k + np.arange(k), -1)
-        self._add(t, w, np.asarray(first) * k, np.asarray(count) * k, lattice, False)
+    def intervals(self, lo, hi):
+        """Row r holds the whole intervals lo[r] <= m < hi[r]."""
+        lo = np.asarray(lo)
+        self._add("intervals", np.zeros(0), np.zeros(0), lo * N_GAUSS, np.maximum(hi - lo, 0) * N_GAUSS)
+
+    def head(self, held):
+        """The head rule below pts[0] for the rows where held."""
+        self._add("head", *_head_nodes(self.pts[0]), self.size, np.asarray(held) * N_GL_HEAD)
 
     def owned(self, t, w, count):
-        """count[i] panels for row i, the rows of t, w in row order."""
+        """count[r] panels for row r, the rows of t, w in row order."""
         k = t.shape[1]
         count = np.asarray(count, dtype=int)
-        self._add(t, w, (np.cumsum(count) - count) * k, count * k, -1, True)
+        self._add("owned", t, w, self.size + (np.cumsum(count) - count) * k, count * k)
 
     @staticmethod
     def _joined(parts: list) -> np.ndarray:
@@ -166,9 +164,9 @@ class _Rules:
         return parts[0]
 
     def layout(self):
-        """(nodes, starts, lengths): the node table, and per row i and
-        segment s the run starts[i, s]:starts[i, s] + lengths[i, s] of it
-        that row i's rule holds there."""
+        """(nodes, starts, lengths): the node table, and per row r and
+        segment s the run starts[r, s]:starts[r, s] + lengths[r, s] of it
+        that row r's rule holds there."""
         return self._joined(self._t), np.stack(self._starts, axis=1), np.stack(self._lengths, axis=1)
 
     def weights(self) -> np.ndarray:
@@ -176,20 +174,10 @@ class _Rules:
         return self._joined(self._w)
 
     def pairs(self):
-        """(nodes, weights, node_id, offsets): row i's rule is nodes and
-        weights at node_id[offsets[i]:offsets[i + 1]]."""
+        """(nodes, weights, node_id, offsets): row r's rule is nodes and
+        weights at node_id[offsets[r]:offsets[r + 1]]."""
         nodes, starts, lengths = self.layout()
         return (nodes, self.weights(), *_unroll(starts, lengths))
-
-    def lattice(self) -> np.ndarray:
-        """Every node's lattice label, in node-table order."""
-        return self._joined(self._lattice)
-
-    def segments(self):
-        """(starts, counts, owned) per segment: row i's nodes there are
-        starts[i]:starts[i] + counts[i] of the node table; owned segments
-        hold rows' own panels, one block of the table row after row."""
-        return list(zip(self._starts, self._lengths, self._owned))
 
 
 def _unroll(starts, lengths):
@@ -198,126 +186,86 @@ def _unroll(starts, lengths):
     nseg = starts.shape[1]
     starts, lengths = starts.ravel(), lengths.ravel()
     ends = np.cumsum(lengths)
-    node_id = np.arange(ends[-1]) + np.repeat(starts - ends + lengths, lengths)
+    node_id = np.arange(lengths.sum()) + np.repeat(starts - ends + lengths, lengths)
     return node_id, np.concatenate([[0], ends[nseg - 1 :: nseg]])
 
 
-def _stride_starts(idx: np.ndarray) -> np.ndarray:
-    """grid_start of the panels between consecutive grid indices idx."""
-    return np.where(np.diff(idx) == _BODY_STRIDE, idx[:-1], -1)
-
-
-def _lower_rules(rules: _Rules, x, pts, alpha, head: str = "taylor"):
+def _lower_rules(rules: _Rules, alpha, head: str = "taylor"):
     """Rules for int_0^(x_i); optional (x-t)^alpha endpoint factor at t = x_i.
 
     head="taylor" extends the integral over (0, hull_a) using the operand's
-    edge quadratic model; head="zero" omits it (for kernels singular at the
-    origin, where operands must vanish below the hull anyway).  Limits up to
-    2a get one panel from the start; beyond, body panels run from a over
-    every stride-th grid point, and the last one ends at x_i (a Gauss-Jacobi
-    panel when the endpoint power needs one).
+    head model; head="zero" omits it (for kernels singular at the origin,
+    where operands must vanish below the hull anyway).  Limits up to 2a get
+    one panel from the start; beyond, the head rule and the whole intervals
+    below x_i, the last a Gauss-Jacobi panel when the endpoint power needs
+    one.
     """
-    a = pts[0]
+    pts, i = rules.pts, rules.rows
+    a, x = pts[0], pts[i]
     singular = _needs_jacobi(alpha)
     lo = a if head == "zero" else 0.0
     near = (x <= 2.0 * a) & (x > lo)
-    x_near = x[near]
-    lo_near = np.full_like(x_near, lo)
+    x_near, lo_near = x[near], np.full(np.count_nonzero(near), lo)
     rules.owned(*(_jacobi_panels(lo_near, x_near, alpha) if singular else _gl_panels(lo_near, x_near, N_GL_HEAD)), near)
     far = x > 2.0 * a
     if head != "zero":
-        rules.shared(*_head_nodes(a), 0, far)
-    # tying the panels to the grid makes the quadrature resolve any operand
-    # the grid itself resolves
-    inner_idx = np.arange(_BODY_STRIDE, len(pts), _BODY_STRIDE)
-    inner_idx = inner_idx[pts[inner_idx] > a * (1.0 + 1e-12)]
-    inner = pts[inner_idx]
-    m = np.where(far, np.searchsorted(inner, x * (1.0 - 1e-12)), 0)  # inner edges below x_i
-    edges = np.concatenate([[a], inner[: m.max(initial=0)]])
-    edge_idx = np.concatenate([[0], inner_idx[: m.max(initial=0)]])
-    rules.shared(*_gl_panels(edges[:-1], edges[1:], _N_GL_SMALL), 0, m, _stride_starts(edge_idx))
-    x_far, m_far = x[far], m[far]
+        rules.head(far)
+    rules.intervals(0, np.where(far, i - int(singular), 0))
     if singular:
-        split = np.where(m_far > 0, edges[m_far], np.maximum(0.5 * x_far, a))
-        alone = far & (m == 0)
-        rules.owned(*_gl_panels(np.full(np.count_nonzero(alone), a), split[m_far == 0], _N_GL_SMALL), alone)
-        rules.owned(*_jacobi_panels(split, x_far, alpha), far)
+        rules.owned(*_jacobi_panels(pts[i[far] - 1], x[far], alpha), far)
+
+
+def _upper_rules(rules: _Rules, alpha):
+    """Rules for int_(x_i)^b; optional (t-x)^alpha singularity at t = x_i:
+    the whole intervals above x_i, the first a Gauss-Jacobi panel when the
+    endpoint power needs one."""
+    pts, i = rules.pts, rules.rows
+    top = len(pts) - 1
+    if _needs_jacobi(alpha):
+        live = i < top
+        rules.owned(*_jacobi_panels(pts[i[live] + 1], pts[i[live]], alpha, left_end=True), live)
+        rules.intervals(i + 1, top)
     else:
-        rules.owned(*_gl_panels(edges[m_far], x_far, _N_GL_SMALL), far)
+        rules.intervals(i, top)
 
 
-def _upper_rules(rules: _Rules, x, pts, alpha):
-    """Rules for int_(x_i)^b; optional (t-x)^alpha singularity at t = x_i.
-
-    The first body panel starts at x_i (a Gauss-Jacobi panel when the
-    endpoint power needs one); the others run over every stride-th grid
-    point up to b.
-    """
-    b = pts[-1]
-    singular = _needs_jacobi(alpha)
-    live = x < b * (1.0 - 1e-14)
-    inner_idx = np.arange(_BODY_STRIDE, len(pts), _BODY_STRIDE)
-    inner_idx = inner_idx[pts[inner_idx] < b * (1.0 - 1e-12)]
-    inner = pts[inner_idx]
-    first = np.searchsorted(inner, x * (1.0 + 1e-12), side="right")  # first inner edge above x_i
-    m = np.where(live, len(inner) - first, 0)
-    skip = first[live].min(initial=len(inner))
-    edges = np.concatenate([inner[skip:], [b]])
-    x_live, m_live = x[live], m[live]
-    nxt = edges[first[live] - skip]
-    body = (*_gl_panels(edges[:-1], edges[1:], _N_GL_SMALL), first - skip, m)
-    grid_start = _stride_starts(np.concatenate([inner_idx[skip:], [len(pts) - 1]]))
-    if singular:
-        split = np.where(m_live > 0, nxt, np.minimum(2.0 * x_live, b))
-        rules.owned(*_jacobi_panels(split, x_live, alpha, left_end=True), live)
-        rules.shared(*body, grid_start)
-        alone = live & (m == 0)
-        rules.owned(*_gl_panels(split[m_live == 0], np.full(np.count_nonzero(alone), b), _N_GL_SMALL), alone)
-    else:
-        rules.owned(*_gl_panels(x_live, nxt, _N_GL_SMALL), live)
-        rules.shared(*body, grid_start)
+def _graded(x, span, side):
+    """(t, w, count): per row, count panels of N_GRADED Gauss points graded
+    by halving from x - span (side -1) or x + span (side +1) toward x,
+    down to the innermost approach _PV_DELTA x."""
+    delta = _PV_DELTA * x
+    halvings = span[:, None] * 0.5 ** np.arange(64)
+    count = np.count_nonzero(halvings > delta[:, None], axis=1)
+    cols = np.arange(int(count.max(initial=0)) + 1)
+    scales = np.where(cols < count[:, None], halvings[:, : len(cols)], delta[:, None])
+    valid = cols[:-1] < count[:, None]
+    outer, inner = x[:, None] + side * scales[:, :-1], x[:, None] + side * scales[:, 1:]
+    lo, hi = (outer, inner) if side < 0 else (inner, outer)
+    return (*_gl_panels(lo[valid], hi[valid], N_GRADED), count)
 
 
-def _pv_rules(rules: _Rules, pts):
+def _pv_rules(rules: _Rules):
     """Rules for the pole-subtracted PV integrals over (0, b).
 
-    Grid-aligned panels cover t < x - eps0 and t > x + eps0, with
-    eps0 = min(x, b - x)/8; on each side panels graded by halving reach from
-    eps0 down to the innermost approach _PV_DELTA x, where the bracket
-    integrand is bounded.
+    Whole intervals cover t < x_(i-1) and t > x_(i+1); the two intervals
+    next to x_i take panels graded toward it (_graded), where the bracket
+    integrand is bounded.  Row 0 grades over (a^2/x_1, a) and takes one
+    panel from 0 below that.
     """
-    b = pts[-1]
-    x = pts
-    delta = _PV_DELTA * x
-    eps0 = np.maximum(np.minimum(x, b - x), delta * 4.0) / 8.0
-    _lower_rules(rules, x - eps0, pts, None)
-    # scales eps0, eps0/2, ... while above delta, then delta itself
-    halvings = eps0[:, None] * 0.5 ** np.arange(64)
-    count = np.count_nonzero(halvings > delta[:, None], axis=1)
-    kmax = int(count.max())
-    cols = np.arange(kmax + 2)
-    scales = np.where(cols < count[:, None], halvings[:, : kmax + 2], delta[:, None])
-    scales[count == 0, 0] = eps0[count == 0]
-    edge = x[:, None] - scales
-    valid = cols[:-1] < count[:, None]
-    rules.owned(*_gl_panels(edge[:, :-1][valid], edge[:, 1:][valid], _N_GL_SMALL), count)
-    # upper side: the scales that fit below b - x, innermost first, or the
-    # two scales min(eps0, b - x) and delta when fewer fit
-    hi_cap = b - x
-    up = hi_cap > delta
-    n_hi = np.count_nonzero((cols < (count + 1)[:, None]) & (scales <= hi_cap[:, None]), axis=1)
-    rev = np.take_along_axis(scales, np.clip(count[:, None] - cols, 0, kmax + 1), axis=1)
-    short = up & (n_hi < 2)
-    rev[short, 0] = delta[short]
-    rev[short, 1] = np.minimum(eps0, hi_cap)[short]
-    n_hi = np.where(short, 2, n_hi)
-    panels = np.where(up, n_hi - 1, 0)
-    edge = x[:, None] + rev
-    valid = cols[:-1] < panels[:, None]
-    rules.owned(*_gl_panels(edge[:, :-1][valid], edge[:, 1:][valid], _N_GL_SMALL), panels)
-    start = np.take_along_axis(edge, np.maximum(n_hi - 1, 0)[:, None], axis=1)[:, 0]
-    beyond = up & (start < b * (1.0 - 1e-12))
-    _upper_rules(rules, np.where(beyond, start, b), pts, None)
+    pts, i = rules.pts, rules.rows
+    top = len(pts) - 1
+    x = pts[i]
+    first = i == 0
+    below = np.where(first, x * (1.0 - pts[0] / pts[1]), x - pts[np.maximum(i - 1, 0)])
+    above = pts[np.minimum(i + 1, top)] - x
+    rules.owned(*_gl_panels(np.zeros(np.count_nonzero(first)), (x - below)[first], N_GL_HEAD), first)
+    rules.head(~first)
+    rules.intervals(0, i - 1)
+    t, w, count = _graded(x, below, -1.0)
+    rules.owned(t, w, count)
+    t, w, count = _graded(x, above, 1.0)
+    rules.owned(t, w, count)
+    rules.intervals(i + 1, top)
 
 
 def _segmented_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -334,41 +282,60 @@ def _segmented_sum(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 _ASSEMBLY_PAIRS = 1 << 14  # (row, node) pairs accumulated per block
 
 
-def _assemble(grid: Grid, nodes, node_id, offsets, kw, use_deriv: bool, coef0=None):
-    """The n x (n + 6) matrix, on numgrid.operand_vector, of the plan whose
-    row i is sum kw[p] f(nodes[node_id[p]]) over p in offsets[i]:offsets[i + 1]
-    (f' for use_deriv), plus the spline-coefficient rows coef0 when given
-    (summed into in place).
+def _basis(grid: Grid, t, use_deriv: bool):
+    """(first, vals, dk): the spline's basis rows at t inside the hull,
+    vals[p, q] the basis function first[q] + p at t[q].  For use_deriv
+    they are f''s: the degree k-1 rows on the inner knots, divided by t on
+    log grids, which dk carries to the coefficients (_on_coefficients)."""
+    knots, k = spline_knots(grid)
+    if not use_deriv:
+        return (*basis_rows(knots, k, grid.coord(t)), None)
+    first, vals = basis_rows(knots[1:-1], k - 1, grid.coord(t))
+    if grid.spacing == "log":
+        vals /= t
+    return first, vals, k / (knots[k + 1 : -1] - knots[1 : -k - 1])
+
+
+def _on_coefficients(coef, dk):
+    """Rows on the basis of _basis as rows on the spline's coefficients:
+    for f' (dk given), the derivative's coefficients dk_i (c_(i+1) - c_i)."""
+    if dk is None:
+        return coef
+    scaled = coef * dk
+    out = np.zeros((len(coef), coef.shape[1] + 1))
+    out[:, 1:] += scaled
+    out[:, :-1] -= scaled
+    return out
+
+
+def _assemble(grid: Grid, nodes, node_id, offsets, kw, use_deriv: bool):
+    """The len(offsets) - 1 rows, on numgrid.operand_vector, of the plan
+    whose row r is sum kw[p] f(nodes[node_id[p]]) over p in
+    offsets[r]:offsets[r + 1] (f' for use_deriv).
 
     Inside the hull f is the operand's interpolating spline: each node's
-    basis row (of f' for use_deriv: the degree k-1 rows on the inner knots
-    times the coefficients' difference matrix, divided by t on log grids),
-    weighted and summed per output row, gives the first n columns, on the
-    spline's coefficients.  Below the hull f is its head model,
-    linear in the model's six coefficients (numgrid.head_basis): the
-    weights summed per row and node, times the basis rows at the nodes,
-    give the last six.  Above the hull f is zero.
+    basis row (_basis), weighted and summed per output row, gives the
+    first n columns, on the spline's coefficients.  Below the hull f is its
+    head model, linear in the model's six coefficients
+    (numgrid.head_basis): the weights summed per row and node, times the
+    basis rows at the nodes, give the last six.  Above the hull f is zero.
     """
-    n = grid.n
+    n_rows = len(offsets) - 1
     a, b = grid.hull
-    knots, k = spline_knots(grid)
+    used = np.zeros(len(nodes), dtype=bool)  # the basis rows of the nodes in use only
+    used[node_id] = True
+    nodes, node_id = nodes[used], (np.cumsum(used) - 1)[node_id]
     below = nodes < a
     inside = (nodes >= a) & (nodes <= b)
-    t_in = nodes[inside]
-    if use_deriv:
-        first, vals = basis_rows(knots[1:-1], k - 1, grid.coord(t_in))
-        if grid.spacing == "log":
-            vals /= t_in
-    else:
-        first, vals = basis_rows(knots, k, grid.coord(t_in))
-    ncol = len(knots) - k - 1 - int(use_deriv)
+    first, vals, dk = _basis(grid, nodes[inside], use_deriv)
+    ncol = grid.n - int(use_deriv)
     in_index = np.cumsum(inside) - 1
     head_index = np.cumsum(below) - 1
-    coef = np.empty((n, ncol)) if coef0 is None else coef0
+    coef = np.empty((n_rows, ncol))
     head_rows, head_cols, head_kw = [], [], []
     r0 = 0
-    while r0 < n:
-        r1 = min(max(int(np.searchsorted(offsets, offsets[r0] + _ASSEMBLY_PAIRS, side="right")) - 1, r0 + 1), n)
+    while r0 < n_rows:
+        r1 = min(max(int(np.searchsorted(offsets, offsets[r0] + _ASSEMBLY_PAIRS, side="right")) - 1, r0 + 1), n_rows)
         block = slice(offsets[r0], offsets[r1])
         q, w = node_id[block], kw[block]
         row = np.repeat(np.arange(r1 - r0), np.diff(offsets[r0 : r1 + 1]))
@@ -376,10 +343,7 @@ def _assemble(grid: Grid, nodes, node_id, offsets, kw, use_deriv: bool, coef0=No
         qi = in_index[q[keep]]
         cols = ((row[keep] * ncol + first[qi]) + np.arange(len(vals))[:, None]).ravel()
         terms = (np.take(vals, qi, axis=1) * w[keep]).ravel()
-        if coef0 is None:
-            coef[r0:r1] = np.bincount(cols, terms, minlength=(r1 - r0) * ncol).reshape(r1 - r0, ncol)
-        else:
-            np.add.at(coef[r0:r1].reshape(-1), cols, terms)
+        coef[r0:r1] = np.bincount(cols, terms, minlength=(r1 - r0) * ncol).reshape(r1 - r0, ncol)
         low = below[q]
         head_rows.append(row[low] + r0)
         head_cols.append(head_index[q[low]])
@@ -388,15 +352,8 @@ def _assemble(grid: Grid, nodes, node_id, offsets, kw, use_deriv: bool, coef0=No
     # per row, the head nodes' weights times their head-basis rows
     head_rows, head_kw = np.concatenate(head_rows), np.concatenate(head_kw)
     basis = head_basis(nodes[below], a, use_deriv)[np.concatenate(head_cols)]
-    head = np.stack([np.bincount(head_rows, head_kw * col, minlength=n) for col in basis.T], axis=1)
-    if use_deriv:
-        # spline derivative coefficients: dk_i (c_(i+1) - c_i)
-        dk = k / (knots[k + 1 : k + 1 + ncol] - knots[1 : 1 + ncol])
-        scaled = coef * dk
-        coef = np.zeros((n, ncol + 1))
-        coef[:, 1:] += scaled
-        coef[:, :-1] -= scaled
-    return np.hstack([coef, head])
+    head = np.stack([np.bincount(head_rows, head_kw * col, minlength=n_rows) for col in basis.T], axis=1)
+    return np.hstack([_on_coefficients(coef, dk), head])
 
 
 class KernelPlan:
@@ -450,29 +407,228 @@ def _sided(fns, low, *args):
     return out
 
 
-def _plan_matrix(grid: Grid, rules: _Rules, kernels, use_deriv=False, pole=False):
-    """(matrix, diag): a plan's matrix (_assemble) for the kernels
-    (lower, upper), the first on t < x and the second on t > x, and a
-    correction to its pole term; pole marks a PV plan.  Two RatioKernels of
-    one variable and one degree on a grid uniform in log x are evaluated
-    and assembled from the dilation template (_dilation_template); any
-    other kernels or grid pair by pair, with no correction.
+class RatioKernel:
+    """A kernel homogeneous of degree d (K(lambda x, lambda t) =
+    lambda^d K(x, t)): K(x, t) = k(r) x^d, with r a function of t/x alone.
+
+    variable "t/x":   r = t/x;
+    variable "1-t/x": r = (x - t)/x, which keeps its digits next to the
+                      diagonal (for k with a factor x - t, or rational in t/x);
+    variable "x/t":   r = x/t, and K(x, t) = k(r) t^d.
+
+    Take as r the argument that k hands its special function, so that k is
+    a smooth function of the rounded r.  The degree is the kernel's own
+    (the default -1 is that of every Mellin convolution k(t/x)/x).  On
+    grids uniform in log x the plan builders evaluate K(1, .) once per
+    lattice node of the relative row (_lattice_plan); everywhere else
+    K(x, t) is called like any kernel.
     """
+
+    _FORMS = {
+        # r(x, t) and the base of the power b^d
+        "t/x": (lambda x, t: t / x, lambda x, t: x),
+        "1-t/x": (lambda x, t: (x - t) / x, lambda x, t: x),
+        "x/t": (lambda x, t: x / t, lambda x, t: t),
+    }
+
+    def __init__(self, k: Callable[[np.ndarray], np.ndarray], variable: str = "t/x", degree: float = -1.0):
+        self.k = k
+        self.variable = variable
+        self.degree = float(degree)
+        self.ratio, self.base = self._FORMS[variable]
+
+    def __call__(self, x, t):
+        b = self.base(x, t)
+        k = self.k(self.ratio(x, t))
+        return k / b if self.degree == -1.0 else k * b**self.degree
+
+
+_END = 8  # grid intervals at either end that reach the spline's not-a-knot basis functions
+
+
+def _lattice(grid: Grid, kernels) -> bool:
+    """Whether a plan of the kernels on the grid is built on the lattice
+    (_lattice_plan): two RatioKernels of one degree, on a quintic spline
+    uniform in log x."""
     kl, ku = kernels
-    if (
+    return (
         isinstance(kl, RatioKernel)
         and isinstance(ku, RatioKernel)
-        and (kl.variable, kl.degree) == (ku.variable, ku.degree)
+        and kl.degree == ku.degree
+        and grid.n >= 2 * _END
         and log_uniform(grid)
-    ):
-        *pairs, coef0, diag = _dilation_template(grid, rules, kernels, use_deriv, pole)
-        return _assemble(grid, *pairs, use_deriv, coef0), diag
-    nodes, weights, node_id, offsets = rules.pairs()
-    x_all = np.repeat(grid.points, np.diff(offsets))
-    t_all = nodes[node_id]
-    kw = weights[node_id] * _sided(kernels, t_all < x_all, x_all, t_all)
-    del x_all, t_all
-    return _assemble(grid, nodes, node_id, offsets, kw, use_deriv), 0.0
+    )
+
+
+def _cardinal_row(h: float, t, kw, use_deriv: bool, n: int) -> np.ndarray:
+    """c, with c[i - j + n + 1] the cardinal column j's entry of a row that
+    sums kw[q] f(t[q]) (f' for use_deriv) over nodes t given as ratios to
+    its own abscissa x_i = 1.
+
+    Node q at ln t = (o + tau) h reaches the basis functions j = i + o - 2
+    + p, p = 0..5, which there are the cardinal quintic M at tau + 5 - p
+    (its derivative M'(u) = M4(u) - M4(u - 1) over t h for f')."""
+    sigma = np.log(t) / h
+    o = np.floor(sigma)
+    tau = sigma - o
+    if use_deriv:
+        _, d4 = basis_rows(np.arange(-4.0, 6.0), 4, tau)
+        vals = np.zeros((6, len(t)))
+        vals[1:] += d4
+        vals[:-1] -= d4
+        kw = kw / (t * h)
+    else:
+        _, vals = basis_rows(np.arange(-5.0, 7.0), 5, tau)
+    at = (n + 3 - o).astype(int) - np.arange(6)[:, None]  # i - j + n + 1
+    return np.bincount(at.ravel(), (vals * kw).ravel(), minlength=2 * n + 3)
+
+
+def _lattice_plan(grid: Grid, rules: _Rules, geometry, kernels, use_deriv: bool, pole: bool):
+    """(matrix, sub) of the rule geometry(rules) for RatioKernels of one
+    degree d on a grid uniform in log x (see the module docstring), sub
+    the pole sums (_pair_plan) when pole.
+
+    The relative row is the same geometry at x = 1 on the points
+    exp(h k), |k| < n: its intervals hold every offset m - i a row can
+    see, and its weights times K(1, .) are every value the plan needs but
+    the head's.  A row whose every segment is the relative row's cut to
+    the grid (same runs of offsets, same count of own nodes) is a lattice
+    row.  In every row the cardinal columns are x_i^(d + 1) c(i - j)
+    (_cardinal_row; x_i^d for use_deriv), the end columns sum the Gauss
+    points of the _END intervals at either end, and the head columns the
+    head nodes.  The other rows, and those with own panels in the end
+    intervals, are summed pair by pair (_assemble), with the relative
+    row's values but at the own panels that are not its.  The kernels are
+    called once, at the relative row's nodes, the head nodes of every row
+    and those own panels.
+    """
+    n, x = grid.n, grid.points
+    s = grid.coord(x)
+    h = (s[-1] - s[0]) / (n - 1)
+    scale = x ** (kernels[0].degree + 1.0)  # weight times kernel, from x = 1 to x_i
+    rel = _Rules(np.exp(h * np.arange(1 - n, n)), np.array([n - 1]))
+    geometry(rel)
+    r_nodes, r_weights, r_id, _ = rel.pairs()
+    r_id = r_id[r_nodes[r_id] >= rel.pts[0]]  # the head nodes are evaluated per row
+    t_r = r_nodes[r_id]
+    nodes, starts, lengths = rules.layout()
+    weights = rules.weights()
+    _, r_starts, r_lengths = rel.layout()
+    i = np.arange(n)
+    # per segment: the rows that match the relative row, and the shift
+    # from a node's id to its relative node's
+    lattice_row, own_held = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
+    shift, direct = np.zeros_like(starts), np.zeros(starts.shape, dtype=bool)
+    for seg, kind in enumerate(rules.kinds):
+        st, ln = starts[:, seg], lengths[:, seg]
+        if kind == "intervals":
+            lo, hi = st // N_GAUSS - i, (st + ln) // N_GAUSS - i
+            g_lo, g_hi = (r_starts[0, seg] + np.array([0, r_lengths[0, seg]])) // N_GAUSS + 1 - n
+            want_lo, want_hi = np.maximum(g_lo, -i), np.minimum(g_hi, n - 1 - i)
+            lattice_row &= ((ln == 0) & (want_hi <= want_lo)) | ((lo == want_lo) & (hi == want_hi))
+            shift[:, seg] = (n - 1 - i) * N_GAUSS
+        elif kind == "owned":
+            match = ln == r_lengths[0, seg]
+            lattice_row &= match
+            own_held |= match & (ln > 0)
+            shift[:, seg] = r_starts[0, seg] - st
+            direct[:, seg] = ~match
+    # the other rows, and the rows with own panels in the end intervals
+    # (intervals i - 1 and i), go pair by pair, without their head nodes
+    edge = np.flatnonzero(~lattice_row | (own_held & ((i <= _END) | (i >= n - 2 - _END))))
+    segs = [seg for seg, kind in enumerate(rules.kinds) if kind != "head"]
+    run_lengths = lengths[edge][:, segs]
+    node_id, offsets = _unroll(starts[edge][:, segs], run_lengths)
+    on = ~np.repeat(direct[edge][:, segs].ravel(), run_lengths.ravel())
+    row = np.repeat(edge, np.diff(offsets))
+    held = np.any(lengths[:, [seg for seg, kind in enumerate(rules.kinds) if kind == "head"]] > 0, axis=1)
+    head_t, w_h = _head_nodes(x[0])
+    x_h, t_h = np.broadcast_arrays(x[held][:, None], head_t)
+    # one call of each kernel, at every value the relative row cannot give
+    x_k = np.concatenate([np.ones_like(t_r), x_h.ravel(), x[row[~on]]])
+    t_k = np.concatenate([t_r, t_h.ravel(), nodes[node_id[~on]]])
+    values = _sided(kernels, t_k < x_k, x_k, t_k)
+    r_kw = np.zeros(rel.size)
+    r_kw[r_id] = r_weights[r_id] * values[: len(t_r)]
+    matrix = np.zeros((n, n + 6))
+    c = _cardinal_row(h, t_r, r_kw[r_id], use_deriv, n)
+    windows = np.lib.stride_tricks.sliding_window_view(c[::-1], n - 12)  # row i's from n + 7 - i
+    np.multiply(windows[n + 7 - i], (scale / x if use_deriv else scale)[:, None], out=matrix[:, 6 : n - 6])
+    for m, cols in ((np.arange(_END), slice(0, 6)), (np.arange(n - 1 - _END, n - 1), slice(n - 6, n))):
+        q = (m[:, None] * N_GAUSS + np.arange(N_GAUSS)).ravel()
+        first, vals, dk = _basis(grid, nodes[q], use_deriv)
+        rows = np.zeros((len(q), n - int(use_deriv)))
+        rows[np.arange(len(q)), first + np.arange(len(vals))[:, None]] = vals
+        matrix[:, cols] = (r_kw[q + ((n - 1 - i) * N_GAUSS)[:, None]] * scale[:, None]) @ _on_coefficients(rows, dk)[:, cols]
+    at = len(t_r) + x_h.size
+    matrix[held, n:] = (w_h * values[len(t_r) : at].reshape(x_h.shape)) @ head_basis(head_t, x[0], use_deriv)
+    if len(edge):
+        kw = np.empty(len(node_id))
+        rel_id = node_id[on] + np.repeat(shift[edge][:, segs].ravel(), run_lengths.ravel())[on]
+        kw[on] = r_kw[rel_id] * scale[row[on]]
+        kw[~on] = weights[node_id[~on]] * values[at:]
+        block = _assemble(grid, nodes, node_id, offsets, kw, use_deriv)
+        matrix[edge, :n] = block[:, :n]
+        matrix[edge, n:] += block[:, n:]
+    if not pole:
+        return matrix, None
+    # pole sums: the intervals' by prefix sums over offsets, the own
+    # panels' from the relative row, the rest node by node
+    sub = np.zeros(n)
+    sub[held] = np.sum(w_h / (x_h - t_h), axis=1)
+    pole_rel = np.zeros(rel.size)
+    pole_rel[r_id] = r_weights[r_id] / (1.0 - t_r)
+    prefix = np.concatenate([[0.0], np.cumsum(pole_rel[: (2 * n - 2) * N_GAUSS].reshape(-1, N_GAUSS).sum(axis=1))])
+    for seg, kind in enumerate(rules.kinds):
+        st, ln = starts[:, seg], lengths[:, seg]
+        if kind == "intervals":
+            lo = st // N_GAUSS + n - 1 - i
+            sub += prefix[lo + ln // N_GAUSS] - prefix[lo]
+        elif kind == "owned":
+            sub += np.where(direct[:, seg], 0.0, pole_rel[r_starts[0, seg] : r_starts[0, seg] + r_lengths[0, seg]].sum())
+    terms = np.zeros(len(node_id))
+    terms[~on] = weights[node_id[~on]] / (x[row[~on]] - nodes[node_id[~on]])
+    sub[edge] += _segmented_sum(terms, offsets)
+    return matrix, sub
+
+
+_PAIR_BLOCK = 1 << 16  # (row, node) pairs evaluated per block off the lattice
+
+
+def _pair_plan(grid: Grid, rules: _Rules, kernels, use_deriv: bool, pole: bool):
+    """(matrix, sub): the plan with every pair evaluated on its own, and
+    sub_i = sum of w/(x_i - t) over row i's rule when pole, the pole's
+    integral as the plan's quadrature sees it (whatever the kernels).  A
+    block of rows at a time, each row in the order of its rule, so no
+    array spans every (row, node) pair."""
+    n, x = grid.n, grid.points
+    nodes, starts, lengths = rules.layout()
+    weights = rules.weights()
+    ends = np.concatenate([[0], np.cumsum(lengths.sum(axis=1))])  # row i's pairs end at ends[i + 1]
+    blocks, sub = [], np.empty(n)
+    r0 = 0
+    while r0 < n:
+        r1 = min(max(int(np.searchsorted(ends, ends[r0] + _PAIR_BLOCK, side="right")) - 1, r0 + 1), n)
+        node_id, offsets = _unroll(starts[r0:r1], lengths[r0:r1])
+        x_b, t_b = np.repeat(x[r0:r1], np.diff(offsets)), nodes[node_id]
+        blocks.append(_assemble(grid, nodes, node_id, offsets, weights[node_id] * _sided(kernels, t_b < x_b, x_b, t_b), use_deriv))
+        if pole:
+            sub[r0:r1] = _segmented_sum(weights[node_id] / (x_b - t_b), offsets)
+        r0 = r1
+    return np.vstack(blocks), sub if pole else None
+
+
+def _plan(grid: Grid, geometry, kernels, use_deriv=False, pole=False):
+    """(rules, matrix, sub): the rule geometry(rules) on the grid's rows and
+    the plan's matrix for the kernels (lower, upper), the first on t < x
+    and the second on t > x, with the pole sums when pole marks a PV plan.
+    On the lattice (_lattice) the matrix comes from the relative row
+    (_lattice_plan); otherwise every pair is evaluated on its own."""
+    rules = _Rules(grid.points, np.arange(grid.n))
+    geometry(rules)
+    if _lattice(grid, kernels):
+        return (rules, *_lattice_plan(grid, rules, geometry, kernels, use_deriv, pole))
+    return (rules, *_pair_plan(grid, rules, kernels, use_deriv, pole))
 
 
 def build_lower_plan(
@@ -482,9 +638,8 @@ def build_lower_plan(
     use_deriv: bool = False,
     head: str = "taylor",
 ) -> KernelPlan:
-    rules = _Rules(grid.n)
-    _lower_rules(rules, grid.points, grid.points, alpha, head=head)
-    return KernelPlan(grid, rules.layout(), _plan_matrix(grid, rules, (kernel, kernel), use_deriv)[0])
+    rules, matrix, _ = _plan(grid, lambda r: _lower_rules(r, alpha, head), (kernel, kernel), use_deriv)
+    return KernelPlan(grid, rules.layout(), matrix)
 
 
 def build_upper_plan(
@@ -493,9 +648,8 @@ def build_upper_plan(
     alpha: Optional[float] = None,
     use_deriv: bool = False,
 ) -> KernelPlan:
-    rules = _Rules(grid.n)
-    _upper_rules(rules, grid.points, grid.points, alpha)
-    return KernelPlan(grid, rules.layout(), _plan_matrix(grid, rules, (kernel, kernel), use_deriv)[0])
+    rules, matrix, _ = _plan(grid, lambda r: _upper_rules(r, alpha), (kernel, kernel), use_deriv)
+    return KernelPlan(grid, rules.layout(), matrix)
 
 
 class PVPlan(KernelPlan):
@@ -523,399 +677,6 @@ class PVPlan(KernelPlan):
     apply = KernelPlan.apply
 
 
-class RatioKernel:
-    """A kernel homogeneous of degree d (K(lambda x, lambda t) =
-    lambda^d K(x, t)): K(x, t) = k(r) x^d, with r a function of t/x alone.
-
-    variable "t/x":   r = t/x;
-    variable "1-t/x": r = (x - t)/x, which keeps its digits next to the
-                      diagonal (for k with a factor x - t, or rational in t/x);
-    variable "x/t":   r = x/t, and K(x, t) = k(r) t^d.
-
-    Take as r the argument that k hands its special function, so that k is
-    a smooth function of the rounded r.  The degree is the kernel's own
-    (the default -1 is that of every Mellin convolution k(t/x)/x).  On
-    grids uniform in log x the plan builders evaluate k once per template
-    ratio (_dilation_template); everywhere else K(x, t) is called like any
-    kernel.
-    """
-
-    _FORMS = {
-        # r(x, t), the base of the power b^d, and 1/(x - t) as pole(r)/b
-        "t/x": (lambda x, t: t / x, lambda x, t: x, lambda r: 1.0 / (1.0 - r)),
-        "1-t/x": (lambda x, t: (x - t) / x, lambda x, t: x, lambda r: 1.0 / r),
-        "x/t": (lambda x, t: x / t, lambda x, t: t, lambda r: 1.0 / (r - 1.0)),
-    }
-
-    def __init__(self, k: Callable[[np.ndarray], np.ndarray], variable: str = "t/x", degree: float = -1.0):
-        self.k = k
-        self.variable = variable
-        self.degree = float(degree)
-        self.ratio, self.base, self.pole = self._FORMS[variable]
-
-    def power(self, x, t):
-        """K(x, t)/k(r) = b^d."""
-        b = self.base(x, t)
-        return 1.0 / b if self.degree == -1.0 else b**self.degree
-
-    def __call__(self, x, t):
-        b = self.base(x, t)
-        k = self.k(self.ratio(x, t))
-        return k / b if self.degree == -1.0 else k * b**self.degree
-
-
-class _Template:
-    """The dilation template of a plan's node table (see _template).
-
-    key[q] is node q's slot plus _N_GL_SMALL times its row, negative for
-    nodes off the template.  Slots [0, n_own) hold rows' own nodes; the body
-    slots follow, n_own + (g - i + n - 1) _N_GL_SMALL + j for node j of the
-    panel from grid point g seen from row i.  rep_node and rep_row place
-    each slot's ratio t/x where has_rep.
-    in_stamp marks the nodes whose pairs enter as stamps: those of the clear
-    body panels, of which each row sums the runs of panels runs lists as
-    (rows, first panel g / stride, last panel g / stride), and the own
-    nodes own_node (of rows own_row) of the rows listed in own_stamps as
-    (rows, first slot, number of slots) per segment and stride class.
-    """
-
-    def __init__(self, key, rep_node, rep_row, has_rep, in_stamp, own, runs, n_own):
-        self.key, self.rep_node, self.rep_row, self.has_rep = key, rep_node, rep_row, has_rep
-        self.own_stamps, self.own_node, self.own_row = own
-        self.in_stamp, self.runs, self.n_own = in_stamp, runs, n_own
-        self.per_pair = len(rep_node)
-
-
-def _template(grid: Grid, rules: _Rules, nodes) -> _Template:
-    """The dilation template of a plan on a grid uniform in log x.
-
-    Node j of the body panel from grid point g sits at a ratio t/x_i fixed
-    by g - i and j, so (g - i, j) is its slot, shared by every row.  A
-    row's own panels scale with x_i while eps0 = x_i/8, so the rows of one
-    stride class repeat them node for node: in each segment of own panels,
-    the class's rows that hold its most common number of nodes share slots
-    by place, with the first of them (preferably one clear of the end
-    intervals) as the class's template row.  A node whose t/x is not its
-    template node's to 1e-12 leaves the template (those of the rows with
-    x > b/2 do, where eps0 = (b - x)/8).  Head nodes and the panel cut short
-    at b stay on the per-pair path.  Clear of the end intervals the spline's
-    basis rows are translates of one another, so a row whose own nodes in a
-    segment all match a clear template row, and a body panel there, enter
-    as stamps (_stamps).
-    """
-    n, x = grid.n, grid.points
-    cls = np.arange(n) % _BODY_STRIDE
-    knots, k = spline_knots(grid)
-    lo = np.exp(knots[2 * k]) * (1.0 + 1e-12)
-    hi = np.exp(knots[len(knots) - 2 * k - 1]) * (1.0 - 1e-12)
-    clear = (nodes > lo) & (nodes < hi)
-    key = np.full(len(nodes), -(1 << 30), dtype=np.int32)
-    in_stamp = np.zeros(len(nodes), dtype=bool)
-    rep_node, rep_row, has_rep, own_stamps, own_node, own_row = [], [], [], [], [], []
-    n_own = 0
-    for starts, counts, owned in rules.segments():
-        if not owned:
-            continue
-        held = counts > 0
-        if not np.any(held):
-            continue
-        # the segment's nodes are one block of the table, row after row
-        base, row = starts[0], np.repeat(np.arange(n), counts)
-        block = slice(base, base + len(row))
-        row_first = np.cumsum(counts) - counts  # in the block
-        n_clear = np.zeros(n, dtype=int)
-        n_clear[held] = np.add.reduceat(clear[block], row_first[held], dtype=int)
-        rows_clear = n_clear == counts
-        common = np.zeros(_BODY_STRIDE, dtype=int)
-        first = np.zeros(_BODY_STRIDE, dtype=int)
-        for c in range(_BODY_STRIDE):
-            in_class = held & (cls == c)
-            if np.any(in_class):
-                common[c] = np.bincount(counts[in_class]).argmax()
-                pick = in_class & (counts == common[c])
-                first[c] = np.argmax(pick & rows_clear if np.any(pick & rows_clear) else pick)
-        width = int(common.max())
-        rep = np.minimum(starts[first][:, None] + np.arange(width), len(nodes) - 1)
-        rep_node.append(rep.ravel())
-        rep_row.append(np.repeat(first, width))
-        has_rep.append((np.arange(width) < common[:, None]).ravel())
-        place = np.arange(len(row)) - row_first[row]
-        at = cls[row] * width + np.minimum(place, width - 1)  # the slot, from n_own on
-        u_rep = (nodes[rep] / x[first][:, None]).ravel()[at]
-        match = (counts == common[cls])[row] & (np.abs(nodes[block] / x[row] - u_rep) <= 1e-12 * u_rep)
-        key[block] = np.where(match, n_own + at + _N_GL_SMALL * row, key[block])
-        stamped = np.zeros(n, dtype=bool)
-        stamped[held] = np.logical_and.reduceat(match & clear[block], row_first[held])
-        stamped &= rows_clear[first[cls]]
-        in_stamp[block] = stamped[row]
-        own_node.append(base + np.flatnonzero(in_stamp[block]))
-        own_row.append(row[in_stamp[block]])
-        for c in range(_BODY_STRIDE):
-            own_stamps.append((np.flatnonzero(stamped & (cls == c)), n_own + c * width, common[c]))
-        n_own += _BODY_STRIDE * width
-
-    label = rules.lattice()
-    body = np.flatnonzero(label >= 0)
-    g = label[body] // _N_GL_SMALL
-    clear_panel = (x[g] >= lo) & (x[g + _BODY_STRIDE] <= hi)
-    key[body] = label[body] + n_own + (n - 1) * _N_GL_SMALL
-    in_stamp[body[clear_panel]] = True
-    # per d = g - i a panel to place the ratio at, a clear one if there is one
-    node_of = np.full(n * _N_GL_SMALL, -1)
-    node_of[label[body]] = body
-    d = np.arange(1 - n, n)
-    g_rep, found = _panel_for(np.unique(g), d, n)
-    g_clear, found_clear = _panel_for(np.unique(g[clear_panel]), d, n)
-    g_rep = np.where(found_clear, g_clear, g_rep)
-    body_node = np.where(found[:, None], node_of[g_rep[:, None] * _N_GL_SMALL + np.arange(_N_GL_SMALL)], 0).ravel()
-    body_row = np.repeat(np.where(found, g_rep - d, 0), _N_GL_SMALL)
-    body_rep = np.repeat(found, _N_GL_SMALL)
-    # the clear panels each row sums as stamps: per body segment a row's
-    # panels are one run of consecutive ones, cut to the clear ones
-    g_lo, g_hi = int(g[clear_panel].min(initial=n)), int(g[clear_panel].max(initial=-1))
-    runs = []
-    for starts, counts, owned in rules.segments():
-        if owned:
-            continue
-        first_label = label[np.minimum(starts, len(label) - 1)]
-        g_first = first_label // _N_GL_SMALL
-        m_lo = -(-np.maximum(g_first, g_lo) // _BODY_STRIDE)
-        m_hi = np.minimum(g_first + (counts // _N_GL_SMALL - 1) * _BODY_STRIDE, g_hi) // _BODY_STRIDE
-        rows = np.flatnonzero((counts > 0) & (first_label >= 0) & (m_lo <= m_hi))
-        runs.append((rows, m_lo[rows], m_hi[rows]))
-    rows, m_lo, m_hi = (np.concatenate(part) for part in zip(*runs)) if runs else (np.zeros(0, dtype=int),) * 3
-    order = np.argsort(rows, kind="stable")
-    own_node = np.concatenate(own_node) if own_node else np.zeros(0, dtype=int)
-    own_row = np.concatenate(own_row) if own_row else np.zeros(0, dtype=int)
-    return _Template(
-        key,
-        np.concatenate(rep_node + [body_node]),
-        np.concatenate(rep_row + [body_row]),
-        np.concatenate(has_rep + [body_rep]),
-        in_stamp,
-        (own_stamps, own_node, own_row),
-        (rows[order], m_lo[order], m_hi[order]),
-        n_own,
-    )
-
-
-def _panel_for(starts: np.ndarray, d: np.ndarray, n: int):
-    """(g, found): per offset d, the first panel start g of the sorted
-    `starts` with 0 <= g - d < n."""
-    if not len(starts):
-        return np.zeros_like(d), np.zeros(len(d), dtype=bool)
-    at = np.searchsorted(starts, np.maximum(d, 0))
-    g = starts[np.minimum(at, len(starts) - 1)]
-    return g, (at < len(starts)) & (g - d < n)
-
-
-def _dilation_template(grid, rules, kernels, use_deriv=False, pole=False):
-    """(nodes, node_id, offsets, kw, coef0, diag): what _assemble sums pair
-    by pair for a plan of ratio kernels on a grid uniform in log x (a node
-    table cut to the pairs off the stamps, and their weights times the
-    kernels), the spline-coefficient rows of the stamps, and a correction
-    to the pole term (_template).  kernels is (lower, upper): the
-    first acts on t < x, the second on t > x; pole marks a PV plan.
-
-    k is evaluated once per slot, at its template ratio r_T, and a pair
-    takes k(r_T) times its own power b^d.  A stamp carries the template's
-    weighted kernel, which scales with x^(d + 1) from row to row (a slot's
-    weight with x, the kernel with x^d; the derivative basis on a log grid
-    carries 1/t, one power less).  In a PV plan a pair's own rounded ratio
-    r differs from r_T in the last bits, which moves the pole 1/(x - t) by
-    up to 1e-9 of itself at the innermost nodes, so a pair takes
-    k(r_T)/pole(r_T) from the template and multiplies it by its own
-    pole(r): next to the diagonal, where the pole sets k, that is the value
-    the per-pair kernel has.  A stamped own pair's own value differs from
-    the stamp's only next to the diagonal, where f(t) is f(x_i) to within
-    |x_i - t| f', so the difference joins the pole term.  Body panels lie at
-    least x/8 off the diagonal, where r and r_T give the same k to
-    rounding; without a pole, every pair does.
-    """
-    kl, ku = kernels
-    n, x = grid.n, grid.points
-    nodes, starts, lengths = rules.layout()
-    weights = rules.weights()
-    tm = _template(grid, rules, nodes)
-    # the pairs off the stamps: per row and segment, the run of the
-    # segment's nodes that are in no stamp, which are consecutive among those
-    off = ~tm.in_stamp
-    before = np.concatenate([[0], np.cumsum(off)])
-    node_id, offsets = _unroll(before[starts], before[starts + lengths] - before[starts])
-    node_id = np.flatnonzero(off)[node_id]
-    del before
-    row = np.repeat(np.arange(n), np.diff(offsets))
-    slot = tm.key[node_id] - _N_GL_SMALL * row
-    slot[slot < 0] = tm.per_pair
-    own_slot = tm.key[tm.own_node] - _N_GL_SMALL * tm.own_row
-    # d + n - 1 of the body stamps: a run of panels covers every stride-th
-    # d from its first to its last, marked by a difference array per class
-    run_row, m_first, m_last = tm.runs
-    size = -(-(2 * n - 1) // _BODY_STRIDE) * _BODY_STRIDE + _BODY_STRIDE
-    marks = np.bincount(m_first * _BODY_STRIDE - run_row + n - 1, minlength=size)
-    marks -= np.bincount(m_last * _BODY_STRIDE - run_row + n - 1 + _BODY_STRIDE, minlength=size)
-    body_d = np.flatnonzero(np.cumsum(marks.reshape(-1, _BODY_STRIDE), axis=0).ravel()[: 2 * n - 1])
-    body_slots = tm.n_own + (body_d[:, None] * _N_GL_SMALL + np.arange(_N_GL_SMALL)).ravel()
-    needed = np.zeros(tm.per_pair + 1, dtype=bool)
-    needed[slot] = True
-    needed[own_slot] = True
-    needed[body_slots] = True
-    needed = needed[:-1] & tm.has_rep
-    slot[~np.append(needed, False)[slot]] = tm.per_pair
-    slots = np.flatnonzero(needed)
-    x_k, t_k = x[row], nodes[node_id]
-    per_pair = np.flatnonzero(slot == tm.per_pair)
-    # one call of k per kernel, at the template ratios and the per-pair ones
-    x_r = np.concatenate([x[tm.rep_row[slots]], x_k[per_pair]])
-    t_r = np.concatenate([nodes[tm.rep_node[slots]], t_k[per_pair]])
-    r = kl.ratio(x_r, t_r)
-    k_r = _sided((kl.k, ku.k), t_r < x_r, r)
-    ns = len(slots)
-    scale = np.zeros(tm.per_pair + 1)  # k(r_T), over pole(r_T) in PV plans
-    scale[slots] = k_r[:ns] / kl.pole(r[:ns]) if pole else k_r[:ns]
-    values = scale[slot] * kl.power(x_k, t_k)
-    if pole:
-        values *= kl.pole(kl.ratio(x_k, t_k))
-    values[per_pair] = k_r[ns:] * kl.power(x_r[ns:], t_r[ns:])
-    kw = weights[node_id] * values
-    # the template's weights times kernel values, for the stamps
-    kw_t = np.zeros(tm.per_pair)
-    kw_t[slots] = weights[tm.rep_node[slots]] * k_r[:ns] * kl.power(x_r[:ns], t_r[:ns])
-    diag = 0.0
-    if pole:
-        diag = np.zeros(n)
-        # a block at a time: the stamped own nodes fill most of the node table
-        for lo in range(0, len(own_slot), _ASSEMBLY_PAIRS):
-            q, r, s = (a[lo : lo + _ASSEMBLY_PAIRS] for a in (tm.own_node, tm.own_row, own_slot))
-            x_o, t_o = x[r], nodes[q]
-            kw_own = weights[q] * scale[s] * kl.pole(kl.ratio(x_o, t_o)) * kl.power(x_o, t_o)
-            diag += np.bincount(r, kw_own - kw_t[s], minlength=n)
-    coef0 = _stamps(grid, tm, kw_t, body_slots, nodes, kl.degree + 1.0, use_deriv)
-    in_use = np.zeros(len(nodes), dtype=bool)
-    in_use[node_id] = True
-    return nodes[in_use], (np.cumsum(in_use) - 1)[node_id], offsets, kw, coef0, diag
-
-
-def _stamps(grid, tm, kw_t, body_slots, nodes, power, use_deriv):
-    """The spline-coefficient rows of a plan's stamps: each slot's weighted
-    kernel times its template node's basis row (of f' for use_deriv, as
-    _assemble forms it), at the columns counted from the panel's grid point
-    (body stamps) or from the template row (own stamps), summed once per
-    stamp and added to every row that uses it, times (x_i/x_T)^power from
-    the slot's template row T to the row i (power d + 1 for a kernel of
-    degree d, one less for use_deriv)."""
-    n, x = grid.n, grid.points
-    knots, k = spline_knots(grid)
-    own = [(rows, np.arange(s0, s0 + count)) for rows, s0, count in tm.own_stamps if len(rows) and count]
-    slots = np.concatenate([body_slots] + [s for _, s in own]).astype(int)
-    t_rep = nodes[tm.rep_node[slots]]
-    rep_row = tm.rep_row[slots]
-    kw = kw_t[slots]
-    if use_deriv:
-        knots, k = knots[1:-1], k - 1
-        kw = kw / t_rep
-        power -= 1.0
-    first, vals = basis_rows(knots, k, grid.coord(t_rep))
-    ncol = len(knots) - k - 1
-    if power:
-        kw = kw * x[rep_row] ** -power
-    nb = len(body_slots)
-    coef = _body_stamps(tm, kw[:nb], first[:nb], vals[:, :nb], rep_row[:nb], body_slots, n, ncol)
-    at = nb
-    for rows, s in own:
-        e = first[at : at + len(s)] - rep_row[at : at + len(s)]  # columns from the row's own
-        row_stamp, e_first = _stamp_row(e, kw[at : at + len(s)], vals[:, at : at + len(s)])
-        coef[rows[:, None], rows[:, None] + e_first + np.arange(len(row_stamp))] += row_stamp
-        at += len(s)
-    if power:
-        coef *= (x**power)[:, None]
-    return coef
-
-
-def _body_stamps(tm, kw, first, vals, rep_row, body_slots, n, ncol):
-    """Every row's sum of the body stamps of the clear panels it uses
-    (tm.runs), as spline-coefficient rows.
-
-    Stamp d = g - i holds its columns from g + e0 on, so in the columns
-    v = col - i relative to the row it sits at d + e0 on.  Rows of one
-    class i mod stride see the stamps d = -i mod stride, and C_D, the
-    class's stamps d <= D summed, is R, the class's whole sum, below D + e0,
-    and a partial sum P_D over D's own columns [D + e0, D + e0 + width).
-    A run of panels from d_a to d_b adds C_(d_b) - C_(d_a - stride): R on
-    [d_a - stride + e0, d_b + e0), plus P_(d_b), minus P_(d_a - stride).
-    """
-    k = len(vals) - 1
-    d = (body_slots - tm.n_own) // _N_GL_SMALL  # d + n - 1
-    e = first - (rep_row + d - (n - 1))  # columns from the panel's grid point
-    e0 = min(int(e.min(initial=0)), 0)  # <= 0 keeps every row's window start below in range
-    width = int(e.max(initial=-1)) - e0 + k + 1
-    at = (d * width + e - e0) + np.arange(k + 1)[:, None]
-    stamp = np.bincount(at.ravel(), (kw * vals).ravel(), minlength=(2 * n - 1) * width).reshape(2 * n - 1, width)
-    partial = stamp.copy()
-    for lag in range(_BODY_STRIDE, width, _BODY_STRIDE):  # stamps d - lag reach into d's columns
-        partial[lag:, : width - lag] += stamp[:-lag, lag:]
-    # R per class, at v - (1 - n + e0), padded so that every row's ncol
-    # columns, from n - 1 - e0 - i on, are in range
-    length = max(2 * n - 1 + width, n - e0 + ncol)
-    class_of = (n - 1 - np.arange(2 * n - 1)) % _BODY_STRIDE
-    where = (class_of * length + np.arange(2 * n - 1))[:, None] + np.arange(width)
-    total = np.bincount(where.ravel(), stamp.ravel(), minlength=_BODY_STRIDE * length).reshape(_BODY_STRIDE, length)
-    rows = np.arange(n)
-    windows = np.lib.stride_tricks.sliding_window_view(total, ncol, axis=1)
-    coef = windows[rows % _BODY_STRIDE, n - 1 - e0 - rows]
-    r, m_a, m_b = tm.runs  # rows, in order, and their runs' first and last panels
-    runs = np.bincount(r, minlength=n)
-    j = np.arange(len(r)) - (np.cumsum(runs) - runs)[r]  # the run's place in its row
-    bounds = np.zeros((2, runs.max(initial=0), n, 1), dtype=int)  # where R holds, per row and run
-    bounds[0, j, r, 0] = (m_a - 1) * _BODY_STRIDE + e0
-    bounds[1, j, r, 0] = m_b * _BODY_STRIDE + e0
-    columns = np.arange(ncol)
-    inside = np.zeros((n, ncol), dtype=bool)
-    for lo, hi in zip(*bounds):
-        inside |= (columns >= lo) & (columns < hi)
-    coef *= inside
-    before = (m_a - 1) * _BODY_STRIDE - r + n - 1  # d_a - stride + n - 1
-    cols = np.concatenate([m_b * _BODY_STRIDE, (m_a - 1) * _BODY_STRIDE])[:, None] + e0 + np.arange(width)
-    adds = np.concatenate(
-        [partial[m_b * _BODY_STRIDE - r + n - 1], -partial[np.maximum(before, 0)] * (before >= 0)[:, None]]
-    )
-    rr = np.broadcast_to(np.concatenate([r, r])[:, None], cols.shape)
-    keep = (cols >= 0) & (cols < ncol)
-    np.add.at(coef, (rr[keep], cols[keep]), adds[keep])
-    return coef
-
-
-def _stamp_row(e, kw, vals):
-    """(stamp, e0): sum of kw[s] vals[:, s] placed at columns e[s] + o, as
-    a dense row from column e0."""
-    e0 = int(e.min())
-    at = (e - e0) + np.arange(len(vals))[:, None]
-    return np.bincount(at.ravel(), (kw * vals).ravel(), minlength=int(e.max()) - e0 + len(vals)), e0
-
-
-def _pole_sum(grid: Grid, rules: _Rules) -> np.ndarray:
-    """sub_i = sum of w/(x_i - t) over row i's rule: the pole's integral as
-    the plan's quadrature sees it.
-
-    Summed a block of rows at a time, each row in the order of its rule, so
-    no array spans every (row, node) pair; sub depends on the rule alone,
-    whatever the plan's kernels.
-    """
-    n, x = grid.n, grid.points
-    nodes, starts, lengths = rules.layout()
-    weights = rules.weights()
-    ends = np.concatenate([[0], np.cumsum(lengths.sum(axis=1))])  # row i's pairs end at ends[i + 1]
-    sub = np.empty(n)
-    r0 = 0
-    while r0 < n:
-        r1 = min(max(int(np.searchsorted(ends, ends[r0] + _ASSEMBLY_PAIRS, side="right")) - 1, r0 + 1), n)
-        node_id, offsets = _unroll(starts[r0:r1], lengths[r0:r1])
-        terms = weights[node_id] / (np.repeat(x[r0:r1], np.diff(offsets)) - nodes[node_id])
-        sub[r0:r1] = _segmented_sum(terms, offsets)
-        r0 = r1
-    return sub
-
-
 def build_pv_plan(
     grid: Grid,
     kernel_lower: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -926,14 +687,11 @@ def build_pv_plan(
 
     K_lower acts on t < x, K_upper on t > x; both behave like
     rho/(x - t) as t -> x (same one-sided residue).  The kernels are
-    evaluated and assembled as in every plan (_plan_matrix), and the rule,
-    and so t_all, offsets, sub and log_term, is the same either way.
+    evaluated and assembled as in every plan (_plan), and the rule, and so
+    t_all, offsets and log_term, is the same either way.
     """
     b = grid.hull[1]
-    rules = _Rules(grid.n)
-    _pv_rules(rules, grid.points)
-    sub = _pole_sum(grid, rules)
-    matrix, correction = _plan_matrix(grid, rules, (kernel_lower, kernel_upper), pole=True)
+    rules, matrix, sub = _plan(grid, _pv_rules, (kernel_lower, kernel_upper), pole=True)
     log_term = np.log(grid.points / np.maximum(b - grid.points, 1e-300))
     # at the top hull point B - x = 0: the upper side is empty and the
     # subtraction degenerates; the lower-side-only value keeps ln(x/delta)
@@ -941,8 +699,9 @@ def build_pv_plan(
     if np.any(top):
         log_term[top] = np.log(grid.points[top] / (_PV_DELTA * grid.points[top]))
     first, vals = basis_rows(*spline_knots(grid), grid.coord(grid.points))  # row i of A
-    matrix[np.arange(grid.n), first + np.arange(len(vals))[:, None]] -= (rho * (sub - log_term) - correction) * vals
+    matrix[np.arange(grid.n), first + np.arange(len(vals))[:, None]] -= rho * (sub - log_term) * vals
     return PVPlan(grid, rules.layout(), matrix, sub, log_term, rho)
+
 
 
 # ----------------------------------------------------------------------

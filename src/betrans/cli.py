@@ -131,8 +131,8 @@ def _cmd_funceq(args) -> int:
 
 def _cmd_verify(args) -> int:
     base = Path(args.compare).read_bytes() if args.compare else None
-    ids = args.checks
-    reports = run_checks(REGISTRY if not ids or ids == ["all"] else ids, verbose=not args.quiet)
+    subset = args.checks not in ([], ["all"])
+    reports = run_checks(args.checks if subset else REGISTRY, verbose=not args.quiet)
     bundle = bundle_json(reports)
     if args.output:
         Path(args.output).write_text(bundle, encoding="utf-8")
@@ -140,9 +140,16 @@ def _cmd_verify(args) -> int:
     print(f"{len(reports)} checks: {len(reports) - n_fail} ok, {n_fail} failed")
     changed = []
     if base is not None:
+        entries = json.loads(base)
+        if subset:
+            # a subset run is compared on its own checks only
+            ran = {r.check_id for r in reports}
+            print(f"{sum(e['check_id'] not in ran for e in entries)} checks of {args.compare} were not run")
+            entries = [e for e in entries if e["check_id"] in ran]
+            base = json.dumps(entries, indent=2, sort_keys=True).encode()  # as bundle_json writes them
         same = "byte-identical" if base == bundle.encode() else "not byte-identical"
         print(f"the bundle is {same} to {args.compare}")
-        changed = compare_bundles(json.loads(base), json.loads(bundle))
+        changed = compare_bundles(entries, json.loads(bundle))
         print(f"{len(changed)} of {len(reports)} checks differ from {args.compare} (status, residual_max to 3 significant digits, params, notes)")
         for line in changed:
             print("  " + line)

@@ -116,8 +116,8 @@ def mellin_numeric(f: SampledFunction, sigma: float, u_points) -> MellinSamples:
         p_tail = (fb * b**hint.p, hint.p)
     elif hint is None or hint.kind == "exponential":
         if abs(fb) * b**sigma > 1e-12:
-            fit = _fit_power(grid.points[-int(0.15 * grid.n) :], f.values[-int(0.15 * grid.n) :])
-            if fit is None:
+            slope = _tail_slope(grid.points[-int(0.15 * grid.n) :], f.values[-int(0.15 * grid.n) :])
+            if slope is None:
                 degraded = True
             else:
                 # the window fit sanity-checks the model; the exponent itself
@@ -125,7 +125,7 @@ def mellin_numeric(f: SampledFunction, sigma: float, u_points) -> MellinSamples:
                 v2, v1 = f.values[-6], f.values[-1]
                 x2, x1 = grid.points[-6], grid.points[-1]
                 p_loc = -np.log(abs(v1 / v2)) / np.log(x1 / x2)
-                if abs(p_loc - (-fit[1])) > 0.25:
+                if abs(p_loc - (-slope)) > 0.25:
                     degraded = True
                 else:
                     p_tail = (fb * b**p_loc, p_loc)
@@ -146,6 +146,22 @@ def _fit_power(pts: np.ndarray, vals: np.ndarray):
     fit_power_law), or None."""
     fit = fit_power_law(pts, vals, 0.05) if len(pts) >= 6 else None
     return fit if fit is not None and abs(fit[1]) <= 8.0 else None
+
+
+def _tail_slope(pts: np.ndarray, vals: np.ndarray):
+    """d ln|v| / d ln x at the last sample, from a quadratic in ln x fitted
+    to ln|v| within 0.05, or None (fewer than 6 samples, a sign change, a
+    sample below 1e-13 in magnitude, or a slope beyond 8 in magnitude).
+
+    The quadratic lets the exponent drift across the window, as it does in
+    an algebraic tail c x^p + c' x^(p - 1) + ..., the tail of a Mellin
+    convolution's image of a compact operand."""
+    if len(pts) < 6 or np.min(np.abs(vals)) < 1e-13 or np.min(vals) * np.max(vals) <= 0:
+        return None
+    lx, lv = np.log(pts), np.log(np.abs(vals))
+    q = np.polyfit(lx, lv, 2)
+    slope = 2.0 * q[0] * lx[-1] + q[1]
+    return slope if np.max(np.abs(np.polyval(q, lx) - lv)) <= 0.05 and abs(slope) <= 8.0 else None
 
 
 def measured_multiplicator(f: SampledFunction, af: SampledFunction, sigma: float, u_points):
@@ -196,7 +212,8 @@ def m_second_kind(variant: str, nu, s):
             * gamma_complex(s / 2 + 0.5)
             * gamma_complex(1.0 - s / 2 + nu / 2)
             * np.cos(np.pi * (s - nu) / 2.0)
-            / (np.pi * gamma_complex(s / 2 + nu / 2 + 0.5))
+            * rgamma(s / 2 + nu / 2 + 0.5)
+            / np.pi
         )
     if variant == "P":
         # symbol of the adjoint realization: m_P(s) = m_S(1 - s) for real kernels
@@ -212,8 +229,11 @@ def m_second_kind_2param(nu, mu, s):
     if np.any(np.abs(den) < 1e-13):
         raise FormulaPoleError("two-parameter symbol pole")
     trig = (np.cos(np.pi * (mu - s)) - np.cos(np.pi * nu)) / den
-    gam = gamma_complex(s / 2) * gamma_complex(s / 2 + 0.5) / (
-        gamma_complex(s / 2 + (1 - nu - mu) / 2) * gamma_complex(s / 2 + 1 + (nu - mu) / 2)
+    gam = (
+        gamma_complex(s / 2)
+        * gamma_complex(s / 2 + 0.5)
+        * rgamma(s / 2 + (1 - nu - mu) / 2)
+        * rgamma(s / 2 + 1 + (nu - mu) / 2)
     )
     return 2.0 ** (mu - 1.0) * trig * gam
 
@@ -267,10 +287,10 @@ def m_spd(variant: str, nu, s):
     s = np.asarray(s, dtype=complex)
     nu = complex(nu)
     if variant == "P":
-        num = gamma_complex((1.0 - s) / 2.0) * gamma_complex(nu + 0.5)
-        return num / (2.0 ** (nu + 1.0) * gamma_complex(nu + 1.0) * gamma_complex(nu + 1.0 - s / 2.0))
+        num = gamma_complex((1.0 - s) / 2.0) * gamma_complex(nu + 0.5) * rgamma(nu + 1.0) * rgamma(nu + 1.0 - s / 2.0)
+        return num / 2.0 ** (nu + 1.0)
     if variant == "S":
-        return 2.0 ** (nu + 0.5) * gamma_complex(nu + 1.0 - s / 2.0) / gamma_complex(0.5 - s / 2.0)
+        return 2.0 ** (nu + 0.5) * gamma_complex(nu + 1.0 - s / 2.0) * rgamma(0.5 - s / 2.0)
     raise CatalogError(f"unknown spd variant {variant!r}")
 
 

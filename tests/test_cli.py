@@ -125,10 +125,29 @@ def test_verify_compare_against_its_own_bundle(tmp_path, capsys):
     assert "byte-identical to" in out and "not byte-identical" not in out
     assert "0 of 2 checks differ" in out
     code, out = run_cli(["verify", "copson_const", "--compare", str(base), "--quiet"], capsys)
-    assert code == 3
-    assert "funceq[zero:S0+;nu=1]: only in the base bundle" in out
+    assert code == 0 and "0 of 1 checks differ" in out
     # a bundle that cannot be read is an argument error, reported before any check runs
     assert run_cli(["verify", "copson_const", "--compare", str(tmp_path / "missing.json")], capsys) == (1, "")
+
+
+def test_verify_compare_of_a_subset_reads_only_its_checks(tmp_path, capsys, monkeypatch):
+    # a run of named checks against a fuller bundle compares those checks and
+    # counts the others as not run; `all` stays two-sided
+    from betrans import cli
+    from betrans.verify.registry import REGISTRY
+
+    base = tmp_path / "base.json"
+    ids = ["funceq[zero:S0+;nu=1]", "copson_const"]
+    assert run_cli(["verify", *ids, "--output", str(base), "--quiet"], capsys)[0] == 0
+    code, out = run_cli(["verify", "copson_const", "--compare", str(base), "--quiet"], capsys)
+    assert code == 0
+    assert f"1 checks of {base} were not run" in out
+    assert "byte-identical to" in out and "not byte-identical" not in out
+    assert "0 of 1 checks differ" in out and "only in the base bundle" not in out
+    monkeypatch.setattr(cli, "REGISTRY", {"copson_const": REGISTRY["copson_const"]})
+    code, out = run_cli(["verify", "all", "--compare", str(base), "--quiet"], capsys)
+    assert code == 3
+    assert "were not run" not in out and "funceq[zero:S0+;nu=1]: only in the base bundle" in out
 
 
 def test_copson_subcommand(capsys):

@@ -223,15 +223,37 @@ def test_only_numgrid_imports_a_banded_solver(path):
 
 # numpy is the package's one run-time import: scipy is loaded only for J_nu,
 # through the gateway specfun.bessel.jv at its first call
-def _scipy_loaded_after(code: str) -> list[str]:
-    code = "import sys\n" + code + "\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def _loaded_after(code: str) -> list[str]:
+    """The modules a fresh interpreter holds after running code."""
+    code = "import sys\n" + code + "\nprint(sorted(sys.modules))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     return ast.literal_eval(out.stdout.strip().splitlines()[-1])
 
 
+def _scipy_loaded_after(code: str) -> list[str]:
+    return [m for m in _loaded_after(code) if m.split(".")[0] == "scipy"]
+
+
 def test_cli_import_loads_no_scipy():
     assert _scipy_loaded_after("import betrans.cli") == []
+
+
+def third_party_beyond(loaded, baseline) -> list[str]:
+    """The modules of loaded that baseline lacks and that are neither the
+    package's nor the standard library's."""
+    return sorted(m for m in set(loaded) - set(baseline) if m.split(".")[0] not in {"betrans", *sys.stdlib_module_names})
+
+
+def test_import_scan_finds_a_third_party_module():
+    loaded = ["numpy", "numpy.linalg", "json", "_json", "betrans.cli", "scipy", "scipy.special"]
+    assert third_party_beyond(loaded, ["numpy", "numpy.linalg"]) == ["scipy", "scipy.special"]
+
+
+def test_cli_import_adds_only_the_package_and_the_standard_library_to_numpy():
+    # what `betrans` costs at start-up beyond numpy: its own modules and the
+    # standard library's, no other distribution
+    assert third_party_beyond(_loaded_after("import betrans.cli"), _loaded_after("import numpy")) == []
 
 
 @pytest.mark.parametrize("op", ["first:B0+:nu=0.5:mu=0.3", "second:S:nu=0.3"])

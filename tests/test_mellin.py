@@ -238,6 +238,17 @@ def test_line_apply_matches_hardy_closed_form():
     assert np.max(np.abs(image.values - exact)) <= 1e-8 * np.max(np.abs(exact))
 
 
+def test_symbols_are_finite_where_a_divisor_gamma_has_a_pole():
+    # spd:P at nu = -0.75 divides by Gamma(nu + 1 - s/2), which has its pole
+    # at s = 1/2; 1/Gamma is entire, so the symbol is 0 there and finite on
+    # the whole critical line
+    spec = OperatorSpec("spd", "P", nu=-0.75)
+    assert multiplicator(spec, np.array([0.5 + 0j]))[0] == 0.0
+    assert np.isfinite(operator_norm(spec))
+    image = line_apply(spec, SampledFunction.from_callable(lambda t: t * t * np.exp(-t * t), make_grid(512)))
+    assert np.all(np.isfinite(image.values))
+
+
 def test_line_apply_needs_a_grid_uniform_in_log_x():
     f = SampledFunction.from_callable(lambda t: t * t * np.exp(-t * t), make_grid(256, (0.05, 12.0), "linear"))
     with pytest.raises(GridError, match="uniform in log x"):

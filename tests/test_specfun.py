@@ -552,8 +552,8 @@ def test_kernels_keep_shape_and_scalar_return_types():
 
 
 def test_pv_plan_evaluates_each_kernel_argument_once(monkeypatch):
-    # a second-kind PV plan on the 512-point log grid has 695,760 (row,
-    # node) ratios, about 103k of them distinct
+    # a second-kind PV plan on the 512-point log grid has 1,725,300 (row,
+    # node) ratios; at the stride-4 panels' 695,760, about 103k were distinct
     seen = []
     inner = legendre_module._q_with_deriv
 
@@ -567,8 +567,8 @@ def test_pv_plan_evaluates_each_kernel_argument_once(monkeypatch):
     for z in seen:
         assert np.unique(z).size == z.size
     assert sum(z.size for z in seen) <= 0.2 * len(plan.t_all)
-    # the dilation template evaluates Q once per template ratio: at most
-    # 0.6 of the 103,342 distinct ratios of the per-pair path (26,858)
+    # the lattice evaluates Q once per node of its relative row and per head
+    # node of each row: 12,568 arguments
     assert sum(z.size for z in seen) <= 0.6 * 103_342
 
 
