@@ -44,9 +44,11 @@ relative row's weights times kernel against the cardinal quintic
 (_lattice_plan).  The end columns, the head columns, the rows whose rule
 is not the relative row's cut to the grid and, in PV plans, the pole sums
 are summed from the same values; only the head nodes (and the few panels
-of such rows that are not on the lattice) are evaluated row by row.  Any
-other kernel and any other grid take every pair on its own, which is the
-same rule to rounding.
+of such rows that are not on the lattice) are evaluated row by row.  Next
+to a PV plan's pole, where a node's rounding sets its pole term, each row
+sums its own panels' pole terms and takes their values to its own nodes'
+poles, so that the plan is the pair-by-pair one to rounding.  Any other
+kernel and any other grid take every pair on its own.
 
 Above the grid hull the operand is taken as zero.
 """
@@ -425,17 +427,17 @@ class RatioKernel:
     """
 
     _FORMS = {
-        # r(x, t) and the base of the power b^d
-        "t/x": (lambda x, t: t / x, lambda x, t: x),
-        "1-t/x": (lambda x, t: (x - t) / x, lambda x, t: x),
-        "x/t": (lambda x, t: x / t, lambda x, t: t),
+        # r(x, t), the base of the power b^d, and 1/(x - t) as pole(r)/b
+        "t/x": (lambda x, t: t / x, lambda x, t: x, lambda r: 1.0 / (1.0 - r)),
+        "1-t/x": (lambda x, t: (x - t) / x, lambda x, t: x, lambda r: 1.0 / r),
+        "x/t": (lambda x, t: x / t, lambda x, t: t, lambda r: 1.0 / (r - 1.0)),
     }
 
     def __init__(self, k: Callable[[np.ndarray], np.ndarray], variable: str = "t/x", degree: float = -1.0):
         self.k = k
         self.variable = variable
         self.degree = float(degree)
-        self.ratio, self.base = self._FORMS[variable]
+        self.ratio, self.base, self.pole = self._FORMS[variable]
 
     def __call__(self, x, t):
         b = self.base(x, t)
@@ -448,13 +450,14 @@ _END = 8  # grid intervals at either end that reach the spline's not-a-knot basi
 
 def _lattice(grid: Grid, kernels) -> bool:
     """Whether a plan of the kernels on the grid is built on the lattice
-    (_lattice_plan): two RatioKernels of one degree, on a quintic spline
-    uniform in log x."""
+    (_lattice_plan): two RatioKernels of one degree and variable, on a
+    quintic spline uniform in log x."""
     kl, ku = kernels
     return (
         isinstance(kl, RatioKernel)
         and isinstance(ku, RatioKernel)
         and kl.degree == ku.degree
+        and kl.variable == ku.variable
         and grid.n >= 2 * _END
         and log_uniform(grid)
     )
@@ -484,9 +487,10 @@ def _cardinal_row(h: float, t, kw, use_deriv: bool, n: int) -> np.ndarray:
 
 
 def _lattice_plan(grid: Grid, rules: _Rules, geometry, kernels, use_deriv: bool, pole: bool):
-    """(matrix, sub) of the rule geometry(rules) for RatioKernels of one
-    degree d on a grid uniform in log x (see the module docstring), sub
-    the pole sums (_pair_plan) when pole.
+    """(matrix, sub, own) of the rule geometry(rules) for RatioKernels of
+    one degree d and variable on a grid uniform in log x (see the module
+    docstring), sub the pole sums and own the own-pole terms (_pair_plan)
+    when pole.
 
     The relative row is the same geometry at x = 1 on the points
     exp(h k), |k| < n: its intervals hold every offset m - i a row can
@@ -571,36 +575,54 @@ def _lattice_plan(grid: Grid, rules: _Rules, geometry, kernels, use_deriv: bool,
         matrix[edge, :n] = block[:, :n]
         matrix[edge, n:] += block[:, n:]
     if not pole:
-        return matrix, None
-    # pole sums: the intervals' by prefix sums over offsets, the own
-    # panels' from the relative row, the rest node by node
-    sub = np.zeros(n)
+        return matrix, None, None
+    # pole sums: the intervals' by prefix sums over offsets, the rest node
+    # by node.  A row's own panels are formed next to x_i, not x = 1, and
+    # their nodes and weights round apart from the relative row's by up to
+    # 1e-9 of the innermost distance x_i - t: so each own node's pole term
+    # is its own, and its weight times kernel its own weight times
+    # k(r_T) pole(r)/pole(r_T) b^d, with r its own ratio and r_T the
+    # relative row's, the value the pair path has where the pole sets k.
+    # There f(t) is f(x_i) to within |x_i - t| f', so the difference from
+    # the relative row's value joins the pole term as own.
+    sub, own = np.zeros(n), np.zeros(n)
     sub[held] = np.sum(w_h / (x_h - t_h), axis=1)
     pole_rel = np.zeros(rel.size)
     pole_rel[r_id] = r_weights[r_id] / (1.0 - t_r)
     prefix = np.concatenate([[0.0], np.cumsum(pole_rel[: (2 * n - 2) * N_GAUSS].reshape(-1, N_GAUSS).sum(axis=1))])
+    form = kernels[0]
     for seg, kind in enumerate(rules.kinds):
         st, ln = starts[:, seg], lengths[:, seg]
         if kind == "intervals":
             lo = st // N_GAUSS + n - 1 - i
             sub += prefix[lo + ln // N_GAUSS] - prefix[lo]
         elif kind == "owned":
-            sub += np.where(direct[:, seg], 0.0, pole_rel[r_starts[0, seg] : r_starts[0, seg] + r_lengths[0, seg]].sum())
+            rows = np.flatnonzero(~direct[:, seg] & (ln > 0))
+            q_rel = r_starts[0, seg] + np.arange(r_lengths[0, seg])
+            q = st[rows, None] + np.arange(len(q_rel))
+            x_o, t_o, w_o, t_rel = x[rows, None], nodes[q], weights[q], r_nodes[q_rel]
+            sub[rows] += np.sum(w_o / (x_o - t_o), axis=1)
+            # k(r_T)/(pole(r_T) b^d) per relative node, times each own node's pole(r) b^d
+            residue = r_kw[q_rel] / (r_weights[q_rel] * form.pole(form.ratio(1.0, t_rel)) * form.base(1.0, t_rel) ** form.degree)
+            w_o *= form.pole(form.ratio(x_o, t_o))
+            w_o *= form.base(x_o, t_o) ** form.degree
+            own[rows] += w_o @ residue - scale[rows] * r_kw[q_rel].sum()
     terms = np.zeros(len(node_id))
     terms[~on] = weights[node_id[~on]] / (x[row[~on]] - nodes[node_id[~on]])
     sub[edge] += _segmented_sum(terms, offsets)
-    return matrix, sub
+    return matrix, sub, own
 
 
 _PAIR_BLOCK = 1 << 16  # (row, node) pairs evaluated per block off the lattice
 
 
 def _pair_plan(grid: Grid, rules: _Rules, kernels, use_deriv: bool, pole: bool):
-    """(matrix, sub): the plan with every pair evaluated on its own, and
-    sub_i = sum of w/(x_i - t) over row i's rule when pole, the pole's
-    integral as the plan's quadrature sees it (whatever the kernels).  A
-    block of rows at a time, each row in the order of its rule, so no
-    array spans every (row, node) pair."""
+    """(matrix, sub, own): the plan with every pair evaluated on its own,
+    and when pole sub_i = sum of w/(x_i - t) over row i's rule, the pole's
+    integral as the plan's quadrature sees it (whatever the kernels), and
+    own_i = 0, the coefficient on f(x_i) that the lattice adds
+    (_lattice_plan).  A block of rows at a time, each row in the order of
+    its rule, so no array spans every (row, node) pair."""
     n, x = grid.n, grid.points
     nodes, starts, lengths = rules.layout()
     weights = rules.weights()
@@ -615,13 +637,16 @@ def _pair_plan(grid: Grid, rules: _Rules, kernels, use_deriv: bool, pole: bool):
         if pole:
             sub[r0:r1] = _segmented_sum(weights[node_id] / (x_b - t_b), offsets)
         r0 = r1
-    return np.vstack(blocks), sub if pole else None
+    if not pole:
+        return np.vstack(blocks), None, None
+    return np.vstack(blocks), sub, np.zeros(n)
 
 
 def _plan(grid: Grid, geometry, kernels, use_deriv=False, pole=False):
-    """(rules, matrix, sub): the rule geometry(rules) on the grid's rows and
-    the plan's matrix for the kernels (lower, upper), the first on t < x
-    and the second on t > x, with the pole sums when pole marks a PV plan.
+    """(rules, matrix, sub, own): the rule geometry(rules) on the grid's
+    rows and the plan's matrix for the kernels (lower, upper), the first on
+    t < x and the second on t > x, with the pole sums and the coefficients
+    on f(x_i) to add when pole marks a PV plan.
     On the lattice (_lattice) the matrix comes from the relative row
     (_lattice_plan); otherwise every pair is evaluated on its own."""
     rules = _Rules(grid.points, np.arange(grid.n))
@@ -638,7 +663,7 @@ def build_lower_plan(
     use_deriv: bool = False,
     head: str = "taylor",
 ) -> KernelPlan:
-    rules, matrix, _ = _plan(grid, lambda r: _lower_rules(r, alpha, head), (kernel, kernel), use_deriv)
+    rules, matrix, _, _ = _plan(grid, lambda r: _lower_rules(r, alpha, head), (kernel, kernel), use_deriv)
     return KernelPlan(grid, rules.layout(), matrix)
 
 
@@ -648,7 +673,7 @@ def build_upper_plan(
     alpha: Optional[float] = None,
     use_deriv: bool = False,
 ) -> KernelPlan:
-    rules, matrix, _ = _plan(grid, lambda r: _upper_rules(r, alpha), (kernel, kernel), use_deriv)
+    rules, matrix, _, _ = _plan(grid, lambda r: _upper_rules(r, alpha), (kernel, kernel), use_deriv)
     return KernelPlan(grid, rules.layout(), matrix)
 
 
@@ -691,7 +716,7 @@ def build_pv_plan(
     t_all, offsets and log_term, is the same either way.
     """
     b = grid.hull[1]
-    rules, matrix, sub = _plan(grid, _pv_rules, (kernel_lower, kernel_upper), pole=True)
+    rules, matrix, sub, own = _plan(grid, _pv_rules, (kernel_lower, kernel_upper), pole=True)
     log_term = np.log(grid.points / np.maximum(b - grid.points, 1e-300))
     # at the top hull point B - x = 0: the upper side is empty and the
     # subtraction degenerates; the lower-side-only value keeps ln(x/delta)
@@ -699,7 +724,7 @@ def build_pv_plan(
     if np.any(top):
         log_term[top] = np.log(grid.points[top] / (_PV_DELTA * grid.points[top]))
     first, vals = basis_rows(*spline_knots(grid), grid.coord(grid.points))  # row i of A
-    matrix[np.arange(grid.n), first + np.arange(len(vals))[:, None]] -= rho * (sub - log_term) * vals
+    matrix[np.arange(grid.n), first + np.arange(len(vals))[:, None]] += (own - rho * (sub - log_term)) * vals
     return PVPlan(grid, rules.layout(), matrix, sub, log_term, rho)
 
 

@@ -116,16 +116,20 @@ def mellin_numeric(f: SampledFunction, sigma: float, u_points) -> MellinSamples:
         p_tail = (fb * b**hint.p, hint.p)
     elif hint is None or hint.kind == "exponential":
         if abs(fb) * b**sigma > 1e-12:
-            slope = _tail_slope(grid.points[-int(0.15 * grid.n) :], f.values[-int(0.15 * grid.n) :])
-            if slope is None:
+            window = slice(-int(0.15 * grid.n), None)
+            fit = _fit_power(grid.points[window], f.values[window], degree=2)
+            if fit is None:
                 degraded = True
             else:
-                # the window fit sanity-checks the model; the exponent itself
-                # comes from the trailing local slope (least curvature bias)
+                # the window fit sanity-checks the model: a quadratic in ln x,
+                # so that the exponent may drift as in c x^p + c' x^(p - 1),
+                # whose exponent at the window's middle is the trailing local
+                # slope's to 0.25; the exponent itself comes from that slope
+                # (least curvature bias)
                 v2, v1 = f.values[-6], f.values[-1]
                 x2, x1 = grid.points[-6], grid.points[-1]
                 p_loc = -np.log(abs(v1 / v2)) / np.log(x1 / x2)
-                if abs(p_loc - (-slope)) > 0.25:
+                if abs(p_loc - (-fit[1])) > 0.25:
                     degraded = True
                 else:
                     p_tail = (fb * b**p_loc, p_loc)
@@ -141,27 +145,11 @@ def mellin_numeric(f: SampledFunction, sigma: float, u_points) -> MellinSamples:
     return MellinSamples(line_re=sigma, u_points=u, values=vals, degraded=degraded)
 
 
-def _fit_power(pts: np.ndarray, vals: np.ndarray):
+def _fit_power(pts: np.ndarray, vals: np.ndarray, degree: int = 1):
     """A power law c x^p through at least 6 samples, |p| <= 8 (see
     fit_power_law), or None."""
-    fit = fit_power_law(pts, vals, 0.05) if len(pts) >= 6 else None
+    fit = fit_power_law(pts, vals, 0.05, degree) if len(pts) >= 6 else None
     return fit if fit is not None and abs(fit[1]) <= 8.0 else None
-
-
-def _tail_slope(pts: np.ndarray, vals: np.ndarray):
-    """d ln|v| / d ln x at the last sample, from a quadratic in ln x fitted
-    to ln|v| within 0.05, or None (fewer than 6 samples, a sign change, a
-    sample below 1e-13 in magnitude, or a slope beyond 8 in magnitude).
-
-    The quadratic lets the exponent drift across the window, as it does in
-    an algebraic tail c x^p + c' x^(p - 1) + ..., the tail of a Mellin
-    convolution's image of a compact operand."""
-    if len(pts) < 6 or np.min(np.abs(vals)) < 1e-13 or np.min(vals) * np.max(vals) <= 0:
-        return None
-    lx, lv = np.log(pts), np.log(np.abs(vals))
-    q = np.polyfit(lx, lv, 2)
-    slope = 2.0 * q[0] * lx[-1] + q[1]
-    return slope if np.max(np.abs(np.polyval(q, lx) - lv)) <= 0.05 and abs(slope) <= 8.0 else None
 
 
 def measured_multiplicator(f: SampledFunction, af: SampledFunction, sigma: float, u_points):

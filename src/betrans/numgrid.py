@@ -648,17 +648,22 @@ def deriv_extended(f: SampledFunction, t: np.ndarray) -> np.ndarray:
     return _extended(f, t, True)
 
 
-def fit_power_law(x: np.ndarray, v: np.ndarray, max_dev: float):
-    """(c, p) of the line fitted to ln|v| against ln x, v ~ c x^p, or None
-    when v changes sign, a sample is below 1e-13 in magnitude, or the line
-    misses some ln|v| by more than max_dev."""
+def fit_power_law(x: np.ndarray, v: np.ndarray, max_dev: float, degree: int = 1):
+    """(c, p), v ~ c x^p: the power law tangent, at the middle of the
+    window in ln x, to the polynomial of the given degree in ln x fitted to
+    ln|v| (at degree 1 the fitted line itself; at degree 2 the exponent may
+    drift across the window), or None when v changes sign, a sample is
+    below 1e-13 in magnitude, or the fit misses some ln|v| by more than
+    max_dev."""
     if np.min(np.abs(v)) < 1e-13 or np.min(v) * np.max(v) <= 0:
         return None
-    logs = np.log(np.abs(v))
-    p, intercept = np.polyfit(np.log(x), logs, 1)
-    if np.max(np.abs(np.polyval([p, intercept], np.log(x)) - logs)) > max_dev:
+    lx, logs = np.log(x), np.log(np.abs(v))
+    q = np.polyfit(lx, logs, degree)
+    if np.max(np.abs(np.polyval(q, lx) - logs)) > max_dev:
         return None
-    return float(np.sign(v[0]) * np.exp(intercept)), float(p)
+    mid = 0.5 * (lx[0] + lx[-1])
+    p = np.polyval(np.polyder(q), mid)
+    return float(np.sign(v[0]) * np.exp(np.polyval(q, mid) - p * mid)), float(p)
 
 
 @dataclass(frozen=True)

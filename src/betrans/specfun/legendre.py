@@ -207,10 +207,7 @@ def _hyp2f1_regularized(a: float, b: float, c: float, w: np.ndarray) -> np.ndarr
     not depend on the other arguments.
     """
     nterms = _HYP_ZONES[-1][1]
-    if c <= 0.0 and float(c).is_integer():  # 1/Gamma(c + k) is 0 up to k = -c
-        rg = rgamma(c + np.arange(nterms))
-    else:  # 1/Gamma(c + k + 1) = 1/Gamma(c + k) / (c + k), from one value
-        rg = rgamma(c) / np.cumprod(np.concatenate([[1.0], c + np.arange(nterms - 1)]))
+    rg = rgamma(c + np.arange(nterms))
     # (a)_k (b)_k / k!
     coef = np.ones(nterms)
     for i in range(1, nterms):

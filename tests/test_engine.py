@@ -178,13 +178,13 @@ def _jittered_hull_grid():
 @pytest.mark.parametrize("gname", ["log", "jittered"])
 @pytest.mark.parametrize("case", list(PV_RATIO_PLANS))
 def test_lattice_pv_plan_matches_pair_path(case, gname):
-    # the same rule either way; the lattice takes each node next to the pole
-    # at its ratio to x, the pair path at its own t, which round apart by
-    # 1e-16 x, 1e-9 of the innermost distance x - t.  Each path subtracts the
-    # pole as its kernel sees it, so the images agree to 1e-13 where the
-    # kernel keeps its digits there (the 1 - t/x Hilbert forms); the Legendre
-    # Q kernels round their own ratio t/x or x/t, and measured 3.2e-11 (S)
-    # and 2.0e-9 (P) on these operands
+    # the same rule either way: the pole sums agree to 1e-13 of their
+    # largest (summed in another order; 5.1e-15 measured), and the images
+    # within 2e-13 relative L2 (5.7e-14 measured), about 1% of the Legendre-Q
+    # plans' quadrature error.  Next to the pole each own node takes its
+    # own ratio's pole, as the pair path's kernel does; with the relative
+    # row's alone, the rounding of the innermost distances x - t moved the
+    # images by up to 1.4e-9
     grid = make_grid(512, (1e-4, 1e2)) if gname == "log" else _jittered_hull_grid()
     assert numgrid.log_uniform(grid)
     k_lower, k_upper = PV_RATIO_PLANS[case]()
@@ -192,12 +192,11 @@ def test_lattice_pv_plan_matches_pair_path(case, gname):
     ref = build_pv_plan(grid, _plain(k_lower), _plain(k_upper))
     assert np.array_equal(plan.t_all, ref.t_all) and np.array_equal(plan.offsets, ref.offsets)
     assert np.array_equal(plan.log_term, ref.log_term)
-    assert np.max(np.abs(plan.sub - ref.sub)) <= 1e-9 * np.max(np.abs(ref.sub))
-    bound = 1e-13 if case.startswith("hilbert") else 5e-9
+    assert np.max(np.abs(plan.sub - ref.sub)) <= 1e-13 * np.max(np.abs(ref.sub))
     for name in ("gauss", "x2gauss", "xexp", "bump12"):
         f = suite_on_grid(name, grid)
         want = ref.apply(f)
-        assert np.linalg.norm(plan.apply(f) - want) <= bound * np.linalg.norm(want), name
+        assert np.linalg.norm(plan.apply(f) - want) <= 2e-13 * np.linalg.norm(want), name
 
 
 @pytest.mark.parametrize(
@@ -217,25 +216,24 @@ def test_ratio_kernels_off_uniform_log_grids_take_the_per_pair_path(grid):
 
 @pytest.mark.parametrize("gname", ["log", "jittered", "linear"])
 def test_pv_pole_sum_is_the_sum_over_the_plans_rule(gname):
-    # sub is sum w/(x - t) over each row's rule (plan.t_all, plan.offsets):
-    # pair by pair off the lattice, to 1e-14 of its largest value and bit for
-    # bit the per-pair sum over all rows at once, though it is summed a block
-    # of rows at a time; on the lattice by prefix sums over offsets, from
-    # the nodes' ratios to x, which move the innermost terms by 1e-9
+    # sub is sum w/(x - t) over each row's rule (plan.t_all, plan.offsets)
+    # to 1e-14 of its largest value, on the lattice too (by prefix sums over
+    # offsets and the own panels' nodes); the pair path's is bit for bit the
+    # per-pair sum over all rows at once, though it is summed a block of
+    # rows at a time
     grid = {"log": make_grid(512, (1e-4, 1e2)), "jittered": _jittered_hull_grid()}.get(gname)
     grid = grid or make_grid(256, (0.05, 12.0), "linear")
-    plan = build_pv_plan(grid, *hilbert_pair_kernels(0))
+    kernels = hilbert_pair_kernels(0)
+    plan = build_pv_plan(grid, *kernels)
     rules = _engine._Rules(grid.points, np.arange(grid.n))
     _engine._pv_rules(rules)
     nodes, weights, node_id, offsets = rules.pairs()
     assert np.array_equal(nodes[node_id], plan.t_all) and np.array_equal(offsets, plan.offsets)
     terms = weights[node_id] / (np.repeat(grid.points, np.diff(offsets)) - plan.t_all)
     ref = np.array([math.fsum(terms[a:b]) for a, b in zip(offsets[:-1], offsets[1:])])
-    if gname == "linear":
-        assert np.max(np.abs(plan.sub - ref)) <= 1e-14 * np.max(np.abs(ref))
-        assert np.array_equal(plan.sub, _engine._segmented_sum(terms, offsets))
-    else:
-        assert np.max(np.abs(plan.sub - ref)) <= 1e-9 * np.max(np.abs(ref))
+    assert np.max(np.abs(plan.sub - ref)) <= 1e-14 * np.max(np.abs(ref))
+    pair_plan = build_pv_plan(grid, *map(_plain, kernels))
+    assert np.array_equal(pair_plan.sub, _engine._segmented_sum(terms, offsets))
 
 
 def test_cold_pv_build_holds_no_per_pair_array():
@@ -332,7 +330,8 @@ RATIO_PLANS = {
 @pytest.mark.parametrize("case", list(RATIO_PLANS))
 def test_lattice_plan_matches_pair_path(case, gname):
     # the same rule either way: the lattice's matrix is the plain (x, t)
-    # kernel's pair-by-pair matrix to 1e-13 of its largest entry
+    # kernel's pair-by-pair matrix to 1e-13 of its largest entry, and its
+    # images are within PR 11's 2e-13 relative L2
     grid = make_grid(512, (1e-4, 1e2)) if gname == "log" else _jittered_hull_grid()
     build, kernel, kw = RATIO_PLANS[case]()
     assert isinstance(kernel, RatioKernel)
@@ -340,6 +339,10 @@ def test_lattice_plan_matches_pair_path(case, gname):
     ref = build(grid, _plain(kernel), **kw)
     assert np.array_equal(plan.t_all, ref.t_all) and np.array_equal(plan.offsets, ref.offsets)
     assert np.max(np.abs(plan.matrix - ref.matrix)) <= 1e-13 * np.max(np.abs(ref.matrix))
+    for name in ("gauss", "x2gauss", "xexp", "bump12"):
+        f = suite_on_grid(name, grid)
+        want = ref.apply(f)
+        assert np.linalg.norm(plan.apply(f) - want) <= 2e-13 * np.linalg.norm(want), name
 
 
 @pytest.mark.parametrize(

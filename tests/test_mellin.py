@@ -249,6 +249,36 @@ def test_symbols_are_finite_where_a_divisor_gamma_has_a_pole():
     assert np.all(np.isfinite(image.values))
 
 
+def test_mellin_accepts_an_algebraic_tail_whose_exponent_drifts():
+    # 2/(1 + x)^2 + 60/(1 + x)^3 ~ 2 x^-2 + 54 x^-3 + ...: its exponent
+    # drifts from -2.49 to -2.21 across the window x in (12.6, 100), so no
+    # line in ln x fits it within 0.05, a quadratic does; the completed
+    # transform is 2 B(s, 2 - s) + 60 B(s, 3 - s) to 1.2e-5 (a line fit
+    # marked it degraded, off by 5.2e-4)
+    grid = make_grid(512, (1e-4, 1e2))
+    u = np.linspace(-2.0, 2.0, 5)
+    s = 0.5 + 1j * u
+    f = SampledFunction.from_callable(lambda x: 2.0 / (1.0 + x) ** 2 + 60.0 / (1.0 + x) ** 3, grid)
+    exact = 2.0 * gamma_complex(s) * gamma_complex(2.0 - s) + 30.0 * gamma_complex(s) * gamma_complex(3.0 - s)
+    ms = mellin_numeric(f, 0.5, u)
+    assert not ms.degraded
+    assert np.max(np.abs(ms.values - exact) / np.abs(exact)) <= 5e-5
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        lambda x: np.exp(-0.3 * np.log(x) ** 2),  # a quadratic in ln x: the exponent drifts 0.6 over half the window
+        lambda x: np.exp(-x / 20.0),
+        lambda x: np.cos(3.0 * np.log(x)) / (1.0 + x) ** 2,  # changes sign
+    ],
+    ids=["drifting", "exponential", "sign_change"],
+)
+def test_mellin_marks_a_tail_that_no_power_law_follows_degraded(tail):
+    f = SampledFunction.from_callable(tail, make_grid(512, (1e-4, 1e2)))
+    assert mellin_numeric(f, 0.5, np.linspace(-2.0, 2.0, 5)).degraded
+
+
 def test_line_apply_needs_a_grid_uniform_in_log_x():
     f = SampledFunction.from_callable(lambda t: t * t * np.exp(-t * t), make_grid(256, (0.05, 12.0), "linear"))
     with pytest.raises(GridError, match="uniform in log x"):
