@@ -11,7 +11,8 @@ holds everything the package knows about one family:
 - ``apply``: (spec, f, **options) -> SampledFunction (beops.apply);
 - ``symbol``, ``strip`` and ``norm``: for the Mellin-convolution families,
   the closed-form symbol m(s), the strip where the defining integral
-  converges, and the closed-form L2 norm (``None`` falls back to
+  converges, and the closed-form L2 norm (``None``, or a norm that returns
+  ``None`` at a parameter point without a closed form, falls back to
   mellin.numeric_line_sup); families without a symbol leave all three
   ``None``;
 - ``listing``: the ``betrans list`` lines, (template, description,
@@ -48,7 +49,7 @@ class Family:
     listing: tuple[tuple[str, str, tuple[str, ...]], ...]
     symbol: Optional[Callable] = None  # (spec, s) -> m(s)
     strip: Optional[Callable] = None  # (variant, Re nu) -> (sigma_min, sigma_max)
-    norm: Optional[Callable] = None  # spec -> ||A||; None: numeric line sup
+    norm: Optional[Callable] = None  # spec -> ||A|| or None; None: numeric line sup
     validate: Optional[Callable] = None  # spec -> None, raises OperatorSpecError
 
 
@@ -89,16 +90,13 @@ def _zero_order_norm(spec) -> float:
     return max(1.0, np.sqrt(1.0 - a))
 
 
-def _second_kind_norm(spec) -> float:
-    """Both realizations: the S symbol and its conjugate have the same sup."""
-    a = np.sin(np.pi * complex(spec.nu))
+def _second_kind_norm(spec) -> Optional[float]:
+    """Both realizations: the S symbol and its conjugate have the same sup.
+    None at complex nu, where |m(1/2 + iu)| is not even in u and peaks off
+    u = 0 with no closed form for the sup."""
     if np.imag(spec.nu) != 0:
-        # nu = i beta + 1/2, where sin(pi nu) = cosh(pi beta): the sup of |m|
-        # over the line in closed form
-        if abs(np.imag(a)) > 1e-10:
-            raise mellin.CatalogError("closed-form complex-nu norm implemented for nu = i*beta + 1/2 only")
-        return float(np.sqrt(1.0 + np.real(a)))
-    a = float(np.real(a))
+        return None
+    a = float(np.real(np.sin(np.pi * complex(spec.nu))))
     return max(1.0, np.sqrt(1.0 + a)) if 1.0 + a > 0 else 1.0
 
 

@@ -125,6 +125,7 @@ def _cmd_funceq(args) -> int:
     spec = parse_operator(args.op)
     s = args.re_s + 1j * np.linspace(-3.0, 3.0, args.n)
     rep = verify_checks.check_functional_equation(spec, s)
+    rep.check_id = f"funceq[{spec.label}]"
     _emit(args.output, rep.to_json())
     return 0 if rep.passed else 3
 
@@ -157,8 +158,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_copson(args) -> int:
-    fn, _ = (SUITE[args.fn] if args.fn in SUITE else (lambda t: np.exp(-np.asarray(t, float) ** 2), None))
+    fn, _ = SUITE.get(args.fn, SUITE["gauss"])
     rep = verify_checks.copson_check(verify_checks.CopsonData(args.alpha, args.beta, fn))
+    rep.check_id = f"copson[alpha={args.alpha:g},beta={args.beta:g}]"
     _emit(args.output, rep.to_json())
     return 0 if rep.passed else 3
 

@@ -348,27 +348,25 @@ def line_apply(spec, f: SampledFunction) -> SampledFunction:
 # ----------------------------------------------------------------------
 
 
-def numeric_line_sup(spec, u_max: float = 40.0, n: int = 4001) -> float:
-    """sup_u |m(1/2 + iu)| over a u-ladder with local refinement and tail check."""
-    u = np.linspace(0.0, u_max, n)
+def numeric_line_sup(spec, u_max: float = 40.0, n: int = 8001) -> float:
+    """sup_u |m(1/2 + iu)| over a u-ladder on [-u_max, u_max] with local
+    refinement and tail check.  Both sides: at complex nu, |m(1/2 + iu)| and
+    |m(1/2 - iu)| differ."""
+    u = np.linspace(-u_max, u_max, n)
     s = 0.5 + 1j * u
     with np.errstate(all="ignore"):
         vals = np.abs(multiplicator(spec, s))
     vals = np.where(np.isfinite(vals), vals, -np.inf)
     i = int(np.argmax(vals))
     best = float(vals[i])
-    # parabolic refinement around the grid maximizer
-    lo = max(u[i] - (u[1] - u[0]), 0.0)
-    hi = u[i] + (u[1] - u[0])
-    fine = np.linspace(lo, hi, 201)
+    # a finer ladder around the grid maximizer
+    fine = np.linspace(u[i] - (u[1] - u[0]), u[i] + (u[1] - u[0]), 201)
     with np.errstate(all="ignore"):
         fv = np.abs(multiplicator(spec, 0.5 + 1j * fine))
-    fv = fv[np.isfinite(fv)]
-    if len(fv):
-        best = max(best, float(np.max(fv)))
-    # monotone tail: |m| settles to its |u| -> inf limit well before u_max
-    tail = float(np.abs(multiplicator(spec, 0.5 + 1j * (u_max * 1.5))))
-    return max(best, tail)
+    best = float(np.max(fv[np.isfinite(fv)], initial=best))
+    # monotone tails: |m| settles to its |u| -> inf limits well before u_max
+    tails = np.abs(multiplicator(spec, 0.5 + 1j * np.array([-1.5, 1.5]) * u_max))
+    return float(np.max(tails[np.isfinite(tails)], initial=best))
 
 
 def operator_norm(spec) -> float:
@@ -380,7 +378,8 @@ def operator_norm(spec) -> float:
     from .catalog import mellin_row
 
     row = mellin_row(spec)
-    return row.norm(spec) if row.norm is not None else numeric_line_sup(spec)
+    closed = row.norm(spec) if row.norm is not None else None
+    return numeric_line_sup(spec) if closed is None else closed
 
 
 # ----------------------------------------------------------------------

@@ -113,9 +113,14 @@ def test_norm(family, variant):
 
 
 def test_second_kind_norm_on_the_complex_line():
-    assert operator_norm(OperatorSpec("second_kind", "S", nu=0.5 + 1j)) == 3.548514234932913
-    with pytest.raises(CatalogError):
-        operator_norm(OperatorSpec("second_kind", "S", nu=0.3 + 1j))
+    # no closed form at complex nu: the norm is the two-sided numeric sup,
+    # which |m(1/2)| = sqrt(1 + cosh pi) = 3.5485 (the former closed form)
+    # falls short of, since |m| peaks off u = 0
+    for nu in (0.5 + 1j, 0.3 + 1j):
+        spec = OperatorSpec("second_kind", "S", nu=nu)
+        assert operator_norm(spec) == numeric_line_sup(spec)
+    spec = OperatorSpec("second_kind", "S", nu=0.5 + 1j)
+    assert operator_norm(spec) > abs(multiplicator(spec, 0.5 + 0j)) + 0.2
 
 
 def test_stieltjes_symbol_and_strip():

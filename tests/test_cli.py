@@ -47,7 +47,8 @@ def test_mult_csv_shape(capsys):
 def test_funceq_exit_zero(capsys):
     code, out = run_cli(["funceq", "--op", "zero:S0+:nu=1"], capsys)
     assert code == 0
-    assert json.loads(out)["status"] == "PASS"
+    # a report outside the registry: the command names it
+    assert json.loads(out)["status"] == "PASS" and json.loads(out)["check_id"] == "funceq[zero:S0+:nu=1]"
 
 
 def test_apply_writes_csv(tmp_path, capsys):
@@ -153,4 +154,4 @@ def test_verify_compare_of_a_subset_reads_only_its_checks(tmp_path, capsys, monk
 def test_copson_subcommand(capsys):
     code, out = run_cli(["copson", "--alpha", "0.5", "--beta", "1.5", "--fn", "gauss"], capsys)
     assert code == 0
-    assert json.loads(out)["status"] == "PASS"
+    assert json.loads(out)["status"] == "PASS" and json.loads(out)["check_id"] == "copson[alpha=0.5,beta=1.5]"

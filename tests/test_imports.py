@@ -273,6 +273,14 @@ def test_katrakhov_unitarity_check_loads_no_scipy():
     assert _scipy_loaded_after(code) == []
 
 
+def test_registry_import_builds_no_grid_and_loads_no_scipy():
+    # the check table is data: importing it builds no harness grid (so no
+    # plan) and loads no scipy, however many rows it has
+    code = "import betrans.verify.registry\nfrom betrans.verify import checks\n"
+    code += "assert checks.default_grid.cache_info().currsize == 0"
+    assert _scipy_loaded_after(code) == []
+
+
 def imports_scipy(source: str, package: tuple[str, ...]) -> bool:
     return any(name.split(".")[0] == "scipy" for name in imported_modules(source, package))
 

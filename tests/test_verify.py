@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 import betrans.verify as V
-from betrans.testfuncs import suite_on_grid
-from betrans.verify.checks import CopsonData, copson_check, default_grid
+from betrans.verify.checks import CopsonData, copson_check
 from betrans.verify.report import FAIL, PASS, SKIPPED, XFAIL_PASS, VerificationReport
 
 
@@ -55,21 +54,32 @@ def test_registry_canonical_order_and_coverage():
                 assert w in V.REGISTRY, w
 
 
+def test_every_registered_check_states_its_operand_domain():
+    # each check's docstring states the theorem and, in a "Domain:"
+    # paragraph, the operands on which it holds
+    from betrans.verify import registry
+
+    named = {entry.func for entry in registry.REGISTRY.values()}
+    assert len(named) >= 29
+    for check in named:
+        doc = check.__doc__ or ""
+        assert "Domain:" in doc and doc.split("Domain:", 1)[1].strip(), check.__name__
+
+
 def test_seminorm_identity_alpha_one_exact():
-    grid = default_grid("main")
-    suite = [("x2gauss", suite_on_grid("x2gauss", grid))]
-    rep = V.check_seminorm_identity(1, suite)
+    rep = V.check_seminorm_identity(1)
+    assert rep.params["suite"] == ["xexp", "x2gauss", "gauss"]
     assert rep.passed and rep.residual_max < 1e-6
 
 
 def test_seminorm_identity_rejects_noninteger():
     with pytest.raises(ValueError):
-        V.check_seminorm_identity(1.5, [])
+        V.check_seminorm_identity(1.5)
 
 
 def test_embedding_excluded_alpha():
     with pytest.raises(ValueError):
-        V.check_embedding_inequality(1.5, [])  # sin(1.5 pi) = -1
+        V.check_embedding_inequality(1.5)  # sin(1.5 pi) = -1
 
 
 def test_copson_constant_beta_oracle():
@@ -93,18 +103,14 @@ def test_copson_degenerate_pole_path():
 
 
 def test_factorization_skip_status():
-    grid = default_grid("main")
-    suite = [("bump12", suite_on_grid("bump12", grid))]
-    rep = V.check_factorization("thm4_a", 1.0, 0.0, suite)
+    rep = V.check_factorization("thm4_a", 1.0, 0.0)
     assert rep.status == SKIPPED
     assert rep.passed  # skipped is not a failure, and never a silent pass
     assert "negative order" in rep.notes
 
 
 def test_factorization_runs_and_passes():
-    grid = default_grid("main")
-    suite = [("bump12", suite_on_grid("bump12", grid))]
-    rep = V.check_factorization("thm1_a", 1.0, 0.0, suite)
+    rep = V.check_factorization("thm1_a", 1.0, 0.0)
     assert rep.passed and rep.residual_max < 1e-5
 
 
@@ -115,10 +121,8 @@ def test_unbounded_growth_xfail():
 
 
 def test_determinism_of_reports():
-    grid = default_grid("main")
-    suite = [("bump12", suite_on_grid("bump12", grid))]
-    r1 = V.check_factorization("thm1_c", 1.0, 0.5, suite)
-    r2 = V.check_factorization("thm1_c", 1.0, 0.5, suite)
+    r1 = V.check_factorization("thm1_c", 1.0, 0.5)
+    r2 = V.check_factorization("thm1_c", 1.0, 0.5)
     assert r1.residuals == r2.residuals
     assert r1.to_json() == r2.to_json()
 
@@ -131,6 +135,8 @@ def test_run_checks_turns_a_raise_into_one_fail_report(monkeypatch):
 
     monkeypatch.setitem(registry.REGISTRY, "zz_raises", boom)
     reps = V.run_checks(["zz_raises", "mult_inverse_pair"], verbose=False)
+    # the table key is the only id: a check's own report is unnamed
+    assert registry.REGISTRY["mult_inverse_pair"]().check_id == ""
     assert [r.check_id for r in reps] == ["mult_inverse_pair", "zz_raises"]
     bad = reps[1]
     assert bad.status == FAIL and not bad.passed
@@ -140,17 +146,15 @@ def test_run_checks_turns_a_raise_into_one_fail_report(monkeypatch):
 
 def test_intertwining_callable_operator_matches_its_spec():
     from betrans.beops import OperatorSpec, apply
-    from betrans.testfuncs import wide_bump
     from betrans.verify.checks import _INTERTWINING
 
-    suite = [("wide_bump", wide_bump(default_grid("main")))]
     spec = OperatorSpec("zero_order", "S-", nu=0.5)
     for target in _INTERTWINING:
-        by_spec = V.check_intertwining(spec, target, suite, nu=0.5)
-        by_callable = V.check_intertwining(lambda f: apply(spec, f), target, suite, nu=0.5)
+        by_spec = V.check_intertwining(spec, target, ["wide_bump"], nu=0.5)
+        by_callable = V.check_intertwining(lambda f: apply(spec, f), target, ["wide_bump"], nu=0.5)
         assert by_callable.residuals == by_spec.residuals, target
     with pytest.raises(ValueError):
-        V.check_intertwining(spec, "d2_to_laplace", suite, nu=0.5)
+        V.check_intertwining(spec, "d2_to_laplace", ["wide_bump"], nu=0.5)
 
 
 def test_compare_bundles_names_every_difference():
