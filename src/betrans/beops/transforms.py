@@ -71,13 +71,14 @@ import warnings
 import numpy as np
 
 from ..numgrid import (
+    EDGE_BLOCK,
     Grid,
     GridError,
     SampledFunction,
     _gl_panels,
     _uniform_weights,
     basis_rows,
-    fit_power_law,
+    edge_fit,
     grid_key,
     head_basis,
     head_model,
@@ -171,34 +172,23 @@ def _osc_tail_integral(p: float, a: np.ndarray, nquad: int = 96) -> np.ndarray:
     return out
 
 
-def _fit_power_tail(f: SampledFunction, y_top: float):
-    """Signed power-law model c*y^-p of f near y_top, or None.
-
-    Only a clean monotone single-signed window yields a model; oscillatory
-    or fast-decaying tails are rejected (their truncation error is
-    negligible or not representable by this model).
-    """
-    pts = f.grid.points
-    win = (pts > 0.72 * y_top) & (pts <= y_top)
-    fit = fit_power_law(pts[win], f.values[win], 0.15) if np.count_nonzero(win) >= 8 else None
-    if fit is None or not (0.5 < -fit[1] < 8.0):
-        return None
-    return fit[0], -fit[1]
-
-
 def _algebraic_tail(kind: str, t: np.ndarray, f: SampledFunction, y_top: float) -> np.ndarray:
-    """Tail of the trig transform beyond the quadrature cap for power decay."""
-    if y_top < f.grid.hull[1] * (1.0 - 1e-9):
-        return np.zeros_like(t)  # capped inside the hull; nothing known beyond
-    model = _fit_power_tail(f, y_top)
-    if model is None:
+    """Tail of the trig transform beyond the quadrature cap: the edge fit's
+    power law c y^p (numgrid.edge_fit) of f's top samples, integrated in
+    closed form; none where the cap lies inside the hull, where the top
+    sample is below 1e-13 or where no power law follows the samples."""
+    pts, vals = f.grid.points, f.values
+    if y_top < f.grid.hull[1] * (1.0 - 1e-9) or abs(vals[-1]) < 1e-13:
         return np.zeros_like(t)
-    c, p = model
-    # int_Y^inf y^-p trig(t y) dy = t^(p-1) int_{tY}^inf u^-p trig(u) du
+    fit = edge_fit(pts[: -EDGE_BLOCK - 1 : -1], vals[: -EDGE_BLOCK - 1 : -1])
+    if fit is None:
+        return np.zeros_like(t)
+    _, c, p = fit
+    # int_Y^inf y^p trig(t y) dy = t^(-p-1) int_{tY}^inf u^p trig(u) du
     a = np.maximum(t * y_top, 1e-8)
-    base = _osc_tail_integral(p, a)
+    base = _osc_tail_integral(-p, a)
     core = np.real(base) if kind == "cos" else np.imag(base)
-    return _SQRT_2_OVER_PI * c * t ** (p - 1.0) * core
+    return _SQRT_2_OVER_PI * c * t ** (-p - 1.0) * core
 
 
 def _aliasing_check(f: SampledFunction, t_max: float) -> None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .._engine import RatioKernel, build_lower_plan, build_upper_plan
 from .._engine import cached_plan as _plan  # perfbench/tracer.py wraps the cache under this name
-from ..numgrid import SampledFunction
+from ..numgrid import EDGE_BLOCK, SampledFunction, edge_fit
 from ..specfun import legendre_p
 from ..specfun.legendre import legendre_p_deriv, legendre_p_deriv_oncut
 from .specs import OperatorSpec, OperatorSpecError, real_nu
@@ -58,8 +58,8 @@ def _check_lower_decay(nu: float, f: SampledFunction) -> None:
     """The 0+ Sonine form needs f/t^nu integrable at the origin.
 
     Warns when the operand carries mass at the hull bottom and its samples
-    there fall off no faster than t^(nu-1) (log-slope over the first
-    samples), so that f/t^nu is not integrable at 0.
+    there follow no power law t^p with p > nu - 1 (numgrid.edge_fit of the
+    first samples), so that f/t^nu may not be integrable at 0.
     """
     if nu < 0.5:
         return
@@ -68,8 +68,8 @@ def _check_lower_decay(nu: float, f: SampledFunction) -> None:
     x = f.grid.points
     if head * x[0] ** (1.0 - nu) <= 1e-6 * scale:
         return
-    y = np.abs(f.values[:8])
-    if np.all(y > 0.0) and np.polyfit(np.log(x[:8]), np.log(y), 1)[0] > nu - 1.0 + 1e-2:
+    fit = edge_fit(x[:EDGE_BLOCK], f.values[:EDGE_BLOCK])
+    if fit is not None and fit[2] > nu - 1.0 + 1e-2:
         return
     warnings.warn(
         "operand may violate the origin decay needed by this variant",

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import mellin
 from .beops import OperatorSpecError, apply, parse_operator
-from .catalog import FAMILIES
+from .catalog import FAMILIES, mellin_row
 from .numgrid import GridError, make_grid, read_csv, write_csv
 from .specfun import DomainError, GammaPoleError, SingularityError
 from .testfuncs import SUITE, suite_on_grid
@@ -37,33 +37,44 @@ _MATH_ERRORS = (
     ZeroDivisionError,
 )
 
-def _default_grid_n() -> int:
-    return int(os.environ.get("BETRANS_GRID_N", "512"))
+def _grid_n(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a point count (--grid-n or BETRANS_GRID_N)") from None
 
 
-def _build_grid(args) -> "Grid":
-    rng = tuple(float(v) for v in args.grid_range.split(",")) if args.grid_range else (1e-4, 1e2)
-    return make_grid(args.grid_n or _default_grid_n(), rng, args.grid_spacing)
+def _grid_range(text: str) -> tuple[float, float]:
+    try:
+        a, b = (float(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a hull 'a,b'") from None
+    return a, b
+
+
+def _suite_name(name: str) -> str:
+    if name not in SUITE:
+        raise OperatorSpecError(f"unknown built-in function {name!r}; choices: {sorted(SUITE)}")
+    return name
 
 
 def _load_function(args, grid):
     if args.input:
         return read_csv(args.input)
-    name = args.fn or "bump12"
-    if name not in SUITE:
-        raise OperatorSpecError(f"unknown built-in function {name!r}; choices: {sorted(SUITE)}")
-    return suite_on_grid(name, grid)
+    return suite_on_grid(_suite_name(args.fn or "bump12"), grid)
 
 
 def _add_grid_args(p):
-    p.add_argument("--grid-n", type=int, default=None, help="grid points (env BETRANS_GRID_N)")
-    p.add_argument("--grid-range", default=None, help="hull as 'a,b' (default 1e-4,1e2)")
+    # a string default goes through `type`, so a malformed BETRANS_GRID_N is an argument error
+    p.add_argument("--grid-n", type=_grid_n, default=os.environ.get("BETRANS_GRID_N", "512"),
+                   help="grid points (default: env BETRANS_GRID_N, else 512)")
+    p.add_argument("--grid-range", type=_grid_range, default="1e-4,1e2", help="hull as 'a,b' (default 1e-4,1e2)")
     p.add_argument("--grid-spacing", default="log", choices=["log", "linear"])
 
 
 def _cmd_apply(args) -> int:
     spec = parse_operator(args.op)
-    grid = _build_grid(args)
+    grid = make_grid(args.grid_n, args.grid_range, args.grid_spacing)
     f = _load_function(args, grid if not args.input else None)
     out = apply(spec, f)
     if args.format == "json":
@@ -105,18 +116,19 @@ def _cmd_mult(args) -> int:
 
 def _cmd_norm(args) -> int:
     spec = parse_operator(args.op)
-    closed = mellin.operator_norm(spec)
+    row = mellin_row(spec)
+    closed = row.norm(spec) if row.norm is not None else None  # as mellin.operator_norm
+    value = mellin.numeric_line_sup(spec) if closed is None else closed
     record = {
         "operator": spec.label,
         "nu": None
         if spec.nu is None
         else (float(np.real(spec.nu)) if np.imag(spec.nu) == 0 else str(spec.nu)),
-        "value": "inf" if np.isinf(closed) else float(closed),
-        "provenance": "closed-form operator norm",
+        "value": "inf" if np.isinf(value) else float(value),
+        "provenance": "numeric critical-line sup" if closed is None else "closed-form operator norm",
     }
-    if np.isfinite(closed):
-        sup = mellin.numeric_line_sup(spec)
-        record["numeric_sup"] = float(sup)
+    if np.isfinite(value):
+        record["numeric_sup"] = float(value if closed is None else mellin.numeric_line_sup(spec))
     _emit(args.output, json.dumps(record, sort_keys=True))
     return 0
 
@@ -158,7 +170,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_copson(args) -> int:
-    fn, _ = SUITE.get(args.fn, SUITE["gauss"])
+    fn, _ = SUITE[_suite_name(args.fn)]
     rep = verify_checks.copson_check(verify_checks.CopsonData(args.alpha, args.beta, fn))
     rep.check_id = f"copson[alpha={args.alpha:g},beta={args.beta:g}]"
     _emit(args.output, rep.to_json())

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numgrid import GridError, SampledFunction, fit_power_law, head_model, log_uniform
+from .numgrid import EDGE_BLOCK, GridError, SampledFunction, edge_fit, head_model, log_uniform
 from .specfun import gamma_complex, rgamma
 
 __all__ = [
@@ -69,10 +69,15 @@ class MellinSamples:
 def mellin_numeric(f: SampledFunction, sigma: float, u_points) -> MellinSamples:
     """M f(sigma + iu) by quadrature in the log coordinate.
 
-    The head model (numgrid.head_model), or a power law c x^p that the
-    first samples follow, completes the (0, hull_a) part; tails follow the
-    decay hint.  Accuracy degrades once |u| exceeds the sampling limit
-    of the grid; the result is flagged in that case.
+    Beyond the hull the integral is completed in closed form by the edge fit
+    (numgrid.edge_fit) of the samples at each end: at the head the power law
+    c x^p that the first samples follow, or the head model
+    (numgrid.head_model) where that carries a logarithm, where no power law
+    follows or where the exponent is near 0; at the tail the power law that
+    the decay hint declares, else, unless the hint declares compact support
+    or |f(b)| b^sigma is negligible, the power law the last samples follow.
+    A tail that no power law follows is left out and the result is flagged
+    degraded, as it is once |u| exceeds the sampling limit of the grid.
     """
     u = np.atleast_1d(np.asarray(u_points, dtype=float))
     grid = f.grid
@@ -90,13 +95,12 @@ def mellin_numeric(f: SampledFunction, sigma: float, u_points) -> MellinSamples:
 
     s = sigma + 1j * u
 
-    # head completion on (0, a): the head model in closed form when it
-    # follows a logarithm, else a local power model c x^p when the first
-    # samples follow one cleanly, else the quadratic head model
+    # head completion on (0, a): the edge fit's power law, else the head
+    # model in closed form
     coef = head_model(f)
-    head_p = None if np.any(coef[1::2]) else _fit_power(grid.points[:10], f.values[:10])
-    if head_p is not None and abs(head_p[1]) >= 0.02:
-        c, p = head_p
+    fit = None if np.any(coef[1::2]) else edge_fit(x[:EDGE_BLOCK], f.values[:EDGE_BLOCK])
+    if fit is not None and abs(fit[2]) >= 0.02:
+        _, c, p = fit
         if sigma + p <= 0:
             raise StripViolationError("x^(sigma-1) f is not integrable at 0 for this sigma")
         vals = vals + c * a ** (s + p) / (s + p)
@@ -107,49 +111,26 @@ def mellin_numeric(f: SampledFunction, sigma: float, u_points) -> MellinSamples:
         sk = s[:, None] + np.arange(3.0)
         vals = vals + a**s * np.sum(c / sk - d / sk**2, axis=1)
 
-    # tail completion beyond b: declared power hint, else a fitted power law
+    # tail completion beyond b: a declared power law through the last
+    # sample, else the edge fit's
     hint = f.decay_hint
     fb = float(f.values[-1])
-    degraded = False
-    p_tail = None
+    fit, degraded = None, False
     if hint is not None and hint.kind == "power":
-        p_tail = (fb * b**hint.p, hint.p)
-    elif hint is None or hint.kind == "exponential":
-        if abs(fb) * b**sigma > 1e-12:
-            window = slice(-int(0.15 * grid.n), None)
-            fit = _fit_power(grid.points[window], f.values[window], degree=2)
-            if fit is None:
-                degraded = True
-            else:
-                # the window fit sanity-checks the model: a quadratic in ln x,
-                # so that the exponent may drift as in c x^p + c' x^(p - 1),
-                # whose exponent at the window's middle is the trailing local
-                # slope's to 0.25; the exponent itself comes from that slope
-                # (least curvature bias)
-                v2, v1 = f.values[-6], f.values[-1]
-                x2, x1 = grid.points[-6], grid.points[-1]
-                p_loc = -np.log(abs(v1 / v2)) / np.log(x1 / x2)
-                if abs(p_loc - (-fit[1])) > 0.25:
-                    degraded = True
-                else:
-                    p_tail = (fb * b**p_loc, p_loc)
-    if p_tail is not None:
-        c, p = p_tail
-        if sigma - p >= 0:
+        fit = "power", fb * b**hint.p, -hint.p
+    elif (hint is None or hint.kind == "exponential") and abs(fb) * b**sigma > 1e-12:
+        fit = edge_fit(x[: -EDGE_BLOCK - 1 : -1], f.values[: -EDGE_BLOCK - 1 : -1])
+        degraded = fit is None
+    if fit is not None:
+        _, c, p = fit
+        if sigma + p >= 0:
             raise StripViolationError("x^(sigma-1) f is not integrable at infinity")
-        vals = vals + c * b ** (s - p) / (p - s)
+        vals = vals - c * b ** (s + p) / (s + p)
     if grid.spacing == "log":
         u_max = 0.5 * np.pi / (tau[1] - tau[0])
         if np.any(np.abs(u) > u_max):
             degraded = True
     return MellinSamples(line_re=sigma, u_points=u, values=vals, degraded=degraded)
-
-
-def _fit_power(pts: np.ndarray, vals: np.ndarray, degree: int = 1):
-    """A power law c x^p through at least 6 samples, |p| <= 8 (see
-    fit_power_law), or None."""
-    fit = fit_power_law(pts, vals, 0.05, degree) if len(pts) >= 6 else None
-    return fit if fit is not None and abs(fit[1]) <= 8.0 else None
 
 
 def measured_multiplicator(f: SampledFunction, af: SampledFunction, sigma: float, u_points):

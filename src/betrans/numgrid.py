@@ -55,7 +55,8 @@ __all__ = [
     "head_basis",
     "eval_extended",
     "deriv_extended",
-    "fit_power_law",
+    "edge_fit",
+    "EDGE_BLOCK",
     "read_csv",
     "write_csv",
 ]
@@ -648,24 +649,6 @@ def deriv_extended(f: SampledFunction, t: np.ndarray) -> np.ndarray:
     return _extended(f, t, True)
 
 
-def fit_power_law(x: np.ndarray, v: np.ndarray, max_dev: float, degree: int = 1):
-    """(c, p), v ~ c x^p: the power law tangent, at the middle of the
-    window in ln x, to the polynomial of the given degree in ln x fitted to
-    ln|v| (at degree 1 the fitted line itself; at degree 2 the exponent may
-    drift across the window), or None when v changes sign, a sample is
-    below 1e-13 in magnitude, or the fit misses some ln|v| by more than
-    max_dev."""
-    if np.min(np.abs(v)) < 1e-13 or np.min(v) * np.max(v) <= 0:
-        return None
-    lx, logs = np.log(x), np.log(np.abs(v))
-    q = np.polyfit(lx, logs, degree)
-    if np.max(np.abs(np.polyval(q, lx) - logs)) > max_dev:
-        return None
-    mid = 0.5 * (lx[0] + lx[-1])
-    p = np.polyval(np.polyder(q), mid)
-    return float(np.sign(v[0]) * np.exp(np.polyval(q, mid) - p * mid)), float(p)
-
-
 @dataclass(frozen=True)
 class WeightedNorm:
     """The power-weighted L2 norm: ||f||^2 = int_0^inf |f|^2 x^(2k+1) dx."""
@@ -904,28 +887,36 @@ def norm_weighted(f: SampledFunction, w: WeightedNorm = WeightedNorm()) -> float
     return float(np.sqrt(core + _tail_estimate(f, w.k)))
 
 
-_EDGE_BLOCK = 8  # samples per completion fit
+EDGE_BLOCK = 8  # samples per edge fit
 _EDGE_CLEAN = 1e-3  # largest deviation, relative to the block's largest sample, a fit may leave
 _EDGE_NEGLIGIBLE = 1e-14  # edge mass, relative to the total, that needs no completion
 
 
-def _edge_model(xs: np.ndarray, vs: np.ndarray, log_ok: bool):
-    """(kind, c, p) of the model that one block of samples follows best, or
-    None when none follows it to _EDGE_CLEAN.
+def edge_fit(xs: np.ndarray, vs: np.ndarray, log_ok: bool = False):
+    """(kind, c, p) of the model that a block of samples at a hull end
+    follows, or None when none follows it to _EDGE_CLEAN: the one fit by
+    which every integral is completed beyond the grid.
 
-    kind "power": v = c x^p.  kind "log": v = c + p ln x, tried only when
-    log_ok.  An all-zero block is the zero function.
+    The block (EDGE_BLOCK samples) is given from its outer end inward.
+    kind "power": v = c x^p through the outer sample and the sixth, so the
+    exponent is the one at the outer end.  kind "log": v = c + p ln x
+    through the same two, tried only when log_ok.  A model is accepted when
+    every sample of the block lies within _EDGE_CLEAN of the block's
+    largest; of two, the closer one.  An all-zero block is the zero
+    function.
     """
     if not np.any(vs):
         return "power", 0.0, 0.0
     lx = np.log(xs)
+    span = lx[5] - lx[0]
     fits = []
     if np.min(vs) * np.max(vs) > 0:
-        p, lc = np.polyfit(lx, np.log(np.abs(vs)), 1)
-        c = np.sign(vs[0]) * np.exp(lc)
-        fits.append((np.max(np.abs(c * xs**p - vs)), "power", c, p))
+        p = np.log(vs[5] / vs[0]) / span
+        dev = np.max(np.abs(vs[0] * np.exp(p * (lx - lx[0])) - vs))
+        fits.append((dev, "power", vs[0] * np.exp(-p * lx[0]), p))
     if log_ok:
-        p, c = np.polyfit(lx, vs, 1)
+        p = (vs[5] - vs[0]) / span
+        c = vs[0] - p * lx[0]
         fits.append((np.max(np.abs(c + p * lx - vs)), "log", c, p))
     if not fits:
         return None
@@ -937,17 +928,17 @@ def norm_half_line(f: SampledFunction, mask: Optional[np.ndarray] = None) -> flo
     """sqrt(int_0^inf |f|^2 dx) from the samples, completed at both ends.
 
     Only the samples under `mask` (default: the whole hull) are trusted.
-    From each end of that window inward, the first block of _EDGE_BLOCK
-    samples that a model follows to _EDGE_CLEAN is fitted: a power law
-    c x^p at either end, or c + p ln x at the origin (images of
-    integer-degree operators tend to that), whichever leaves the smaller
-    deviation.  The models carry the integral from the fitted blocks out to
-    0 and to infinity; the samples between the blocks are summed with
-    end-corrected weights, so samples outside a fitted block (where the
-    grid differences that made them may be inaccurate) are left out.  An end
-    whose edge mass is negligible gets no completion.  Unlike norm_weighted,
-    no decay hint is read: images keep mass outside any finite hull that no
-    hint of the operand describes.
+    From each end of that window inward, the first block of EDGE_BLOCK
+    samples that edge_fit accepts is fitted: a power law c x^p at either
+    end, or c + p ln x at the origin (images of integer-degree operators
+    tend to that), whichever leaves the smaller deviation.  The models carry
+    the integral from the blocks' outer samples out to 0 and to infinity;
+    the samples between them are summed with end-corrected weights, so
+    samples outside a fitted block (where the grid differences that made
+    them may be inaccurate) are left out.  An end whose edge mass is
+    negligible gets no completion.  Unlike norm_weighted, no decay hint is
+    read: images keep mass outside any finite hull that no hint of the
+    operand describes.
     """
     grid = f.grid
     idx = np.arange(grid.n) if mask is None else np.flatnonzero(mask)
@@ -958,9 +949,11 @@ def norm_half_line(f: SampledFunction, mask: Optional[np.ndarray] = None) -> flo
         w = _uniform_weights(hi - lo, step)
         return w * xw[lo:hi] if grid.spacing == "log" else w
 
-    def edge_fit(starts, log_ok):
-        for i in starts:
-            fit = _edge_model(xw[i : i + _EDGE_BLOCK], vw[i : i + _EDGE_BLOCK], log_ok)
+    def first_fit(outers, inward, log_ok):
+        # the outer sample's index and fit of the first block edge_fit accepts
+        for i in outers:
+            block = slice(i, i + inward * EDGE_BLOCK, inward)
+            fit = edge_fit(xw[block], vw[block], log_ok)
             if fit is not None:
                 return i, fit
         raise ValueError("no block near a window end follows a completion model")
@@ -969,7 +962,7 @@ def norm_half_line(f: SampledFunction, mask: Optional[np.ndarray] = None) -> flo
     scale = float(np.sum(weights(0, m) * vw**2))
     lo, hi, head, tail = 0, m, 0.0, 0.0
     if vw[0] ** 2 * xw[0] > _EDGE_NEGLIGIBLE * scale:
-        lo, (kind, c, p) = edge_fit(range(0, m // 2 - _EDGE_BLOCK), True)
+        lo, (kind, c, p) = first_fit(range(0, m // 2 - EDGE_BLOCK), 1, True)
         x0 = xw[lo]
         if kind == "log":
             v0 = c + p * np.log(x0)
@@ -979,12 +972,12 @@ def norm_half_line(f: SampledFunction, mask: Optional[np.ndarray] = None) -> flo
                 raise DivergentTailError("samples are not square integrable at the origin")
             head = c * c * x0 ** (2.0 * p + 1.0) / (2.0 * p + 1.0)
     if vw[-1] ** 2 * xw[-1] > _EDGE_NEGLIGIBLE * scale:
-        start, (_, c, p) = edge_fit(range(m - _EDGE_BLOCK, m // 2, -1), False)
-        hi = start + _EDGE_BLOCK
+        top, (_, c, p) = first_fit(range(m - 1, m // 2 + EDGE_BLOCK - 1, -1), -1, False)
+        hi = top + 1
         if c != 0.0:
             if 2.0 * p + 1.0 >= 0.0:
                 raise DivergentTailError("samples are not square integrable at infinity")
-            tail = -c * c * xw[hi - 1] ** (2.0 * p + 1.0) / (2.0 * p + 1.0)
+            tail = -c * c * xw[top] ** (2.0 * p + 1.0) / (2.0 * p + 1.0)
     core = float(np.sum(weights(lo, hi) * vw[lo:hi] ** 2))
     return float(np.sqrt(core + head + tail))
 

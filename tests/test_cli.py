@@ -155,3 +155,45 @@ def test_copson_subcommand(capsys):
     code, out = run_cli(["copson", "--alpha", "0.5", "--beta", "1.5", "--fn", "gauss"], capsys)
     assert code == 0
     assert json.loads(out)["status"] == "PASS" and json.loads(out)["check_id"] == "copson[alpha=0.5,beta=1.5]"
+
+
+def test_copson_rejects_an_unknown_function(capsys):
+    code = main(["copson", "--fn", "nosuch"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and "unknown built-in function 'nosuch'" in captured.err
+
+
+@pytest.mark.parametrize("grid_range", ["1,abc", "5"])
+def test_malformed_grid_range_is_an_argument_error(grid_range, capsys):
+    code = main(["apply", "--op", "hardy:H1", "--grid-range", grid_range])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "is not a hull 'a,b'" in captured.err
+
+
+def test_malformed_grid_size_in_the_environment_is_an_argument_error(monkeypatch, capsys):
+    monkeypatch.setenv("BETRANS_GRID_N", "abc")
+    code = main(["apply", "--op", "hardy:H1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "BETRANS_GRID_N" in captured.err
+    monkeypatch.setenv("BETRANS_GRID_N", "64")
+    code, out = run_cli(["apply", "--op", "hardy:H1"], capsys)
+    assert code == 0 and len(out.strip().splitlines()) == 65
+
+
+@pytest.mark.parametrize(
+    "op, provenance",
+    [
+        ("zero:S0+:nu=-0.5", "closed-form operator norm"),
+        ("second2:S:nu=0.3:mu=1", "numeric critical-line sup"),
+        ("second:S:nu=0.5+1j", "numeric critical-line sup"),
+    ],
+)
+def test_norm_names_where_its_value_comes_from(op, provenance, capsys):
+    code, out = run_cli(["norm", "--op", op], capsys)
+    rec = json.loads(out)
+    assert code == 0 and rec["provenance"] == provenance
+    if provenance.startswith("numeric"):
+        assert rec["value"] == rec["numeric_sup"]

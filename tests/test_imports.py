@@ -569,3 +569,24 @@ OUTSIDE_GAMMA = [p for p in ALL_MODULES if p.relative_to(PACKAGE).as_posix() != 
 def test_only_the_gamma_module_defines_gamma_helpers(path):
     assert gamma_helpers(path.read_text(encoding="utf-8")) == []
 
+
+
+# one edge fit: the completions beyond the grid hull read numgrid.edge_fit,
+# and no module but numgrid fits a polynomial to samples of its own
+def polyfit_calls(source: str) -> list[int]:
+    """The line of each call of polyfit (np.polyfit or a bare name)."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source)) if _called_name(node) == "polyfit")
+
+
+def test_polyfit_scan_finds_the_removed_head_slope():
+    source = (
+        "def _check_lower_decay(nu, f):\n    y = np.abs(f.values[:8])\n"
+        "    if np.polyfit(np.log(x[:8]), np.log(y), 1)[0] > nu - 1.0 + 1e-2:\n        return\n"
+        "from numpy import polyfit\nq = polyfit(lx, logs, 2)\n"
+    )
+    assert polyfit_calls(source) == [3, 6]
+
+
+@pytest.mark.parametrize("path", OUTSIDE_NUMGRID, ids=[str(p.relative_to(PACKAGE)) for p in OUTSIDE_NUMGRID])
+def test_only_numgrid_calls_polyfit(path):
+    assert polyfit_calls(path.read_text(encoding="utf-8")) == []

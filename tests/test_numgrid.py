@@ -15,7 +15,7 @@ from betrans.numgrid import (
     SampledFunction,
     TailWarning,
     WeightedNorm,
-    fit_power_law,
+    edge_fit,
     integrate_smooth,
     make_grid,
     norm_half_line,
@@ -556,22 +556,33 @@ def test_gauss_jacobi_against_mpmath(n, alpha, beta):
     assert not x.flags.writeable and not w.flags.writeable
 
 
-def test_fit_power_law_recovers_a_signed_power():
-    x = np.geomspace(1.0, 3.0, 10)
-    c, p = fit_power_law(x, -2.5 * x**-1.75, 0.05)
-    assert c == pytest.approx(-2.5, rel=1e-12) and p == pytest.approx(-1.75, rel=1e-12)
+def test_edge_fit_recovers_a_signed_power():
+    x = np.geomspace(3.0, 2.0, 8)  # a tail block, from its outer end inward
+    kind, c, p = edge_fit(x, -2.5 * x**-1.75)
+    assert kind == "power" and c == pytest.approx(-2.5, rel=1e-12) and p == pytest.approx(-1.75, rel=1e-12)
+    assert edge_fit(x, np.zeros(8)) == ("power", 0.0, 0.0)  # the zero function
 
 
-def test_fit_power_law_rejects_what_no_single_power_follows():
-    x = np.geomspace(1.0, 3.0, 10)
+def test_edge_fit_rejects_what_no_single_power_follows():
+    x = np.geomspace(1.0, 1.2, 8)  # a head block, from its outer end inward
     v = x**-2.0
-    assert fit_power_law(x, np.where(x < 2.0, v, -v), 0.05) is None  # a sign change
-    tiny = v.copy()
-    tiny[4] = 1e-14
-    assert fit_power_law(x, tiny, 10.0) is None  # a sample below 1e-13
-    bent = v * (1.0 + 0.2 * (x > 2.5))  # ln|v| jumps by ln 1.2 = 0.18 at the end
-    assert fit_power_law(x, bent, 0.05) is None
-    assert fit_power_law(x, bent, 0.15) is not None
+    assert edge_fit(x, np.where(x < 1.1, v, -v)) is None  # a sign change
+    bent = v * (1.0 + 2e-3 * (x > 1.18))  # the innermost sample off by 2e-3
+    assert edge_fit(x, bent) is None
+    assert edge_fit(x, v * (1.0 + 5e-4 * (x > 1.18))) is not None
+
+
+def test_edge_fit_reads_a_drifting_exponent_at_the_outer_end():
+    # 2 x^-2 + 54 x^-3: the local exponent -(4 + 162/x)/(2 + 54/x) drifts
+    # from -2.213 at x = 100 to -2.249 at x = 83; the fit's exponent lies
+    # between those of the block's outer sample and its sixth
+    x = 100.0 * np.exp(-0.027 * np.arange(8))
+    v = 2.0 * x**-2 + 54.0 * x**-3
+    local = -(4.0 + 162.0 / x) / (2.0 + 54.0 / x)
+    _, _, p = edge_fit(x, v)
+    assert local[5] < p < local[0]
+    _, _, q = edge_fit(x[::-1], v[::-1])  # the same samples read from the other end
+    assert local[7] < q < local[2] and q < p
 
 
 def test_sampled_functions_add_on_one_grid():
